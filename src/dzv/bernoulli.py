@@ -8,15 +8,14 @@ approximations.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Optional
 
-from .numerics import DomainError
+from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check
 
 __all__ = [
     "BernoulliCache",
-    "IdentityVerdict",
     "bernoulli",
     "euler_identity_check",
     "ramanujan_sum",
@@ -63,25 +62,11 @@ def bernoulli(m: int) -> Fraction:
     return _cache.get(m)
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    """Outcome of an exact rational identity check."""
-
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-    weight: int
-    label: str
-
-
-def _verdict(lhs: Fraction, rhs: Fraction, weight: int, label: str) -> IdentityVerdict:
-    return IdentityVerdict(lhs, rhs, lhs == rhs, weight, label)
-
-
-def euler_identity_check(l: int) -> IdentityVerdict:
+def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
     """Check sum_{j even, 0<=j<=l} C(l,j) B_j B_{l-j} = -(l-1) B_l exactly.
 
-    Requires even l >= 4.
+    Requires even l >= 4.  The check is exact, so ``ctx`` is ignored; it is
+    accepted to share the ``(l, ctx)`` signature of every suite.
     """
     if l % 2 != 0 or l < 4:
         raise DomainError("the Bernoulli convolution identity needs even l >= 4")
@@ -91,7 +76,7 @@ def euler_identity_check(l: int) -> IdentityVerdict:
         if bj:
             lhs += comb(l, j) * bj * bernoulli(l - j)
     rhs = -(l - 1) * bernoulli(l)
-    return _verdict(lhs, rhs, l, f"euler-bernoulli[l={l}]")
+    return exact_check(f"euler-bernoulli[l={l}]", l, lhs, rhs)
 
 
 def _require_gap6_weight(l: int) -> None:
@@ -112,15 +97,16 @@ def ramanujan_sum(l: int, m: int) -> Fraction:
     return total
 
 
-def ramanujan_check(l: int) -> tuple[IdentityVerdict, IdentityVerdict, IdentityVerdict]:
+def ramanujan_check(l: int, ctx: Optional[PrecisionCtx] = None) -> tuple[CheckReport, ...]:
     """Check the three gap-6 convolution identities of weight l.
 
     Each residue class m in {0, 2, 4} must satisfy
-    sum_{j = m (6)} C(l,j) B_j B_{l-j} = -((l-1)/3) B_l.
+    sum_{j = m (6)} C(l,j) B_j B_{l-j} = -((l-1)/3) B_l.  Exact, so ``ctx``
+    is ignored, as for ``euler_identity_check``.
     """
     _require_gap6_weight(l)
     rhs = Fraction(-(l - 1), 3) * bernoulli(l)
     return tuple(
-        _verdict(ramanujan_sum(l, m), rhs, l, f"ramanujan[l={l},m={m}]")
+        exact_check(f"ramanujan[l={l},m={m}]", l, ramanujan_sum(l, m), rhs)
         for m in (0, 2, 4)
     )

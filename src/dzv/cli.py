@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,35 +20,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .bernoulli import IdentityVerdict, bernoulli, euler_identity_check, ramanujan_check
-from .dzeta import IndexPair, double_zeta, functional_eq26_check, get_table
+from .bernoulli import bernoulli, euler_identity_check, ramanujan_check
+from .dzeta import IndexPair, double_zeta
+from .dzeta import get_table  # noqa: F401  perfbench's tracer patches dzv.cli.get_table
 from .identities import (
-    CheckReport,
-    check_from_sides,
     corollary1_check,
     corollary2_exact_chain,
+    eq26_check,
     gkz_parity_check,
+    harmonic_check,
     lemma1_check,
     prop1_check,
+    sum_formula_check,
     theorem1_check,
+    weighted_sum_check,
 )
 from .numerics import (
+    CheckReport,
     ComplexBall,
     DomainError,
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
-    ball_is_zero_within,
-    ball_sum,
 )
-from .zeta import zeta_numeric
 
 __all__ = ["RunConfig", "SuiteReport", "CheckRecord", "cmd_verify", "main", "SUITE_NAMES"]
 
 _ENV_PRECISION = "DZV_PRECISION"
 _DEFAULT_PRECISION = 192
 _DEFAULT_TOL_EXP = 40
-_EQ26_SAMPLES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One check in serialized form; numeric fields are decimal strings."""
+    """One row of a report: a serialized CheckReport, or a skipped or errored
+    weight.  Ball sides are certified decimal strings, exact sides rationals."""
 
     label: str
     weight: int
@@ -262,200 +262,80 @@ def _ball_str(b: Union[RealBall, ComplexBall], prec: int) -> str:
     return certified_decimal(b, digits)
 
 
-def _residual_fields(residual: Union[RealBall, ComplexBall]) -> tuple:
-    if isinstance(residual, ComplexBall):
-        mid = (f"{_decimal_truncate(residual.real.midpoint_fraction(), 60)}"
-               f" + {_decimal_truncate(residual.imag.midpoint_fraction(), 60)}i")
-        rad = _radius_decimal(residual.max_radius_fraction())
+def _record(r: CheckReport, prec: int) -> CheckRecord:
+    if r.tolerance is None:  # exact rational sides
+        return CheckRecord(r.label, r.weight, str(r.lhs), str(r.rhs), str(r.residual), "0",
+                           r.exact, r.passed)
+    res = r.residual
+    if isinstance(res, ComplexBall):
+        mid = (f"{_decimal_truncate(res.real.midpoint_fraction(), 60)}"
+               f" + {_decimal_truncate(res.imag.midpoint_fraction(), 60)}i")
+        rad = res.max_radius_fraction()
     else:
-        mid = _decimal_truncate(residual.midpoint_fraction(), 60)
-        rad = _radius_decimal(residual.radius_fraction())
-    return mid, rad
+        mid, rad = _decimal_truncate(res.midpoint_fraction(), 60), res.radius_fraction()
+    # RunConfig tolerances are 10^-N, so N is the denominator's digit count - 1
+    tol = f"1e-{len(str(r.tolerance.denominator)) - 1}"
+    return CheckRecord(r.label, r.weight, _ball_str(r.lhs, prec), _ball_str(r.rhs, prec),
+                       mid, _radius_decimal(rad), r.exact, r.passed, tol)
 
 
-def _record_from_report(r: CheckReport, prec: int) -> CheckRecord:
-    mid, rad = _residual_fields(r.residual)
-    return CheckRecord(
-        label=r.label, weight=r.weight,
-        lhs=_ball_str(r.lhs, prec), rhs=_ball_str(r.rhs, prec),
-        residual_midpoint=mid, residual_radius=rad,
-        exact=r.exact, passed=r.passed,
-        tolerance=None if r.exact else f"1e-{_tol_exponent(r.tolerance)}",
-    )
-
-
-def _tol_exponent(tol: Fraction) -> int:
-    e = 0
-    x = Fraction(1)
-    while x > tol and e < 10000:
-        x /= 10
-        e += 1
-    return e
-
-
-def _record_from_verdict(v: IdentityVerdict) -> CheckRecord:
-    return CheckRecord(
-        label=v.label, weight=v.weight,
-        lhs=str(v.lhs), rhs=str(v.rhs),
-        residual_midpoint=str(v.lhs - v.rhs), residual_radius="0",
-        exact=True, passed=v.holds,
-    )
-
-
-def _skip_record(suite: str, weight: int, reason: str) -> CheckRecord:
-    return CheckRecord(
-        label=f"{suite}[l={weight}]", weight=weight,
-        lhs="", rhs="", residual_midpoint="", residual_radius="",
-        exact=False, passed=True, skipped_reason=reason,
-    )
+def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:
+    """A row without sides: a weight outside the suite's hypothesis, or one
+    whose evaluation hit an escalation cap."""
+    return CheckRecord(label=f"{suite}[l={weight}]", weight=weight, lhs="", rhs="",
+                       residual_midpoint="", residual_radius="", exact=False, **outcome)
 
 
 # ---------------------------------------------------------------------------
-# suite registry
+# suite registry: name -> (hypothesis on the weight, library check (l, ctx))
 # ---------------------------------------------------------------------------
 
-def _suite_sum_formula(l: int, ctx: PrecisionCtx) -> list:
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + 48
-    lhs = ball_sum(t.entries.values(), wp)
-    rhs = zeta_numeric(l, ctx)
-    return [check_from_sides(f"sum-formula[l={l}]", l, lhs, rhs, ctx)]
+def _weight_3(l: int) -> Optional[str]:
+    return None if l >= 3 else "needs weight >= 3"
 
 
-def _suite_weighted_sum(l: int, ctx: PrecisionCtx) -> list:
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + 48
-    lhs = ball_sum((v.mul_int(2 ** (p.l1 - 1)) for p, v in t.entries.items()), wp)
-    rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(l + 1, 2), wp), wp)
-    return [check_from_sides(f"weighted-sum[l={l}]", l, lhs, rhs, ctx)]
+def _weight_4(l: int) -> Optional[str]:
+    return None if l >= 4 else "needs weight >= 4 (both exponents >= 2)"
 
 
-def _suite_harmonic(l: int, ctx: PrecisionCtx) -> list:
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + 48
-    zl = zeta_numeric(l, ctx)
-    out = []
-    for a in range(2, l // 2 + 1):
-        b = l - a
-        lhs = zeta_numeric(a, ctx).mul(zeta_numeric(b, ctx), wp)
-        rhs = t.entry(a, b).add(t.entry(b, a), wp).add(zl, wp)
-        out.append(check_from_sides(f"harmonic[{a},{b}]", l, lhs, rhs, ctx))
-    return out
+def _even_weight_4(l: int) -> Optional[str]:
+    return None if l % 2 == 0 and l >= 4 else "needs even weight >= 4"
 
 
-def _suite_gkz_parity(l: int, ctx: PrecisionCtx) -> list:
-    return list(gkz_parity_check(get_table(l, ctx)))
-
-
-def _suite_theorem1(l: int, ctx: PrecisionCtx) -> list:
-    return [theorem1_check(get_table(l, ctx))]
-
-
-def _suite_corollary1(l: int, ctx: PrecisionCtx) -> list:
-    return [corollary1_check(get_table(l, ctx))]
-
-
-def _suite_prop1(l: int, ctx: PrecisionCtx) -> list:
-    return [prop1_check(get_table(l, ctx))]
-
-
-def _suite_lemma1(l: int, ctx: PrecisionCtx) -> list:
-    return lemma1_check(l, ctx)
-
-
-def _eq26_sample_args(l: int) -> list:
-    """Deterministic rational sample points with |x|, |y| <= 2, plus (1, 1)."""
-    rng = random.Random(0x26000 + l)
-    pts = [(Fraction(1), Fraction(1))]
-    while len(pts) < _EQ26_SAMPLES:
-        x = Fraction(rng.randint(-16, 16), 8)
-        y = Fraction(rng.randint(-16, 16), 8)
-        pts.append((x, y))
-    return pts
-
-
-def _suite_eq26(l: int, ctx: PrecisionCtx) -> list:
-    wp = ctx.working_precision + 48
-    out = []
-    for x, y in _eq26_sample_args(l):
-        xb = ComplexBall.from_fractions(x, 0, wp)
-        yb = ComplexBall.from_fractions(y, 0, wp)
-        residual = functional_eq26_check(l, xb, yb, ctx)
-        ok_re, _ = ball_is_zero_within(residual.real, ctx.target_tolerance)
-        ok_im, _ = ball_is_zero_within(residual.imag, ctx.target_tolerance)
-        mid, rad = _residual_fields(residual)
-        out.append(CheckRecord(
-            label=f"eq26[l={l},x={x},y={y}]", weight=l,
-            lhs="residual", rhs="0",
-            residual_midpoint=mid, residual_radius=rad,
-            exact=False, passed=ok_re and ok_im,
-            tolerance=f"1e-{_tol_exponent(ctx.target_tolerance)}",
-        ))
-    return out
-
-
-def _suite_euler_bernoulli(l: int, ctx: PrecisionCtx) -> list:
-    return [euler_identity_check(l)]
-
-
-def _suite_ramanujan(l: int, ctx: PrecisionCtx) -> list:
-    return list(ramanujan_check(l))
-
-
-def _suite_corollary2(l: int, ctx: PrecisionCtx) -> list:
-    return [corollary2_exact_chain(l, ctx)]
-
-
-def _needs(cond: bool, reason: str) -> Optional[str]:
-    return None if cond else reason
+def _gap6_weight(l: int) -> Optional[str]:
+    return None if l % 6 == 2 and l >= 8 else "needs l = 2 (mod 6), l >= 8"
 
 
 _SUITES: dict = {
-    "sum-formula": (lambda l: _needs(l >= 3, "needs weight >= 3"), _suite_sum_formula),
-    "weighted-sum": (lambda l: _needs(l >= 3, "needs weight >= 3"), _suite_weighted_sum),
-    "harmonic": (lambda l: _needs(l >= 4, "needs weight >= 4 (both exponents >= 2)"),
-                 _suite_harmonic),
-    "gkz-parity": (lambda l: _needs(l % 2 == 0 and l >= 4, "needs even weight >= 4"),
-                   _suite_gkz_parity),
-    "theorem1": (lambda l: _needs(l >= 3, "needs weight >= 3"), _suite_theorem1),
-    "corollary1": (lambda l: _needs(l % 2 == 0 and l >= 4, "needs even weight >= 4"),
-                   _suite_corollary1),
-    "prop1": (lambda l: _needs(l >= 3, "needs weight >= 3"), _suite_prop1),
-    "lemma1": (lambda l: _needs(l >= 3, "needs weight >= 3"), _suite_lemma1),
-    "eq26": (lambda l: _needs(l >= 3, "needs weight >= 3"), _suite_eq26),
-    "euler-bernoulli": (lambda l: _needs(l % 2 == 0 and l >= 4, "needs even weight >= 4"),
-                        _suite_euler_bernoulli),
-    "ramanujan": (lambda l: _needs(l % 6 == 2 and l >= 8, "needs l = 2 (mod 6), l >= 8"),
-                  _suite_ramanujan),
-    "corollary2-chain": (lambda l: _needs(l % 6 == 2 and l >= 8,
-                                          "needs l = 2 (mod 6), l >= 8"),
-                         _suite_corollary2),
+    "sum-formula": (_weight_3, sum_formula_check),
+    "weighted-sum": (_weight_3, weighted_sum_check),
+    "harmonic": (_weight_4, harmonic_check),
+    "gkz-parity": (_even_weight_4, gkz_parity_check),
+    "theorem1": (_weight_3, theorem1_check),
+    "corollary1": (_even_weight_4, corollary1_check),
+    "prop1": (_weight_3, prop1_check),
+    "lemma1": (_weight_3, lemma1_check),
+    "eq26": (_weight_3, eq26_check),
+    "euler-bernoulli": (_even_weight_4, euler_identity_check),
+    "ramanujan": (_gap6_weight, ramanujan_check),
+    "corollary2-chain": (_gap6_weight, corollary2_exact_chain),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _to_record(item, prec: int) -> CheckRecord:
-    if isinstance(item, CheckRecord):
-        return item
-    if isinstance(item, IdentityVerdict):
-        return _record_from_verdict(item)
-    return _record_from_report(item, prec)
-
-
 def _run_suite_weight(suite: str, l: int, ctx: PrecisionCtx) -> list:
-    applies, runner = _SUITES[suite]
+    applies, check = _SUITES[suite]
     reason = applies(l)
     if reason is not None:
-        return [_skip_record(suite, l, reason)]
+        return [_blank_record(suite, l, passed=True, skipped_reason=reason)]
     try:
-        return [_to_record(item, ctx.working_precision) for item in runner(l, ctx)]
+        reports = check(l, ctx)
     except PrecisionUnreachableError as exc:
-        return [CheckRecord(
-            label=f"{suite}[l={l}]", weight=l,
-            lhs="", rhs="", residual_midpoint="", residual_radius="",
-            exact=False, passed=False, error=str(exc),
-        )]
+        return [_blank_record(suite, l, passed=False, error=str(exc))]
+    if isinstance(reports, CheckReport):
+        reports = [reports]
+    return [_record(r, ctx.working_precision) for r in reports]
 
 
 def cmd_verify(config: RunConfig) -> tuple:
@@ -576,13 +456,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _default_precision() -> int:
+    """DZV_PRECISION when set, else 192 bits; a bad value is a usage error."""
     env = os.environ.get(_ENV_PRECISION)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return _DEFAULT_PRECISION
+    if not env:
+        return _DEFAULT_PRECISION
+    try:
+        bits = int(env)
+    except ValueError:
+        raise DomainError(f"{_ENV_PRECISION} must be an integer, got {env!r}") from None
+    if bits < 64:
+        raise DomainError(f"{_ENV_PRECISION} must be at least 64 bits, got {bits}")
+    return bits
 
 
 def _config_from_args(args) -> RunConfig:
@@ -636,7 +520,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "dzeta":
-            prec = args.precision if args.precision is not None else _default_precision()
+            default_prec = _default_precision()  # checked even when -p overrides it
+            prec = default_prec if args.precision is None else args.precision
             if args.l1 < 2 or args.l2 < 1:
                 print("error: need l1 >= 2 and l2 >= 1 for convergence", file=sys.stderr)
                 return 2

@@ -1,8 +1,7 @@
 """Double zeta values zeta(l1, l2) = sum_{m1 > m2 > 0} m1^-l1 m2^-l2 with
-certified radii, per-weight tables, and the weight-l generating polynomial
-T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2) together with its structural
-relations (sum formula, weighted sum formula, harmonic relation, two-variable
-functional equation).
+certified radii, per-weight tables, the weight-l generating polynomial
+T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2), and the two sides of its
+two-variable functional equation.
 
 Evaluation strategy: the inner sum over m1 > m2 is zeta(l1, m2+1); the first M
 values of m2 are summed directly and the tail sum_{m2 > M} g(m2) with
@@ -16,7 +15,6 @@ added to the radius.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -24,6 +22,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .numerics import (
+    GUARD_BITS,
     ComplexBall,
     DomainError,
     PrecisionCtx,
@@ -38,18 +37,14 @@ from .bernoulli import bernoulli
 __all__ = [
     "IndexPair",
     "DzvTable",
-    "GenPolyValue",
     "double_zeta",
     "build_table",
     "get_table",
     "gen_poly_eval",
-    "harmonic_check",
-    "sum_formula_check",
-    "weighted_sum_check",
+    "functional_eq26_sides",
     "functional_eq26_check",
 ]
 
-_GUARD = 48
 _MAX_ESCALATIONS = 8
 
 
@@ -165,7 +160,7 @@ def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     value at working precision w; escalates the direct-sum cutoff on demand."""
     l1, l2 = p.l1, p.l2
     target = ctx.working_precision
-    wp = target + _GUARD
+    wp = target + GUARD_BITS
     m_cut = max(32, wp // 2)
     k_outer = max(6, wp // 8)
     for attempt in range(_MAX_ESCALATIONS):
@@ -183,11 +178,11 @@ def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
 
 @dataclass(frozen=True)
 class DzvTable:
-    """All double zeta values of one weight: entries over l1 >= 2, l2 >= 1,
-    l1 + l2 = weight (exactly weight - 2 of them)."""
+    """All double zeta values of one weight at one working precision: entries
+    over l1 >= 2, l2 >= 1, l1 + l2 = weight (exactly weight - 2 of them)."""
 
     weight: int
-    ctx: PrecisionCtx
+    precision: int
     entries: Mapping[IndexPair, RealBall]
 
     def entry(self, l1: int, l2: int) -> RealBall:
@@ -197,48 +192,35 @@ class DzvTable:
         return sorted(self.entries.keys())
 
 
-def build_table(l: int, ctx: PrecisionCtx, jobs: int = 1) -> DzvTable:
-    """Compute the complete weight-l table; entries are independent and may be
-    evaluated concurrently."""
+def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
+    """Compute the complete weight-l table at the context's working precision."""
     if l < 3:
         raise DomainError("tables need weight >= 3 (no convergent pairs below)")
     pairs = [IndexPair(l1, l - l1) for l1 in range(2, l)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda q: double_zeta(q, ctx), pairs))
-    else:
-        values = [double_zeta(q, ctx) for q in pairs]
-    return DzvTable(l, ctx, MappingProxyType(dict(zip(pairs, values))))
+    values = [double_zeta(q, ctx) for q in pairs]
+    return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))))
 
 
 _table_cache: dict = {}
 _table_lock = threading.Lock()
 
 
-def get_table(l: int, ctx: PrecisionCtx, jobs: int = 1) -> DzvTable:
-    """Cached tables; the cache key is (weight, working precision)."""
+def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
+    """Cached tables; the cache key is (weight, working precision), and a
+    table holds nothing else of the context."""
     key = (l, ctx.working_precision)
     hit = _table_cache.get(key)
     if hit is not None:
         return hit
-    table = build_table(l, ctx, jobs=jobs)
+    table = build_table(l, ctx)
     with _table_lock:
         _table_cache.setdefault(key, table)
     return _table_cache[key]
 
 
-@dataclass(frozen=True)
-class GenPolyValue:
+def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:
     """Enclosure of T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2)."""
-
-    weight: int
-    x: ComplexBall
-    y: ComplexBall
-    value: ComplexBall
-
-
-def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> GenPolyValue:
-    wp = t.ctx.working_precision + _GUARD
+    wp = t.precision + GUARD_BITS
     w = t.weight
     # power tables: x^e for e = 1..w-2, y^e for e = 0..w-3
     xp = [ComplexBall.one(), x]
@@ -252,46 +234,15 @@ def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> GenPolyValue:
     terms = []
     for pair, val in t.entries.items():
         terms.append(xp[pair.l1 - 1].mul(yp[pair.l2 - 1], wp).mul_real(val, wp))
-    return GenPolyValue(w, x, y, complex_sum(terms, wp))
+    return complex_sum(terms, wp)
 
 
 def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
     """T_l at exact rational real arguments."""
-    wp = t.ctx.working_precision + _GUARD
+    wp = t.precision + GUARD_BITS
     xb = ComplexBall.from_fractions(x, 0, wp)
     yb = ComplexBall.from_fractions(y, 0, wp)
-    return gen_poly_eval(t, xb, yb).value.real
-
-
-def harmonic_check(a: int, b: int, ctx: PrecisionCtx) -> RealBall:
-    """Residual of zeta(a) zeta(b) - zeta(a,b) - zeta(b,a) - zeta(a+b);
-    must contain zero."""
-    if a < 2 or b < 2:
-        raise DomainError("the harmonic relation needs a, b >= 2")
-    wp = ctx.working_precision + _GUARD
-    za = zeta_numeric(a, ctx)
-    zb = zeta_numeric(b, ctx)
-    prod = za.mul(zb, wp)
-    residual = prod.sub(double_zeta(IndexPair(a, b), ctx), wp)
-    residual = residual.sub(double_zeta(IndexPair(b, a), ctx), wp)
-    return residual.sub(zeta_numeric(a + b, ctx), wp)
-
-
-def sum_formula_check(t: DzvTable) -> RealBall:
-    """Residual of sum over the weight-l table minus zeta(l)."""
-    wp = t.ctx.working_precision + _GUARD
-    total = ball_sum(t.entries.values(), wp)
-    return total.sub(zeta_numeric(t.weight, t.ctx), wp)
-
-
-def weighted_sum_check(t: DzvTable) -> RealBall:
-    """Residual of sum 2^(l1-1) zeta(l1,l2) - (l+1) zeta(l) / 2."""
-    wp = t.ctx.working_precision + _GUARD
-    total = ball_sum(
-        (val.mul_int(2 ** (pair.l1 - 1)) for pair, val in t.entries.items()), wp)
-    rhs = zeta_numeric(t.weight, t.ctx).mul(
-        RealBall.from_fraction(Fraction(t.weight + 1, 2), wp), wp)
-    return total.sub(rhs, wp)
+    return gen_poly_eval(t, xb, yb).real
 
 
 def _divided_difference(x: ComplexBall, y: ComplexBall, l: int, wp: int) -> ComplexBall:
@@ -305,9 +256,9 @@ def _divided_difference(x: ComplexBall, y: ComplexBall, l: int, wp: int) -> Comp
     return complex_sum((xp[i].mul(yp[l - 2 - i], wp) for i in range(l - 1)), wp)
 
 
-def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,
-                          ctx: PrecisionCtx) -> ComplexBall:
-    """Residual of the two-variable functional equation
+def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,
+                          ctx: PrecisionCtx) -> tuple[ComplexBall, ComplexBall]:
+    """Both sides of the two-variable functional equation
 
         T_l(x+y, y) + T_l(x+y, x) = T_l(x, y) + T_l(y, x)
                                     + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l);
@@ -317,11 +268,17 @@ def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,
     if l < 3:
         raise DomainError("the functional equation needs weight >= 3")
     t = get_table(l, ctx)
-    wp = ctx.working_precision + _GUARD
+    wp = ctx.working_precision + GUARD_BITS
     xy = x.add(y, wp)
-    lhs = gen_poly_eval(t, xy, y).value.add(gen_poly_eval(t, xy, x).value, wp)
-    rhs = gen_poly_eval(t, x, y).value.add(gen_poly_eval(t, y, x).value, wp)
+    lhs = gen_poly_eval(t, xy, y).add(gen_poly_eval(t, xy, x), wp)
+    rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)
     dd = _divided_difference(x, y, l, wp)
     zl = ComplexBall.from_real(zeta_numeric(l, ctx))
-    rhs = rhs.add(dd.mul(zl, wp), wp)
-    return lhs.sub(rhs, wp)
+    return lhs, rhs.add(dd.mul(zl, wp), wp)
+
+
+def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,
+                          ctx: PrecisionCtx) -> ComplexBall:
+    """Residual lhs - rhs of the functional equation; must contain zero."""
+    lhs, rhs = functional_eq26_sides(l, x, y, ctx)
+    return lhs.sub(rhs, ctx.working_precision + GUARD_BITS)

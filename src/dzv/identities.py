@@ -1,61 +1,70 @@
-"""Executable identity checks over double zeta tables: congruence-filtered
-restricted sums, the parity formulas, the mod-6 restricted sum formulas and
-their even-weight restatements, the signed filter identity and the five
-cube-root-of-unity equations behind them, and the exact chain linking the
-l = 2 (mod 6) restricted sum formula to the gap-6 Bernoulli identities.
+"""Executable identity checks over double zeta tables: the sum formulas and
+the harmonic relation, congruence-filtered restricted sums, the parity
+formulas, the mod-6 restricted sum formulas and their even-weight
+restatements, the signed filter identity and the five cube-root-of-unity
+equations behind them, the two-variable functional equation, and the exact
+chain linking the l = 2 (mod 6) restricted sum formula to the gap-6 Bernoulli
+identities.
 
-Numeric checks pass only when the residual ball certifies zero within the
-context tolerance AND the two sides' enclosures intersect; exact checks
-compare rationals or pi-polynomials and ignore the tolerance.
+Every suite is a function ``check(l, ctx)`` that fetches its own table and
+judges with the caller's context.  Numeric checks pass by
+``check_from_sides``: the residual ball certifies zero within the context
+tolerance AND the two sides' enclosures intersect; exact checks compare
+rationals or pi-polynomials and carry no tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .bernoulli import ramanujan_check, ramanujan_sum
 from .dzeta import (
     DzvTable,
     IndexPair,
+    functional_eq26_sides,
     gen_poly_eval,
     gen_poly_real,
     get_table,
     _divided_difference,
 )
 from .numerics import (
+    GUARD_BITS,
+    CheckReport,
     ComplexBall,
     DomainError,
     PiPolynomial,
     PrecisionCtx,
     RealBall,
-    ball_is_zero_within,
     ball_sum,
+    check_from_sides,
     complex_sum,
     cube_root_of_unity,
+    exact_check,
 )
 from .zeta import zeta_even_exact, zeta_numeric
 
 __all__ = [
     "CongruenceFilter",
     "SumSpec",
-    "CheckReport",
-    "check_from_sides",
     "restricted_sum",
+    "sum_formula_check",
+    "weighted_sum_check",
+    "harmonic_check",
     "gkz_parity_check",
     "theorem1_check",
     "corollary1_check",
     "prop1_check",
     "lemma1_check",
+    "eq26_check",
     "corollary2_exact_chain",
 ]
 
-_GUARD = 48
 _ALLOWED_MODULI = (2, 3, 6)
-
-Ball = Union[RealBall, ComplexBall]
+_EQ26_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -110,7 +119,7 @@ def restricted_sum(t: DzvTable, spec: SumSpec) -> RealBall:
     """Signed filtered sum over the table, by per-pair coefficient
     accumulation (overlapping filters add their coefficients; an empty match
     contributes the exact zero ball)."""
-    wp = t.ctx.working_precision + _GUARD
+    wp = t.precision + GUARD_BITS
     terms = []
     for pair in t.pairs():
         c = spec.coefficient_for(pair)
@@ -120,64 +129,41 @@ def restricted_sum(t: DzvTable, spec: SumSpec) -> RealBall:
 
 
 # ---------------------------------------------------------------------------
-# check reports
+# sum formulas and the harmonic relation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one identity check: both sides, their residual, and the
-    pass verdict (residual certified zero within tolerance and sides
-    intersecting, or exact equality for exact checks)."""
-
-    label: str
-    weight: int
-    lhs: Ball
-    rhs: Ball
-    residual: Ball
-    passed: bool
-    tolerance: Fraction
-    exact: bool = False
+def sum_formula_check(l: int, ctx: PrecisionCtx) -> CheckReport:
+    """The weight-l table adds up to zeta(l)."""
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
+    lhs = ball_sum(t.entries.values(), wp)
+    return check_from_sides(f"sum-formula[l={l}]", l, lhs, zeta_numeric(l, ctx), ctx)
 
 
-def _real_report(label: str, weight: int, lhs: RealBall, rhs: RealBall,
-                 ctx: PrecisionCtx, exact_ok: Optional[bool] = None) -> CheckReport:
-    wp = ctx.working_precision + _GUARD
-    residual = lhs.sub(rhs, wp)
-    ok, _ = ball_is_zero_within(residual, ctx.target_tolerance)
-    passed = ok and lhs.intersects(rhs)
-    if exact_ok is not None:
-        passed = passed and exact_ok
-    return CheckReport(label, weight, lhs, rhs, residual, passed,
-                       ctx.target_tolerance, exact=exact_ok is not None)
+def weighted_sum_check(l: int, ctx: PrecisionCtx) -> CheckReport:
+    """sum 2^(l1-1) zeta(l1, l2) = (l+1) zeta(l) / 2 over the weight-l table."""
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
+    lhs = ball_sum((v.mul_int(2 ** (p.l1 - 1)) for p, v in t.entries.items()), wp)
+    rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(l + 1, 2), wp), wp)
+    return check_from_sides(f"weighted-sum[l={l}]", l, lhs, rhs, ctx)
 
 
-def _complex_report(label: str, weight: int, lhs: ComplexBall, rhs: ComplexBall,
-                    ctx: PrecisionCtx) -> CheckReport:
-    wp = ctx.working_precision + _GUARD
-    residual = lhs.sub(rhs, wp)
-    ok_re, _ = ball_is_zero_within(residual.real, ctx.target_tolerance)
-    ok_im, _ = ball_is_zero_within(residual.imag, ctx.target_tolerance)
-    passed = ok_re and ok_im and lhs.intersects(rhs)
-    return CheckReport(label, weight, lhs, rhs, residual, passed,
-                       ctx.target_tolerance)
-
-
-def check_from_sides(label: str, weight: int, lhs: Ball, rhs: Ball,
-                     ctx: PrecisionCtx) -> CheckReport:
-    """Build a numeric check report from two enclosures of the same quantity."""
-    if isinstance(lhs, ComplexBall) or isinstance(rhs, ComplexBall):
-        return _complex_report(label, weight, lhs, rhs, ctx)
-    return _real_report(label, weight, lhs, rhs, ctx)
-
-
-def _exact_report(label: str, weight: int, lhs_q: Fraction, rhs_q: Fraction,
-                  holds: bool, ctx: PrecisionCtx) -> CheckReport:
-    prec = 128
-    lhs = RealBall.from_fraction(lhs_q, prec)
-    rhs = RealBall.from_fraction(rhs_q, prec)
-    residual = RealBall.from_fraction(lhs_q - rhs_q, prec)
-    return CheckReport(label, weight, lhs, rhs, residual, holds,
-                       ctx.target_tolerance, exact=True)
+def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
+    """zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(l) for every split
+    a + b = l with 2 <= a <= b."""
+    if l < 4:
+        raise DomainError("the harmonic relation needs weight >= 4 (a, b >= 2)")
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
+    zl = zeta_numeric(l, ctx)
+    out = []
+    for a in range(2, l // 2 + 1):
+        b = l - a
+        lhs = zeta_numeric(a, ctx).mul(zeta_numeric(b, ctx), wp)
+        rhs = t.entry(a, b).add(t.entry(b, a), wp).add(zl, wp)
+        out.append(check_from_sides(f"harmonic[{a},{b}]", l, lhs, rhs, ctx))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +200,39 @@ def _plain_mod3_sum(t: DzvTable, res3: int) -> RealBall:
 # parity formulas (even weight)
 # ---------------------------------------------------------------------------
 
-def gkz_parity_check(t: DzvTable) -> Tuple[CheckReport, CheckReport]:
+def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckReport]:
     """Both-even sum = (3/4) zeta(l) and both-odd sum = (1/4) zeta(l) for even
     weight; at weight 4 both equalities are additionally verified exactly in
-    pi-power arithmetic."""
-    l = t.weight
+    pi-power arithmetic, and the reports are marked exact."""
     if l % 2 != 0 or l < 4:
         raise DomainError("parity formulas need even weight >= 4")
-    ctx = t.ctx
-    wp = ctx.working_precision + _GUARD
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
     zl = zeta_numeric(l, ctx)
     s_even = restricted_sum(t, SumSpec.of((1, CongruenceFilter((0, 2), (0, 2)))))
     s_odd = restricted_sum(t, SumSpec.of((1, CongruenceFilter((1, 2), (1, 2)))))
     rhs_even = _scale(zl, Fraction(3, 4), wp)
     rhs_odd = _scale(zl, Fraction(1, 4), wp)
 
-    exact_even = exact_odd = None
+    even = check_from_sides(f"gkz-parity.even[l={l}]", l, s_even, rhs_even, ctx)
+    odd = check_from_sides(f"gkz-parity.odd[l={l}]", l, s_odd, rhs_odd, ctx)
     if l == 4:
         z2, z4 = zeta_even_exact(2), zeta_even_exact(4)
         dz22 = (z2 * z2 - z4) * Fraction(1, 2)   # harmonic relation at (2,2)
         dz31 = z4 - dz22                          # weight-4 sum formula
-        exact_even = dz22 == z4 * Fraction(3, 4)
-        exact_odd = dz31 == z4 * Fraction(1, 4)
-
-    return (
-        _real_report(f"gkz-parity.even[l={l}]", l, s_even, rhs_even, ctx, exact_even),
-        _real_report(f"gkz-parity.odd[l={l}]", l, s_odd, rhs_odd, ctx, exact_odd),
-    )
+        even = replace(even, passed=even.passed and dz22 == z4 * Fraction(3, 4), exact=True)
+        odd = replace(odd, passed=odd.passed and dz31 == z4 * Fraction(1, 4), exact=True)
+    return even, odd
 
 
 # ---------------------------------------------------------------------------
 # mod-6 restricted sum formulas
 # ---------------------------------------------------------------------------
 
-def theorem1_check(t: DzvTable) -> CheckReport:
+def theorem1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     """The weight-mod-3 restricted sum formula over first-index classes mod 6."""
-    l = t.weight
-    ctx = t.ctx
-    wp = ctx.working_precision + _GUARD
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
     case = l % 3
     if case == 0:
         lhs = restricted_sum(t, SumSpec.of(
@@ -271,16 +252,15 @@ def theorem1_check(t: DzvTable) -> CheckReport:
         rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(1, 6), wp), wp)
         rhs = rhs.sub(odd_sum.mul(RealBall.from_fraction(Fraction(1, 3), wp), wp), wp)
         tag = "iii"
-    return _real_report(f"theorem1.{tag}[l={l}]", l, lhs, rhs, ctx)
+    return check_from_sides(f"theorem1.{tag}[l={l}]", l, lhs, rhs, ctx)
 
 
-def corollary1_check(t: DzvTable) -> CheckReport:
+def corollary1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     """Even-weight restatement over both-index classes mod 6."""
-    l = t.weight
     if l % 2 != 0 or l < 4:
         raise DomainError("the even-weight restatement needs even l >= 4")
-    ctx = t.ctx
-    wp = ctx.working_precision + _GUARD
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
     zl = zeta_numeric(l, ctx)
     case = l % 6
     if case == 0:
@@ -297,18 +277,17 @@ def corollary1_check(t: DzvTable) -> CheckReport:
         lhs = restricted_sum(t, SumSpec.of((1, _on_both(4, 4))))
         rhs = zl.mul(RealBall.from_fraction(Fraction(1, 12), wp), wp)
         tag = "iii"
-    return _real_report(f"corollary1.{tag}[l={l}]", l, lhs, rhs, ctx)
+    return check_from_sides(f"corollary1.{tag}[l={l}]", l, lhs, rhs, ctx)
 
 
-def prop1_check(t: DzvTable) -> CheckReport:
+def prop1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     """Signed filter identity: with r = 2l mod 3 split by parity of l1,
 
         [S(l1=r(3), odd) - S(l1=r(3), even) - S(l1=l-1(3)) - 2 S(l1=4(6))]
           = -frac((l+1)/3) zeta(l) + (2/3) T_l(-1, 1).
     """
-    l = t.weight
-    ctx = t.ctx
-    wp = ctx.working_precision + _GUARD
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
     r2l = (2 * l) % 3
     rl1 = (l - 1) % 3
     spec = SumSpec.of(
@@ -322,7 +301,7 @@ def prop1_check(t: DzvTable) -> CheckReport:
     rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(-frac_part, wp), wp)
     t_m11 = gen_poly_real(t, Fraction(-1), Fraction(1))
     rhs = rhs.add(t_m11.mul(RealBall.from_fraction(Fraction(2, 3), wp), wp), wp)
-    return _real_report(f"prop1[l={l}]", l, lhs, rhs, ctx)
+    return check_from_sides(f"prop1[l={l}]", l, lhs, rhs, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +315,7 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     if l < 3:
         raise DomainError("cube-root-of-unity equations need weight >= 3")
     t = get_table(l, ctx)
-    wp = ctx.working_precision + _GUARD
+    wp = ctx.working_precision + GUARD_BITS
     omega = cube_root_of_unity(ctx)
     xs = [ComplexBall.one(), omega, omega.conj()]
     one = ComplexBall.one()
@@ -347,40 +326,67 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     shared_tail = ComplexBall.from_real(zl.mul(half_lp1, wp)).sub(t_m11, wp)
 
     def T(xb: ComplexBall, yb: ComplexBall) -> ComplexBall:
-        return gen_poly_eval(t, xb, yb).value
+        return gen_poly_eval(t, xb, yb)
 
     reports = []
 
     lhs1 = complex_sum((T(x.add(one, wp), one) for x in xs), wp)
     rhs1 = ComplexBall.from_real(_alternating_mod3_sum(t, 1).mul_int(3)).add(shared_tail, wp)
-    reports.append(_complex_report(f"lemma1.eq1[l={l}]", l, lhs1, rhs1, ctx))
+    reports.append(check_from_sides(f"lemma1.eq1[l={l}]", l, lhs1, rhs1, ctx))
 
     lhs2 = complex_sum((T(x.add(one, wp), x) for x in xs), wp)
     rhs2 = ComplexBall.from_real(
         _alternating_mod3_sum(t, (2 * l) % 3).mul_int(3)).add(shared_tail, wp)
-    reports.append(_complex_report(f"lemma1.eq2[l={l}]", l, lhs2, rhs2, ctx))
+    reports.append(check_from_sides(f"lemma1.eq2[l={l}]", l, lhs2, rhs2, ctx))
 
     lhs3 = complex_sum((T(x, one) for x in xs), wp)
     rhs3 = ComplexBall.from_real(_plain_mod3_sum(t, 1).mul_int(3))
-    reports.append(_complex_report(f"lemma1.eq3[l={l}]", l, lhs3, rhs3, ctx))
+    reports.append(check_from_sides(f"lemma1.eq3[l={l}]", l, lhs3, rhs3, ctx))
 
     lhs4 = complex_sum((T(one, x) for x in xs), wp)
     rhs4 = ComplexBall.from_real(_plain_mod3_sum(t, (l - 1) % 3).mul_int(3))
-    reports.append(_complex_report(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
+    reports.append(check_from_sides(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
 
     dd_sum = complex_sum((_divided_difference(x, one, l, wp) for x in xs), wp)
     lhs5 = dd_sum.mul(zl_c, wp)
     rhs5 = zl_c.mul_int(3 * ((l + 1) // 3))
-    reports.append(_complex_report(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
+    reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
 
     return reports
+
+
+# ---------------------------------------------------------------------------
+# two-variable functional equation
+# ---------------------------------------------------------------------------
+
+def _eq26_sample_args(l: int) -> list:
+    """Deterministic rational sample points with |x|, |y| <= 2, plus (1, 1)."""
+    rng = random.Random(0x26000 + l)
+    pts = [(Fraction(1), Fraction(1))]
+    while len(pts) < _EQ26_SAMPLES:
+        x = Fraction(rng.randint(-16, 16), 8)
+        y = Fraction(rng.randint(-16, 16), 8)
+        pts.append((x, y))
+    return pts
+
+
+def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
+    """The functional equation of T_l at (1, 1) and four seeded rational
+    points (x, y)."""
+    wp = ctx.working_precision + GUARD_BITS
+    out = []
+    for x, y in _eq26_sample_args(l):
+        lhs, rhs = functional_eq26_sides(l, ComplexBall.from_fractions(x, 0, wp),
+                                         ComplexBall.from_fractions(y, 0, wp), ctx)
+        out.append(check_from_sides(f"eq26[l={l},x={x},y={y}]", l, lhs, rhs, ctx))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # exact chain: restricted sum formula -> gap-6 Bernoulli identities
 # ---------------------------------------------------------------------------
 
-def corollary2_exact_chain(l: int, ctx: PrecisionCtx = PrecisionCtx()) -> CheckReport:
+def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
     """Exact verification, in rational and pi-power arithmetic, that for
     l = 2 (mod 6), l >= 8:
 
@@ -390,6 +396,9 @@ def corollary2_exact_chain(l: int, ctx: PrecisionCtx = PrecisionCtx()) -> CheckR
       (c) converting (b) through zeta(m) = (-1)^(m/2+1) 2^(m-1) B_m/m! pi^m
           reproduces the m = 4 gap-6 Bernoulli identity exactly as checked by
           the bernoulli module.
+
+    The report's sides are the pi^l coefficients of (b); it passes only when
+    (a), (b) and (c) all hold.  Exact, so ``ctx`` is ignored.
     """
     if l % 6 != 2 or l < 8:
         raise DomainError("the exact chain needs l = 2 (mod 6) and l >= 8")
@@ -412,10 +421,7 @@ def corollary2_exact_chain(l: int, ctx: PrecisionCtx = PrecisionCtx()) -> CheckR
     verdict = ramanujan_check(l)[2]  # residue m = 4
     bridge_ok = (bridge_lhs == ramanujan_sum(l, 4)
                  and bridge_rhs == verdict.rhs
-                 and verdict.holds)
+                 and verdict.passed)
 
-    return _exact_report(
-        f"corollary2-chain[l={l}]", l,
-        lhs_poly.coeff(l), rhs_poly.coeff(l),
-        count_ok and poly_ok and bridge_ok, ctx,
-    )
+    report = exact_check(f"corollary2-chain[l={l}]", l, lhs_poly.coeff(l), rhs_poly.coeff(l))
+    return replace(report, passed=report.passed and count_ok and poly_ok and bridge_ok)

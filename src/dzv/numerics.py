@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Rational = Fraction
 
@@ -26,17 +26,24 @@ __all__ = [
     "ComplexBall",
     "PiPolynomial",
     "ZeroCertificate",
+    "CheckReport",
+    "GUARD_BITS",
     "binomial",
     "pi_const",
     "cube_root_of_unity",
     "pipoly_eval",
     "ball_is_zero_within",
+    "check_from_sides",
+    "exact_check",
     "ball_sum",
     "complex_sum",
 ]
 
 # Radii carry few mantissa bits; they only need an order of magnitude.
 _RAD_BITS = 24
+
+# Bits above the working precision that checks and table consumers compute at.
+GUARD_BITS = 48
 
 
 class DomainError(ValueError):
@@ -172,10 +179,6 @@ class RealBall:
     @staticmethod
     def from_int(n: int) -> "RealBall":
         return RealBall(n, 0, 0, 0)
-
-    @staticmethod
-    def from_man_exp(man: int, exp: int) -> "RealBall":
-        return RealBall(man, exp, 0, 0)
 
     @staticmethod
     def from_fraction(q, prec: int) -> "RealBall":
@@ -727,3 +730,38 @@ def ball_is_zero_within(x: RealBall, tol) -> Tuple[bool, ZeroCertificate]:
     rad = x.radius_fraction()
     ok = mid + rad <= tol
     return ok, ZeroCertificate(mid, rad, tol, ok)
+
+
+Side = Union[RealBall, ComplexBall, Fraction]
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one identity check: both sides, their residual and the
+    verdict.  Numeric checks carry ball sides and the tolerance they were
+    judged with; exact checks carry rational sides and no tolerance."""
+
+    label: str
+    weight: int
+    lhs: Side
+    rhs: Side
+    residual: Side
+    passed: bool
+    tolerance: Optional[Fraction]
+    exact: bool = False
+
+
+def check_from_sides(label: str, weight: int, lhs, rhs, ctx: PrecisionCtx) -> CheckReport:
+    """The pass rule of every numeric check: the residual lhs - rhs is
+    certified zero within the context tolerance (each part, for complex
+    sides) and the two enclosures intersect."""
+    tol = ctx.target_tolerance
+    residual = lhs.sub(rhs, ctx.working_precision + GUARD_BITS)
+    parts = (residual.real, residual.imag) if isinstance(residual, ComplexBall) else (residual,)
+    passed = all(ball_is_zero_within(p, tol)[0] for p in parts) and lhs.intersects(rhs)
+    return CheckReport(label, weight, lhs, rhs, residual, passed, tol)
+
+
+def exact_check(label: str, weight: int, lhs: Fraction, rhs: Fraction) -> CheckReport:
+    """An identity between exact rationals: passes iff the sides are equal."""
+    return CheckReport(label, weight, lhs, rhs, lhs - rhs, lhs == rhs, None, exact=True)

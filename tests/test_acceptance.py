@@ -48,7 +48,7 @@ def _report(n: int, ok: bool, text: str, elapsed: float = None):
 
 def test_criterion_01_euler_identity_to_400():
     start = time.monotonic()
-    ok = all(euler_identity_check(l).holds for l in range(4, 401, 2))
+    ok = all(euler_identity_check(l).passed for l in range(4, 401, 2))
     elapsed = time.monotonic() - start
     _report(1, ok and elapsed < 10,
             "exact Euler convolution identity, even 4 <= l <= 400", elapsed)
@@ -58,7 +58,7 @@ def test_criterion_02_ramanujan_identities_to_398():
     start = time.monotonic()
     ok = True
     for l in range(8, 399, 6):
-        ok = ok and all(v.holds for v in ramanujan_check(l))
+        ok = ok and all(v.passed for v in ramanujan_check(l))
     elapsed = time.monotonic() - start
     _report(2, ok and elapsed < 10,
             "exact gap-6 identities, m in {0,2,4}, l = 2 (mod 6), 8 <= l <= 398",
@@ -84,7 +84,7 @@ def test_criterion_04_spot_value_weight8():
     # membership follows from enclosure containment
     point = pipoly_eval(zeta_even_exact(8) * Fraction(1, 12), PrecisionCtx(320))
     contains = dz44.contains_ball(point)
-    r = corollary1_check(get_table(8, _CTX))
+    r = corollary1_check(8, _CTX)
     radius_ok = r.residual.radius_fraction() <= Fraction(1, 10**40)
     elapsed = time.monotonic() - start
     _report(4, contains and r.passed and radius_ok and elapsed < 5,
@@ -94,7 +94,7 @@ def test_criterion_04_spot_value_weight8():
 
 def test_criterion_05_theorem1_sweep_3_to_30():
     start = time.monotonic()
-    ok = all(theorem1_check(get_table(l, _CTX)).passed for l in range(3, 31))
+    ok = all(theorem1_check(l, _CTX).passed for l in range(3, 31))
     elapsed = time.monotonic() - start
     _report(5, ok and elapsed < 600,
             "theorem1 sweep, 3 <= l <= 30 at 192 bits, tolerance 1e-40", elapsed)
@@ -102,7 +102,7 @@ def test_criterion_05_theorem1_sweep_3_to_30():
 
 def test_criterion_06_corollary1_sweep_even_4_to_30():
     start = time.monotonic()
-    ok = all(corollary1_check(get_table(l, _CTX)).passed for l in range(4, 31, 2))
+    ok = all(corollary1_check(l, _CTX).passed for l in range(4, 31, 2))
     elapsed = time.monotonic() - start
     _report(6, ok, "corollary1 sweep, even 4 <= l <= 30", elapsed)
 
@@ -111,7 +111,7 @@ def test_criterion_07_gkz_parity_even_4_to_30():
     start = time.monotonic()
     ok = True
     for l in range(4, 31, 2):
-        even_r, odd_r = gkz_parity_check(get_table(l, _CTX))
+        even_r, odd_r = gkz_parity_check(l, _CTX)
         ok = ok and even_r.passed and odd_r.passed
         if l == 4:
             ok = ok and even_r.exact and odd_r.exact
@@ -127,7 +127,7 @@ def test_criterion_08_prop1_and_lemma1_3_to_20():
     start = time.monotonic()
     ok = True
     for l in range(3, 21):
-        ok = ok and prop1_check(get_table(l, _CTX)).passed
+        ok = ok and prop1_check(l, _CTX).passed
         reports = lemma1_check(l, _CTX)
         ok = ok and len(reports) == 5 and all(r.passed for r in reports)
         # equation 5 against the exact integer part

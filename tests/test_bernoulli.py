@@ -64,14 +64,14 @@ def test_euler_identity_weight4_hand_expansion():
     v = euler_identity_check(4)
     assert v.lhs == Fraction(1, 10)
     assert v.rhs == Fraction(1, 10)
-    assert v.holds
+    assert v.passed
 
 
 def test_euler_identity_weight6():
     v = euler_identity_check(6)
     assert v.rhs == -5 * bernoulli(6) == Fraction(-5, 42)
     assert v.lhs == v.rhs
-    assert v.holds
+    assert v.passed
 
 
 def test_euler_identity_direct_convolution_oracle():
@@ -80,7 +80,7 @@ def test_euler_identity_direct_convolution_oracle():
         lhs = sum(comb(l, j) * _AT[j] * _AT[l - j] for j in range(0, l + 1, 2))
         v = euler_identity_check(l)
         assert v.lhs == lhs
-        assert v.holds
+        assert v.passed
 
 
 def test_euler_identity_rejects_bad_weight():
@@ -116,7 +116,7 @@ def test_ramanujan_check_weight8_and_14():
     for l in (8, 14):
         verdicts = ramanujan_check(l)
         assert len(verdicts) == 3
-        assert all(v.holds for v in verdicts)
+        assert all(v.passed for v in verdicts)
         assert all(v.rhs == Fraction(-(l - 1), 3) * bernoulli(l) for v in verdicts)
 
 

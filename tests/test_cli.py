@@ -153,11 +153,20 @@ def test_json_report_roundtrip():
 
 
 def test_verify_determinism_except_wall_time():
-    config = RunConfig(precision_bits=96, tolerance_exponent=20,
-                       weight_min=3, weight_max=6,
-                       suites=("theorem1", "eq26"), output_format="json")
-    r1, _ = cmd_verify(config)
+    base = dict(precision_bits=96, weight_min=3, weight_max=6,
+                suites=("theorem1", "eq26"), output_format="json")
+    # an unreachable tolerance first: the tables it caches must not carry it
+    strict, code = cmd_verify(RunConfig(tolerance_exponent=300, **base))
+    assert code == 1
+    assert all(not c.passed and c.tolerance == "1e-300"
+               for c in strict[0].checks if c.weight >= 4)
+    config = RunConfig(tolerance_exponent=20, **base)
+    r1, code = cmd_verify(config)
     r2, _ = cmd_verify(config)
+    assert code == 0
+    assert all(c.tolerance == "1e-20" for r in r1 for c in r.checks)
+    # eq26 records carry both sides, not a bare residual
+    assert all(c.lhs.endswith("i") and c.rhs.endswith("i") for c in r1[1].checks)
 
     def strip(reports):
         out = [r.to_dict() for r in reports]
@@ -217,6 +226,15 @@ def test_env_var_precision_override(tmp_path):
     assert proc.returncode == 0
     data = json.loads(out.read_text())
     assert data[0]["config"]["precision_bits"] == 96
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suites", "sum-formula", "--weights", "3..3"],
+                                  ["dzeta", "2", "1"]])
+@pytest.mark.parametrize("value", ["abc", "63"])
+def test_env_var_precision_invalid_is_usage_error(monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("DZV_PRECISION", value)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: DZV_PRECISION")
 
 
 def test_config_file_with_flag_precedence(tmp_path):

@@ -13,10 +13,8 @@ from dzv.dzeta import (
     gen_poly_eval,
     gen_poly_real,
     get_table,
-    harmonic_check,
-    sum_formula_check,
-    weighted_sum_check,
 )
+from dzv.identities import harmonic_check, sum_formula_check, weighted_sum_check
 from dzv.numerics import (
     ComplexBall,
     DomainError,
@@ -100,13 +98,6 @@ def test_build_table_rejects_weight_below_3(ctx128):
         build_table(2, ctx128)
 
 
-def test_build_table_parallel_matches_serial(ctx64):
-    serial = build_table(6, ctx64)
-    threaded = build_table(6, ctx64, jobs=3)
-    for pair in serial.pairs():
-        assert serial.entries[pair].same_enclosure(threaded.entries[pair])
-
-
 def test_get_table_caches(ctx128):
     assert get_table(7, ctx128) is get_table(7, ctx128)
 
@@ -138,8 +129,8 @@ def test_table_precision_escalation():
 def test_gen_poly_at_11_is_zeta(ctx128):
     t = get_table(6, ctx128)
     v = gen_poly_eval(t, ComplexBall.one(), ComplexBall.one())
-    assert v.value.real.intersects(zeta_numeric(6, ctx128))
-    assert v.value.imag.contains_zero()
+    assert v.real.intersects(zeta_numeric(6, ctx128))
+    assert v.imag.contains_zero()
 
 
 def test_gen_poly_at_minus1_1_weight4(ctx128):
@@ -154,13 +145,13 @@ def test_gen_poly_x_zero_vanishes(ctx128):
     # every term carries x^(l1-1) with l1-1 >= 1
     t = get_table(4, ctx128)
     v = gen_poly_eval(t, ComplexBall.zero(), ComplexBall.one())
-    assert v.value.real.is_zero() and v.value.imag.is_zero()
+    assert v.real.is_zero() and v.imag.is_zero()
 
 
 def test_gen_poly_y_zero_picks_l2_equal_1_column(ctx128):
     t = get_table(5, ctx128)
     v = gen_poly_eval(t, ComplexBall.one(), ComplexBall.zero())
-    assert v.value.real.same_enclosure(t.entry(4, 1))
+    assert v.real.same_enclosure(t.entry(4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,38 +159,41 @@ def test_gen_poly_y_zero_picks_l2_equal_1_column(ctx128):
 # ---------------------------------------------------------------------------
 
 def test_harmonic_22_numeric_and_exact(ctx128):
-    assert harmonic_check(2, 2, ctx128).contains_zero()
+    (r,) = harmonic_check(4, ctx128)
+    assert r.label == "harmonic[2,2]" and r.residual.contains_zero()
     # exact counterpart: zeta(2)^2 = 2 zeta(2,2) + zeta(4)
     assert zeta_even_exact(2) * zeta_even_exact(2) == \
         _DZ22_EXACT * 2 + zeta_even_exact(4)
 
 
 def test_harmonic_4_10_exact_counterpart(ctx128):
-    assert harmonic_check(4, 10, ctx128).contains_zero()
+    r = {r.label: r for r in harmonic_check(14, ctx128)}["harmonic[4,10]"]
+    assert r.residual.contains_zero()
     # zeta(4) zeta(10) - zeta(14) = zeta(14)/12 in pi-power arithmetic
     lhs = zeta_even_exact(4) * zeta_even_exact(10) - zeta_even_exact(14)
     assert lhs == zeta_even_exact(14) * Fraction(1, 12)
 
 
 def test_harmonic_23(ctx128):
-    assert harmonic_check(2, 3, ctx128).contains_zero()
+    (r,) = harmonic_check(5, ctx128)
+    assert r.label == "harmonic[2,3]" and r.residual.contains_zero()
 
 
 def test_harmonic_rejects_exponent_one(ctx128):
     with pytest.raises(DomainError):
-        harmonic_check(2, 1, ctx128)
+        harmonic_check(3, ctx128)  # 3 = 2 + 1 only
 
 
 def test_sum_formula_weights_3_4_5(ctx128):
     for w in (3, 4, 5):
-        assert sum_formula_check(get_table(w, ctx128)).contains_zero()
+        assert sum_formula_check(w, ctx128).residual.contains_zero()
     # exact mirror at weight 4: 1/120 + 1/360 = 1/90
     assert _DZ22_EXACT + _DZ31_EXACT == zeta_even_exact(4)
 
 
 def test_weighted_sum_weights_3_4_6(ctx128):
     for w in (3, 4, 6):
-        assert weighted_sum_check(get_table(w, ctx128)).contains_zero()
+        assert weighted_sum_check(w, ctx128).residual.contains_zero()
     # exact mirror at weight 4: 2/120 + 4/360 = (5/2)/90
     assert _DZ22_EXACT * 2 + _DZ31_EXACT * 4 == zeta_even_exact(4) * Fraction(5, 2)
 
@@ -212,8 +206,8 @@ def test_table_level_residuals_through_weight_30(ctx192):
         assert len(t.entries) == w - 2
         for val in t.entries.values():
             assert val.radius_fraction() <= val.lower_fraction() * Fraction(2, 2**192)
-        assert sum_formula_check(t).contains_zero(), w
-        assert weighted_sum_check(t).contains_zero(), w
+        assert sum_formula_check(w, ctx192).residual.contains_zero(), w
+        assert weighted_sum_check(w, ctx192).residual.contains_zero(), w
 
 
 # ---------------------------------------------------------------------------

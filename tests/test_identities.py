@@ -21,6 +21,7 @@ from dzv.numerics import (
     ComplexBall,
     DomainError,
     PiPolynomial,
+    PrecisionCtx,
     RealBall,
     ball_sum,
     complex_sum,
@@ -91,7 +92,7 @@ def test_mod6_filters_partition_each_table(ctx128):
 # ---------------------------------------------------------------------------
 
 def test_gkz_parity_weight4_exact(ctx128):
-    even_r, odd_r = gkz_parity_check(get_table(4, ctx128))
+    even_r, odd_r = gkz_parity_check(4, ctx128)
     assert even_r.passed and even_r.exact
     assert odd_r.passed and odd_r.exact
     # the exact statement: pi^4/120 = (3/4) pi^4/90 and pi^4/360 = (1/4) pi^4/90
@@ -103,14 +104,14 @@ def test_gkz_parity_weight4_exact(ctx128):
 
 def test_gkz_parity_numeric_weights(ctx128):
     for w in (6, 8, 10):
-        even_r, odd_r = gkz_parity_check(get_table(w, ctx128))
+        even_r, odd_r = gkz_parity_check(w, ctx128)
         assert even_r.passed and odd_r.passed
         assert not even_r.exact
 
 
 def test_gkz_parity_rejects_odd_weight(ctx128):
     with pytest.raises(DomainError):
-        gkz_parity_check(get_table(5, ctx128))
+        gkz_parity_check(5, ctx128)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_gkz_parity_rejects_odd_weight(ctx128):
 # ---------------------------------------------------------------------------
 
 def test_theorem1_weight3_all_empty(ctx128):
-    r = theorem1_check(get_table(3, ctx128))
+    r = theorem1_check(3, ctx128)
     assert r.passed
     assert r.lhs.is_zero() and r.rhs.is_zero()
 
@@ -126,7 +127,7 @@ def test_theorem1_weight3_all_empty(ctx128):
 def test_theorem1_weight4_exact_mirror(ctx128):
     # case ii at weight 4 reduces to zeta(3,1) = (1/3) zeta(2,2):
     # pi^4/360 = (1/3) pi^4/120
-    r = theorem1_check(get_table(4, ctx128))
+    r = theorem1_check(4, ctx128)
     assert r.passed and r.label.startswith("theorem1.ii")
     z4 = zeta_even_exact(4)
     dz22 = (zeta_even_exact(2) * zeta_even_exact(2) - z4) * Fraction(1, 2)
@@ -136,7 +137,7 @@ def test_theorem1_weight4_exact_mirror(ctx128):
 
 def test_theorem1_weight5_with_closed_form_oracles(ctx128):
     t = get_table(5, ctx128)
-    r = theorem1_check(t)
+    r = theorem1_check(5, ctx128)
     assert r.passed and r.label.startswith("theorem1.iii")
     # independent closed forms: zeta(4,1) = 2 zeta(5) - zeta(2) zeta(3)
     # and zeta(3,2) = -(11/2) zeta(5) + 3 zeta(2) zeta(3)
@@ -157,7 +158,7 @@ def test_theorem1_weight5_with_closed_form_oracles(ctx128):
 
 def test_theorem1_weight8_case_iii_assembly(ctx128):
     t = get_table(8, ctx128)
-    assert theorem1_check(t).passed
+    assert theorem1_check(8, ctx128).passed
     # zeta(4,4) = zeta(8)/6 - (1/3)(zeta(3,5) + zeta(5,3) + zeta(7,1))
     wp = 200
     odd = ball_sum((t.entry(3, 5), t.entry(5, 3), t.entry(7, 1)), wp)
@@ -168,7 +169,17 @@ def test_theorem1_weight8_case_iii_assembly(ctx128):
 
 def test_theorem1_sweep_small(ctx128):
     for w in range(3, 15):
-        assert theorem1_check(get_table(w, ctx128)).passed, w
+        assert theorem1_check(w, ctx128).passed, w
+
+
+def test_verdict_uses_the_callers_tolerance():
+    """Both contexts share the cached 128-bit table; each verdict is judged
+    with its own caller's tolerance, whichever context built the table."""
+    strict = PrecisionCtx(128, Fraction(1, 10**300))
+    loose = PrecisionCtx(128, Fraction(1, 10**10))
+    assert not theorem1_check(9, strict).passed
+    r = theorem1_check(9, loose)
+    assert r.passed and r.tolerance == Fraction(1, 10**10)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +187,7 @@ def test_theorem1_sweep_small(ctx128):
 # ---------------------------------------------------------------------------
 
 def test_corollary1_weight8_exact_counterpart(ctx128):
-    r = corollary1_check(get_table(8, ctx128))
+    r = corollary1_check(8, ctx128)
     assert r.passed and r.label.startswith("corollary1.iii")
     # (zeta(4)^2 - zeta(8))/2 = zeta(8)/12, i.e. pi^8/113400
     z4, z8 = zeta_even_exact(4), zeta_even_exact(8)
@@ -187,7 +198,7 @@ def test_corollary1_weight8_exact_counterpart(ctx128):
 
 def test_corollary1_weight6_with_harmonic_oracle(ctx128):
     t = get_table(6, ctx128)
-    r = corollary1_check(t)
+    r = corollary1_check(6, ctx128)
     assert r.passed and r.label.startswith("corollary1.i")
     # zeta(3,3) = (zeta(3)^2 - zeta(6))/2, then the case (i) combination
     wp = 200
@@ -201,7 +212,7 @@ def test_corollary1_weight6_with_harmonic_oracle(ctx128):
 
 def test_corollary1_weight10_case_ii_pairs(ctx128):
     t = get_table(10, ctx128)
-    r = corollary1_check(t)
+    r = corollary1_check(10, ctx128)
     assert r.passed and r.label.startswith("corollary1.ii")
     # matched pairs: (3,7) and (9,1) in the first class, (4,6) in the second,
     # (5,5) negated
@@ -214,7 +225,7 @@ def test_corollary1_weight10_case_ii_pairs(ctx128):
 
 def test_corollary1_rejects_odd_weight(ctx128):
     with pytest.raises(DomainError):
-        corollary1_check(get_table(7, ctx128))
+        corollary1_check(7, ctx128)
 
 
 def test_corollary1_iii_rederivable_from_theorem1_and_parity(ctx128):
@@ -244,23 +255,22 @@ def test_corollary1_iii_rederivable_from_theorem1_and_parity(ctx128):
 # ---------------------------------------------------------------------------
 
 def test_prop1_weight3_hand_case(ctx128):
-    t = get_table(3, ctx128)
-    r = prop1_check(t)
+    r = prop1_check(3, ctx128)
     assert r.passed
     # the single pair gives lhs = -zeta(2,1) = -zeta(3)
     assert r.lhs.intersects(zeta_numeric(3, ctx128).neg())
 
 
 def test_prop1_weight4_and_fractional_parts(ctx128):
-    assert prop1_check(get_table(4, ctx128)).passed
+    assert prop1_check(4, ctx128).passed
     assert Fraction((4 + 1) % 3, 3) == Fraction(2, 3)
     assert Fraction((5 + 1) % 3, 3) == 0
-    assert prop1_check(get_table(5, ctx128)).passed
+    assert prop1_check(5, ctx128).passed
 
 
 def test_prop1_sweep_small(ctx128):
     for w in range(3, 13):
-        assert prop1_check(get_table(w, ctx128)).passed, w
+        assert prop1_check(w, ctx128).passed, w
 
 
 def test_prop1_two_evaluation_modes_agree(ctx128):
@@ -342,10 +352,10 @@ def test_lemma1_conjugate_symmetry(ctx128):
     xs_b = [one, omega.conj(), omega]
 
     def lhs1(xs):
-        return complex_sum((gen_poly_eval(t, x.add(one, wp), one).value for x in xs), wp)
+        return complex_sum((gen_poly_eval(t, x.add(one, wp), one) for x in xs), wp)
 
     def lhs2(xs):
-        return complex_sum((gen_poly_eval(t, x.add(one, wp), x).value for x in xs), wp)
+        return complex_sum((gen_poly_eval(t, x.add(one, wp), x) for x in xs), wp)
 
     assert lhs1(xs_a).same_enclosure(lhs1(xs_b))
     assert lhs2(xs_a).same_enclosure(lhs2(xs_b))

@@ -14,6 +14,7 @@ from dzv.numerics import (
     ball_is_zero_within,
     ball_sum,
     binomial,
+    check_from_sides,
     cube_root_of_unity,
     pi_const,
     pipoly_eval,
@@ -300,6 +301,22 @@ def test_ball_is_zero_within_cases():
 
     ok, _ = ball_is_zero_within(RealBall.zero(), Fraction(1, 10**300))
     assert ok
+
+
+def test_check_from_sides_needs_small_residual_and_intersecting_sides():
+    ctx = PrecisionCtx(128, Fraction(1, 10**40))
+    third = RealBall.from_fraction(Fraction(1, 3), 200)
+    assert check_from_sides("real", 3, third, third, ctx).passed
+    # disjoint complex sides whose residual is far below the tolerance
+    near = ComplexBall.from_fractions(Fraction(1, 10**50), Fraction(1, 10**60), 400)
+    r = check_from_sides("complex", 3, near, ComplexBall.zero(), ctx)
+    assert r.residual.real.radius_fraction() + abs(r.residual.real.midpoint_fraction()) \
+        <= ctx.target_tolerance
+    assert not near.intersects(ComplexBall.zero()) and not r.passed
+    assert r.tolerance == ctx.target_tolerance and not r.exact
+    # sides that intersect but differ by more than the tolerance
+    wide = ComplexBall.from_real(third.add_error(Fraction(1, 10**20)))
+    assert not check_from_sides("wide", 3, wide, ComplexBall.from_real(third), ctx).passed
 
 
 def test_ball_is_zero_within_rejects_bad_tolerance():
