@@ -3,13 +3,19 @@ certified radii, per-weight tables, the weight-l generating polynomial
 T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2), and the two sides of its
 two-variable functional equation.
 
-Evaluation strategy: the inner sum over m1 > m2 is zeta(l1, m2+1); the first M
-values of m2 are summed directly and the tail sum_{m2 > M} g(m2) with
-g(x) = x^-l2 zeta(l1, x+1) is accelerated by Euler-Maclaurin.  Derivatives of
-g close under d/da zeta(s, a) = -s zeta(s+1, a), so every correction term is a
-finite combination of Hurwitz zeta balls; both remainders (the tail integral's
-series and the correction series) are bounded by 4x the first omitted term and
-added to the radius.
+Evaluation strategy: the inner sum over m1 > m2 is zeta(l1, m2+1), and every
+Hurwitz value needed sits at the one point A = M+1.  The first M values of m2
+are summed directly, with zeta(l1, m2+1) stepped down from the anchor
+zeta(l1, A) by the exact recurrence zeta(s, a) = zeta(s, a+1) + a^-s.  For the
+tail m2 >= A, Euler-Maclaurin expands each zeta(l1, m2+1) in powers of m2;
+summing against m2^-l2 turns every power into a Hurwitz value, so
+
+    tail = zeta(w-1, A)/(l1-1) - zeta(w, A)/2 + sum_{k<K} c_k zeta(w-1+2k, A),
+    c_k = B_2k (l1)_{2k-1} / (2k)!,   w = l1 + l2.
+
+The remainder is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule
+of the Hurwitz evaluator applied to each m2 and summed, and added to the
+radius.  One weight-w table reads the same vector zeta(w-1+j, A).
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
@@ -31,8 +36,7 @@ from .numerics import (
     ball_sum,
     complex_sum,
 )
-from .zeta import hurwitz_zeta, zeta_numeric
-from .bernoulli import bernoulli
+from .zeta import _em_coefficients, hurwitz_zeta, zeta_numeric
 
 __all__ = [
     "IndexPair",
@@ -64,95 +68,36 @@ class IndexPair:
         return self.l1 + self.l2
 
 
-def _rising(a: int, n: int) -> int:
-    r = 1
-    for i in range(n):
-        r *= a + i
-    return r
-
-
-def _factorial(n: int) -> int:
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
-
-
-def _g_derivative(l1: int, l2: int, a_cut: int, j: int,
-                  hz_ctx: PrecisionCtx, wp: int) -> RealBall:
-    """Ball of g^(j)(A) for g(x) = x^-l2 zeta(l1, x+1), via Leibniz:
-
-        g^(j)(A) = (-1)^j sum_i C(j,i) (l2)_i (l1)_{j-i} A^(-l2-i) zeta(l1+j-i, A+1).
-    """
-    items = []
-    for i in range(j + 1):
-        coef = Fraction(comb(j, i) * _rising(l2, i) * _rising(l1, j - i),
-                        a_cut ** (l2 + i))
-        hz = hurwitz_zeta(l1 + j - i, a_cut + 1, hz_ctx)
-        items.append(RealBall.from_fraction(coef, wp).mul(hz, wp))
-    total = ball_sum(items, wp)
-    return total.neg() if j % 2 else total
-
-
-def _abs_upper(b: RealBall) -> Fraction:
-    return abs(b.midpoint_fraction()) + b.radius_fraction()
-
-
 def _double_zeta_once(l1: int, l2: int, ctx: PrecisionCtx, wp: int,
-                      m_cut: int, k_outer_max: int) -> RealBall:
+                      m_cut: int, k_max: int) -> RealBall:
     w = l1 + l2
-    hz_ctx = PrecisionCtx(wp, ctx.target_tolerance)
-    pieces = []
-    for m2 in range(1, m_cut + 1):
-        hz = hurwitz_zeta(l1, m2 + 1, hz_ctx)
-        pieces.append(RealBall.from_fraction(Fraction(1, m2 ** l2), wp).mul(hz, wp))
     a_cut = m_cut + 1
+    hz_ctx = PrecisionCtx(wp, ctx.target_tolerance)
 
-    # integral of g over [A, inf): expand zeta(l1, x+1) = zeta(l1, x) - x^-l1
-    # in inverse powers of x and integrate term by term
-    pieces.append(RealBall.from_fraction(
-        Fraction(1, a_cut ** (w - 2) * (l1 - 1) * (w - 2)), wp))
-    pieces.append(RealBall.from_fraction(
-        Fraction(-1, a_cut ** (w - 1) * 2 * (w - 1)), wp))
-    int_rem = None
+    def hz(s: int) -> RealBall:
+        return hurwitz_zeta(s, a_cut, hz_ctx)
+
+    # direct part: zeta(l1, m2+1) for m2 = M..1 by zeta(s,a) = zeta(s,a+1) + a^-s
+    pieces = []
+    inner = hz(l1)
+    for m2 in range(m_cut, 0, -1):
+        pieces.append(RealBall.from_fraction(Fraction(1, m2 ** l2), wp).mul(inner, wp))
+        inner = inner.add(RealBall.from_fraction(Fraction(1, m2 ** l1), wp), wp)
+
+    # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
+    # for every m >= A, summed against m^-l2
+    pieces.append(RealBall.from_fraction(Fraction(1, l1 - 1), wp).mul(hz(w - 1), wp))
+    pieces.append(hz(w).mul_2exp(-1).neg())
     prev_abs = None
-    fact = 1
-    rfv = 1
-    k = 1
-    while True:
-        rfv = rfv * (l1 + 2 * k - 3) * (l1 + 2 * k - 2) if k > 1 else l1
-        fact *= (2 * k - 1) * (2 * k)
-        term = (bernoulli(2 * k) * rfv / fact) * Fraction(1, a_cut ** (w + 2 * k - 2) * (w + 2 * k - 2))
-        ta = abs(term)
-        if k > k_outer_max or (prev_abs is not None and ta >= prev_abs):
-            int_rem = 4 * ta
-            break
-        pieces.append(RealBall.from_fraction(term, wp))
+    for k, c in enumerate(_em_coefficients(l1), 1):
+        z = hz(w - 1 + 2 * k)
+        ta = abs(c) * z.upper_fraction()
+        if k > k_max or (prev_abs is not None and ta >= prev_abs):
+            # |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder
+            # is at most 4 |c_K| zeta(w-1+2K, A)
+            return ball_sum(pieces, wp).add_error(4 * ta)
+        pieces.append(RealBall.from_fraction(c, wp).mul(z, wp))
         prev_abs = ta
-        k += 1
-
-    # g(A)/2
-    hz_a = hurwitz_zeta(l1, a_cut + 1, hz_ctx)
-    pieces.append(RealBall.from_fraction(Fraction(1, 2 * a_cut ** l2), wp).mul(hz_a, wp))
-
-    # corrections -B_2k/(2k)! g^(2k-1)(A), trimmed at the asymptotic minimum
-    out_rem = None
-    prev_abs = None
-    fact = 2
-    k = 1
-    while True:
-        gball = _g_derivative(l1, l2, a_cut, 2 * k - 1, hz_ctx, wp)
-        term = RealBall.from_fraction(-bernoulli(2 * k) / fact, wp).mul(gball, wp)
-        ta = _abs_upper(term)
-        if k > k_outer_max or (prev_abs is not None and ta >= prev_abs):
-            out_rem = 4 * ta
-            break
-        pieces.append(term)
-        prev_abs = ta
-        k += 1
-        fact *= (2 * k - 1) * (2 * k)
-
-    return ball_sum(pieces, wp).add_error(int_rem + out_rem)
 
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
@@ -162,15 +107,15 @@ def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     target = ctx.working_precision
     wp = target + GUARD_BITS
     m_cut = max(32, wp // 2)
-    k_outer = max(6, wp // 8)
+    k_max = max(6, wp // 8)
     for attempt in range(_MAX_ESCALATIONS):
-        result = _double_zeta_once(l1, l2, ctx, wp, m_cut, k_outer)
+        result = _double_zeta_once(l1, l2, ctx, wp, m_cut, k_max)
         lo = result.lower_fraction()
         if lo > 0 and result.radius_fraction() <= lo * Fraction(2, 2**target):
             return result
         m_cut *= 2
         if attempt % 2 == 1:
-            k_outer *= 2
+            k_max *= 2
     raise PrecisionUnreachableError(
         f"double_zeta({l1},{l2}) did not reach 2^-{target} relative radius"
     )

@@ -248,14 +248,6 @@ class RealBall:
 
     __neg__ = neg
 
-    def abs_val(self) -> "RealBall":
-        """Enclosure of |x| over the ball."""
-        if not self.contains_zero():
-            return RealBall(abs(self._mm), self._me, self._rm, self._re)
-        # straddles zero: |x| ranges over [0, |mid|+rad]; center at half the top
-        hm, he = _dy_add(abs(self._mm), self._me, self._rm, self._re)
-        return RealBall(hm, he - 1, hm, he - 1)
-
     def add(self, other: "RealBall", prec: int) -> "RealBall":
         mm, me = _dy_add(self._mm, self._me, other._mm, other._me)
         rm, re = _dy_add(self._rm, self._re, other._rm, other._re)
@@ -308,9 +300,6 @@ class RealBall:
             rm, re = _dy_add(rm, re, 1, err)
         rm, re = _rad_up(rm, re)
         return RealBall(mm, me, rm, re)
-
-    def div(self, other: "RealBall", prec: int) -> "RealBall":
-        return self.mul(other.recip(prec + 4), prec)
 
     def pow_int(self, n: int, prec: int) -> "RealBall":
         if n < 0:
@@ -373,14 +362,6 @@ class RealBall:
         rm, re = _dy_add(self._rm, self._re, em, ee)
         rm, re = _rad_up(rm, re)
         return RealBall(self._mm, self._me, rm, re)
-
-    def round(self, prec: int) -> "RealBall":
-        mm, me, err = _round_mid(self._mm, self._me, prec)
-        rm, re = self._rm, self._re
-        if err is not None:
-            rm, re = _dy_add(rm, re, 1, err)
-        rm, re = _rad_up(rm, re)
-        return RealBall(mm, me, rm, re)
 
     # -- formatting ----------------------------------------------------------
 

@@ -53,32 +53,38 @@ def zeta_even_exact(m: int) -> PiPolynomial:
     return PiPolynomial.single(m, coeff)
 
 
-def _em_correction_terms(s: int, x: Fraction, wp: int, kmax: int):
-    """Correction terms B_2k/(2k)! (s)_{2k-1} x^(1-s-2k) for k = 1.. and the
-    remainder bound.
+def _em_coefficients(s: int):
+    """The Euler-Maclaurin coefficients c_k = B_2k (s)_{2k-1} / (2k)! for
+    k = 1, 2, ...; the k-th correction term of zeta(s, x) is c_k x^(1-s-2k)."""
+    rfv = s
+    fact = 2
+    k = 1
+    while True:
+        yield bernoulli(2 * k) * rfv / fact
+        rfv *= (s + 2 * k - 1) * (s + 2 * k)
+        fact *= (2 * k + 1) * (2 * k + 2)
+        k += 1
 
-    Yields included terms as exact rationals; stops at kmax or at the
-    asymptotic minimum (the first term that stops shrinking).  Returns
-    (terms, remainder_bound) with remainder_bound = 4 |first omitted term|.
+
+def _em_correction_terms(s: int, x: Fraction, wp: int, kmax: int):
+    """Correction terms c_k x^(1-s-2k) for k = 1.. and the remainder bound.
+
+    Keeps terms as exact rationals; stops at kmax or at the asymptotic
+    minimum (the first term that stops shrinking).  Returns (terms,
+    remainder_bound) with remainder_bound = 4 |first omitted term|.
     """
     terms = []
     x2inv = 1 / (x * x)
     pw = 1 / x ** (s - 1)
-    rfv = 1
-    fact = 1
     prev_abs = None
-    k = 1
-    while True:
-        rfv = rfv * (s + 2 * k - 3) * (s + 2 * k - 2) if k > 1 else s
-        fact *= (2 * k - 1) * (2 * k)
+    for k, c in enumerate(_em_coefficients(s), 1):
         pw *= x2inv
-        c = bernoulli(2 * k) * rfv * pw / fact
+        c *= pw
         ca = abs(c)
         if k > kmax or (prev_abs is not None and ca >= prev_abs):
             return terms, 4 * ca
         terms.append(c)
         prev_abs = ca
-        k += 1
 
 
 def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int, kmax: int) -> RealBall:

@@ -3,8 +3,9 @@
 Every expected value asserted by the tests is computed here by a method
 independent of the code path under test: Pascal's triangle for binomials,
 Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
-summation with integral tail bounds for zeta values, and the literal truncated
-double sum for double zeta values.
+summation with integral tail bounds for zeta values, the literal truncated
+double sum for double zeta values, and at odd weight the reduction of a double
+zeta value to products of single zeta values.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-from dzv.numerics import RealBall
+from dzv.numerics import PrecisionCtx, RealBall
+from dzv.zeta import zeta_numeric
 
 
 def pascal_binomial(n: int, k: int) -> int:
@@ -103,3 +105,35 @@ def brute_double_zeta(l1: int, l2: int, cutoff: int, prec: int) -> RealBall:
     part2 = (Fraction(1, cutoff ** c) + Fraction(1, cutoff ** (c - 1) * (c - 1))) \
         * Fraction(1, l1 - 1)
     return total.add_error(part1 + part2)
+
+
+def odd_weight_double_zeta(a: int, b: int, ctx: PrecisionCtx) -> RealBall:
+    """zeta(a, b) at odd weight w = a + b from single zeta values (Euler's
+    reduction, explicit in Borwein-Borwein-Girgensohn 1995), zeta(0) = -1/2:
+
+        zeta(a, b) = (-1)^b sum_{i=0}^{(w-3)/2} [C(w-2i-1, a-1) + C(w-2i-1, b-1)]
+                                                 zeta(2i) zeta(w-2i)
+                     + [a even, b >= 3] zeta(a) zeta(b) - zeta(w)/2.
+
+    The single zeta values carry 2w guard bits against the cancellation
+    between the binomially weighted products.
+    """
+    w = a + b
+    if w % 2 == 0 or a < 2 or b < 1:
+        raise ValueError("the reduction needs odd weight, a >= 2 and b >= 1")
+    zctx = PrecisionCtx(ctx.working_precision + 2 * w)
+    wp = zctx.working_precision + 16
+
+    def z(s: int) -> RealBall:
+        return RealBall.from_fraction(Fraction(-1, 2), wp) if s == 0 else zeta_numeric(s, zctx)
+
+    total = RealBall.zero()
+    for i in range((w - 1) // 2):
+        n = w - 2 * i - 1
+        coef = pascal_binomial(n, a - 1) + pascal_binomial(n, b - 1)
+        total = total.add(z(2 * i).mul(z(w - 2 * i), wp).mul_int(coef), wp)
+    if b % 2:
+        total = total.neg()
+    if a % 2 == 0 and b >= 3:
+        total = total.add(z(a).mul(z(b), wp), wp)
+    return total.sub(z(w).mul_2exp(-1), wp)

@@ -4,6 +4,8 @@ its structural relations."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dzv.dzeta import (
     IndexPair,
@@ -25,7 +27,7 @@ from dzv.numerics import (
 )
 from dzv.zeta import zeta_even_exact, zeta_numeric
 
-from oracles import brute_double_zeta
+from oracles import brute_double_zeta, odd_weight_double_zeta
 
 # exact weight-4 double zeta values, derived once from the harmonic relation
 # and the sum formula (both proved relations, independent of the evaluator)
@@ -81,6 +83,26 @@ def test_oracle_equivalence_small_weights(ctx64):
             assert brute.intersects(fast), pair
 
 
+def test_odd_weight_reduction_matches_brute_force_and_double_zeta(ctx64, ctx192):
+    """Euler's odd-weight reduction agrees with the literal double sum at
+    weights 3, 5, 7, then cross-checks double_zeta far above the brute-force
+    range: every pair of odd weight 9..31 at 192 bits and of weights 41 and
+    61 at 512 bits.  The reduction's own radius stays below 2^-p relative,
+    so each intersection is a p-bit agreement."""
+    for w in (3, 5, 7):
+        for l1 in range(2, w):
+            reduced = odd_weight_double_zeta(l1, w - l1, ctx64)
+            assert reduced.intersects(brute_double_zeta(l1, w - l1, 1200, 96)), (l1, w - l1)
+    ctx512 = PrecisionCtx(512, Fraction(1, 10**120))
+    sweeps = [(ctx192, w) for w in range(9, 32, 2)] + [(ctx512, 41), (ctx512, 61)]
+    for ctx, w in sweeps:
+        p = ctx.working_precision
+        for pair, val in get_table(w, ctx).entries.items():
+            reduced = odd_weight_double_zeta(pair.l1, pair.l2, ctx)
+            assert reduced.radius_fraction() <= reduced.lower_fraction() / 2**p, (pair, p)
+            assert reduced.intersects(val), (pair, p)
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -113,13 +135,22 @@ def test_table_entries_positive_and_below_product_bound(ctx128):
                 assert val.upper_fraction() < prod.lower_fraction()
 
 
-def test_table_precision_escalation():
-    lo = build_table(5, PrecisionCtx(96))
-    hi = build_table(5, PrecisionCtx(192))
-    for pair in lo.pairs():
-        a, b = lo.entries[pair], hi.entries[pair]
-        assert b.radius_fraction() < a.radius_fraction()
-        assert a.intersects(b)
+_pairs_3_to_24 = st.integers(min_value=3, max_value=24).flatmap(
+    lambda w: st.builds(lambda l1: IndexPair(l1, w - l1), st.integers(min_value=2, max_value=w - 1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_pairs_3_to_24, st.integers(min_value=64, max_value=256))
+@example(IndexPair(2, 3), 96)
+@example(IndexPair(3, 2), 96)
+@example(IndexPair(4, 1), 96)
+def test_table_precision_escalation(pair, p):
+    """Doubling the precision gives a ball that intersects the p-bit ball and
+    is strictly tighter."""
+    a = double_zeta(pair, PrecisionCtx(p))
+    b = double_zeta(pair, PrecisionCtx(2 * p))
+    assert b.radius_fraction() < a.radius_fraction()
+    assert a.intersects(b)
 
 
 # ---------------------------------------------------------------------------
