@@ -27,13 +27,12 @@ from .numerics import (
     pipoly_eval,
 )
 from .bernoulli import (
-    BernoulliCache,
     bernoulli,
     euler_identity_check,
     ramanujan_check,
     ramanujan_sum,
 )
-from .zeta import ZetaValue, hurwitz_zeta, zeta_even_exact, zeta_numeric, zeta_value
+from .zeta import hurwitz_zeta, zeta_even_exact, zeta_numeric
 from .dzeta import (
     DzvTable,
     IndexPair,

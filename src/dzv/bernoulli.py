@@ -7,15 +7,14 @@ approximations.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Optional
 
 from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check
 
 __all__ = [
-    "BernoulliCache",
     "bernoulli",
     "euler_identity_check",
     "ramanujan_sum",
@@ -23,43 +22,26 @@ __all__ = [
 ]
 
 
-class BernoulliCache:
-    """Growable, thread-safe sequence of Bernoulli numbers.
-
-    Extension uses the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, solved for
-    B_m; odd-index terms beyond B_1 vanish and are skipped in the inner sum.
-    """
-
-    def __init__(self):
-        self._values = [Fraction(1), Fraction(-1, 2)]
-        self._lock = threading.Lock()
-
-    def get(self, m: int) -> Fraction:
-        if m < 0:
-            raise DomainError("Bernoulli index must be nonnegative")
-        if m < len(self._values):
-            return self._values[m]
-        with self._lock:
-            while len(self._values) <= m:
-                n = len(self._values)
-                if n % 2 == 1:
-                    self._values.append(Fraction(0))
-                    continue
-                s = Fraction(comb(n + 1, 1), -2)  # j = 1 term, B_1 = -1/2
-                for j in range(0, n, 2):
-                    bj = self._values[j]
-                    if bj:
-                        s += comb(n + 1, j) * bj
-                self._values.append(-s / (n + 1))
-        return self._values[m]
-
-
-_cache = BernoulliCache()
-
-
+@cache
 def bernoulli(m: int) -> Fraction:
-    """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, ...)."""
-    return _cache.get(m)
+    """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, ...), memoized.
+
+    Solves sum_{j=0}^{m} C(m+1, j) B_j = 0 for B_m; odd-index terms beyond B_1
+    vanish and are skipped.  The sum reads lower indices in increasing order,
+    so a cold call recurses at most one level.
+    """
+    if m < 0:
+        raise DomainError("Bernoulli index must be nonnegative")
+    if m < 2:
+        return Fraction(1) if m == 0 else Fraction(-1, 2)
+    if m % 2 == 1:
+        return Fraction(0)
+    s = Fraction(comb(m + 1, 1), -2)  # j = 1 term, B_1 = -1/2
+    for j in range(0, m, 2):
+        bj = bernoulli(j)
+        if bj:
+            s += comb(m + 1, j) * bj
+    return -s / (m + 1)
 
 
 def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -73,8 +72,8 @@ class RunConfig:
             raise DomainError("precision must be at least 64 bits")
         if self.output_format not in ("json", "csv", "text"):
             raise DomainError(f"unknown output format {self.output_format!r}")
-        if self.parallelism < 1:
-            raise DomainError("parallelism must be >= 1")
+        if self.parallelism != 1:
+            raise DomainError("parallelism must be 1 (runs are single-threaded)")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise DomainError(f"unknown suite {s!r}")
@@ -348,12 +347,7 @@ def cmd_verify(config: RunConfig) -> tuple:
     reports = []
     for suite in config.suites:
         start = time.monotonic()
-        if config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                batches = list(pool.map(lambda l: _run_suite_weight(suite, l, ctx), weights))
-        else:
-            batches = [_run_suite_weight(suite, l, ctx) for l in weights]
-        checks = [rec for batch in batches for rec in batch]
+        checks = [rec for l in weights for rec in _run_suite_weight(suite, l, ctx)]
         passed = sum(1 for c in checks if c.passed)
         reports.append(SuiteReport(
             suite=suite, checks=checks,
@@ -449,7 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--tol", type=str, default=None, help="residual tolerance, e.g. 1e-40")
     p_v.add_argument("--format", type=str, default=None, choices=["json", "csv", "text"])
     p_v.add_argument("--out", type=str, default=None)
-    p_v.add_argument("--jobs", type=int, default=None)
+    p_v.add_argument("--jobs", type=int, default=None,
+                     help="must be 1 (runs are single-threaded)")
     p_v.add_argument("--config", type=str, default=None,
                      help="JSON file with the same keys as the flags; flags win")
     return parser

@@ -20,9 +20,9 @@ radius.  One weight-w table reads the same vector zeta(w-1+j, A).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -68,11 +68,10 @@ class IndexPair:
         return self.l1 + self.l2
 
 
-def _double_zeta_once(l1: int, l2: int, ctx: PrecisionCtx, wp: int,
-                      m_cut: int, k_max: int) -> RealBall:
+def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
     w = l1 + l2
     a_cut = m_cut + 1
-    hz_ctx = PrecisionCtx(wp, ctx.target_tolerance)
+    hz_ctx = PrecisionCtx(wp)
 
     def hz(s: int) -> RealBall:
         return hurwitz_zeta(s, a_cut, hz_ctx)
@@ -88,11 +87,13 @@ def _double_zeta_once(l1: int, l2: int, ctx: PrecisionCtx, wp: int,
     # for every m >= A, summed against m^-l2
     pieces.append(RealBall.from_fraction(Fraction(1, l1 - 1), wp).mul(hz(w - 1), wp))
     pieces.append(hz(w).mul_2exp(-1).neg())
+    # zeta(l1, l2) >= 2^-l1, so a remainder below 2^-(wp+l1) is below 2^-wp of the value
+    negligible = Fraction(1, 2 ** (wp + l1))
     prev_abs = None
     for k, c in enumerate(_em_coefficients(l1), 1):
         z = hz(w - 1 + 2 * k)
         ta = abs(c) * z.upper_fraction()
-        if k > k_max or (prev_abs is not None and ta >= prev_abs):
+        if 4 * ta <= negligible or (prev_abs is not None and ta >= prev_abs):
             # |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder
             # is at most 4 |c_K| zeta(w-1+2K, A)
             return ball_sum(pieces, wp).add_error(4 * ta)
@@ -102,20 +103,18 @@ def _double_zeta_once(l1: int, l2: int, ctx: PrecisionCtx, wp: int,
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(l1, l2), radius at most 2^(1-w) relative to the
-    value at working precision w; escalates the direct-sum cutoff on demand."""
+    value at working precision w; escalates the direct-sum cutoff on demand
+    (the tail depth follows the target)."""
     l1, l2 = p.l1, p.l2
     target = ctx.working_precision
     wp = target + GUARD_BITS
     m_cut = max(32, wp // 2)
-    k_max = max(6, wp // 8)
-    for attempt in range(_MAX_ESCALATIONS):
-        result = _double_zeta_once(l1, l2, ctx, wp, m_cut, k_max)
+    for _ in range(_MAX_ESCALATIONS):
+        result = _double_zeta_once(l1, l2, wp, m_cut)
         lo = result.lower_fraction()
         if lo > 0 and result.radius_fraction() <= lo * Fraction(2, 2**target):
             return result
         m_cut *= 2
-        if attempt % 2 == 1:
-            k_max *= 2
     raise PrecisionUnreachableError(
         f"double_zeta({l1},{l2}) did not reach 2^-{target} relative radius"
     )
@@ -146,21 +145,15 @@ def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))))
 
 
-_table_cache: dict = {}
-_table_lock = threading.Lock()
+@cache
+def _table(l: int, precision: int) -> DzvTable:
+    return build_table(l, PrecisionCtx(precision))
 
 
 def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
-    """Cached tables; the cache key is (weight, working precision), and a
-    table holds nothing else of the context."""
-    key = (l, ctx.working_precision)
-    hit = _table_cache.get(key)
-    if hit is not None:
-        return hit
-    table = build_table(l, ctx)
-    with _table_lock:
-        _table_cache.setdefault(key, table)
-    return _table_cache[key]
+    """Memoized tables; the key is (weight, working precision), and a table
+    holds nothing else of the context."""
+    return _table(l, ctx.working_precision)
 
 
 def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:

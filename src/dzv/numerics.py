@@ -9,9 +9,9 @@ caller-supplied precision; radii are rounded upward to a short mantissa.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, isqrt
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -532,10 +532,6 @@ def binomial(n: int, k: int) -> Fraction:
 # pi
 # ---------------------------------------------------------------------------
 
-_pi_cache: dict = {}
-_pi_lock = threading.Lock()
-
-
 def _arctan_recip_scaled(q: int, w: int) -> Tuple[int, int]:
     """(S, errs): S approximates 2**w * arctan(1/q), error < errs ulps.
 
@@ -565,20 +561,22 @@ def _pi_scaled(w: int) -> Tuple[int, int]:
     return 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
 
 
+@cache
+def _pi(prec: int) -> RealBall:
+    w = prec + 32
+    p, e = _pi_scaled(w)
+    mm, me, err = _round_mid(p, -w, prec + 16)
+    rm, re = e, -w
+    if err is not None:
+        rm, re = _dy_add(rm, re, 1, err)
+    rm, re = _rad_up(rm, re)
+    return RealBall(mm, me, rm, re)
+
+
 def pi_const(ctx: PrecisionCtx) -> RealBall:
-    """Certified enclosure of pi at the context's working precision."""
-    prec = ctx.working_precision
-    with _pi_lock:
-        if prec not in _pi_cache:
-            w = prec + 32
-            p, e = _pi_scaled(w)
-            mm, me, err = _round_mid(p, -w, prec + 16)
-            rm, re = e, -w
-            if err is not None:
-                rm, re = _dy_add(rm, re, 1, err)
-            rm, re = _rad_up(rm, re)
-            _pi_cache[prec] = RealBall(mm, me, rm, re)
-        return _pi_cache[prec]
+    """Certified enclosure of pi at the context's working precision, memoized
+    by that precision."""
+    return _pi(ctx.working_precision)
 
 
 def cube_root_of_unity(ctx: PrecisionCtx) -> ComplexBall:

@@ -8,11 +8,9 @@ Bernoulli kernel bound |B_2m({x}) - B_2m| <= 2|B_2m|) and added to the radius.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
-from typing import Optional, Union
 
 from .bernoulli import bernoulli
 from .numerics import (
@@ -25,24 +23,10 @@ from .numerics import (
     pipoly_eval,
 )
 
-__all__ = ["ZetaValue", "zeta_even_exact", "zeta_numeric", "hurwitz_zeta", "zeta_value"]
+__all__ = ["zeta_even_exact", "zeta_numeric", "hurwitz_zeta"]
 
 _GUARD = 32
 _MAX_ESCALATIONS = 10
-
-
-@dataclass(frozen=True)
-class ZetaValue:
-    """A zeta value at an integer argument >= 2.
-
-    ``exact`` is present exactly for even arguments; ``numeric`` always
-    encloses the true value (and, when exact is present, the evaluation of the
-    exact form).
-    """
-
-    argument: int
-    exact: Optional[PiPolynomial]
-    numeric: RealBall
 
 
 def zeta_even_exact(m: int) -> PiPolynomial:
@@ -106,83 +90,46 @@ def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int, kmax: int) -> Re
     return ball_sum(pieces, wp).add_error(rem)
 
 
-_hz_cache: dict = {}
-_hz_lock = threading.Lock()
-
-
-def _hurwitz_rational(s: int, a: Fraction, ctx: PrecisionCtx) -> RealBall:
-    target = ctx.working_precision
-    key = (s, a.numerator, a.denominator, target)
-    hit = _hz_cache.get(key)
-    if hit is not None:
-        return hit
-    wp = target + _GUARD
+@cache
+def _hurwitz_rational(s: int, a: Fraction, precision: int) -> RealBall:
+    wp = precision + _GUARD
     n_lead = max(16, wp // 4)
     kmax = max(8, wp // 8)
-    result = None
     for attempt in range(_MAX_ESCALATIONS):
         result = _hurwitz_em_once(s, a, wp, n_lead, kmax)
         lo = result.lower_fraction()
-        if lo > 0 and result.radius_fraction() <= lo * Fraction(1, 2**target):
-            with _hz_lock:
-                _hz_cache.setdefault(key, result)
-            return _hz_cache[key]
+        if lo > 0 and result.radius_fraction() <= lo * Fraction(1, 2**precision):
+            return result
         n_lead *= 2
         if attempt % 2 == 1:
             kmax *= 2
     raise PrecisionUnreachableError(
-        f"hurwitz_zeta({s}, {a}) did not reach 2^-{target} relative radius"
+        f"hurwitz_zeta({s}, {a}) did not reach 2^-{precision} relative radius"
     )
 
 
-def hurwitz_zeta(s: int, a: Union[int, Fraction, RealBall], ctx: PrecisionCtx) -> RealBall:
-    """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s, s >= 2, a >= 1.
-
-    For an inexact ball argument the value is enclosed via the midpoint plus a
-    mean-value inflation using d/da zeta(s,a) = -s zeta(s+1,a), whose magnitude
-    on the ball is at most s * zeta(s+1, lower(a)).
-    """
+def hurwitz_zeta(s: int, a: int | Fraction, ctx: PrecisionCtx) -> RealBall:
+    """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s, integer s >= 2 and
+    rational a >= 1, memoized by (s, a, working precision)."""
     if s < 2:
         raise DomainError("hurwitz_zeta requires integer s >= 2")
-    if isinstance(a, RealBall):
-        if a.is_exact():
-            a = a.midpoint_fraction()
-        else:
-            mid = a.midpoint_fraction()
-            rad = a.radius_fraction()
-            if mid - rad < 1:
-                raise DomainError("hurwitz_zeta requires a >= 1 over the whole ball")
-            base = _hurwitz_rational(s, mid, ctx)
-            deriv_hi = s * _hurwitz_rational(s + 1, mid - rad, ctx).upper_fraction()
-            return base.add_error(rad * deriv_hi)
     a = Fraction(a)
     if a < 1:
         raise DomainError("hurwitz_zeta requires a >= 1")
-    return _hurwitz_rational(s, a, ctx)
+    return _hurwitz_rational(s, a, ctx.working_precision)
 
 
-_zn_cache: dict = {}
-_zn_lock = threading.Lock()
+@cache
+def _zeta_numeric(s: int, precision: int) -> RealBall:
+    ctx = PrecisionCtx(precision)
+    if s % 2 == 0:
+        return pipoly_eval(zeta_even_exact(s), ctx)
+    return hurwitz_zeta(s, 1, ctx)
 
 
 def zeta_numeric(s: int, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(s), s >= 2: exact pi-power route for even s,
-    Euler-Maclaurin at a = 1 for odd s."""
+    Euler-Maclaurin at a = 1 for odd s; memoized by (s, working precision)."""
     if s < 2:
         raise DomainError("zeta diverges for s < 2 (integer arguments)")
-    key = (s, ctx.working_precision)
-    hit = _zn_cache.get(key)
-    if hit is not None:
-        return hit
-    if s % 2 == 0:
-        value = pipoly_eval(zeta_even_exact(s), ctx)
-    else:
-        value = hurwitz_zeta(s, 1, ctx)
-    with _zn_lock:
-        _zn_cache.setdefault(key, value)
-    return _zn_cache[key]
-
-
-def zeta_value(s: int, ctx: PrecisionCtx) -> ZetaValue:
-    exact = zeta_even_exact(s) if s % 2 == 0 else None
-    return ZetaValue(s, exact, zeta_numeric(s, ctx))
+    return _zeta_numeric(s, ctx.working_precision)

@@ -177,22 +177,18 @@ def test_verify_determinism_except_wall_time():
     assert strip(r1) == strip(r2)
 
 
-def test_verify_parallel_matches_serial():
-    base = dict(precision_bits=96, tolerance_exponent=20,
-                weight_min=3, weight_max=7, suites=("lemma1",),
-                output_format="json")
-    serial, code1 = cmd_verify(RunConfig(**base))
-    threaded, code2 = cmd_verify(RunConfig(**base, parallelism=4))
-    assert code1 == code2 == 0
-
-    def strip(reports):
-        out = [r.to_dict() for r in reports]
-        for d in out:
-            d.pop("wall_time")
-            d["config"].pop("parallelism")
-        return out
-
-    assert strip(serial) == strip(threaded)
+def test_jobs_other_than_one_is_usage_error(tmp_path, capsys):
+    # runs are single-threaded; --jobs/"jobs" accept only 1
+    assert main(["verify", "--suites", "euler-bernoulli", "--weights", "4..4",
+                 "--jobs", "1"]) == 0
+    assert main(["verify", "--jobs", "2", "--weights", "3..3"]) == 2
+    assert capsys.readouterr().err.startswith("error: parallelism")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2, "weights": "3..3"}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: parallelism")
+    with pytest.raises(DomainError):
+        RunConfig(parallelism=2)
 
 
 def test_run_config_validation():
