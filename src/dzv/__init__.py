@@ -15,7 +15,6 @@ from .numerics import (
     PiPolynomial,
     PrecisionCtx,
     PrecisionUnreachableError,
-    Rational,
     RealBall,
     ZeroCertificate,
     ball_is_zero_within,

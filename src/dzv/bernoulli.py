@@ -38,10 +38,14 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(0)
     s = Fraction(comb(m + 1, 1), -2)  # j = 1 term, B_1 = -1/2
     for j in range(0, m, 2):
-        bj = bernoulli(j)
-        if bj:
-            s += comb(m + 1, j) * bj
+        s += comb(m + 1, j) * bernoulli(j)
     return -s / (m + 1)
+
+
+def _convolution(l: int, start: int, step: int) -> Fraction:
+    """Exact sum_{j = start, start + step, ... <= l} C(l,j) B_j B_{l-j}."""
+    return sum((comb(l, j) * bernoulli(j) * bernoulli(l - j) for j in range(start, l + 1, step)),
+               start=Fraction(0))
 
 
 def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
@@ -52,11 +56,7 @@ def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckRep
     """
     if l % 2 != 0 or l < 4:
         raise DomainError("the Bernoulli convolution identity needs even l >= 4")
-    lhs = Fraction(0)
-    for j in range(0, l + 1, 2):
-        bj = bernoulli(j)
-        if bj:
-            lhs += comb(l, j) * bj * bernoulli(l - j)
+    lhs = _convolution(l, 0, 2)
     rhs = -(l - 1) * bernoulli(l)
     return exact_check(f"euler-bernoulli[l={l}]", l, lhs, rhs)
 
@@ -71,12 +71,7 @@ def ramanujan_sum(l: int, m: int) -> Fraction:
     _require_gap6_weight(l)
     if m not in (0, 2, 4):
         raise DomainError("residue m must be one of 0, 2, 4")
-    total = Fraction(0)
-    for j in range(m, l + 1, 6):
-        bj = bernoulli(j)
-        if bj:
-            total += comb(l, j) * bj * bernoulli(l - j)
-    return total
+    return _convolution(l, m, 6)
 
 
 def ramanujan_check(l: int, ctx: Optional[PrecisionCtx] = None) -> tuple[CheckReport, ...]:

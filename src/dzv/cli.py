@@ -193,10 +193,10 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _decimal_truncate(q: Fraction, digits: int) -> str:
-    """Decimal expansion of q truncated toward zero at `digits` places."""
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = (q.numerator * 10 ** digits) // q.denominator
+    """Decimal expansion of q truncated toward zero at `digits` places; signed
+    only when a printed digit is nonzero, so 0.000... never prints as -0.000..."""
+    scaled = (abs(q.numerator) * 10 ** digits) // q.denominator
+    sign = "-" if q < 0 and scaled else ""
     s = str(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + s
@@ -207,16 +207,13 @@ def _radius_decimal(r: Fraction) -> str:
     """Two-significant-digit upper bound of a nonnegative rational, sci notation."""
     if r == 0:
         return "0"
-    e = 0
-    x = r
-    while x >= 10:
-        x /= 10
-        e += 1
-    while x < 1:
-        x *= 10
+    num, den = r.numerator, r.denominator
+    # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
+    e = len(str(num)) - len(str(den))
+    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
         e -= 1
-    # x in [1, 10); round mantissa UP to 2 digits
-    m = (x.numerator * 10 + x.denominator - 1) // x.denominator
+    # r in [10^e, 10^(e+1)); round the mantissa UP to 2 digits: ceil(r * 10^(1-e))
+    m = -(-num * 10 ** max(1 - e, 0) // (den * 10 ** max(e - 1, 0)))
     if m >= 100:
         m //= 10
         e += 1

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Tuple
 
-from .bernoulli import ramanujan_check, ramanujan_sum
+from .bernoulli import bernoulli, ramanujan_sum
 from .dzeta import (
     DzvTable,
     IndexPair,
@@ -418,10 +418,9 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     scale = Fraction((-1) ** (l // 2) * factorial(l), 2 ** (l - 2))
     bridge_lhs = lhs_poly.coeff(l) * scale
     bridge_rhs = rhs_poly.coeff(l) * scale
-    verdict = ramanujan_check(l)[2]  # residue m = 4
-    bridge_ok = (bridge_lhs == ramanujan_sum(l, 4)
-                 and bridge_rhs == verdict.rhs
-                 and verdict.passed)
+    # the m = 4 gap-6 identity: its sum and its right side -((l-1)/3) B_l
+    gap6_rhs = Fraction(-(l - 1), 3) * bernoulli(l)
+    bridge_ok = bridge_lhs == ramanujan_sum(l, 4) == gap6_rhs == bridge_rhs
 
     report = exact_check(f"corollary2-chain[l={l}]", l, lhs_poly.coeff(l), rhs_poly.coeff(l))
     return replace(report, passed=report.passed and count_ok and poly_ok and bridge_ok)

@@ -15,10 +15,7 @@ from functools import cache
 from math import comb, isqrt
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "DomainError",
     "PrecisionUnreachableError",
     "PrecisionCtx",
@@ -110,6 +107,16 @@ def _rad_up(man: int, exp: int) -> Tuple[int, int]:
         return man, exp
     sh = bits - _RAD_BITS
     return (man >> sh) + 1, exp + sh
+
+
+def _rounded(mm: int, me: int, rm: int, re: int, prec: int) -> "RealBall":
+    """The kernel's one rounding rule: round the midpoint mm*2**me to prec
+    bits, add the rounding error to the radius rm*2**re, round the radius up."""
+    mm, me, err = _round_mid(mm, me, prec)
+    if err is not None:
+        rm, re = _dy_add(rm, re, 1, err)
+    rm, re = _rad_up(rm, re)
+    return RealBall(mm, me, rm, re)
 
 
 def _dy_up_from_fraction(q: Fraction) -> Tuple[int, int]:
@@ -251,11 +258,7 @@ class RealBall:
     def add(self, other: "RealBall", prec: int) -> "RealBall":
         mm, me = _dy_add(self._mm, self._me, other._mm, other._me)
         rm, re = _dy_add(self._rm, self._re, other._rm, other._re)
-        mm, me, err = _round_mid(mm, me, prec)
-        if err is not None:
-            rm, re = _dy_add(rm, re, 1, err)
-        rm, re = _rad_up(rm, re)
-        return RealBall(mm, me, rm, re)
+        return _rounded(mm, me, rm, re, prec)
 
     def sub(self, other: "RealBall", prec: int) -> "RealBall":
         return self.add(other.neg(), prec)
@@ -266,11 +269,7 @@ class RealBall:
         rm, re = _dy_add(abs(self._mm) * other._rm, self._me + other._re,
                          abs(other._mm) * self._rm, other._me + self._re)
         rm, re = _dy_add(rm, re, self._rm * other._rm, self._re + other._re)
-        mm, me, err = _round_mid(mm, me, prec)
-        if err is not None:
-            rm, re = _dy_add(rm, re, 1, err)
-        rm, re = _rad_up(rm, re)
-        return RealBall(mm, me, rm, re)
+        return _rounded(mm, me, rm, re, prec)
 
     def mul_int(self, n: int) -> "RealBall":
         """Exact scalar multiple by an integer."""
@@ -279,31 +278,9 @@ class RealBall:
     def mul_2exp(self, e: int) -> "RealBall":
         return RealBall(self._mm, self._me + e, self._rm, self._re + e)
 
-    def recip(self, prec: int) -> "RealBall":
-        """Enclosure of 1/x; the ball must not contain zero."""
-        if self.contains_zero():
-            raise ZeroDivisionError("ball contains zero")
-        ma, ea = abs(self._mm), self._me
-        sign = 1 if self._mm > 0 else -1
-        # midpoint 1/(ma*2**ea) to prec+2 bits, floor
-        t = prec + 2 + ma.bit_length()
-        q = (1 << t) // ma
-        mm, me = sign * q, -t - ea
-        # |1/x - 1/m| <= r / (|m| * (|m| - r)) for x in the ball
-        lo_m, lo_e = _dy_add(ma, ea, -self._rm, self._re)   # |m| - r > 0
-        num = _dy_fraction(self._rm, self._re)
-        den = _dy_fraction(ma, ea) * _dy_fraction(lo_m, lo_e)
-        rm, re = _dy_up_from_fraction(num / den)
-        rm, re = _dy_add(rm, re, 1, me)                     # floor error, one ulp
-        mm, me, err = _round_mid(mm, me, prec)
-        if err is not None:
-            rm, re = _dy_add(rm, re, 1, err)
-        rm, re = _rad_up(rm, re)
-        return RealBall(mm, me, rm, re)
-
     def pow_int(self, n: int, prec: int) -> "RealBall":
         if n < 0:
-            return self.pow_int(-n, prec + 4).recip(prec)
+            raise DomainError("negative powers are not supported")
         result = RealBall.from_int(1)
         base = self
         while n:
@@ -313,43 +290,6 @@ class RealBall:
             if n:
                 base = base.mul(base, prec)
         return result
-
-    def sqrt(self, prec: int) -> "RealBall":
-        """Enclosure of sqrt(x) over the ball; requires lower bound >= 0."""
-        lo = self.lower_fraction()
-        if lo < 0:
-            raise DomainError("sqrt of a ball extending below zero")
-        if self._mm == 0 and self._rm == 0:
-            return RealBall.zero()
-        # midpoint: isqrt of the mantissa scaled to an even exponent
-        ma, ea = abs(self._mm), self._me
-        t = 2 * prec + 2 - ma.bit_length()
-        if (ea - t) % 2:
-            t += 1
-        if t >= 0:
-            s = isqrt(ma << t)
-            rm, re = 1, 0  # sqrt(mid) lies in [s, s+1) ulp
-        else:
-            s = isqrt(ma >> (-t))
-            rm, re = 2, 0  # one extra ulp from flooring the scaled mantissa
-        mm, me = s, (ea - t) // 2
-        re = me
-        if lo > 0:
-            # |sqrt(x) - sqrt(mid)| <= r / (2 sqrt(lo))
-            if self._rm:
-                sqrt_lo = _isqrt_lower(lo)
-                dm, de = _dy_up_from_fraction(self.radius_fraction() / (2 * sqrt_lo))
-                rm, re = _dy_add(rm, re, dm, de)
-        else:
-            # ball touches zero: sqrt image is [0, sqrt(hi)]
-            hi = self.upper_fraction()
-            hm, he = _dy_up_from_fraction(_fraction_sqrt_upper(hi))
-            return RealBall(hm, he - 1, hm, he - 1)
-        mm, me, err = _round_mid(mm, me, prec)
-        if err is not None:
-            rm, re = _dy_add(rm, re, 1, err)
-        rm, re = _rad_up(rm, re)
-        return RealBall(mm, me, rm, re)
 
     def add_error(self, q) -> "RealBall":
         """Inflate the radius by a nonnegative rational bound (rounded up)."""
@@ -371,26 +311,6 @@ class RealBall:
         except OverflowError:
             mid_s = f"{self._mm}*2^{self._me}"
         return f"RealBall({mid_s} +/- {_radius_str(self.radius_fraction())})"
-
-
-def _isqrt_lower(q: Fraction) -> Fraction:
-    """A positive rational lower bound of sqrt(q) for q > 0.
-
-    sqrt(num/den) = sqrt(num*den)/den, and isqrt floors, so the quotient is a
-    lower bound; num*den >= 1 keeps it positive.
-    """
-    num, den = q.numerator, q.denominator
-    return Fraction(isqrt(num * den), den)
-
-
-def _fraction_sqrt_upper(q: Fraction) -> Fraction:
-    """A rational upper bound of sqrt(q) for q >= 0."""
-    if q == 0:
-        return Fraction(0)
-    num, den = q.numerator, q.denominator
-    k = 64
-    s = isqrt((num << (2 * k)) // den) + 1
-    return Fraction(s, 1 << k)
 
 
 def _radius_str(r: Fraction) -> str:
@@ -415,11 +335,7 @@ def ball_sum(items: Iterable[RealBall], prec: int) -> RealBall:
     for b in items:
         mm, me = _dy_add(mm, me, b._mm, b._me)
         rm, re = _dy_add(rm, re, b._rm, b._re)
-    mm, me, err = _round_mid(mm, me, prec)
-    if err is not None:
-        rm, re = _dy_add(rm, re, 1, err)
-    rm, re = _rad_up(rm, re)
-    return RealBall(mm, me, rm, re)
+    return _rounded(mm, me, rm, re, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +394,6 @@ class ComplexBall:
 
     def mul_int(self, n: int) -> "ComplexBall":
         return ComplexBall(self.real.mul_int(n), self.imag.mul_int(n))
-
-    def pow_int(self, n: int, prec: int) -> "ComplexBall":
-        if n < 0:
-            raise DomainError("negative complex powers are not supported")
-        result = ComplexBall.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base, prec)
-            n >>= 1
-            if n:
-                base = base.mul(base, prec)
-        return result
 
     def contains_zero(self) -> bool:
         return self.real.contains_zero() and self.imag.contains_zero()
@@ -565,12 +468,7 @@ def _pi_scaled(w: int) -> Tuple[int, int]:
 def _pi(prec: int) -> RealBall:
     w = prec + 32
     p, e = _pi_scaled(w)
-    mm, me, err = _round_mid(p, -w, prec + 16)
-    rm, re = e, -w
-    if err is not None:
-        rm, re = _dy_add(rm, re, 1, err)
-    rm, re = _rad_up(rm, re)
-    return RealBall(mm, me, rm, re)
+    return _rounded(p, -w, e, -w, prec + 16)
 
 
 def pi_const(ctx: PrecisionCtx) -> RealBall:
@@ -581,9 +479,10 @@ def pi_const(ctx: PrecisionCtx) -> RealBall:
 
 def cube_root_of_unity(ctx: PrecisionCtx) -> ComplexBall:
     """Enclosure of exp(2 pi i / 3) = (-1/2, sqrt(3)/2)."""
-    prec = ctx.working_precision + 8
-    half_sqrt3 = RealBall.from_int(3).sqrt(prec).mul_2exp(-1)
-    return ComplexBall(RealBall.from_fraction(Fraction(-1, 2), prec), half_sqrt3)
+    k = ctx.working_precision + 8
+    # s <= 2^k sqrt(3) < s + 1, so sqrt(3)/2 lies in [s, s + 1] / 2^(k+1)
+    s = isqrt(3 << (2 * k))
+    return ComplexBall(RealBall(-1, -1, 0, 0), RealBall(2 * s + 1, -k - 2, 1, -k - 2))
 
 
 # ---------------------------------------------------------------------------

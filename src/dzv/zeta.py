@@ -50,10 +50,11 @@ def _em_coefficients(s: int):
         k += 1
 
 
-def _em_correction_terms(s: int, x: Fraction, wp: int, kmax: int):
+def _em_correction_terms(s: int, x: Fraction, negligible: Fraction):
     """Correction terms c_k x^(1-s-2k) for k = 1.. and the remainder bound.
 
-    Keeps terms as exact rationals; stops at kmax or at the asymptotic
+    Keeps terms as exact rationals; stops at the first term whose remainder
+    bound 4 |c_k x^(1-s-2k)| is at most ``negligible``, or at the asymptotic
     minimum (the first term that stops shrinking).  Returns (terms,
     remainder_bound) with remainder_bound = 4 |first omitted term|.
     """
@@ -61,17 +62,17 @@ def _em_correction_terms(s: int, x: Fraction, wp: int, kmax: int):
     x2inv = 1 / (x * x)
     pw = 1 / x ** (s - 1)
     prev_abs = None
-    for k, c in enumerate(_em_coefficients(s), 1):
+    for c in _em_coefficients(s):
         pw *= x2inv
         c *= pw
         ca = abs(c)
-        if k > kmax or (prev_abs is not None and ca >= prev_abs):
+        if 4 * ca <= negligible or (prev_abs is not None and ca >= prev_abs):
             return terms, 4 * ca
         terms.append(c)
         prev_abs = ca
 
 
-def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int, kmax: int) -> RealBall:
+def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int) -> RealBall:
     """One Euler-Maclaurin evaluation of zeta(s, a) = sum_{n>=0} (n+a)^-s:
 
         sum_{n<N} (n+a)^-s + x^(1-s)/(s-1) + x^-s/2
@@ -84,7 +85,9 @@ def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int, kmax: int) -> Re
     xpow = 1 / x ** (s - 1)
     pieces.append(RealBall.from_fraction(xpow / (s - 1), wp))
     pieces.append(RealBall.from_fraction(xpow / (2 * x), wp))
-    corrections, rem = _em_correction_terms(s, x, wp, kmax)
+    # a^-s + x^(1-s)/(s-1) <= zeta(s, a), so the remainder is below 2^-wp of the value
+    negligible = (1 / a**s + xpow / (s - 1)) / 2**wp
+    corrections, rem = _em_correction_terms(s, x, negligible)
     for c in corrections:
         pieces.append(RealBall.from_fraction(c, wp))
     return ball_sum(pieces, wp).add_error(rem)
@@ -94,15 +97,12 @@ def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int, kmax: int) -> Re
 def _hurwitz_rational(s: int, a: Fraction, precision: int) -> RealBall:
     wp = precision + _GUARD
     n_lead = max(16, wp // 4)
-    kmax = max(8, wp // 8)
-    for attempt in range(_MAX_ESCALATIONS):
-        result = _hurwitz_em_once(s, a, wp, n_lead, kmax)
+    for _ in range(_MAX_ESCALATIONS):
+        result = _hurwitz_em_once(s, a, wp, n_lead)
         lo = result.lower_fraction()
         if lo > 0 and result.radius_fraction() <= lo * Fraction(1, 2**precision):
             return result
         n_lead *= 2
-        if attempt % 2 == 1:
-            kmax *= 2
     raise PrecisionUnreachableError(
         f"hurwitz_zeta({s}, {a}) did not reach 2^-{precision} relative radius"
     )

@@ -8,16 +8,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dzv.cli import (
     RunConfig,
     SUITE_NAMES,
     SuiteReport,
+    _radius_decimal,
+    _record,
     certified_decimal,
     cmd_verify,
     main,
 )
-from dzv.numerics import DomainError, RealBall
+from dzv.numerics import CheckReport, DomainError, RealBall
 
 from oracles import zeta_direct_interval
 
@@ -89,6 +92,35 @@ def test_certified_decimal_negative_values():
     b = RealBall.from_fraction(Fraction(-355, 113), 200).add_error(Fraction(1, 10**6))
     s = certified_decimal(b, 30)
     assert s.startswith("-3.1415")
+
+
+def test_residual_midpoint_sign_only_with_a_printed_digit():
+    def printed(mid):
+        res = RealBall.from_fraction(mid, 400)
+        r = CheckReport("t[l=3]", 3, res, RealBall.zero(), res, True, Fraction(1, 10**40))
+        return _record(r, 192).residual_midpoint
+
+    tiny = Fraction(1, 10**70)
+    assert printed(tiny) == printed(-tiny) == "0." + "0" * 60
+    small = printed(Fraction(-1, 10**59))
+    assert small.startswith("-0.") and small.strip("-0.")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(lambda n, d, k: Fraction(n, d) * Fraction(10) ** k,
+                 st.integers(1, 10**30), st.integers(1, 10**30), st.integers(-80, 80)))
+@example(Fraction(1))
+@example(Fraction(995, 1000))
+def test_radius_decimal_is_a_tight_upper_bound(r):
+    s = _radius_decimal(r)
+    e = int(s.split("e")[1])
+    v = Fraction(s)
+    assert v >= r and v - Fraction(10) ** (e - 1) < r
+
+
+def test_radius_decimal_rounds_up_into_the_next_decade():
+    assert _radius_decimal(Fraction(1)) == "1.0e+00"
+    assert _radius_decimal(Fraction(995, 1000)) == "1.0e+00"
 
 
 # ---------------------------------------------------------------------------
