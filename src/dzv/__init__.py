@@ -18,7 +18,6 @@ from .numerics import (
     RealBall,
     ZeroCertificate,
     ball_is_zero_within,
-    binomial,
     check_from_sides,
     cube_root_of_unity,
     exact_check,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
 from typing import Optional
 
 from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check
@@ -23,29 +22,60 @@ __all__ = [
 
 
 @cache
-def bernoulli(m: int) -> Fraction:
-    """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, ...), memoized.
+def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
+    """The tuple B_0..B_2n, from the tangent numbers T_1..T_n.
 
-    Solves sum_{j=0}^{m} C(m+1, j) B_j = 0 for B_m; odd-index terms beyond B_1
-    vanish and are skipped.  The sum reads lower indices in increasing order,
-    so a cold call recurses at most one level.
+    Brent and Harvey's in-place integer algorithm (*Fast computation of
+    Bernoulli, Tangent and Secant numbers*, arXiv:1108.0286) builds the T_k of
+    tan x = sum_k T_k x^(2k-1)/(2k-1)! in O(n^2) integer operations; then
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
     """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(0)] * (2 * n + 1)
+    out[0], out[1] = Fraction(1), Fraction(-1, 2)
+    for k in range(1, n + 1):
+        b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
+        out[2 * k] = b if k % 2 else -b
+    return tuple(out)
+
+
+def _table(m: int) -> tuple[Fraction, ...]:
+    """The memoized tuple that holds B_m: B_0..B_2n for the least power of
+    two n >= 64 with 2n >= m, so a sweep of weights builds a few tables."""
+    n = 64
+    while 2 * n < m:
+        n *= 2
+    return _bernoulli_upto(n)
+
+
+def bernoulli(m: int) -> Fraction:
+    """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, B_3 = 0, ...)."""
     if m < 0:
         raise DomainError("Bernoulli index must be nonnegative")
-    if m < 2:
-        return Fraction(1) if m == 0 else Fraction(-1, 2)
-    if m % 2 == 1:
-        return Fraction(0)
-    s = Fraction(comb(m + 1, 1), -2)  # j = 1 term, B_1 = -1/2
-    for j in range(0, m, 2):
-        s += comb(m + 1, j) * bernoulli(j)
-    return -s / (m + 1)
+    return _table(m)[m]
 
 
-def _convolution(l: int, start: int, step: int) -> Fraction:
-    """Exact sum_{j = start, start + step, ... <= l} C(l,j) B_j B_{l-j}."""
-    return sum((comb(l, j) * bernoulli(j) * bernoulli(l - j) for j in range(start, l + 1, step)),
-               start=Fraction(0))
+def _even_classes(l: int) -> tuple[Fraction, ...]:
+    """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) B_j B_{l-j}.
+
+    One pass over even j <= l/2: term j equals term l-j, so it is added to
+    class j mod 6 and to class (l-j) mod 6, and only once when j = l/2.
+    """
+    b = _table(l)
+    s = [Fraction(0)] * 3
+    c = 1  # C(l, j)
+    for j in range(0, l // 2 + 1, 2):
+        term = c * b[j] * b[l - j]
+        s[j % 6 // 2] += term
+        if 2 * j != l:
+            s[(l - j) % 6 // 2] += term
+        c = c * (l - j) * (l - j - 1) // ((j + 1) * (j + 2))
+    return tuple(s)
 
 
 def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
@@ -56,7 +86,7 @@ def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckRep
     """
     if l % 2 != 0 or l < 4:
         raise DomainError("the Bernoulli convolution identity needs even l >= 4")
-    lhs = _convolution(l, 0, 2)
+    lhs = sum(_even_classes(l))
     rhs = -(l - 1) * bernoulli(l)
     return exact_check(f"euler-bernoulli[l={l}]", l, lhs, rhs)
 
@@ -71,7 +101,7 @@ def ramanujan_sum(l: int, m: int) -> Fraction:
     _require_gap6_weight(l)
     if m not in (0, 2, 4):
         raise DomainError("residue m must be one of 0, 2, 4")
-    return _convolution(l, m, 6)
+    return _even_classes(l)[m // 2]
 
 
 def ramanujan_check(l: int, ctx: Optional[PrecisionCtx] = None) -> tuple[CheckReport, ...]:
@@ -83,7 +113,8 @@ def ramanujan_check(l: int, ctx: Optional[PrecisionCtx] = None) -> tuple[CheckRe
     """
     _require_gap6_weight(l)
     rhs = Fraction(-(l - 1), 3) * bernoulli(l)
+    sums = _even_classes(l)
     return tuple(
-        exact_check(f"ramanujan[l={l},m={m}]", l, ramanujan_sum(l, m), rhs)
+        exact_check(f"ramanujan[l={l},m={m}]", l, sums[m // 2], rhs)
         for m in (0, 2, 4)
     )

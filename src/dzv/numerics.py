@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, isqrt
+from math import isqrt
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ZeroCertificate",
     "CheckReport",
     "GUARD_BITS",
-    "binomial",
     "pi_const",
     "cube_root_of_unity",
     "pipoly_eval",
@@ -77,6 +76,13 @@ def _dy_fraction(m: int, e: int) -> Fraction:
     return Fraction(m, 1 << (-e))
 
 
+def _strip_zeros(man: int, exp: int) -> Tuple[int, int]:
+    """The same nonzero dyadic man*2**exp with the trailing zero bits of man
+    moved into exp."""
+    tz = (man & -man).bit_length() - 1
+    return man >> tz, exp + tz
+
+
 def _round_mid(man: int, exp: int, prec: int) -> Tuple[int, int, Optional[int]]:
     """Round man*2**exp to at most prec mantissa bits (to nearest).
 
@@ -86,10 +92,7 @@ def _round_mid(man: int, exp: int, prec: int) -> Tuple[int, int, Optional[int]]:
     """
     if man == 0:
         return 0, 0, None
-    tz = (man & -man).bit_length() - 1
-    if tz:
-        man >>= tz
-        exp += tz
+    man, exp = _strip_zeros(man, exp)
     bits = man.bit_length() if man > 0 else (-man).bit_length()
     if bits <= prec:
         return man, exp, None
@@ -200,6 +203,7 @@ class RealBall:
         else:
             man, rem = divmod(num, den << e)
         if rem == 0:
+            man, e = _strip_zeros(man, e)
             return RealBall(man, e, 0, 0)
         # center the enclosure [man, man+1] ulp
         return RealBall(2 * man + 1, e - 1, 1, e - 1)
@@ -416,19 +420,6 @@ def complex_sum(items: Iterable[ComplexBall], prec: int) -> ComplexBall:
     items = list(items)
     return ComplexBall(ball_sum((z.real for z in items), prec),
                        ball_sum((z.imag for z in items), prec))
-
-
-# ---------------------------------------------------------------------------
-# binomial coefficients
-# ---------------------------------------------------------------------------
-
-def binomial(n: int, k: int) -> Fraction:
-    """C(n, k) exactly; zero outside 0 <= k <= n."""
-    if n < 0:
-        raise DomainError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(comb(n, k))
 
 
 # ---------------------------------------------------------------------------

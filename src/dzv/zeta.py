@@ -29,6 +29,7 @@ _GUARD = 32
 _MAX_ESCALATIONS = 10
 
 
+@cache
 def zeta_even_exact(m: int) -> PiPolynomial:
     """zeta(m) for even m >= 2 as the single term ((-1)^(m/2+1) 2^(m-1) B_m / m!) pi^m."""
     if m % 2 != 0 or m < 2:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dzv.bernoulli import (
+    _bernoulli_upto,
     bernoulli,
     euler_identity_check,
     ramanujan_check,
@@ -14,13 +15,13 @@ from dzv.bernoulli import (
 )
 from dzv.numerics import DomainError
 
-from oracles import akiyama_tanigawa_bernoulli
+from oracles import akiyama_tanigawa_bernoulli, pascal_binomial
 
-_AT = akiyama_tanigawa_bernoulli(60)
+_AT = akiyama_tanigawa_bernoulli(200)
 
 
 def test_bernoulli_against_akiyama_tanigawa():
-    for m in range(61):
+    for m in range(201):
         assert bernoulli(m) == _AT[m], m
 
 
@@ -43,15 +44,44 @@ def test_bernoulli_even_signs_alternate():
         assert (bernoulli(m) > 0) == expected_positive, m
 
 
+def _primes_upto(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def test_bernoulli_von_staudt_clausen_and_sign_to_800():
+    # B_m + sum_{(p-1) | m} 1/p is an integer, so the denominator of B_m is the
+    # product of those primes; and B_m has the sign (-1)^(m/2+1)
+    primes = _primes_upto(801)
+    for m in range(2, 801, 2):
+        b = bernoulli(m)
+        ps = [p for p in primes if m % (p - 1) == 0]
+        den = 1
+        for p in ps:
+            den *= p
+        assert b.denominator == den, m
+        assert (b + sum(Fraction(1, p) for p in ps)).denominator == 1, m
+        assert (b > 0) == ((m // 2) % 2 == 1), m
+
+
 def test_bernoulli_rejects_negative_index():
     with pytest.raises(DomainError):
         bernoulli(-1)
 
 
 def test_cache_determinism():
-    bernoulli.cache_clear()
+    _bernoulli_upto.cache_clear()
     for m in range(60, -1, -1):  # access order must not matter
         assert bernoulli(m) == _AT[m], m
+
+
+def test_reads_across_table_blocks_agree():
+    # a cold B_800 builds the table B_0..B_1024; the indices 129..0 then read
+    # the smaller tables B_0..B_256 and B_0..B_128, which must agree with it
+    _bernoulli_upto.cache_clear()
+    big = bernoulli(800)
+    for m in range(129, -1, -1):
+        assert bernoulli(m) == _AT[m] == _bernoulli_upto(512)[m], m
+    assert bernoulli(800) == big
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +105,7 @@ def test_euler_identity_weight6():
 
 def test_euler_identity_direct_convolution_oracle():
     # recompute the convolution from the oracle values only
-    for l in (10, 16, 26):
+    for l in range(4, 61, 2):
         lhs = sum(comb(l, j) * _AT[j] * _AT[l - j] for j in range(0, l + 1, 2))
         v = euler_identity_check(l)
         assert v.lhs == lhs
@@ -100,6 +130,15 @@ def test_ramanujan_sum_weight8_single_and_two_term():
     assert ramanujan_sum(8, 0) == Fraction(-1, 30) + Fraction(28, 252) == Fraction(7, 90)
     # m=2 is the j -> l-j reflection of m=0
     assert ramanujan_sum(8, 2) == Fraction(7, 90)
+
+
+def test_ramanujan_sum_direct_oracle():
+    # every residue class summed term by term, from the oracle values only
+    for l in range(8, 63, 6):
+        for m in (0, 2, 4):
+            direct = sum((pascal_binomial(l, j) * _AT[j] * _AT[l - j]
+                          for j in range(m, l + 1, 6)), Fraction(0))
+            assert ramanujan_sum(l, m) == direct, (l, m)
 
 
 def test_ramanujan_sum_preconditions():

@@ -13,35 +13,13 @@ from dzv.numerics import (
     RealBall,
     ball_is_zero_within,
     ball_sum,
-    binomial,
     check_from_sides,
     cube_root_of_unity,
     pi_const,
     pipoly_eval,
 )
 
-from oracles import bbp_pi_interval, pascal_binomial, zeta_direct_interval
-
-
-# ---------------------------------------------------------------------------
-# binomial
-# ---------------------------------------------------------------------------
-
-def test_binomial_against_pascal_triangle():
-    for n in range(0, 12):
-        for k in range(-2, n + 3):
-            assert binomial(n, k) == pascal_binomial(n, k)
-
-
-def test_binomial_examples():
-    assert binomial(8, 4) == 70
-    assert binomial(5, 0) == 1
-    assert binomial(4, 7) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
+from oracles import bbp_pi_interval, zeta_direct_interval
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +179,19 @@ def test_exact_scalar_operations():
     assert b.mul_int(-5).midpoint_fraction() == Fraction(-15, 8)
     assert b.mul_2exp(3).midpoint_fraction() == 3
     assert b.mul_2exp(3).is_exact()
+
+
+def test_exact_dyadic_ball_does_not_depend_on_precision():
+    # trailing zero bits are stripped, so -1/2 is the same ball at 200 and at
+    # 2 bits, and its products with a 200-bit ball of 1/3 are identical
+    third = RealBall.from_fraction(Fraction(1, 3), 200)
+    wide = RealBall.from_fraction(Fraction(-1, 2), 200)
+    short = RealBall.from_fraction(Fraction(-1, 2), 2)
+    assert wide.is_exact() and wide.midpoint_fraction() == Fraction(-1, 2)
+    p, q = wide.mul(third, 200), short.mul(third, 200)
+    assert p.midpoint_fraction() == q.midpoint_fraction()
+    assert p.radius_fraction() == q.radius_fraction()
+    assert p.contains_fraction(Fraction(-1, 6))
 
 
 # ---------------------------------------------------------------------------
