@@ -203,10 +203,9 @@ def _decimal_truncate(q: Fraction, digits: int) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
-def _radius_decimal(r: Fraction) -> str:
-    """Two-significant-digit upper bound of a nonnegative rational, sci notation."""
-    if r == 0:
-        return "0"
+def _radius_digits(r: Fraction) -> tuple[int, int]:
+    """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
+    upper bound of the positive rational r."""
     num, den = r.numerator, r.denominator
     # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
     e = len(str(num)) - len(str(den))
@@ -217,7 +216,16 @@ def _radius_decimal(r: Fraction) -> str:
     if m >= 100:
         m //= 10
         e += 1
+    return m, e
+
+
+def _sci(m: int, e: int) -> str:
     return f"{m / 10:.1f}e{e:+03d}"
+
+
+def _radius_decimal(r: Fraction) -> str:
+    """Two-significant-digit upper bound of a nonnegative rational, sci notation."""
+    return _sci(*_radius_digits(r)) if r else "0"
 
 
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
@@ -263,16 +271,24 @@ def _record(r: CheckReport, prec: int) -> CheckRecord:
         return CheckRecord(r.label, r.weight, str(r.lhs), str(r.rhs), str(r.residual), "0",
                            r.exact, r.passed)
     res = r.residual
-    if isinstance(res, ComplexBall):
-        mid = (f"{_decimal_truncate(res.real.midpoint_fraction(), 60)}"
-               f" + {_decimal_truncate(res.imag.midpoint_fraction(), 60)}i")
-        rad = res.max_radius_fraction()
+    parts = [res.real, res.imag] if isinstance(res, ComplexBall) else [res]
+    rad = max(b.radius_fraction() for b in parts)
+    if rad:
+        # print midpoints down to the radius's second significant digit,
+        # 10^(e-1); truncating there moves them by less than 10^(e-1), which
+        # one more unit in the radius's last digit covers
+        m, e = _radius_digits(rad)
+        digits = max(1 - e, 0)
+        rad_s = _sci(m + 1, e) if m < 99 else _sci(10, e + 1)
     else:
-        mid, rad = _decimal_truncate(res.midpoint_fraction(), 60), res.radius_fraction()
+        digits, rad_s = 60, "0"
+    mid = " + ".join(_decimal_truncate(b.midpoint_fraction(), digits) for b in parts)
+    if len(parts) == 2:
+        mid += "i"
     # RunConfig tolerances are 10^-N, so N is the denominator's digit count - 1
     tol = f"1e-{len(str(r.tolerance.denominator)) - 1}"
     return CheckRecord(r.label, r.weight, _ball_str(r.lhs, prec), _ball_str(r.rhs, prec),
-                       mid, _radius_decimal(rad), r.exact, r.passed, tol)
+                       mid, rad_s, r.exact, r.passed, tol)
 
 
 def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:

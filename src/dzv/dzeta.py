@@ -5,10 +5,17 @@ two-variable functional equation.
 
 Evaluation strategy: the inner sum over m1 > m2 is zeta(l1, m2+1), and every
 Hurwitz value needed sits at the one point A = M+1.  The first M values of m2
-are summed directly, with zeta(l1, m2+1) stepped down from the anchor
-zeta(l1, A) by the exact recurrence zeta(s, a) = zeta(s, a+1) + a^-s.  For the
-tail m2 >= A, Euler-Maclaurin expands each zeta(l1, m2+1) in powers of m2;
-summing against m2^-l2 turns every power into a Hurwitz value, so
+give the direct part
+
+    sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A),
+    S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2,   H_M = sum_{m<=M} m^-l2,
+
+and S_M and H_M are summed in integer fixed point with unit 2^-W.  Every
+floor(2^W / m^k) is low by less than one unit, so H_M is low by less than M
+units and S_M by less than M^2 units; W leaves these counted errors below
+2^-(wp+l1).  For the tail m2 >= A, Euler-Maclaurin expands each
+zeta(l1, m2+1) in powers of m2; summing against m2^-l2 turns every power into
+a Hurwitz value, so
 
     tail = zeta(w-1, A)/(l1-1) - zeta(w, A)/2 + sum_{k<K} c_k zeta(w-1+2k, A),
     c_k = B_2k (l1)_{2k-1} / (2k)!,   w = l1 + l2.
@@ -68,6 +75,29 @@ class IndexPair:
         return self.l1 + self.l2
 
 
+def _direct_sums(l1: int, l2: int, m_cut: int, wp: int) -> tuple[RealBall, RealBall]:
+    """Balls for S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2 and H_M = sum_{m<=M} m^-l2,
+    M = m_cut, whose radii add up to at most 2^-(wp+l1+3).
+
+    With unit u = 2^-W, h holds the floored H_(m-1) (low by less than m-1
+    units) when it meets f = floor(2^W / m^l1) (low by less than one unit), so
+    the product f h, in units u^2, is low by less than H_(m-1) 2^W
+    + (m-1) 2^W m^-l1 <= 1.25 (m-1) 2^W.  Summed over m <= M that is below
+    M^2 u for S_M, and H_M is low by less than M u; each ball is centered on
+    its one-sided interval.  W makes (M^2 + M) u <= 2^-(wp+l1+2).
+    """
+    width = wp + l1 + 2 * (m_cut + 1).bit_length() + 2
+    one = 1 << width
+    h = s = 0
+    for m in range(1, m_cut + 1):
+        s += one // m ** l1 * h
+        h += one // m ** l2
+    sq = m_cut * m_cut
+    s_m = RealBall(2 * s + (sq << width), -2 * width - 1, sq, -width - 1)
+    h_m = RealBall(2 * h + m_cut, -width - 1, m_cut, -width - 1)
+    return s_m, h_m
+
+
 def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
     w = l1 + l2
     a_cut = m_cut + 1
@@ -76,12 +106,9 @@ def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
     def hz(s: int) -> RealBall:
         return hurwitz_zeta(s, a_cut, hz_ctx)
 
-    # direct part: zeta(l1, m2+1) for m2 = M..1 by zeta(s,a) = zeta(s,a+1) + a^-s
-    pieces = []
-    inner = hz(l1)
-    for m2 in range(m_cut, 0, -1):
-        pieces.append(RealBall.from_fraction(Fraction(1, m2 ** l2), wp).mul(inner, wp))
-        inner = inner.add(RealBall.from_fraction(Fraction(1, m2 ** l1), wp), wp)
+    # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A)
+    s_m, h_m = _direct_sums(l1, l2, m_cut, wp)
+    pieces = [s_m, h_m.mul(hz(l1), wp)]
 
     # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
     # for every m >= A, summed against m^-l2

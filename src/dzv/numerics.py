@@ -409,9 +409,6 @@ class ComplexBall:
         return (self.real.same_enclosure(other.real)
                 and self.imag.same_enclosure(other.imag))
 
-    def max_radius_fraction(self) -> Fraction:
-        return max(self.real.radius_fraction(), self.imag.radius_fraction())
-
     def __repr__(self) -> str:
         return f"ComplexBall({self.real!r}, {self.imag!r})"
 

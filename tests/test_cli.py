@@ -20,7 +20,7 @@ from dzv.cli import (
     cmd_verify,
     main,
 )
-from dzv.numerics import CheckReport, DomainError, RealBall
+from dzv.numerics import CheckReport, ComplexBall, DomainError, RealBall
 
 from oracles import zeta_direct_interval
 
@@ -94,16 +94,53 @@ def test_certified_decimal_negative_values():
     assert s.startswith("-3.1415")
 
 
+def _residual_record(res):
+    return _record(CheckReport("t[l=3]", 3, res, RealBall.zero(), res, True,
+                               Fraction(1, 10**40)), 192)
+
+
 def test_residual_midpoint_sign_only_with_a_printed_digit():
     def printed(mid):
-        res = RealBall.from_fraction(mid, 400)
-        r = CheckReport("t[l=3]", 3, res, RealBall.zero(), res, True, Fraction(1, 10**40))
-        return _record(r, 192).residual_midpoint
+        # a radius in [1e-59, 1e-58) prints the midpoint to 60 decimals
+        res = RealBall.from_fraction(mid, 400).add_error(Fraction(5, 10**59))
+        return _residual_record(res).residual_midpoint
 
     tiny = Fraction(1, 10**70)
     assert printed(tiny) == printed(-tiny) == "0." + "0" * 60
     small = printed(Fraction(-1, 10**59))
     assert small.startswith("-0.") and small.strip("-0.")
+
+
+def test_residual_midpoint_stops_at_the_radius_second_digit():
+    mid = Fraction(1, 7) * Fraction(1, 10**40)
+    rec = _residual_record(RealBall.from_fraction(mid, 400).add_error(Fraction(3, 10**45)))
+    # radius 3.1e-45 (rounded up): digits down to 1e-46, radius widened by one unit there
+    assert rec.residual_midpoint == "0." + "0" * 40 + "142857"
+    assert rec.residual_radius == "3.2e-45"
+    wide = _residual_record(RealBall.from_fraction(Fraction(-123456, 10), 400).add_error(98))
+    # radius 9.9e+01: integer digits, and one more unit rolls over to 1.0e+02
+    assert (wide.residual_midpoint, wide.residual_radius) == ("-12345", "1.0e+02")
+    exact = _residual_record(RealBall.from_fraction(Fraction(3, 8), 400))
+    assert (exact.residual_midpoint, exact.residual_radius) == ("0." + "375".ljust(60, "0"), "0")
+
+
+_RESIDUAL_FRACTIONS = st.builds(lambda n, d, k: Fraction(n, d) * Fraction(10) ** k,
+                                st.integers(-10**30, 10**30), st.integers(1, 10**30),
+                                st.integers(-80, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RESIDUAL_FRACTIONS, _RESIDUAL_FRACTIONS, _RESIDUAL_FRACTIONS.map(abs).filter(bool))
+def test_printed_residual_encloses_the_residual(re, im, r):
+    # a positive radius; a radius of 0 keeps 60 decimals (test above)
+    real = RealBall.from_fraction(re, 300).add_error(r)
+    imag = RealBall.from_fraction(im, 300).add_error(r / 3)
+    for res, parts in [(real, [real]), (ComplexBall(real, imag), [real, imag])]:
+        rec = _residual_record(res)
+        mids = rec.residual_midpoint.rstrip("i").split(" + ")
+        rad = Fraction(rec.residual_radius)
+        for b, m in zip(parts, mids):
+            assert RealBall.from_fraction(m, 400).add_error(rad).contains_ball(b)
 
 
 @settings(max_examples=200, deadline=None)

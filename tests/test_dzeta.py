@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dzv.dzeta import (
     IndexPair,
+    _direct_sums,
     _table,
     build_table,
     double_zeta,
@@ -136,6 +137,41 @@ def test_tables_share_one_hurwitz_vector_per_weight():
     for l in range(3, 21):
         get_table(l, ctx)
     assert _hurwitz_rational.cache_info().misses <= 47
+
+
+@pytest.mark.parametrize("l1, l2, m_cut, wp", [
+    (2, 1, 120, 240),    # harmonic H_M, the largest; the 192-bit cutoff
+    (2, 28, 120, 240),
+    (16, 14, 240, 240),  # one escalation
+    (7, 3, 32, 112),
+    (40, 1, 56, 112),    # floor(2^W / m^40) is 0 from m = 18 on
+])
+def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
+    s_m, h_m = _direct_sums(l1, l2, m_cut, wp)
+    h = s = Fraction(0)
+    for m in range(1, m_cut + 1):
+        s += Fraction(1, m ** l1) * h
+        h += Fraction(1, m ** l2)
+    assert s_m.contains_fraction(s)
+    assert h_m.contains_fraction(h)
+    # H_M multiplies zeta(l1, A) < 1, so this bounds the radius the direct part adds
+    assert s_m.radius_fraction() + h_m.radius_fraction() <= Fraction(1, 2 ** (wp + l1))
+
+
+def test_values_do_not_depend_on_call_order():
+    def values():
+        ctx = PrecisionCtx(192)
+        return [double_zeta(IndexPair(16, 14), ctx), *build_table(12, ctx).entries.values()]
+
+    _hurwitz_rational.cache_clear()
+    _table.cache_clear()
+    cold = values()
+    for p in (192, 256):
+        for l in range(3, 31):
+            get_table(l, PrecisionCtx(p))
+    warm = values()
+    assert len(cold) == len(warm) == 11
+    assert all(a.same_enclosure(b) for a, b in zip(cold, warm))
 
 
 def test_table_entries_positive_and_below_product_bound(ctx128):
