@@ -1,14 +1,20 @@
 """Command-line front end: compute values, run verification suites over
 weight ranges, and emit machine-readable reports.
 
-Exit codes: 0 all checks passed (skips allowed), 1 any check failed or
-errored, 2 usage error.  Printed values show only digits certified by the
-ball radius.
+Each `verify` option is one entry of `_OPTIONS`: the flag and the config-file
+key share its name and its parser, and a config file must be a JSON object
+whose keys are all in that table.
+
+Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed
+or errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the
+output path), reported as one `error:` line.  Printed values show only
+digits certified by the ball radius.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -66,11 +72,14 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        # a list of names, as a JSON report reads back, makes an equal config
+        object.__setattr__(self, "suites", tuple(self.suites))
         if self.weight_min > self.weight_max:
             raise DomainError("weight_min must not exceed weight_max")
-        if self.precision_bits < 64:
-            raise DomainError("precision must be at least 64 bits")
-        if self.output_format not in ("json", "csv", "text"):
+        if self.tolerance_exponent < 0:
+            raise DomainError(f"tolerance must be 1e-N with N >= 0, got N = {self.tolerance_exponent}")
+        self.ctx()  # PrecisionCtx checks the precision
+        if self.output_format not in _RENDERERS:
             raise DomainError(f"unknown output format {self.output_format!r}")
         if self.parallelism != 1:
             raise DomainError("parallelism must be 1 (runs are single-threaded)")
@@ -81,31 +90,6 @@ class RunConfig:
     def ctx(self) -> PrecisionCtx:
         return PrecisionCtx(self.precision_bits,
                             Fraction(1, 10 ** self.tolerance_exponent))
-
-    def to_dict(self) -> dict:
-        return {
-            "precision_bits": self.precision_bits,
-            "tolerance_exponent": self.tolerance_exponent,
-            "weight_min": self.weight_min,
-            "weight_max": self.weight_max,
-            "suites": list(self.suites),
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-            "parallelism": self.parallelism,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        return RunConfig(
-            precision_bits=d["precision_bits"],
-            tolerance_exponent=d["tolerance_exponent"],
-            weight_min=d["weight_min"],
-            weight_max=d["weight_max"],
-            suites=tuple(d["suites"]),
-            output_format=d["output_format"],
-            output_path=d.get("output_path"),
-            parallelism=d["parallelism"],
-        )
 
 
 @dataclass(frozen=True)
@@ -126,66 +110,27 @@ class CheckRecord:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "weight": self.weight,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual_midpoint": self.residual_midpoint,
-            "residual_radius": self.residual_radius,
-            "exact": self.exact,
-            "passed": self.passed,
-        }
-        if self.tolerance is not None:
-            d["tolerance"] = self.tolerance
-        if self.skipped_reason is not None:
-            d["skipped_reason"] = self.skipped_reason
-        if self.error is not None:
-            d["error"] = self.error
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "CheckRecord":
-        return CheckRecord(
-            label=d["label"], weight=d["weight"], lhs=d["lhs"], rhs=d["rhs"],
-            residual_midpoint=d["residual_midpoint"],
-            residual_radius=d["residual_radius"],
-            exact=d["exact"], passed=d["passed"],
-            tolerance=d.get("tolerance"),
-            skipped_reason=d.get("skipped_reason"),
-            error=d.get("error"),
-        )
+        """The fields; the optional ones only when set."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass
 class SuiteReport:
     suite: str
+    config: RunConfig
     checks: list
     passed_count: int
     failed_count: int
     wall_time: float
-    config_echo: RunConfig
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config_echo.to_dict(),
-            "checks": [c.to_dict() for c in self.checks],
-            "passed_count": self.passed_count,
-            "failed_count": self.failed_count,
-            "wall_time": self.wall_time,
-        }
+        return dict(vars(self), config=dict(vars(self.config)),
+                    checks=[c.to_dict() for c in self.checks])
 
     @staticmethod
     def from_dict(d: dict) -> "SuiteReport":
-        return SuiteReport(
-            suite=d["suite"],
-            checks=[CheckRecord.from_dict(c) for c in d["checks"]],
-            passed_count=d["passed_count"],
-            failed_count=d["failed_count"],
-            wall_time=d["wall_time"],
-            config_echo=RunConfig.from_dict(d["config"]),
-        )
+        return SuiteReport(**dict(d, config=RunConfig(**d["config"]),
+                                  checks=[CheckRecord(**c) for c in d["checks"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +211,7 @@ def _ball_str(b: Union[RealBall, ComplexBall], prec: int) -> str:
     return certified_decimal(b, digits)
 
 
-def _record(r: CheckReport, prec: int) -> CheckRecord:
+def _record(r: CheckReport, config: RunConfig) -> CheckRecord:
     if r.tolerance is None:  # exact rational sides
         return CheckRecord(r.label, r.weight, str(r.lhs), str(r.rhs), str(r.residual), "0",
                            r.exact, r.passed)
@@ -285,10 +230,9 @@ def _record(r: CheckReport, prec: int) -> CheckRecord:
     mid = " + ".join(_decimal_truncate(b.midpoint_fraction(), digits) for b in parts)
     if len(parts) == 2:
         mid += "i"
-    # RunConfig tolerances are 10^-N, so N is the denominator's digit count - 1
-    tol = f"1e-{len(str(r.tolerance.denominator)) - 1}"
+    prec = config.precision_bits
     return CheckRecord(r.label, r.weight, _ball_str(r.lhs, prec), _ball_str(r.rhs, prec),
-                       mid, rad_s, r.exact, r.passed, tol)
+                       mid, rad_s, r.exact, r.passed, f"1e-{config.tolerance_exponent}")
 
 
 def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:
@@ -336,7 +280,7 @@ _SUITES: dict = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _run_suite_weight(suite: str, l: int, ctx: PrecisionCtx) -> list:
+def _run_suite_weight(suite: str, l: int, config: RunConfig, ctx: PrecisionCtx) -> list:
     applies, check = _SUITES[suite]
     reason = applies(l)
     if reason is not None:
@@ -347,7 +291,7 @@ def _run_suite_weight(suite: str, l: int, ctx: PrecisionCtx) -> list:
         return [_blank_record(suite, l, passed=False, error=str(exc))]
     if isinstance(reports, CheckReport):
         reports = [reports]
-    return [_record(r, ctx.working_precision) for r in reports]
+    return [_record(r, config) for r in reports]
 
 
 def cmd_verify(config: RunConfig) -> tuple:
@@ -360,13 +304,13 @@ def cmd_verify(config: RunConfig) -> tuple:
     reports = []
     for suite in config.suites:
         start = time.monotonic()
-        checks = [rec for l in weights for rec in _run_suite_weight(suite, l, ctx)]
+        checks = [rec for l in weights for rec in _run_suite_weight(suite, l, config, ctx)]
         passed = sum(1 for c in checks if c.passed)
         reports.append(SuiteReport(
             suite=suite, checks=checks,
             passed_count=passed, failed_count=len(checks) - passed,
             wall_time=time.monotonic() - start,
-            config_echo=config,
+            config=config,
         ))
     failed = sum(r.failed_count for r in reports)
     return reports, (1 if failed else 0)
@@ -416,19 +360,54 @@ _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _parse_weights(spec: str) -> tuple:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return int(a), int(b)
-    v = int(spec)
-    return v, v
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise DomainError(f"expected a string, got {value!r}")
+    return value
 
 
-def _parse_tol(spec: str) -> int:
-    s = spec.strip().lower()
-    if s.startswith("1e-"):
-        return int(s[3:])
-    raise ValueError(f"tolerance must look like 1e-40, got {spec!r}")
+def _int(value) -> int:
+    """An integer given as a JSON integer or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        return int(_str(value))
+    except (ValueError, DomainError):
+        raise DomainError(f"expected an integer, got {value!r}") from None
+
+
+def _suites(value) -> dict:
+    names = value.split(",") if isinstance(value, str) else value
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise DomainError(f"expected comma-separated suite names or a list of them, got {value!r}")
+    return {"suites": tuple(n.strip() for n in names if n.strip())}
+
+
+def _weights(value) -> dict:
+    spec = value if isinstance(value, str) else str(_int(value))
+    lo, sep, hi = spec.partition("..")
+    return {"weight_min": _int(lo), "weight_max": _int(hi if sep else lo)}
+
+
+def _tol(value) -> dict:
+    s = _str(value).strip().lower()
+    if not s.startswith("1e-"):
+        raise DomainError(f"tolerance must look like 1e-40, got {value!r}")
+    return {"tolerance_exponent": _int(s[3:])}
+
+
+# `verify` option -> (parser of a flag string or a config-file value into
+# RunConfig fields, flag help); the flag and the config key share the name
+_OPTIONS = {
+    "suites": (_suites, "comma-separated suite names (default: all)"),
+    "weights": (_weights, "A..B inclusive (default 3..12)"),
+    "precision": (lambda v: {"precision_bits": _int(v)},
+                  f"working precision in bits (default {_ENV_PRECISION} or {_DEFAULT_PRECISION})"),
+    "tol": (_tol, f"residual tolerance 1e-N (default 1e-{_DEFAULT_TOL_EXP})"),
+    "format": (lambda v: {"output_format": _str(v)}, "json, csv or text (default text)"),
+    "out": (lambda v: {"output_path": _str(v)}, "report file (default: stdout)"),
+    "jobs": (lambda v: {"parallelism": _int(v)}, "must be 1 (runs are single-threaded)"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -448,18 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_d.add_argument("-p", "--precision", type=int, default=None)
 
     p_v = sub.add_parser("verify", help="run verification suites over a weight range")
-    p_v.add_argument("--suites", type=str, required=False, default=None,
-                     help="comma-separated suite names (default: all)")
-    p_v.add_argument("--weights", type=str, default=None,
-                     help="A..B inclusive (default 3..12)")
-    p_v.add_argument("--precision", type=int, default=None, help="working precision in bits")
-    p_v.add_argument("--tol", type=str, default=None, help="residual tolerance, e.g. 1e-40")
-    p_v.add_argument("--format", type=str, default=None, choices=["json", "csv", "text"])
-    p_v.add_argument("--out", type=str, default=None)
-    p_v.add_argument("--jobs", type=int, default=None,
-                     help="must be 1 (runs are single-threaded)")
-    p_v.add_argument("--config", type=str, default=None,
-                     help="JSON file with the same keys as the flags; flags win")
+    for key, (_, help_text) in _OPTIONS.items():
+        p_v.add_argument(f"--{key}", help=help_text)
+    p_v.add_argument("--config", help="JSON object with the same keys as the flags; flags win")
     return parser
 
 
@@ -469,47 +439,43 @@ def _default_precision() -> int:
     if not env:
         return _DEFAULT_PRECISION
     try:
-        bits = int(env)
-    except ValueError:
-        raise DomainError(f"{_ENV_PRECISION} must be an integer, got {env!r}") from None
-    if bits < 64:
-        raise DomainError(f"{_ENV_PRECISION} must be at least 64 bits, got {bits}")
-    return bits
+        return PrecisionCtx(_int(env)).working_precision
+    except DomainError as exc:
+        raise DomainError(f"{_ENV_PRECISION}: {exc}") from None
 
 
 def _config_from_args(args) -> RunConfig:
-    file_cfg = {}
+    given = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                given = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"config file: {exc}") from None
+        if not isinstance(given, dict):
+            raise DomainError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(given) - set(_OPTIONS))
+        if unknown:
+            raise DomainError(f"unknown config keys {unknown}; known: {', '.join(_OPTIONS)}")
+    given.update((key, getattr(args, key)) for key in _OPTIONS if getattr(args, key) is not None)
+    fields = {"suites": SUITE_NAMES, "precision_bits": _default_precision()}
+    for key, value in given.items():
+        if value is not None:  # JSON null: not given
+            try:
+                fields.update(_OPTIONS[key][0](value))
+            except DomainError as exc:
+                raise DomainError(f"{key}: {exc}") from None
+    return RunConfig(**fields)
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
 
-    weights = pick(args.weights, "weights", "3..12")
-    wmin, wmax = _parse_weights(str(weights))
-    suites_arg = pick(args.suites, "suites", None)
-    if suites_arg is None:
-        suites = SUITE_NAMES
-    elif isinstance(suites_arg, str):
-        suites = tuple(s.strip() for s in suites_arg.split(",") if s.strip())
-    else:
-        suites = tuple(suites_arg)
-    tol_arg = pick(args.tol, "tol", f"1e-{_DEFAULT_TOL_EXP}")
-    return RunConfig(
-        precision_bits=int(pick(args.precision, "precision", _default_precision())),
-        tolerance_exponent=_parse_tol(str(tol_arg)),
-        weight_min=wmin,
-        weight_max=wmax,
-        suites=suites,
-        output_format=str(pick(args.format, "format", "text")),
-        output_path=pick(args.out, "out", None),
-        parallelism=int(pick(args.jobs, "jobs", 1)),
-    )
+def _report_file(path: Optional[str]):
+    """The report's destination, opened before the run so a bad path fails first."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write the report: {exc}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -521,42 +487,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "bernoulli":
-            if args.m < 0:
-                print("error: the Bernoulli index must be nonnegative", file=sys.stderr)
-                return 2
             print(bernoulli(args.m))
-            return 0
-
-        if args.command == "dzeta":
+        elif args.command == "dzeta":
             default_prec = _default_precision()  # checked even when -p overrides it
             prec = default_prec if args.precision is None else args.precision
-            if args.l1 < 2 or args.l2 < 1:
-                print("error: need l1 >= 2 and l2 >= 1 for convergence", file=sys.stderr)
-                return 2
-            ctx = PrecisionCtx(prec, Fraction(1, 10 ** _DEFAULT_TOL_EXP))
-            value = double_zeta(IndexPair(args.l1, args.l2), ctx)
-            digits = certified_decimal(value, max(8, int(prec * 0.301)))
-            print(f"{digits} ± {_radius_decimal(value.radius_fraction())}")
-            return 0
-
-        if args.command == "verify":
-            try:
-                config = _config_from_args(args)
-            except (DomainError, ValueError, OSError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            reports, code = cmd_verify(config)
-            text = _RENDERERS[config.output_format](reports)
-            if config.output_path:
-                with open(config.output_path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            value = double_zeta(IndexPair(args.l1, args.l2), PrecisionCtx(prec))
+            print(f"{_ball_str(value, prec)} ± {_radius_decimal(value.radius_fraction())}")
+        else:
+            config = _config_from_args(args)
+            with _report_file(config.output_path) as fh:
+                reports, code = cmd_verify(config)
+                fh.write(_RENDERERS[config.output_format](reports))
             return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -67,6 +67,8 @@ class IndexPair:
     l2: int
 
     def __post_init__(self):
+        if not (isinstance(self.l1, int) and isinstance(self.l2, int)):
+            raise DomainError(f"zeta({self.l1!r},{self.l2!r}) needs integer indices")
         if self.l1 < 2 or self.l2 < 1:
             raise DomainError(f"zeta({self.l1},{self.l2}) diverges; need l1 >= 2, l2 >= 1")
 

@@ -112,8 +112,8 @@ def _hurwitz_rational(s: int, a: Fraction, precision: int) -> RealBall:
 def hurwitz_zeta(s: int, a: int | Fraction, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s, integer s >= 2 and
     rational a >= 1, memoized by (s, a, working precision)."""
-    if s < 2:
-        raise DomainError("hurwitz_zeta requires integer s >= 2")
+    if not isinstance(s, int) or s < 2:
+        raise DomainError(f"hurwitz_zeta requires integer s >= 2, got {s!r}")
     a = Fraction(a)
     if a < 1:
         raise DomainError("hurwitz_zeta requires a >= 1")
@@ -131,6 +131,6 @@ def _zeta_numeric(s: int, precision: int) -> RealBall:
 def zeta_numeric(s: int, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(s), s >= 2: exact pi-power route for even s,
     Euler-Maclaurin at a = 1 for odd s; memoized by (s, working precision)."""
-    if s < 2:
-        raise DomainError("zeta diverges for s < 2 (integer arguments)")
+    if not isinstance(s, int) or s < 2:
+        raise DomainError(f"zeta_numeric requires integer s >= 2, got {s!r}")
     return _zeta_numeric(s, ctx.working_precision)

@@ -96,7 +96,7 @@ def test_certified_decimal_negative_values():
 
 def _residual_record(res):
     return _record(CheckReport("t[l=3]", 3, res, RealBall.zero(), res, True,
-                               Fraction(1, 10**40)), 192)
+                               Fraction(1, 10**40)), RunConfig())
 
 
 def test_residual_midpoint_sign_only_with_a_printed_digit():
@@ -269,6 +269,10 @@ def test_run_config_validation():
         RunConfig(output_format="xml")
     with pytest.raises(DomainError):
         RunConfig(parallelism=0)
+    with pytest.raises(DomainError):
+        RunConfig(tolerance_exponent=-3)
+    with pytest.raises(DomainError):
+        RunConfig(precision_bits=63)
 
 
 def test_all_suite_names_registered():
@@ -318,6 +322,49 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert data[0]["config"]["tolerance_exponent"] == 20
     assert data[0]["config"]["weight_min"] == 3
     assert data[0]["config"]["weight_max"] == 4
+
+
+@pytest.mark.parametrize("config, flags, code", [
+    ({"precison": 512}, [], 2),
+    ("3..30", [], 2),
+    ([1, 2], [], 2),
+    ({"suites": 5}, [], 2),
+    ({"precision": 64.7}, [], 2),
+    (None, ["--tol", "1e--3"], 2),
+    # 10^5000 has more digits than int-to-str conversion allows by default
+    (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
+], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
+        "tol-negative-exponent", "tol-5000-digits"])
+def test_verify_input_contract(tmp_path, capsys, config, flags, code):
+    # bad input is exit 2 with one error line, never a default or a traceback
+    argv = ["verify", "--weights", "3..3", *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    else:
+        assert json.loads(out)[0]["checks"][0]["tolerance"] == "1e-5000"
+
+
+def test_config_values_read_as_the_flags_do(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["theorem1"], "weights": 3, "precision": "96",
+                               "tol": "1e-20", "format": "json", "out": None}))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    echo = json.loads(capsys.readouterr().out)[0]["config"]
+    assert echo["suites"] == ["theorem1"]
+    assert (echo["weight_min"], echo["weight_max"], echo["precision_bits"]) == (3, 3, 96)
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--suites", "theorem1", "--weights", "3..3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_main_return_paths():

@@ -48,6 +48,8 @@ def test_index_pair_validation():
         IndexPair(1, 2)
     with pytest.raises(DomainError):
         IndexPair(2, 0)
+    with pytest.raises(DomainError):
+        IndexPair(2.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,18 @@ def test_zeta_numeric_rejects_divergent():
         zeta_numeric(0, PrecisionCtx(64))
 
 
+def test_non_integer_s_is_rejected_before_the_memo():
+    # 3.0 == 3 share a memo key: a float s that reached the Euler-Maclaurin sum
+    # would run it in floating point and cache a full-precision radius for s = 3
+    ctx = PrecisionCtx(136)
+    for s in (3.0, 2.5):
+        with pytest.raises(DomainError):
+            zeta_numeric(s, ctx)
+        with pytest.raises(DomainError):
+            hurwitz_zeta(s, 1, ctx)
+    assert zeta_numeric(3, ctx).intersects(zeta_numeric(3, PrecisionCtx(272)))
+
+
 def test_zeta_numeric_monotone_precision():
     for s in (2, 3, 7, 20):
         r1 = zeta_numeric(s, PrecisionCtx(96)).radius_fraction()
