@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from math import isqrt, prod
+from typing import Optional, Sequence
 
 from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check
 
@@ -44,38 +45,75 @@ def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _table(m: int) -> tuple[Fraction, ...]:
-    """The memoized tuple that holds B_m: B_0..B_2n for the least power of
-    two n >= 64 with 2n >= m, so a sweep of weights builds a few tables."""
+def _block(m: int) -> int:
+    """The least power of two n >= 64 with 2n >= m: B_m is read from the
+    table B_0..B_2n, so a sweep of weights builds a few tables."""
     n = 64
     while 2 * n < m:
         n *= 2
-    return _bernoulli_upto(n)
+    return n
 
 
 def bernoulli(m: int) -> Fraction:
     """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, B_3 = 0, ...)."""
     if m < 0:
         raise DomainError("Bernoulli index must be nonnegative")
-    return _table(m)[m]
+    return _bernoulli_upto(_block(m))[m]
 
 
-def _even_classes(l: int) -> tuple[Fraction, ...]:
-    """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) B_j B_{l-j}.
+@cache
+def _vsc_denominator(n: int) -> int:
+    """P_n, the product of the primes p <= 2n+1.
+
+    By von Staudt-Clausen the denominator of B_j is the product of the primes
+    p with (p-1) | j, so P_n B_j is an integer for every j <= 2n.
+    """
+    return prod(p for p in range(2, 2 * n + 2)
+                if all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+def _exact_int(scale: int, x: Fraction) -> int:
+    """The integer scale * x; raises ArithmeticError when it is not one."""
+    q, r = divmod(scale, x.denominator)
+    if r:
+        raise ArithmeticError(f"{scale} * {x} is not an integer")
+    return q * x.numerator
+
+
+@cache
+def _scaled_bernoulli(n: int) -> tuple[int, ...]:
+    """The integers v_j = P_n B_j for j = 0..2n."""
+    p = _vsc_denominator(n)
+    return tuple(_exact_int(p, b) for b in _bernoulli_upto(n))
+
+
+def _class_sums(w: Sequence[int], l: int) -> list[int]:
+    """[S_0, S_2, S_4] for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) w_j w_{l-j}.
 
     One pass over even j <= l/2: term j equals term l-j, so it is added to
     class j mod 6 and to class (l-j) mod 6, and only once when j = l/2.
     """
-    b = _table(l)
-    s = [Fraction(0)] * 3
+    s = [0, 0, 0]
     c = 1  # C(l, j)
     for j in range(0, l // 2 + 1, 2):
-        term = c * b[j] * b[l - j]
+        term = c * w[j] * w[l - j]
         s[j % 6 // 2] += term
         if 2 * j != l:
             s[(l - j) % 6 // 2] += term
         c = c * (l - j) * (l - j - 1) // ((j + 1) * (j + 2))
-    return tuple(s)
+    return s
+
+
+@cache
+def _even_classes(l: int) -> tuple[Fraction, ...]:
+    """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) B_j B_{l-j}.
+
+    Summed in integers over v_j = P_n B_j (n = _block(l)) and divided once by
+    P_n^2, so no Fraction is added on the way.
+    """
+    n = _block(l)
+    den = _vsc_denominator(n) ** 2
+    return tuple(Fraction(s, den) for s in _class_sums(_scaled_bernoulli(n), l))
 
 
 def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:

@@ -380,7 +380,10 @@ def _suites(value) -> dict:
     names = value.split(",") if isinstance(value, str) else value
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise DomainError(f"expected comma-separated suite names or a list of them, got {value!r}")
-    return {"suites": tuple(n.strip() for n in names if n.strip())}
+    suites = tuple(n.strip() for n in names if n.strip())
+    if not suites:
+        raise DomainError(f"no suite named in {value!r}; a run must check something")
+    return {"suites": suites}
 
 
 def _weights(value) -> dict:

@@ -18,10 +18,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Optional, Tuple
 
-from .bernoulli import bernoulli, ramanujan_sum
+from .bernoulli import (
+    _block,
+    _class_sums,
+    _exact_int,
+    _vsc_denominator,
+    bernoulli,
+    ramanujan_sum,
+)
 from .dzeta import (
     DzvTable,
     IndexPair,
@@ -386,13 +394,36 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 # exact chain: restricted sum formula -> gap-6 Bernoulli identities
 # ---------------------------------------------------------------------------
 
+@cache
+def _scaled_zeta_coefficients(n: int) -> tuple[int, ...]:
+    """u_j = j! P_n c_j for j = 4 (mod 6), j <= 2n, and 0 at every other
+    index, where zeta(j) = c_j pi^j is read from ``zeta_even_exact`` and P_n
+    is the von Staudt-Clausen multiple of the Bernoulli table block n.
+    Raises ArithmeticError when a factor is not a single pi^j term or a u_j
+    is not an integer."""
+    p = _vsc_denominator(n)
+    u = [0] * (2 * n + 1)
+    f = 1  # j!
+    for j in range(1, 2 * n + 1):
+        f *= j
+        if j % 6 == 4:
+            z = zeta_even_exact(j)
+            if set(z.terms()) != {j}:
+                raise ArithmeticError(f"zeta({j}) is not a single pi^{j} term: {z}")
+            u[j] = _exact_int(f * p, z.coeff(j))
+    return tuple(u)
+
+
 def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
     """Exact verification, in rational and pi-power arithmetic, that for
     l = 2 (mod 6), l >= 8:
 
       (a) the table has exactly (l-2)/6 pairs with l1 = l2 = 4 (mod 6);
       (b) sum_{j=4(6), 0<j<l} zeta(j) zeta(l-j) = ((l-1)/6) zeta(l) as
-          pi-polynomials (every factor is an even zeta value);
+          pi-polynomials.  Every factor is a single term c_j pi^j read from
+          ``zeta_even_exact``, so the left side is its pi^l coefficient
+          sum C(l,j) u_j u_(l-j) / (l! P_n^2), summed in integers over
+          u_j = j! P_n c_j (P_n as for the Bernoulli class sums);
       (c) converting (b) through zeta(m) = (-1)^(m/2+1) 2^(m-1) B_m/m! pi^m
           reproduces the m = 4 gap-6 Bernoulli identity exactly as checked by
           the bernoulli module.
@@ -406,10 +437,11 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     count = sum(1 for l1 in range(2, l) if l1 % 6 == 4 and (l - l1) % 6 == 4)
     count_ok = count == (l - 2) // 6
 
-    lhs_poly = sum(
-        (zeta_even_exact(j) * zeta_even_exact(l - j) for j in range(4, l, 6)),
-        start=PiPolynomial.zero(),
-    )
+    # u vanishes off j = 4 (mod 6), a class that l - j keeps when l = 2 (mod 6)
+    n = _block(l)
+    p = _vsc_denominator(n)
+    lhs_poly = PiPolynomial.single(
+        l, Fraction(_class_sums(_scaled_zeta_coefficients(n), l)[2], factorial(l) * p * p))
     rhs_poly = zeta_even_exact(l) * Fraction(l - 1, 6)
     poly_ok = lhs_poly == rhs_poly
 

@@ -111,10 +111,13 @@ def _hurwitz_rational(s: int, a: Fraction, precision: int) -> RealBall:
 
 def hurwitz_zeta(s: int, a: int | Fraction, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s, integer s >= 2 and
-    rational a >= 1, memoized by (s, a, working precision)."""
+    rational a >= 1 given as an int or a Fraction (a float is not the rational
+    it was written as), memoized by (s, a, working precision)."""
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"hurwitz_zeta requires integer s >= 2, got {s!r}")
-    a = Fraction(a)
+    if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+        raise DomainError(f"hurwitz_zeta requires an int or Fraction a, got {a!r}")
+    a = Fraction(a)  # 2 and Fraction(2) are one memo key, so the key is always a Fraction
     if a < 1:
         raise DomainError("hurwitz_zeta requires a >= 1")
     return _hurwitz_rational(s, a, ctx.working_precision)

@@ -11,20 +11,26 @@ zeta value to products of single zeta values.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import List, Tuple
 
 from dzv.numerics import PrecisionCtx, RealBall
 from dzv.zeta import zeta_numeric
 
 
-def pascal_binomial(n: int, k: int) -> int:
-    """C(n, k) by building Pascal's triangle additively."""
-    if k < 0 or k > n:
-        return 0
+@cache
+def _pascal_row(n: int) -> Tuple[int, ...]:
     row = [1]
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
+    return tuple(row)
+
+
+def pascal_binomial(n: int, k: int) -> int:
+    """C(n, k) by building Pascal's triangle additively; each row is built once."""
+    if k < 0 or k > n:
+        return 0
+    return _pascal_row(n)[k]
 
 
 def akiyama_tanigawa_bernoulli(n: int) -> List[Fraction]:

@@ -1,18 +1,23 @@
 """Tests for exact Bernoulli numbers and the convolution identities."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dzv.bernoulli import (
     _bernoulli_upto,
+    _even_classes,
+    _exact_int,
+    _scaled_bernoulli,
+    _vsc_denominator,
     bernoulli,
     euler_identity_check,
     ramanujan_check,
     ramanujan_sum,
 )
+from dzv.identities import _scaled_zeta_coefficients
 from dzv.numerics import DomainError
 
 from oracles import akiyama_tanigawa_bernoulli, pascal_binomial
@@ -68,8 +73,14 @@ def test_bernoulli_rejects_negative_index():
         bernoulli(-1)
 
 
+def _clear_memos():
+    for memo in (_bernoulli_upto, _vsc_denominator, _scaled_bernoulli, _even_classes,
+                 _scaled_zeta_coefficients):
+        memo.cache_clear()
+
+
 def test_cache_determinism():
-    _bernoulli_upto.cache_clear()
+    _clear_memos()
     for m in range(60, -1, -1):  # access order must not matter
         assert bernoulli(m) == _AT[m], m
 
@@ -77,11 +88,39 @@ def test_cache_determinism():
 def test_reads_across_table_blocks_agree():
     # a cold B_800 builds the table B_0..B_1024; the indices 129..0 then read
     # the smaller tables B_0..B_256 and B_0..B_128, which must agree with it
-    _bernoulli_upto.cache_clear()
+    _clear_memos()
     big = bernoulli(800)
     for m in range(129, -1, -1):
         assert bernoulli(m) == _AT[m] == _bernoulli_upto(512)[m], m
     assert bernoulli(800) == big
+
+
+def test_class_sums_do_not_depend_on_block_order():
+    # weight 800 reads the block n = 512, weight 130 the block n = 128
+    _clear_memos()
+    high_first = (_even_classes(800), _even_classes(130))
+    _clear_memos()
+    low_first = (_even_classes(130), _even_classes(800))
+    assert high_first == low_first[::-1]
+
+
+def test_scaled_bernoulli_is_exact():
+    # P_n B_j is an integer for j <= 2n, and the integer test never rounds
+    for n in (64, 128):
+        p = _vsc_denominator(n)
+        assert all(v == p * b for v, b in zip(_scaled_bernoulli(n), _AT[:2 * n + 1]))
+    assert _vsc_denominator(64) == prod(q for q in _primes_upto(129))
+    with pytest.raises(ArithmeticError):
+        _exact_int(6, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("l", [126, 128, 130, 254, 256, 258, 510, 512, 514, 800])
+def test_even_classes_against_term_by_term_oracle(l):
+    # weights on both sides of every table block edge (2n = 128, 256, 512)
+    direct = [Fraction(0)] * 3
+    for j in range(0, l + 1, 2):
+        direct[j % 6 // 2] += pascal_binomial(l, j) * bernoulli(j) * bernoulli(l - j)
+    assert _even_classes(l) == tuple(direct)
 
 
 # ---------------------------------------------------------------------------

@@ -331,10 +331,14 @@ def test_config_file_with_flag_precedence(tmp_path):
     ({"suites": 5}, [], 2),
     ({"precision": 64.7}, [], 2),
     (None, ["--tol", "1e--3"], 2),
+    (None, ["--suites", ","], 2),
+    ({"suites": []}, [], 2),
+    ({"suites": " , "}, [], 2),
     # 10^5000 has more digits than int-to-str conversion allows by default
     (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
 ], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
-        "tol-negative-exponent", "tol-5000-digits"])
+        "tol-negative-exponent", "suites-flag-empty", "suites-list-empty", "suites-string-empty",
+        "tol-5000-digits"])
 def test_verify_input_contract(tmp_path, capsys, config, flags, code):
     # bad input is exit 2 with one error line, never a default or a traceback
     argv = ["verify", "--weights", "3..3", *flags]

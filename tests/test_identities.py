@@ -392,3 +392,14 @@ def test_corollary2_chain_rejects_wrong_class(ctx128):
         corollary2_exact_chain(10, ctx128)
     with pytest.raises(DomainError):
         corollary2_exact_chain(2, ctx128)
+
+
+@pytest.mark.parametrize("l", [*range(8, 201, 6), 512, 800])
+def test_corollary2_chain_lhs_is_the_pi_polynomial_sum(l):
+    # the chain sums the pi^l coefficient in integers; the direct sum of
+    # PiPolynomial products must be that single term
+    direct = sum((zeta_even_exact(j) * zeta_even_exact(l - j) for j in range(4, l, 6)),
+                 start=PiPolynomial.zero())
+    r = corollary2_exact_chain(l)
+    assert direct == PiPolynomial.single(l, r.lhs)
+    assert r.passed and r.rhs == zeta_even_exact(l).coeff(l) * Fraction(l - 1, 6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dzv.numerics import DomainError, PiPolynomial, PrecisionCtx, RealBall
-from dzv.zeta import hurwitz_zeta, zeta_even_exact, zeta_numeric
+from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
 from oracles import (
     akiyama_tanigawa_bernoulli,
@@ -179,3 +179,25 @@ def test_hurwitz_preconditions(ctx128):
         hurwitz_zeta(1, 1, ctx128)
     with pytest.raises(DomainError):
         hurwitz_zeta(3, Fraction(1, 2), ctx128)
+
+
+@pytest.mark.parametrize("a", [1.1, 2.0, True, "2"],
+                         ids=["float", "integral-float", "bool", "str"])
+def test_hurwitz_rejects_a_that_is_not_int_or_fraction(ctx128, a):
+    # Fraction(1.1) is the double nearest 1.1, whose ball misses that of 11/10;
+    # the check comes before the memo, so nothing is cached for such an a
+    before = _hurwitz_rational.cache_info().currsize
+    with pytest.raises(DomainError):
+        hurwitz_zeta(3, a, ctx128)
+    assert _hurwitz_rational.cache_info().currsize == before
+
+
+def test_hurwitz_int_and_fraction_share_one_memo_key(ctx128):
+    # either type may reach the cold memo first; the value is the same
+    values = []
+    for first, second in ((2, Fraction(2)), (Fraction(2), 2)):
+        _hurwitz_rational.cache_clear()
+        values += [hurwitz_zeta(5, first, ctx128), hurwitz_zeta(5, second, ctx128)]
+        assert _hurwitz_rational.cache_info().currsize == 1
+    bounds = {(v.lower_fraction(), v.upper_fraction()) for v in values}
+    assert len(bounds) == 1
