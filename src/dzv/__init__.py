@@ -42,8 +42,6 @@ from .dzeta import (
     get_table,
 )
 from .identities import (
-    CongruenceFilter,
-    SumSpec,
     corollary1_check,
     corollary2_exact_chain,
     eq26_check,

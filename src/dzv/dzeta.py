@@ -21,8 +21,9 @@ a Hurwitz value, so
     c_k = B_2k (l1)_{2k-1} / (2k)!,   w = l1 + l2.
 
 The remainder is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule
-of the Hurwitz evaluator applied to each m2 and summed, and added to the
-radius.  One weight-w table reads the same vector zeta(w-1+j, A).
+of the Hurwitz evaluator (one ``zeta._em_truncate`` for both) applied to each
+m2 and summed, and added to the radius.  One weight-w table reads the same
+vector zeta(w-1+j, A).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .numerics import (
     ball_sum,
     complex_sum,
 )
-from .zeta import _em_coefficients, hurwitz_zeta, zeta_numeric
+from .zeta import _em_coefficients, _em_truncate, hurwitz_zeta, zeta_numeric
 
 __all__ = [
     "IndexPair",
@@ -118,16 +119,18 @@ def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
     pieces.append(hz(w).mul_2exp(-1).neg())
     # zeta(l1, l2) >= 2^-l1, so a remainder below 2^-(wp+l1) is below 2^-wp of the value
     negligible = Fraction(1, 2 ** (wp + l1))
-    prev_abs = None
-    for k, c in enumerate(_em_coefficients(l1), 1):
-        z = hz(w - 1 + 2 * k)
-        ta = abs(c) * z.upper_fraction()
-        if 4 * ta <= negligible or (prev_abs is not None and ta >= prev_abs):
-            # |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder
-            # is at most 4 |c_K| zeta(w-1+2K, A)
-            return ball_sum(pieces, wp).add_error(4 * ta)
-        pieces.append(RealBall.from_fraction(c, wp).mul(z, wp))
-        prev_abs = ta
+
+    def tail_terms():
+        # hz(w-1+2k) is evaluated only when the truncation draws term k
+        for k, c in enumerate(_em_coefficients(l1), 1):
+            z = hz(w - 1 + 2 * k)
+            yield (c, z), abs(c) * z.upper_fraction()
+
+    # |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder is at
+    # most 4 |c_K| zeta(w-1+2K, A)
+    kept, rem = _em_truncate(tail_terms(), negligible)
+    pieces.extend(RealBall.from_fraction(c, wp).mul(z, wp) for c, z in kept)
+    return ball_sum(pieces, wp).add_error(rem)
 
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:

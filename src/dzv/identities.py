@@ -1,10 +1,13 @@
 """Executable identity checks over double zeta tables: the sum formulas and
-the harmonic relation, congruence-filtered restricted sums, the parity
-formulas, the mod-6 restricted sum formulas and their even-weight
-restatements, the signed filter identity and the five cube-root-of-unity
-equations behind them, the two-variable functional equation, and the exact
-chain linking the l = 2 (mod 6) restricted sum formula to the gap-6 Bernoulli
-identities.
+the harmonic relation, the parity formulas, the mod-6 restricted sum formulas
+and their even-weight restatements, the signed restricted sum identity and the
+five cube-root-of-unity equations behind them, the two-variable functional
+equation, and the exact chain linking the l = 2 (mod 6) restricted sum formula
+to the gap-6 Bernoulli identities.
+
+In weight l every congruence mod 2, 3 or 6 on l1 or on l2 = l - l1 is a set of
+l1 classes mod 6, so each restricted sum is ``restricted_sum(t, coeffs)`` with
+one coefficient per class: the odd-l1 sum is (0, 1, 0, 1, 0, 1).
 
 Every suite is a function ``check(l, ctx)`` that fetches its own table and
 judges with the caller's context.  Numeric checks pass by
@@ -16,11 +19,11 @@ rationals or pi-polynomials and carry no tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .bernoulli import (
     _block,
@@ -32,7 +35,6 @@ from .bernoulli import (
 )
 from .dzeta import (
     DzvTable,
-    IndexPair,
     functional_eq26_sides,
     gen_poly_eval,
     gen_poly_real,
@@ -56,8 +58,6 @@ from .numerics import (
 from .zeta import zeta_even_exact, zeta_numeric
 
 __all__ = [
-    "CongruenceFilter",
-    "SumSpec",
     "restricted_sum",
     "sum_formula_check",
     "weighted_sum_check",
@@ -71,48 +71,11 @@ __all__ = [
     "corollary2_exact_chain",
 ]
 
-_ALLOWED_MODULI = (2, 3, 6)
 _EQ26_SAMPLES = 5
 
-
-@dataclass(frozen=True)
-class CongruenceFilter:
-    """Congruence conditions on a table pair: an optional (residue, modulus)
-    constraint per index, moduli drawn from {2, 3, 6}."""
-
-    first: Optional[Tuple[int, int]] = None
-    second: Optional[Tuple[int, int]] = None
-
-    def __post_init__(self):
-        for cond in (self.first, self.second):
-            if cond is None:
-                continue
-            res, mod = cond
-            if mod not in _ALLOWED_MODULI:
-                raise DomainError(f"modulus {mod} not in {_ALLOWED_MODULI}")
-            if not 0 <= res < mod:
-                raise DomainError(f"residue {res} not reduced mod {mod}")
-
-    def matches(self, p: IndexPair) -> bool:
-        if self.first is not None and p.l1 % self.first[1] != self.first[0]:
-            return False
-        if self.second is not None and p.l2 % self.second[1] != self.second[0]:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """A signed combination of congruence-filtered sums over one table."""
-
-    terms: Tuple[Tuple[Fraction, CongruenceFilter], ...]
-
-    @staticmethod
-    def of(*terms) -> "SumSpec":
-        return SumSpec(tuple((Fraction(c), f) for c, f in terms))
-
-    def coefficient_for(self, p: IndexPair) -> Fraction:
-        return sum((c for c, f in self.terms if f.matches(p)), Fraction(0))
+# l1 classes mod 6 of the parity sums; in even weight l2 has the parity of l1
+_EVEN_L1 = (1, 0, 1, 0, 1, 0)
+_ODD_L1 = (0, 1, 0, 1, 0, 1)
 
 
 def _scale(ball: RealBall, c: Fraction, wp: int) -> RealBall:
@@ -123,17 +86,22 @@ def _scale(ball: RealBall, c: Fraction, wp: int) -> RealBall:
     return ball.mul(RealBall.from_fraction(c, wp), wp)
 
 
-def restricted_sum(t: DzvTable, spec: SumSpec) -> RealBall:
-    """Signed filtered sum over the table, by per-pair coefficient
-    accumulation (overlapping filters add their coefficients; an empty match
-    contributes the exact zero ball)."""
+def restricted_sum(t: DzvTable, coeffs: Sequence[int | Fraction]) -> RealBall:
+    """sum over the table of coeffs[l1 % 6] zeta(l1, l2).
+
+    Since l2 = l - l1, a congruence mod 2, 3 or 6 on either index is a set of
+    l1 classes mod 6, so six coefficients state any signed restricted sum.
+    Each pair is scaled once and the sum rounds once; all-zero coefficients
+    give the exact zero ball."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != 6:
+        raise DomainError(f"restricted_sum needs 6 coefficients, one per l1 mod 6, got {len(coeffs)}")
+    for c in coeffs:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise DomainError(f"restricted_sum coefficients must be int or Fraction, got {c!r}")
     wp = t.precision + GUARD_BITS
-    terms = []
-    for pair in t.pairs():
-        c = spec.coefficient_for(pair)
-        if c:
-            terms.append(_scale(t.entries[pair], c, wp))
-    return ball_sum(terms, wp)
+    return ball_sum((_scale(t.entries[p], Fraction(coeffs[p.l1 % 6]), wp)
+                     for p in t.pairs() if coeffs[p.l1 % 6]), wp)
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +143,6 @@ def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 
 
 # ---------------------------------------------------------------------------
-# filters used by the named checks
-# ---------------------------------------------------------------------------
-
-def _on_first(res: int, mod: int) -> CongruenceFilter:
-    return CongruenceFilter(first=(res, mod))
-
-
-def _on_both(r1: int, r2: int) -> CongruenceFilter:
-    return CongruenceFilter(first=(r1, 6), second=(r2, 6))
-
-
-def _mod6_for(res3: int, odd: bool) -> int:
-    """The residue mod 6 that is = res3 (mod 3) with the requested parity."""
-    r = res3 % 3
-    return r if (r % 2 == 1) == odd else r + 3
-
-
-def _alternating_mod3_sum(t: DzvTable, res3: int) -> RealBall:
-    """sum over l1 = res3 (mod 3) of (-1)^(l1-1) zeta(l1, l2)."""
-    return restricted_sum(t, SumSpec.of(
-        (1, _on_first(_mod6_for(res3, odd=True), 6)),
-        (-1, _on_first(_mod6_for(res3, odd=False), 6)),
-    ))
-
-
-def _plain_mod3_sum(t: DzvTable, res3: int) -> RealBall:
-    return restricted_sum(t, SumSpec.of((1, _on_first(res3 % 3, 3))))
-
-
-# ---------------------------------------------------------------------------
 # parity formulas (even weight)
 # ---------------------------------------------------------------------------
 
@@ -217,8 +155,8 @@ def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckRepor
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     zl = zeta_numeric(l, ctx)
-    s_even = restricted_sum(t, SumSpec.of((1, CongruenceFilter((0, 2), (0, 2)))))
-    s_odd = restricted_sum(t, SumSpec.of((1, CongruenceFilter((1, 2), (1, 2)))))
+    s_even = restricted_sum(t, _EVEN_L1)
+    s_odd = restricted_sum(t, _ODD_L1)
     rhs_even = _scale(zl, Fraction(3, 4), wp)
     rhs_odd = _scale(zl, Fraction(1, 4), wp)
 
@@ -243,20 +181,16 @@ def theorem1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     wp = ctx.working_precision + GUARD_BITS
     case = l % 3
     if case == 0:
-        lhs = restricted_sum(t, SumSpec.of(
-            (1, _on_first(3, 6)), (-1, _on_first(4, 6)), (-1, _on_first(5, 6))))
-        rhs = restricted_sum(t, SumSpec.of((1, _on_first(1, 2)))).mul(
-            RealBall.from_fraction(Fraction(1, 3), wp), wp)
+        lhs = restricted_sum(t, (0, 0, 0, 1, -1, -1))
+        rhs = restricted_sum(t, _ODD_L1).mul(RealBall.from_fraction(Fraction(1, 3), wp), wp)
         tag = "i"
     elif case == 1:
-        lhs = restricted_sum(t, SumSpec.of(
-            (1, _on_first(3, 6)), (1, _on_first(4, 6)), (-1, _on_first(5, 6))))
-        rhs = restricted_sum(t, SumSpec.of((1, _on_first(0, 2)))).mul(
-            RealBall.from_fraction(Fraction(1, 3), wp), wp)
+        lhs = restricted_sum(t, (0, 0, 0, 1, 1, -1))
+        rhs = restricted_sum(t, _EVEN_L1).mul(RealBall.from_fraction(Fraction(1, 3), wp), wp)
         tag = "ii"
     else:
-        lhs = restricted_sum(t, SumSpec.of((1, _on_first(4, 6))))
-        odd_sum = restricted_sum(t, SumSpec.of((1, _on_first(1, 2))))
+        lhs = restricted_sum(t, (0, 0, 0, 0, 1, 0))
+        odd_sum = restricted_sum(t, _ODD_L1)
         rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(1, 6), wp), wp)
         rhs = rhs.sub(odd_sum.mul(RealBall.from_fraction(Fraction(1, 3), wp), wp), wp)
         tag = "iii"
@@ -264,7 +198,10 @@ def theorem1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 
 
 def corollary1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
-    """Even-weight restatement over both-index classes mod 6."""
+    """Even-weight restatement over both-index classes mod 6: (l1, l2) =
+    (3,3) - (4,2) - (5,1) for l = 0, (3,1) + (4,0) - (5,5) for l = 4 and
+    (4,4) for l = 2 (mod 6).  The l1 class fixes the l2 class, so these are
+    theorem1's vectors."""
     if l % 2 != 0 or l < 4:
         raise DomainError("the even-weight restatement needs even l >= 4")
     t = get_table(l, ctx)
@@ -272,39 +209,34 @@ def corollary1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     zl = zeta_numeric(l, ctx)
     case = l % 6
     if case == 0:
-        lhs = restricted_sum(t, SumSpec.of(
-            (1, _on_both(3, 3)), (-1, _on_both(4, 2)), (-1, _on_both(5, 1))))
+        lhs = restricted_sum(t, (0, 0, 0, 1, -1, -1))
         rhs = zl.mul(RealBall.from_fraction(Fraction(1, 12), wp), wp)
         tag = "i"
     elif case == 4:
-        lhs = restricted_sum(t, SumSpec.of(
-            (1, _on_both(3, 1)), (1, _on_both(4, 0)), (-1, _on_both(5, 5))))
+        lhs = restricted_sum(t, (0, 0, 0, 1, 1, -1))
         rhs = _scale(zl, Fraction(1, 4), wp)
         tag = "ii"
     else:
-        lhs = restricted_sum(t, SumSpec.of((1, _on_both(4, 4))))
+        lhs = restricted_sum(t, (0, 0, 0, 0, 1, 0))
         rhs = zl.mul(RealBall.from_fraction(Fraction(1, 12), wp), wp)
         tag = "iii"
     return check_from_sides(f"corollary1.{tag}[l={l}]", l, lhs, rhs, ctx)
 
 
+# the left side of prop1 per l1 class mod 6, by l mod 3; at l = 2 (mod 3) the
+# classes 1 and 4 each carry cancelling signs
+_PROP1_LHS = {0: (-1, 0, -1, 1, -2, -1), 1: (-1, 0, -1, -1, -2, 1), 2: (0, 0, 0, 0, -4, 0)}
+
+
 def prop1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
-    """Signed filter identity: with r = 2l mod 3 split by parity of l1,
+    """Signed restricted sum identity: with r = 2l mod 3 split by parity of l1,
 
         [S(l1=r(3), odd) - S(l1=r(3), even) - S(l1=l-1(3)) - 2 S(l1=4(6))]
           = -frac((l+1)/3) zeta(l) + (2/3) T_l(-1, 1).
     """
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    r2l = (2 * l) % 3
-    rl1 = (l - 1) % 3
-    spec = SumSpec.of(
-        (1, _on_first(_mod6_for(r2l, odd=True), 6)),
-        (-1, _on_first(_mod6_for(r2l, odd=False), 6)),
-        (-1, _on_first(rl1, 3)),
-        (-2, _on_first(4, 6)),
-    )
-    lhs = restricted_sum(t, spec)
+    lhs = restricted_sum(t, _PROP1_LHS[l % 3])
     frac_part = Fraction((l + 1) % 3, 3)
     rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(-frac_part, wp), wp)
     t_m11 = gen_poly_real(t, Fraction(-1), Fraction(1))
@@ -315,6 +247,16 @@ def prop1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 # ---------------------------------------------------------------------------
 # cube-root-of-unity equations
 # ---------------------------------------------------------------------------
+
+def _alternating_mod3_sum(t: DzvTable, res3: int) -> RealBall:
+    """sum over l1 = res3 (mod 3) of (-1)^(l1-1) zeta(l1, l2)."""
+    return restricted_sum(t, [(1 if r % 2 else -1) if r % 3 == res3 % 3 else 0 for r in range(6)])
+
+
+def _plain_mod3_sum(t: DzvTable, res3: int) -> RealBall:
+    """sum over l1 = res3 (mod 3) of zeta(l1, l2)."""
+    return restricted_sum(t, [int(r % 3 == res3 % 3) for r in range(6)])
+
 
 def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The five identities obtained by summing T_l specializations over

@@ -145,12 +145,20 @@ def _dy_up_from_fraction(q: Fraction) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Working precision (binary digits) plus the residual tolerance checks use."""
+    """Working precision (binary digits) plus the residual tolerance checks use.
+    The precision is an int; the tolerance is an int or a Fraction and is
+    stored as a Fraction (a float is not the rational it was written as)."""
 
     working_precision: int = 192
     target_tolerance: Fraction = Fraction(1, 10**40)
 
     def __post_init__(self):
+        wp, tol = self.working_precision, self.target_tolerance
+        if isinstance(wp, bool) or not isinstance(wp, int):
+            raise DomainError(f"working_precision must be an int, got {wp!r}")
+        if isinstance(tol, bool) or not isinstance(tol, (int, Fraction)):
+            raise DomainError(f"target_tolerance must be an int or Fraction, got {tol!r}")
+        object.__setattr__(self, "target_tolerance", Fraction(tol))
         if self.working_precision < 64:
             raise DomainError("working_precision must be at least 64 bits")
         if self.target_tolerance <= 0:

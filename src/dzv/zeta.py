@@ -51,26 +51,31 @@ def _em_coefficients(s: int):
         k += 1
 
 
-def _em_correction_terms(s: int, x: Fraction, negligible: Fraction):
-    """Correction terms c_k x^(1-s-2k) for k = 1.. and the remainder bound.
+def _em_truncate(terms, negligible: Fraction):
+    """The Euler-Maclaurin truncation rule over lazy (term, bound) pairs, bound
+    an upper bound on |term|: keep terms up to the first whose remainder bound
+    4 * bound is at most ``negligible``, or up to the asymptotic minimum (the
+    first bound that stops shrinking).  Returns (kept terms, remainder bound),
+    the remainder bound being 4x the first omitted bound.  Pairs past the
+    stopping one are never drawn."""
+    kept = []
+    prev = None
+    for term, bound in terms:
+        if 4 * bound <= negligible or (prev is not None and bound >= prev):
+            return kept, 4 * bound
+        kept.append(term)
+        prev = bound
 
-    Keeps terms as exact rationals; stops at the first term whose remainder
-    bound 4 |c_k x^(1-s-2k)| is at most ``negligible``, or at the asymptotic
-    minimum (the first term that stops shrinking).  Returns (terms,
-    remainder_bound) with remainder_bound = 4 |first omitted term|.
-    """
-    terms = []
+
+def _em_correction_terms(s: int, x: Fraction):
+    """The correction terms c_k x^(1-s-2k), k = 1, 2, ..., as exact rationals,
+    each paired with its absolute value."""
     x2inv = 1 / (x * x)
     pw = 1 / x ** (s - 1)
-    prev_abs = None
     for c in _em_coefficients(s):
         pw *= x2inv
         c *= pw
-        ca = abs(c)
-        if 4 * ca <= negligible or (prev_abs is not None and ca >= prev_abs):
-            return terms, 4 * ca
-        terms.append(c)
-        prev_abs = ca
+        yield c, abs(c)
 
 
 def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int) -> RealBall:
@@ -88,7 +93,7 @@ def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int) -> RealBall:
     pieces.append(RealBall.from_fraction(xpow / (2 * x), wp))
     # a^-s + x^(1-s)/(s-1) <= zeta(s, a), so the remainder is below 2^-wp of the value
     negligible = (1 / a**s + xpow / (s - 1)) / 2**wp
-    corrections, rem = _em_correction_terms(s, x, negligible)
+    corrections, rem = _em_truncate(_em_correction_terms(s, x), negligible)
     for c in corrections:
         pieces.append(RealBall.from_fraction(c, wp))
     return ball_sum(pieces, wp).add_error(rem)

@@ -15,8 +15,6 @@ from dzv.bernoulli import bernoulli, euler_identity_check, ramanujan_check
 from dzv.cli import RunConfig, SuiteReport, cmd_verify
 from dzv.dzeta import IndexPair, double_zeta, functional_eq26_check, gen_poly_real, get_table
 from dzv.identities import (
-    CongruenceFilter,
-    SumSpec,
     corollary1_check,
     corollary2_exact_chain,
     gkz_parity_check,
@@ -26,6 +24,7 @@ from dzv.identities import (
     theorem1_check,
 )
 from dzv.numerics import (
+    GUARD_BITS,
     ComplexBall,
     PrecisionCtx,
     RealBall,
@@ -201,11 +200,13 @@ def test_criterion_11_property_suites():
     rec = rec.sub(RealBall.from_fraction(Fraction(1, 8), 240), 240)
     ok = ok and rec.contains_zero() and rec.radius_fraction() < Fraction(1, 2**180)
 
-    # filter partition completeness at weight 12
+    # class partition completeness at weight 12: every pair is counted once,
+    # and the six unit-class sums add up to the table sum
     t = get_table(12, _CTX)
-    filters = [CongruenceFilter(first=(r, 6)) for r in range(6)]
-    ok = ok and all(sum(1 for f in filters if f.matches(p)) == 1 for p in t.pairs())
-    total = ball_sum((restricted_sum(t, SumSpec.of((1, f))) for f in filters), 300)
+    wp = t.precision + GUARD_BITS
+    ok = ok and restricted_sum(t, (1,) * 6).same_enclosure(ball_sum(t.entries.values(), wp))
+    units = [tuple(int(i == r) for i in range(6)) for r in range(6)]
+    total = ball_sum((restricted_sum(t, u) for u in units), 300)
     ok = ok and total.intersects(ball_sum(t.entries.values(), 300))
 
     # reflection symmetry of the Bernoulli convolutions

@@ -1,13 +1,11 @@
-"""Tests for the congruence-filtered identity checks."""
+"""Tests for the restricted sum identity checks."""
 
 from fractions import Fraction
 
 import pytest
 
-from dzv.dzeta import IndexPair, gen_poly_eval, get_table
+from dzv.dzeta import gen_poly_eval, get_table
 from dzv.identities import (
-    CongruenceFilter,
-    SumSpec,
     corollary1_check,
     corollary2_exact_chain,
     gkz_parity_check,
@@ -18,6 +16,7 @@ from dzv.identities import (
 )
 from dzv.bernoulli import ramanujan_sum
 from dzv.numerics import (
+    GUARD_BITS,
     ComplexBall,
     DomainError,
     PiPolynomial,
@@ -31,60 +30,126 @@ from dzv.numerics import (
 from dzv.zeta import zeta_even_exact, zeta_numeric
 
 
-def _on_first(res, mod):
-    return CongruenceFilter(first=(res, mod))
+def _unit(r):
+    """The coefficient vector of the single l1 class r mod 6."""
+    return tuple(int(i == r) for i in range(6))
 
 
 # ---------------------------------------------------------------------------
-# filters and restricted sums
+# restricted sums
 # ---------------------------------------------------------------------------
-
-def test_filter_validation():
-    with pytest.raises(DomainError):
-        CongruenceFilter(first=(0, 4))
-    with pytest.raises(DomainError):
-        CongruenceFilter(first=(6, 6))
-    with pytest.raises(DomainError):
-        CongruenceFilter(second=(-1, 3))
-
-
-def test_filter_matching():
-    f = CongruenceFilter(first=(4, 6), second=(4, 6))
-    assert f.matches(IndexPair(4, 4))
-    assert not f.matches(IndexPair(4, 10 - 4 + 6))  # (4, 12): second index 0 mod 6
-    assert CongruenceFilter().matches(IndexPair(2, 1))
-    assert CongruenceFilter(second=(1, 2)).matches(IndexPair(2, 3))
-
 
 def test_restricted_sum_single_match(ctx128):
     t = get_table(8, ctx128)
-    spec = SumSpec.of((1, CongruenceFilter(first=(4, 6), second=(4, 6))))
-    s = restricted_sum(t, spec)
+    s = restricted_sum(t, _unit(4))  # l1 = 4 (mod 6) in weight 8 is (4, 4) alone
     assert s.same_enclosure(t.entry(4, 4))
 
 
 def test_restricted_sum_empty_match_is_exact_zero(ctx128):
     t = get_table(3, ctx128)
-    s = restricted_sum(t, SumSpec.of((1, _on_first(4, 6))))
+    s = restricted_sum(t, _unit(4))
     assert s.is_zero()
 
 
 def test_restricted_sum_parity_partition_is_sum_formula(ctx128):
     t = get_table(6, ctx128)
-    spec = SumSpec.of((1, _on_first(0, 2)), (1, _on_first(1, 2)))
-    s = restricted_sum(t, spec)
+    s = restricted_sum(t, (1, 1, 1, 1, 1, 1))  # even l1 plus odd l1
     assert s.intersects(zeta_numeric(6, ctx128))
 
 
 def test_mod6_filters_partition_each_table(ctx128):
     for w in (3, 4, 7, 12):
         t = get_table(w, ctx128)
-        filters = [_on_first(r, 6) for r in range(6)]
-        for pair in t.pairs():
-            assert sum(1 for f in filters if f.matches(pair)) == 1
-        total = ball_sum(
-            (restricted_sum(t, SumSpec.of((1, f))) for f in filters), 300)
+        wp = t.precision + GUARD_BITS
+        assert restricted_sum(t, (1,) * 6).same_enclosure(ball_sum(t.entries.values(), wp))
+        total = ball_sum((restricted_sum(t, _unit(r)) for r in range(6)), 300)
         assert total.intersects(ball_sum(t.entries.values(), 300))
+
+
+def test_restricted_sum_fraction_coefficients_scale_each_pair(ctx128):
+    t = get_table(7, ctx128)
+    wp = t.precision + GUARD_BITS
+    third = RealBall.from_fraction(Fraction(1, 3), wp)
+    s = restricted_sum(t, (0, 0, Fraction(1, 3), 0, Fraction(-1, 4), 0))
+    expected = ball_sum([t.entry(2, 5).mul(third, wp),
+                         t.entry(4, 3).mul_int(-1).mul_2exp(-2)], wp)
+    assert s.same_enclosure(expected)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 1, 0, 1),
+    (1, 0, 1, 0, 1, 0, 1),
+    (),
+    (1.0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0.5),
+    (True, 0, 0, 0, 0, 0),
+    ("1", 0, 0, 0, 0, 0),
+    "101010",
+], ids=["five", "seven", "empty", "float", "float-half", "bool", "str-entry", "str"])
+def test_restricted_sum_rejects_bad_coefficients(ctx128, coeffs):
+    t = get_table(6, ctx128)
+    with pytest.raises(DomainError):
+        restricted_sum(t, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient vectors against the statements as written
+# ---------------------------------------------------------------------------
+
+def _signed_sum(t, terms):
+    """ball_sum of c zeta(l1, l2) over the table, c the sum of the signs of the
+    (sign, condition on (l1, l2)) terms that hold, with the checks' rounding."""
+    out = []
+    for p in t.pairs():
+        c = sum(sign for sign, cond in terms if cond(p.l1, p.l2))
+        if c:
+            out.append(t.entries[p].mul_int(c))
+    return ball_sum(out, t.precision + GUARD_BITS)
+
+
+def _both(r1, r2):
+    return lambda l1, l2: l1 % 6 == r1 and l2 % 6 == r2
+
+
+def _first(r):
+    return lambda l1, l2: l1 % 6 == r
+
+
+def test_left_sides_transcribe_the_statements(ctx192):
+    """Every restricted-sum left side is the signed sum the statement names,
+    with each congruence written on the index the statement puts it on."""
+    for l in range(3, 31):
+        t = get_table(l, ctx192)
+        theorem1 = {
+            0: [(1, _first(3)), (-1, _first(4)), (-1, _first(5))],
+            1: [(1, _first(3)), (1, _first(4)), (-1, _first(5))],
+            2: [(1, _first(4))],
+        }[l % 3]
+        assert theorem1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, theorem1)), l
+
+        # S(l1 = 2l (3), odd) - S(l1 = 2l (3), even) - S(l1 = l-1 (3)) - 2 S(l1 = 4 (6))
+        prop1 = [
+            (1, lambda l1, l2: l1 % 3 == 2 * l % 3 and l1 % 2 == 1),
+            (-1, lambda l1, l2: l1 % 3 == 2 * l % 3 and l1 % 2 == 0),
+            (-1, lambda l1, l2: l1 % 3 == (l - 1) % 3),
+            (-2, lambda l1, l2: l1 % 6 == 4),
+        ]
+        assert prop1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, prop1)), l
+
+        if l % 2 == 1:
+            continue
+        even, odd = gkz_parity_check(l, ctx192)
+        both_even = [(1, lambda l1, l2: l1 % 2 == 0 and l2 % 2 == 0)]
+        both_odd = [(1, lambda l1, l2: l1 % 2 == 1 and l2 % 2 == 1)]
+        assert even.lhs.same_enclosure(_signed_sum(t, both_even)), l
+        assert odd.lhs.same_enclosure(_signed_sum(t, both_odd)), l
+
+        corollary1 = {
+            0: [(1, _both(3, 3)), (-1, _both(4, 2)), (-1, _both(5, 1))],
+            4: [(1, _both(3, 1)), (1, _both(4, 0)), (-1, _both(5, 5))],
+            2: [(1, _both(4, 4))],
+        }[l % 6]
+        assert corollary1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, corollary1)), l
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +299,11 @@ def test_corollary1_iii_rederivable_from_theorem1_and_parity(ctx128):
     parity formula."""
     for l in (8, 14):
         t = get_table(l, ctx128)
-        thm_filter = _on_first(4, 6)
-        cor_filter = CongruenceFilter(first=(4, 6), second=(4, 6))
-        matched_thm = [p for p in t.pairs() if thm_filter.matches(p)]
-        matched_cor = [p for p in t.pairs() if cor_filter.matches(p)]
+        matched_thm = [p for p in t.pairs() if p.l1 % 6 == 4]
+        matched_cor = [p for p in t.pairs() if p.l1 % 6 == 4 and p.l2 % 6 == 4]
         assert matched_thm == matched_cor
         wp = 240
-        odd = restricted_sum(t, SumSpec.of((1, _on_first(1, 2))))
+        odd = restricted_sum(t, (0, 1, 0, 1, 0, 1))
         zl = zeta_numeric(l, ctx128)
         diff = zl.mul(RealBall.from_fraction(Fraction(1, 6), wp), wp)
         diff = diff.sub(odd.mul(RealBall.from_fraction(Fraction(1, 3), wp), wp), wp)
@@ -251,7 +314,7 @@ def test_corollary1_iii_rederivable_from_theorem1_and_parity(ctx128):
 
 
 # ---------------------------------------------------------------------------
-# signed filter identity
+# signed restricted sum identity
 # ---------------------------------------------------------------------------
 
 def test_prop1_weight3_hand_case(ctx128):
@@ -274,34 +337,36 @@ def test_prop1_sweep_small(ctx128):
 
 
 def test_prop1_two_evaluation_modes_agree(ctx128):
-    """Signed-multiset evaluation (filters outer) and per-pair coefficient
-    accumulation give identical midpoints with unrounded accumulation; the
-    multiset radius dominates when a pair carries cancelling signs."""
+    """Evaluating the four signed terms separately (terms outer) and per-pair
+    coefficient accumulation give identical midpoints with unrounded
+    accumulation; the term-wise radius dominates when a pair carries
+    cancelling signs."""
     hugeprec = 1 << 20
     for l in (3, 4, 5, 8, 11):
         t = get_table(l, ctx128)
         r2l = (2 * l) % 3
-        odd6 = r2l if r2l % 2 == 1 else r2l + 3
-        even6 = r2l if r2l % 2 == 0 else r2l + 3
-        spec = SumSpec.of(
-            (1, _on_first(odd6, 6)),
-            (-1, _on_first(even6, 6)),
-            (-1, _on_first((l - 1) % 3, 3)),
-            (-2, _on_first(4, 6)),
-        )
+        # (coefficient, l1 condition) per term of the prop1 left side
+        terms = [
+            (1, lambda l1: l1 % 3 == r2l and l1 % 2 == 1),
+            (-1, lambda l1: l1 % 3 == r2l and l1 % 2 == 0),
+            (-1, lambda l1: l1 % 3 == (l - 1) % 3),
+            (-2, lambda l1: l1 % 6 == 4),
+        ]
+        coeffs = [sum(c for c, cond in terms if cond(r)) for r in range(6)]
         # per-pair accumulation, no rounding
         by_pair = ball_sum(
-            (t.entries[p].mul_int(int(spec.coefficient_for(p)))
-             for p in t.pairs() if spec.coefficient_for(p)), hugeprec)
-        # filters outer, no rounding
-        by_filter = ball_sum(
-            (ball_sum((t.entries[p] for p in t.pairs() if f.matches(p)),
-                      hugeprec).mul_int(int(c))
-             for c, f in spec.terms), hugeprec)
-        assert by_pair.midpoint_fraction() == by_filter.midpoint_fraction()
-        assert by_pair.radius_fraction() <= by_filter.radius_fraction()
+            (t.entries[p].mul_int(coeffs[p.l1 % 6])
+             for p in t.pairs() if coeffs[p.l1 % 6]), hugeprec)
+        # terms outer, no rounding
+        by_term = ball_sum(
+            (ball_sum((t.entries[p] for p in t.pairs() if cond(p.l1)),
+                      hugeprec).mul_int(c)
+             for c, cond in terms), hugeprec)
+        assert by_pair.midpoint_fraction() == by_term.midpoint_fraction()
+        assert by_pair.radius_fraction() <= by_term.radius_fraction()
         if l % 3 != 2:  # no cancelling overlap: radii agree too
-            assert by_pair.same_enclosure(by_filter)
+            assert by_pair.same_enclosure(by_term)
+        assert prop1_check(l, ctx128).lhs.intersects(by_pair)
 
 
 # ---------------------------------------------------------------------------

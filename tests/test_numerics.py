@@ -288,3 +288,23 @@ def test_precision_ctx_validation():
         PrecisionCtx(32)
     with pytest.raises(DomainError):
         PrecisionCtx(128, Fraction(0))
+
+
+@pytest.mark.parametrize("precision, tolerance", [
+    (192.0, Fraction(1, 10**40)),
+    (True, Fraction(1, 10**40)),
+    ("192", Fraction(1, 10**40)),
+    (192, 1e-40),
+    (192, "1e-40"),
+    (192, True),
+], ids=["float-precision", "bool-precision", "str-precision",
+        "float-tolerance", "str-tolerance", "bool-tolerance"])
+def test_precision_ctx_rejects_non_exact_input(precision, tolerance):
+    with pytest.raises(DomainError):
+        PrecisionCtx(precision, tolerance)
+
+
+def test_precision_ctx_stores_int_tolerance_as_fraction():
+    ctx = PrecisionCtx(128, 1)
+    assert type(ctx.target_tolerance) is Fraction and ctx.target_tolerance == 1
+    assert ctx == PrecisionCtx(128, Fraction(1))
