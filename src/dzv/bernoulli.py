@@ -12,7 +12,7 @@ from functools import cache
 from math import isqrt, prod
 from typing import Optional, Sequence
 
-from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check
+from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check, require_exact
 
 __all__ = [
     "bernoulli",
@@ -56,7 +56,7 @@ def _block(m: int) -> int:
 
 def bernoulli(m: int) -> Fraction:
     """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, B_3 = 0, ...)."""
-    if m < 0:
+    if require_exact(m, "a Bernoulli index", (int,)) < 0:
         raise DomainError("Bernoulli index must be nonnegative")
     return _bernoulli_upto(_block(m))[m]
 
@@ -122,7 +122,7 @@ def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckRep
     Requires even l >= 4.  The check is exact, so ``ctx`` is ignored; it is
     accepted to share the ``(l, ctx)`` signature of every suite.
     """
-    if l % 2 != 0 or l < 4:
+    if require_exact(l, "a weight", (int,)) % 2 != 0 or l < 4:
         raise DomainError("the Bernoulli convolution identity needs even l >= 4")
     lhs = sum(_even_classes(l))
     rhs = -(l - 1) * bernoulli(l)
@@ -130,7 +130,7 @@ def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckRep
 
 
 def _require_gap6_weight(l: int) -> None:
-    if l % 6 != 2 or l < 8:
+    if require_exact(l, "a weight", (int,)) % 6 != 2 or l < 8:
         raise DomainError("gap-6 identities need l = 2 (mod 6) and l >= 8")
 
 

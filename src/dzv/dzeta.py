@@ -43,6 +43,7 @@ from .numerics import (
     RealBall,
     ball_sum,
     complex_sum,
+    require_exact,
 )
 from .zeta import _em_coefficients, _em_truncate, hurwitz_zeta, zeta_numeric
 
@@ -68,8 +69,8 @@ class IndexPair:
     l2: int
 
     def __post_init__(self):
-        if not (isinstance(self.l1, int) and isinstance(self.l2, int)):
-            raise DomainError(f"zeta({self.l1!r},{self.l2!r}) needs integer indices")
+        require_exact(self.l1, "l1", (int,))
+        require_exact(self.l2, "l2", (int,))
         if self.l1 < 2 or self.l2 < 1:
             raise DomainError(f"zeta({self.l1},{self.l2}) diverges; need l1 >= 2, l2 >= 1")
 
@@ -170,7 +171,7 @@ class DzvTable:
 
 def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Compute the complete weight-l table at the context's working precision."""
-    if l < 3:
+    if require_exact(l, "a table weight", (int,)) < 3:
         raise DomainError("tables need weight >= 3 (no convergent pairs below)")
     pairs = [IndexPair(l1, l - l1) for l1 in range(2, l)]
     values = [double_zeta(q, ctx) for q in pairs]
@@ -184,8 +185,9 @@ def _table(l: int, precision: int) -> DzvTable:
 
 def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Memoized tables; the key is (weight, working precision), and a table
-    holds nothing else of the context."""
-    return _table(l, ctx.working_precision)
+    holds nothing else of the context.  The weight is checked before the memo,
+    where 12.0 would hit the entry for 12."""
+    return _table(require_exact(l, "a table weight", (int,)), ctx.working_precision)
 
 
 def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:

@@ -7,7 +7,10 @@ to the gap-6 Bernoulli identities.
 
 In weight l every congruence mod 2, 3 or 6 on l1 or on l2 = l - l1 is a set of
 l1 classes mod 6, so each restricted sum is ``restricted_sum(t, coeffs)`` with
-one coefficient per class: the odd-l1 sum is (0, 1, 0, 1, 0, 1).
+one coefficient per class: the odd-l1 sum is (0, 1, 0, 1, 0, 1) and
+T_l(-1, 1) is (-1, 1, -1, 1, -1, 1).  The sum, parity, theorem1, corollary1 and
+prop1 formulas are the rows of ``_STATEMENTS``, each a class sum = z zeta(l)
++ c (another class sum), and ``_statement_checks`` judges every row.
 
 Every suite is a function ``check(l, ctx)`` that fetches its own table and
 judges with the caller's context.  Numeric checks pass by
@@ -37,7 +40,6 @@ from .dzeta import (
     DzvTable,
     functional_eq26_sides,
     gen_poly_eval,
-    gen_poly_real,
     get_table,
     _divided_difference,
 )
@@ -54,6 +56,7 @@ from .numerics import (
     complex_sum,
     cube_root_of_unity,
     exact_check,
+    require_exact,
 )
 from .zeta import zeta_even_exact, zeta_numeric
 
@@ -73,12 +76,15 @@ __all__ = [
 
 _EQ26_SAMPLES = 5
 
-# l1 classes mod 6 of the parity sums; in even weight l2 has the parity of l1
+# class vectors: every l1, even l1 and odd l1 (in even weight l2 has the
+# parity of l1), and T_l(-1, 1) = sum (-1)^(l1-1) zeta(l1, l2)
+_ALL = (1, 1, 1, 1, 1, 1)
 _EVEN_L1 = (1, 0, 1, 0, 1, 0)
 _ODD_L1 = (0, 1, 0, 1, 0, 1)
+_T_M11 = (-1, 1, -1, 1, -1, 1)
 
 
-def _scale(ball: RealBall, c: Fraction, wp: int) -> RealBall:
+def _scale(ball: RealBall, c: int | Fraction, wp: int) -> RealBall:
     """c * ball, exact when c is dyadic."""
     den = c.denominator
     if den & (den - 1) == 0:
@@ -93,27 +99,68 @@ def restricted_sum(t: DzvTable, coeffs: Sequence[int | Fraction]) -> RealBall:
     l1 classes mod 6, so six coefficients state any signed restricted sum.
     Each pair is scaled once and the sum rounds once; all-zero coefficients
     give the exact zero ball."""
-    coeffs = tuple(coeffs)
+    coeffs = tuple(require_exact(c, "a restricted_sum coefficient") for c in coeffs)
     if len(coeffs) != 6:
         raise DomainError(f"restricted_sum needs 6 coefficients, one per l1 mod 6, got {len(coeffs)}")
-    for c in coeffs:
-        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-            raise DomainError(f"restricted_sum coefficients must be int or Fraction, got {c!r}")
     wp = t.precision + GUARD_BITS
-    return ball_sum((_scale(t.entries[p], Fraction(coeffs[p.l1 % 6]), wp)
+    return ball_sum((_scale(t.entries[p], coeffs[p.l1 % 6], wp)
                      for p in t.pairs() if coeffs[p.l1 % 6]), wp)
 
 
 # ---------------------------------------------------------------------------
-# sum formulas and the harmonic relation
+# the statement table of the restricted sum formulas; the harmonic relation
 # ---------------------------------------------------------------------------
+
+# suite -> (modulus, {l mod modulus: rows}); a row (tag, lhs, z, c, rhs) states
+# sum lhs[l1%6] zeta(l1,l2) = z zeta(l) + c sum rhs[l1%6] zeta(l1,l2), rhs None
+# when c = 0.  A weight whose residue has no rows is outside the hypothesis.
+_STATEMENTS = {
+    "sum-formula": (1, {0: [("", _ALL, 1, 0, None)]}),  # the table adds up to zeta(l)
+    # even weight: both-even sum = (3/4) zeta(l), both-odd sum = (1/4) zeta(l)
+    "gkz-parity": (2, {0: [("even", _EVEN_L1, Fraction(3, 4), 0, None),
+                           ("odd", _ODD_L1, Fraction(1, 4), 0, None)]}),
+    # the weight-mod-3 restricted sum formula over first-index classes mod 6
+    "theorem1": (3, {0: [("i", (0, 0, 0, 1, -1, -1), 0, Fraction(1, 3), _ODD_L1)],
+                     1: [("ii", (0, 0, 0, 1, 1, -1), 0, Fraction(1, 3), _EVEN_L1)],
+                     2: [("iii", (0, 0, 0, 0, 1, 0), Fraction(1, 6), Fraction(-1, 3), _ODD_L1)]}),
+    # even-weight restatement over both-index classes mod 6, (l1, l2) = (3,3) -
+    # (4,2) - (5,1), (3,1) + (4,0) - (5,5), (4,4) for l = 0, 4, 2 (mod 6); the
+    # l1 class fixes the l2 class, so the left sides are theorem1's
+    "corollary1": (6, {0: [("i", (0, 0, 0, 1, -1, -1), Fraction(1, 12), 0, None)],
+                       4: [("ii", (0, 0, 0, 1, 1, -1), Fraction(1, 4), 0, None)],
+                       2: [("iii", (0, 0, 0, 0, 1, 0), Fraction(1, 12), 0, None)]}),
+    # the signed restricted sum identity, r = 2l mod 3 split by parity of l1:
+    #   S(l1=r(3), odd) - S(l1=r(3), even) - S(l1=l-1(3)) - 2 S(l1=4(6))
+    #     = -frac((l+1)/3) zeta(l) + (2/3) T_l(-1, 1);
+    # at l = 2 (mod 3) the classes 1 and 4 each carry cancelling signs
+    "prop1": (3, {0: [("", (-1, 0, -1, 1, -2, -1), Fraction(-1, 3), Fraction(2, 3), _T_M11)],
+                  1: [("", (-1, 0, -1, -1, -2, 1), Fraction(-2, 3), Fraction(2, 3), _T_M11)],
+                  2: [("", (0, 0, 0, 0, -4, 0), 0, Fraction(2, 3), _T_M11)]}),
+}
+
+
+def _statement_checks(suite: str, l: int, ctx: PrecisionCtx) -> list[CheckReport]:
+    """Judge every row of the suite's statement table at weight l."""
+    modulus, by_residue = _STATEMENTS[suite]
+    rows = by_residue.get(require_exact(l, "a weight", (int,)) % modulus)
+    if rows is None:
+        raise DomainError(f"{suite} states no formula in weight {l}")
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
+    out = []
+    for tag, lhs, z, c, rhs in rows:
+        terms = [_scale(zeta_numeric(l, ctx), z, wp)] if z else []
+        if c:
+            terms.append(_scale(restricted_sum(t, rhs), c, wp))
+        label = f"{suite}.{tag}" if tag else suite
+        out.append(check_from_sides(f"{label}[l={l}]", l, restricted_sum(t, lhs),
+                                    ball_sum(terms, wp), ctx))
+    return out
+
 
 def sum_formula_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     """The weight-l table adds up to zeta(l)."""
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    lhs = ball_sum(t.entries.values(), wp)
-    return check_from_sides(f"sum-formula[l={l}]", l, lhs, zeta_numeric(l, ctx), ctx)
+    return _statement_checks("sum-formula", l, ctx)[0]
 
 
 def weighted_sum_check(l: int, ctx: PrecisionCtx) -> CheckReport:
@@ -142,26 +189,11 @@ def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# parity formulas (even weight)
-# ---------------------------------------------------------------------------
-
 def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckReport]:
-    """Both-even sum = (3/4) zeta(l) and both-odd sum = (1/4) zeta(l) for even
-    weight; at weight 4 both equalities are additionally verified exactly in
-    pi-power arithmetic, and the reports are marked exact."""
-    if l % 2 != 0 or l < 4:
-        raise DomainError("parity formulas need even weight >= 4")
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    zl = zeta_numeric(l, ctx)
-    s_even = restricted_sum(t, _EVEN_L1)
-    s_odd = restricted_sum(t, _ODD_L1)
-    rhs_even = _scale(zl, Fraction(3, 4), wp)
-    rhs_odd = _scale(zl, Fraction(1, 4), wp)
-
-    even = check_from_sides(f"gkz-parity.even[l={l}]", l, s_even, rhs_even, ctx)
-    odd = check_from_sides(f"gkz-parity.odd[l={l}]", l, s_odd, rhs_odd, ctx)
+    """The parity formulas of even weight l >= 4; at weight 4 both equalities
+    are additionally verified exactly in pi-power arithmetic, and the reports
+    are marked exact."""
+    even, odd = _statement_checks("gkz-parity", l, ctx)
     if l == 4:
         z2, z4 = zeta_even_exact(2), zeta_even_exact(4)
         dz22 = (z2 * z2 - z4) * Fraction(1, 2)   # harmonic relation at (2,2)
@@ -171,77 +203,19 @@ def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckRepor
     return even, odd
 
 
-# ---------------------------------------------------------------------------
-# mod-6 restricted sum formulas
-# ---------------------------------------------------------------------------
-
 def theorem1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
-    """The weight-mod-3 restricted sum formula over first-index classes mod 6."""
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    case = l % 3
-    if case == 0:
-        lhs = restricted_sum(t, (0, 0, 0, 1, -1, -1))
-        rhs = restricted_sum(t, _ODD_L1).mul(RealBall.from_fraction(Fraction(1, 3), wp), wp)
-        tag = "i"
-    elif case == 1:
-        lhs = restricted_sum(t, (0, 0, 0, 1, 1, -1))
-        rhs = restricted_sum(t, _EVEN_L1).mul(RealBall.from_fraction(Fraction(1, 3), wp), wp)
-        tag = "ii"
-    else:
-        lhs = restricted_sum(t, (0, 0, 0, 0, 1, 0))
-        odd_sum = restricted_sum(t, _ODD_L1)
-        rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(1, 6), wp), wp)
-        rhs = rhs.sub(odd_sum.mul(RealBall.from_fraction(Fraction(1, 3), wp), wp), wp)
-        tag = "iii"
-    return check_from_sides(f"theorem1.{tag}[l={l}]", l, lhs, rhs, ctx)
+    """The weight-mod-3 restricted sum formula, case i, ii or iii by l mod 3."""
+    return _statement_checks("theorem1", l, ctx)[0]
 
 
 def corollary1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
-    """Even-weight restatement over both-index classes mod 6: (l1, l2) =
-    (3,3) - (4,2) - (5,1) for l = 0, (3,1) + (4,0) - (5,5) for l = 4 and
-    (4,4) for l = 2 (mod 6).  The l1 class fixes the l2 class, so these are
-    theorem1's vectors."""
-    if l % 2 != 0 or l < 4:
-        raise DomainError("the even-weight restatement needs even l >= 4")
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    zl = zeta_numeric(l, ctx)
-    case = l % 6
-    if case == 0:
-        lhs = restricted_sum(t, (0, 0, 0, 1, -1, -1))
-        rhs = zl.mul(RealBall.from_fraction(Fraction(1, 12), wp), wp)
-        tag = "i"
-    elif case == 4:
-        lhs = restricted_sum(t, (0, 0, 0, 1, 1, -1))
-        rhs = _scale(zl, Fraction(1, 4), wp)
-        tag = "ii"
-    else:
-        lhs = restricted_sum(t, (0, 0, 0, 0, 1, 0))
-        rhs = zl.mul(RealBall.from_fraction(Fraction(1, 12), wp), wp)
-        tag = "iii"
-    return check_from_sides(f"corollary1.{tag}[l={l}]", l, lhs, rhs, ctx)
-
-
-# the left side of prop1 per l1 class mod 6, by l mod 3; at l = 2 (mod 3) the
-# classes 1 and 4 each carry cancelling signs
-_PROP1_LHS = {0: (-1, 0, -1, 1, -2, -1), 1: (-1, 0, -1, -1, -2, 1), 2: (0, 0, 0, 0, -4, 0)}
+    """theorem1's even-weight restatement, case i, iii or ii by l mod 6."""
+    return _statement_checks("corollary1", l, ctx)[0]
 
 
 def prop1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
-    """Signed restricted sum identity: with r = 2l mod 3 split by parity of l1,
-
-        [S(l1=r(3), odd) - S(l1=r(3), even) - S(l1=l-1(3)) - 2 S(l1=4(6))]
-          = -frac((l+1)/3) zeta(l) + (2/3) T_l(-1, 1).
-    """
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    lhs = restricted_sum(t, _PROP1_LHS[l % 3])
-    frac_part = Fraction((l + 1) % 3, 3)
-    rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(-frac_part, wp), wp)
-    t_m11 = gen_poly_real(t, Fraction(-1), Fraction(1))
-    rhs = rhs.add(t_m11.mul(RealBall.from_fraction(Fraction(2, 3), wp), wp), wp)
-    return check_from_sides(f"prop1[l={l}]", l, lhs, rhs, ctx)
+    """The signed restricted sum identity with T_l(-1, 1) on the right."""
+    return _statement_checks("prop1", l, ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +245,7 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     one = ComplexBall.one()
     zl = zeta_numeric(l, ctx)
     zl_c = ComplexBall.from_real(zl)
-    t_m11 = ComplexBall.from_real(gen_poly_real(t, Fraction(-1), Fraction(1)))
+    t_m11 = ComplexBall.from_real(restricted_sum(t, _T_M11))
     half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)
     shared_tail = ComplexBall.from_real(zl.mul(half_lp1, wp)).sub(t_m11, wp)
 
@@ -373,7 +347,7 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     The report's sides are the pi^l coefficients of (b); it passes only when
     (a), (b) and (c) all hold.  Exact, so ``ctx`` is ignored.
     """
-    if l % 6 != 2 or l < 8:
+    if require_exact(l, "a weight", (int,)) % 6 != 2 or l < 8:
         raise DomainError("the exact chain needs l = 2 (mod 6) and l >= 8")
 
     count = sum(1 for l1 in range(2, l) if l1 % 6 == 4 and (l - l1) % 6 == 4)

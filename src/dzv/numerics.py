@@ -50,6 +50,16 @@ class PrecisionUnreachableError(RuntimeError):
     """Automatic parameter escalation hit its cap before meeting the radius target."""
 
 
+def require_exact(x, what: str, kinds: tuple = (int, Fraction)):
+    """x itself when it is an instance of one of kinds and not a bool, else
+    DomainError: a float is not the rational it was written as, and a memo
+    keyed by 12 would answer for 12.0."""
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{what} must be an {names}, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # dyadic helpers: a dyadic number is (man, exp) meaning man * 2**exp
 # ---------------------------------------------------------------------------
@@ -153,11 +163,8 @@ class PrecisionCtx:
     target_tolerance: Fraction = Fraction(1, 10**40)
 
     def __post_init__(self):
-        wp, tol = self.working_precision, self.target_tolerance
-        if isinstance(wp, bool) or not isinstance(wp, int):
-            raise DomainError(f"working_precision must be an int, got {wp!r}")
-        if isinstance(tol, bool) or not isinstance(tol, (int, Fraction)):
-            raise DomainError(f"target_tolerance must be an int or Fraction, got {tol!r}")
+        require_exact(self.working_precision, "working_precision", (int,))
+        tol = require_exact(self.target_tolerance, "target_tolerance")
         object.__setattr__(self, "target_tolerance", Fraction(tol))
         if self.working_precision < 64:
             raise DomainError("working_precision must be at least 64 bits")
@@ -200,8 +207,9 @@ class RealBall:
 
     @staticmethod
     def from_fraction(q, prec: int) -> "RealBall":
-        """Ball containing the rational q, exact when q is dyadic."""
-        q = Fraction(q)
+        """Ball containing the rational q (an int or a Fraction), exact when q
+        is dyadic."""
+        require_exact(q, "from_fraction's q")
         num, den = q.numerator, q.denominator
         if num == 0:
             return RealBall(0, 0, 0, 0)
@@ -244,7 +252,7 @@ class RealBall:
         return _dy_cmp(abs(self._mm), self._me, self._rm, self._re) <= 0
 
     def contains_fraction(self, q) -> bool:
-        q = Fraction(q)
+        require_exact(q, "contains_fraction's q")
         return abs(self.midpoint_fraction() - q) <= self.radius_fraction()
 
     def contains_ball(self, other: "RealBall") -> bool:
@@ -305,8 +313,7 @@ class RealBall:
 
     def add_error(self, q) -> "RealBall":
         """Inflate the radius by a nonnegative rational bound (rounded up)."""
-        q = Fraction(q)
-        if q < 0:
+        if require_exact(q, "add_error's bound") < 0:
             raise ValueError("error bound must be nonnegative")
         if q == 0:
             return self
@@ -369,6 +376,7 @@ class ComplexBall:
 
     @staticmethod
     def from_fractions(re, im, prec: int) -> "ComplexBall":
+        """The ball of re + i im, each an int or a Fraction."""
         return ComplexBall(RealBall.from_fraction(re, prec),
                            RealBall.from_fraction(im, prec))
 
@@ -596,8 +604,9 @@ class ZeroCertificate:
 
 
 def ball_is_zero_within(x: RealBall, tol) -> Tuple[bool, ZeroCertificate]:
-    """True iff |midpoint| + radius <= tol, with the exact quantities recorded."""
-    tol = Fraction(tol)
+    """True iff |midpoint| + radius <= tol (an int or a Fraction), with the
+    exact quantities recorded."""
+    tol = Fraction(require_exact(tol, "tolerance"))
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     mid = abs(x.midpoint_fraction())

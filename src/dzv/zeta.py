@@ -21,6 +21,7 @@ from .numerics import (
     RealBall,
     ball_sum,
     pipoly_eval,
+    require_exact,
 )
 
 __all__ = ["zeta_even_exact", "zeta_numeric", "hurwitz_zeta"]
@@ -32,7 +33,7 @@ _MAX_ESCALATIONS = 10
 @cache
 def zeta_even_exact(m: int) -> PiPolynomial:
     """zeta(m) for even m >= 2 as the single term ((-1)^(m/2+1) 2^(m-1) B_m / m!) pi^m."""
-    if m % 2 != 0 or m < 2:
+    if require_exact(m, "zeta_even_exact's m", (int,)) % 2 != 0 or m < 2:
         raise DomainError("exact pi-power form exists only for even m >= 2")
     coeff = Fraction((-1) ** (m // 2 + 1) * 2 ** (m - 1), factorial(m)) * bernoulli(m)
     return PiPolynomial.single(m, coeff)
@@ -118,11 +119,10 @@ def hurwitz_zeta(s: int, a: int | Fraction, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s, integer s >= 2 and
     rational a >= 1 given as an int or a Fraction (a float is not the rational
     it was written as), memoized by (s, a, working precision)."""
-    if not isinstance(s, int) or s < 2:
-        raise DomainError(f"hurwitz_zeta requires integer s >= 2, got {s!r}")
-    if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
-        raise DomainError(f"hurwitz_zeta requires an int or Fraction a, got {a!r}")
-    a = Fraction(a)  # 2 and Fraction(2) are one memo key, so the key is always a Fraction
+    if require_exact(s, "hurwitz_zeta's s", (int,)) < 2:
+        raise DomainError(f"hurwitz_zeta requires s >= 2, got {s!r}")
+    # 2 and Fraction(2) are one memo key, so the key is always a Fraction
+    a = Fraction(require_exact(a, "hurwitz_zeta's a"))
     if a < 1:
         raise DomainError("hurwitz_zeta requires a >= 1")
     return _hurwitz_rational(s, a, ctx.working_precision)
@@ -139,6 +139,6 @@ def _zeta_numeric(s: int, precision: int) -> RealBall:
 def zeta_numeric(s: int, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(s), s >= 2: exact pi-power route for even s,
     Euler-Maclaurin at a = 1 for odd s; memoized by (s, working precision)."""
-    if not isinstance(s, int) or s < 2:
-        raise DomainError(f"zeta_numeric requires integer s >= 2, got {s!r}")
+    if require_exact(s, "zeta_numeric's s", (int,)) < 2:
+        raise DomainError(f"zeta_numeric requires s >= 2, got {s!r}")
     return _zeta_numeric(s, ctx.working_precision)

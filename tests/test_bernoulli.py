@@ -17,7 +17,7 @@ from dzv.bernoulli import (
     ramanujan_check,
     ramanujan_sum,
 )
-from dzv.identities import _scaled_zeta_coefficients
+from dzv.identities import _scaled_zeta_coefficients, corollary2_exact_chain
 from dzv.numerics import DomainError
 
 from oracles import akiyama_tanigawa_bernoulli, pascal_binomial
@@ -77,6 +77,27 @@ def _clear_memos():
     for memo in (_bernoulli_upto, _vsc_denominator, _scaled_bernoulli, _even_classes,
                  _scaled_zeta_coefficients):
         memo.cache_clear()
+
+
+@pytest.mark.parametrize("call, n", [
+    (bernoulli, 4),
+    (euler_identity_check, 12),
+    (lambda l: ramanujan_sum(l, 4), 14),
+    (ramanujan_check, 14),
+    (corollary2_exact_chain, 14),
+], ids=["bernoulli", "euler", "ramanujan-sum", "ramanujan-check", "corollary2-chain"])
+def test_non_int_index_is_rejected_cold_and_warm(call, n):
+    """n.0 and True fail with DomainError before any memo, so the verdict
+    cannot depend on whether the int n warmed the memo first (12.0 would hit
+    the class sums memoized for 12)."""
+    _clear_memos()
+    for bad in (float(n), True):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(n)
+    for bad in (float(n), True):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 def test_cache_determinism():

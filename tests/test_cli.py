@@ -140,7 +140,7 @@ def test_printed_residual_encloses_the_residual(re, im, r):
         mids = rec.residual_midpoint.rstrip("i").split(" + ")
         rad = Fraction(rec.residual_radius)
         for b, m in zip(parts, mids):
-            assert RealBall.from_fraction(m, 400).add_error(rad).contains_ball(b)
+            assert RealBall.from_fraction(Fraction(m), 400).add_error(rad).contains_ball(b)
 
 
 @settings(max_examples=200, deadline=None)

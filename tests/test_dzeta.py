@@ -160,6 +160,21 @@ def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
     assert s_m.radius_fraction() + h_m.radius_fraction() <= Fraction(1, 2 ** (wp + l1))
 
 
+@pytest.mark.parametrize("make", [build_table, get_table], ids=["build", "get"])
+def test_non_int_table_weight_is_rejected_cold_and_warm(make):
+    """A table weight of 12.0 or True fails with DomainError before the memo,
+    where 12.0 would hit the entry for 12."""
+    ctx = PrecisionCtx(96)
+    _table.cache_clear()
+    for bad in (12.0, True):
+        with pytest.raises(DomainError):
+            make(bad, ctx)
+    get_table(12, ctx)
+    for bad in (12.0, True):
+        with pytest.raises(DomainError):
+            make(bad, ctx)
+
+
 def test_values_do_not_depend_on_call_order():
     def values():
         ctx = PrecisionCtx(192)

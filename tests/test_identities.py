@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from dzv.dzeta import gen_poly_eval, get_table
+from dzv.dzeta import _table, gen_poly_eval, gen_poly_real, get_table
 from dzv.identities import (
+    _STATEMENTS,
+    _T_M11,
+    _statement_checks,
     corollary1_check,
     corollary2_exact_chain,
     gkz_parity_check,
     lemma1_check,
     prop1_check,
     restricted_sum,
+    sum_formula_check,
     theorem1_check,
 )
 from dzv.bernoulli import ramanujan_sum
@@ -150,6 +154,79 @@ def test_left_sides_transcribe_the_statements(ctx192):
             2: [(1, _both(4, 4))],
         }[l % 6]
         assert corollary1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, corollary1)), l
+
+
+# ---------------------------------------------------------------------------
+# the statement table
+# ---------------------------------------------------------------------------
+
+def _bump(v, k):
+    return tuple(x + (i == k) for i, x in enumerate(v))
+
+
+def _table_mutations():
+    """(suite, residue, weight, row index, mutated row): every row of the
+    statement table with one entry of its lhs, rhs, z or c raised by 1, at the
+    smallest weight >= 9 the row applies to, where every l1 class mod 6 holds
+    a pair.  A row without a second class sum has c = 0 and rhs None, so only
+    its lhs and z are raised."""
+    for suite, (modulus, by_residue) in _STATEMENTS.items():
+        for residue, rows in by_residue.items():
+            l = next(w for w in range(9, 9 + modulus) if w % modulus == residue)
+            for i, (tag, lhs, z, c, rhs) in enumerate(rows):
+                variants = [(tag, _bump(lhs, k), z, c, rhs) for k in range(6)]
+                variants.append((tag, lhs, z + 1, c, rhs))
+                if rhs is not None:
+                    variants += [(tag, lhs, z, c, _bump(rhs, k)) for k in range(6)]
+                    variants.append((tag, lhs, z, c + 1, rhs))
+                for row in variants:
+                    yield suite, residue, l, i, row
+
+
+def test_every_mutated_statement_row_fails(ctx128, monkeypatch):
+    """Every row holds at its mutation weight, and raising any coefficient of
+    any row by 1 breaks its check: each entry of the table is read, and read
+    where the statement puts it."""
+    accepted = []
+    mutations = list(_table_mutations())
+    for suite, residue, l, i, row in mutations:
+        assert _statement_checks(suite, l, ctx128)[i].passed, (suite, l, i)
+        modulus, by_residue = _STATEMENTS[suite]
+        rows = list(by_residue[residue])
+        rows[i] = row
+        monkeypatch.setitem(_STATEMENTS, suite, (modulus, {**by_residue, residue: rows}))
+        if _statement_checks(suite, l, ctx128)[i].passed:
+            accepted.append((suite, l, row))
+        monkeypatch.undo()
+    assert len(mutations) == 126
+    assert not accepted
+
+
+def test_t_m11_class_vector_is_the_generating_polynomial(ctx128):
+    """T_l(-1, 1) as the class vector _T_M11 encloses the same value as
+    evaluating T_l at (-1, 1)."""
+    assert _T_M11 == tuple(1 if r % 2 else -1 for r in range(6))  # (-1)^(l1-1)
+    for l in range(3, 15):
+        t = get_table(l, ctx128)
+        s = restricted_sum(t, _T_M11)
+        assert s.same_enclosure(gen_poly_real(t, Fraction(-1), Fraction(1))), l
+
+
+@pytest.mark.parametrize("check", [sum_formula_check, gkz_parity_check, theorem1_check,
+                                   corollary1_check, prop1_check, lemma1_check],
+                         ids=lambda f: f.__name__)
+def test_non_int_weight_is_rejected_cold_and_warm(check):
+    """12.0 and True fail with DomainError before the table memo, where 12.0
+    would hit the table of 12; the verdict is the same cold or warm."""
+    ctx = PrecisionCtx(96, Fraction(1, 10**20))
+    _table.cache_clear()
+    for bad in (12.0, True):
+        with pytest.raises(DomainError):
+            check(bad, ctx)
+    check(12, ctx)
+    for bad in (12.0, True):
+        with pytest.raises(DomainError):
+            check(bad, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,33 @@ def test_precision_ctx_rejects_non_exact_input(precision, tolerance):
         PrecisionCtx(precision, tolerance)
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, "1/10", None],
+                         ids=["float", "float-integral", "bool", "str", "none"])
+def test_rational_arguments_are_int_or_fraction(bad):
+    """A float is the binary double, not the number written (0.1 is not 1/10),
+    so every rational argument of the ball layer is an int or a Fraction."""
+    third = RealBall.from_fraction(Fraction(1, 3), 128)
+    calls = [
+        lambda: RealBall.from_fraction(bad, 128),
+        lambda: ComplexBall.from_fractions(bad, 0, 128),
+        lambda: ComplexBall.from_fractions(0, bad, 128),
+        lambda: third.add_error(bad),
+        lambda: third.contains_fraction(bad),
+        lambda: ball_is_zero_within(third, bad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_rational_arguments_accept_int_and_fraction():
+    assert RealBall.from_fraction(3, 64).same_enclosure(RealBall.from_int(3))
+    tenth = RealBall.from_fraction(Fraction(1, 10), 128)
+    assert tenth.contains_fraction(Fraction(1, 10)) and not tenth.is_exact()
+    assert tenth.add_error(1).contains_fraction(1)
+    assert ball_is_zero_within(RealBall.zero(), 1)[0]
+
+
 def test_precision_ctx_stores_int_tolerance_as_fraction():
     ctx = PrecisionCtx(128, 1)
     assert type(ctx.target_tolerance) is Fraction and ctx.target_tolerance == 1

@@ -46,6 +46,13 @@ def test_zeta_even_exact_rejects_odd():
         zeta_even_exact(0)
 
 
+def test_zeta_even_exact_rejects_non_int_index():
+    zeta_even_exact(4)  # a warm memo must not answer for 4.0
+    for bad in (4.0, True):
+        with pytest.raises(DomainError):
+            zeta_even_exact(bad)
+
+
 # ---------------------------------------------------------------------------
 # numeric values against the direct-summation oracle
 # ---------------------------------------------------------------------------
