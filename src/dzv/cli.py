@@ -7,8 +7,9 @@ whose keys are all in that table.
 
 Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed
 or errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the
-output path), reported as one `error:` line.  Printed values show only
-digits certified by the ball radius.
+output path), reported as one `error:` line.  A printed ball shows the
+digits that both of its ends share when truncated, or, when their integer
+parts already differ, an integer inside the ball; "0" only when it holds 0.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .numerics import (
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
+    require_exact,
+    _radius_decimal,
+    _radius_digits,
+    _sci,
 )
 
 __all__ = ["RunConfig", "SuiteReport", "CheckRecord", "cmd_verify", "main", "SUITE_NAMES"]
@@ -74,6 +79,8 @@ class RunConfig:
     def __post_init__(self):
         # a list of names, as a JSON report reads back, makes an equal config
         object.__setattr__(self, "suites", tuple(self.suites))
+        for name in ("weight_min", "weight_max", "tolerance_exponent", "parallelism"):
+            require_exact(getattr(self, name), name, (int,))
         if self.weight_min > self.weight_max:
             raise DomainError("weight_min must not exceed weight_max")
         if self.tolerance_exponent < 0:
@@ -148,58 +155,23 @@ def _decimal_truncate(q: Fraction, digits: int) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
-def _radius_digits(r: Fraction) -> tuple[int, int]:
-    """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
-    upper bound of the positive rational r."""
-    num, den = r.numerator, r.denominator
-    # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
-    e = len(str(num)) - len(str(den))
-    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
-        e -= 1
-    # r in [10^e, 10^(e+1)); round the mantissa UP to 2 digits: ceil(r * 10^(1-e))
-    m = -(-num * 10 ** max(1 - e, 0) // (den * 10 ** max(e - 1, 0)))
-    if m >= 100:
-        m //= 10
-        e += 1
-    return m, e
-
-
-def _sci(m: int, e: int) -> str:
-    return f"{m / 10:.1f}e{e:+03d}"
-
-
-def _radius_decimal(r: Fraction) -> str:
-    """Two-significant-digit upper bound of a nonnegative rational, sci notation."""
-    return _sci(*_radius_digits(r)) if r else "0"
-
-
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
-    """Digits shared by every point of the ball, truncated at the first digit
-    the radius could alter."""
+    """The digits that the truncations of both ends of the ball at max_digits
+    places share, cut at a digit; when the integer parts already differ, the
+    integer nearest the midpoint, which lies in the ball since some integer
+    does.  "0" exactly when the ball contains 0, so a ball inside (-1, 1)
+    whose ends differ in the first place prints as "0."."""
     lo, hi = ball.lower_fraction(), ball.upper_fraction()
     if lo <= 0 <= hi:
         return "0"
-    if hi < 0:
-        inner = certified_decimal(ball.neg(), max_digits)
-        return "-" + inner if inner != "0" else "0"
-    best = None
-    k = 0
-    while k <= max_digits:
-        if (lo.numerator * 10 ** k) // lo.denominator == (hi.numerator * 10 ** k) // hi.denominator:
-            best = k
-            k = k * 2 if k else 1
-        else:
-            break
-    if best is None:
-        return "0"
-    # refine between best and k
-    while best + 1 < k:
-        mid = (best + k) // 2
-        if (lo.numerator * 10 ** mid) // lo.denominator == (hi.numerator * 10 ** mid) // hi.denominator:
-            best = mid
-        else:
-            k = mid
-    return _decimal_truncate(lo, min(best, max_digits))
+    (ia, _, fa), (ib, _, fb) = (_decimal_truncate(abs(q), max_digits).partition(".")
+                                for q in (lo, hi))
+    if ia != ib:
+        s = str(round(abs(ball.midpoint_fraction())))
+    else:
+        k = len(os.path.commonprefix([fa, fb]))
+        s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
+    return "-" + s if hi < 0 and s.strip("0.") else s
 
 
 def _ball_str(b: Union[RealBall, ComplexBall], prec: int) -> str:
@@ -473,7 +445,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _report_file(path: Optional[str]):
     """The report's destination, opened before the run so a bad path fails first."""
-    if not path:
+    if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")

@@ -329,19 +329,32 @@ class RealBall:
             mid_s = repr(float(_dy_fraction(self._mm, self._me)))
         except OverflowError:
             mid_s = f"{self._mm}*2^{self._me}"
-        return f"RealBall({mid_s} +/- {_radius_str(self.radius_fraction())})"
+        return f"RealBall({mid_s} +/- {_radius_decimal(self.radius_fraction())})"
 
 
-def _radius_str(r: Fraction) -> str:
-    if r == 0:
-        return "0"
-    f = float(r) if r < Fraction(10) ** 300 else None
-    if f and f > 0:
-        return f"{f:.1e}"
-    # tiny radius: report the binary exponent
+def _radius_digits(r: Fraction) -> Tuple[int, int]:
+    """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
+    upper bound of the positive rational r."""
     num, den = r.numerator, r.denominator
-    e = num.bit_length() - den.bit_length()
-    return f"2^{e}"
+    # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
+    e = len(str(num)) - len(str(den))
+    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
+        e -= 1
+    # r in [10^e, 10^(e+1)); round the mantissa UP to 2 digits: ceil(r * 10^(1-e))
+    m = -(-num * 10 ** max(1 - e, 0) // (den * 10 ** max(e - 1, 0)))
+    if m >= 100:
+        m //= 10
+        e += 1
+    return m, e
+
+
+def _sci(m: int, e: int) -> str:
+    return f"{m / 10:.1f}e{e:+03d}"
+
+
+def _radius_decimal(r: Fraction) -> str:
+    """Two-significant-digit upper bound of a nonnegative rational, sci notation."""
+    return _sci(*_radius_digits(r)) if r else "0"
 
 
 def ball_sum(items: Iterable[RealBall], prec: int) -> RealBall:

@@ -14,13 +14,16 @@ from dzv.cli import (
     RunConfig,
     SUITE_NAMES,
     SuiteReport,
+    _ball_str,
+    _decimal_truncate,
     _radius_decimal,
     _record,
     certified_decimal,
     cmd_verify,
     main,
 )
-from dzv.numerics import CheckReport, ComplexBall, DomainError, RealBall
+from dzv.numerics import CheckReport, ComplexBall, DomainError, PrecisionCtx, RealBall
+from dzv.zeta import zeta_numeric
 
 from oracles import zeta_direct_interval
 
@@ -92,6 +95,62 @@ def test_certified_decimal_negative_values():
     b = RealBall.from_fraction(Fraction(-355, 113), 200).add_error(Fraction(1, 10**6))
     s = certified_decimal(b, 30)
     assert s.startswith("-3.1415")
+
+
+def _ball(mid: Fraction, rad: Fraction) -> RealBall:
+    return RealBall.from_fraction(mid, 300).add_error(rad)
+
+
+_FRACTIONS = st.builds(lambda n, d: Fraction(n, d), st.integers(-10**12, 10**12),
+                       st.integers(1, 10**6))
+_RADII = st.builds(lambda n, k: Fraction(n) / 10 ** k, st.integers(0, 10**6), st.integers(0, 70))
+# midpoints near an integer, near 0, and anywhere
+_MIDS = st.one_of(st.builds(lambda n, q: n + q / 10**9, st.integers(-300, 300), _FRACTIONS),
+                  _FRACTIONS.map(lambda q: q / 10**60), _FRACTIONS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MIDS, _RADII, st.integers(0, 40))
+@example(Fraction(1), Fraction(1, 10**50), 57)
+@example(Fraction(-3), Fraction(1, 10**50), 57)
+@example(Fraction(-1, 10**70), Fraction(1, 10**71), 30)
+@example(Fraction(9999, 10**4), Fraction(2, 10**4), 6)
+@example(Fraction(-1, 5), Fraction(1, 10), 30)
+def test_certified_decimal_prints_shared_digits_or_an_inner_integer(mid, rad, digits):
+    b = _ball(mid, rad)
+    lo, hi = b.lower_fraction(), b.upper_fraction()
+    s = certified_decimal(b, digits)
+    if lo <= 0 <= hi:
+        assert s == "0"
+        return
+    assert s != "0"
+    if int(lo) != int(hi):  # the integer parts differ: an integer of the ball
+        assert s.lstrip("-").isdigit() and lo <= int(s) <= hi
+        return
+    # the longest truncation both ends share, at most `digits` places; a
+    # bare point marks a zero-free ball whose shared truncation is 0
+    k = len(s.partition(".")[2])
+    assert (s == "0.") == (k == 0 and "." in s)
+    assert k <= digits and s.rstrip(".") == _decimal_truncate(lo, k) == _decimal_truncate(hi, k)
+    assert k == digits or _decimal_truncate(lo, k + 1) != _decimal_truncate(hi, k + 1)
+
+
+def test_sides_near_an_integer_print_that_integer():
+    # zeta(260) = 1 + 2^-260 + ...: its ball at 192 bits holds 1 but not 0
+    assert _ball_str(zeta_numeric(260, PrecisionCtx(192)), 192) == "1"
+    reports, code = cmd_verify(RunConfig(weight_min=260, weight_max=260,
+                                         suites=("sum-formula",)))
+    rec = reports[0].checks[0]
+    assert code == 0 and (rec.lhs, rec.rhs) == ("1", "1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIDS, _RADII.filter(bool) | st.integers(1, 4000).map(lambda k: Fraction(1, 2 ** k)))
+@example(Fraction(1), Fraction(124, 10**52))
+def test_repr_radius_is_an_upper_bound(mid, rad):
+    b = _ball(mid, rad)
+    printed = repr(b).rstrip(")").split(" +/- ")[1]
+    assert Fraction(printed) >= b.radius_fraction()
 
 
 def _residual_record(res):
@@ -275,6 +334,17 @@ def test_run_config_validation():
         RunConfig(precision_bits=63)
 
 
+@pytest.mark.parametrize("field", ["weight_min", "weight_max", "tolerance_exponent",
+                                   "parallelism"])
+@pytest.mark.parametrize("value", [3.0, 2.5, True, "3"], ids=["float", "float-frac", "bool", "str"])
+def test_run_config_int_fields_take_only_ints(field, value):
+    # a report read back with from_dict builds its RunConfig from outside data
+    fields = dict(weight_min=1, weight_max=1, suites=("theorem1",))
+    fields[field] = value
+    with pytest.raises(DomainError, match=f"^{field} must be an int,"):
+        RunConfig(**fields)
+
+
 def test_all_suite_names_registered():
     assert set(SUITE_NAMES) == {
         "sum-formula", "weighted-sum", "harmonic", "gkz-parity", "theorem1",
@@ -334,11 +404,13 @@ def test_config_file_with_flag_precedence(tmp_path):
     (None, ["--suites", ","], 2),
     ({"suites": []}, [], 2),
     ({"suites": " , "}, [], 2),
+    (None, ["--out", ""], 2),
+    ({"out": ""}, [], 2),
     # 10^5000 has more digits than int-to-str conversion allows by default
     (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
 ], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
         "tol-negative-exponent", "suites-flag-empty", "suites-list-empty", "suites-string-empty",
-        "tol-5000-digits"])
+        "out-flag-empty", "out-key-empty", "tol-5000-digits"])
 def test_verify_input_contract(tmp_path, capsys, config, flags, code):
     # bad input is exit 2 with one error line, never a default or a traceback
     argv = ["verify", "--weights", "3..3", *flags]
