@@ -77,7 +77,10 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        # a list of names, as a JSON report reads back, makes an equal config
+        # a list of names, as a JSON report reads back, makes an equal config;
+        # a string would be read as its letters
+        if not isinstance(self.suites, (list, tuple)):
+            raise DomainError(f"suites must be a list of suite names, got {self.suites!r}")
         object.__setattr__(self, "suites", tuple(self.suites))
         for name in ("weight_min", "weight_max", "tolerance_exponent", "parallelism"):
             require_exact(getattr(self, name), name, (int,))
@@ -86,8 +89,10 @@ class RunConfig:
         if self.tolerance_exponent < 0:
             raise DomainError(f"tolerance must be 1e-N with N >= 0, got N = {self.tolerance_exponent}")
         self.ctx()  # PrecisionCtx checks the precision
-        if self.output_format not in _RENDERERS:
+        if not isinstance(self.output_format, str) or self.output_format not in _RENDERERS:
             raise DomainError(f"unknown output format {self.output_format!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise DomainError(f"output_path must be a str or None, got {self.output_path!r}")
         if self.parallelism != 1:
             raise DomainError("parallelism must be 1 (runs are single-threaded)")
         for s in self.suites:
@@ -209,7 +214,7 @@ def _record(r: CheckReport, config: RunConfig) -> CheckRecord:
 
 def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:
     """A row without sides: a weight outside the suite's hypothesis, or one
-    whose evaluation hit an escalation cap."""
+    with a value whose radius missed its target."""
     return CheckRecord(label=f"{suite}[l={weight}]", weight=weight, lhs="", rhs="",
                        residual_midpoint="", residual_radius="", exact=False, **outcome)
 

@@ -58,9 +58,6 @@ __all__ = [
     "functional_eq26_check",
 ]
 
-_MAX_ESCALATIONS = 8
-
-
 @dataclass(frozen=True, order=True)
 class IndexPair:
     """Argument pair of a double zeta value; convergent iff l1 >= 2, l2 >= 1."""
@@ -123,31 +120,27 @@ def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
 
     def tail_terms():
         # hz(w-1+2k) is evaluated only when the truncation draws term k
-        for k, c in enumerate(_em_coefficients(l1), 1):
-            z = hz(w - 1 + 2 * k)
-            yield (c, z), abs(c) * z.upper_fraction()
+        for k, (num, den) in enumerate(_em_coefficients(l1), 1):
+            t = RealBall.from_fraction(Fraction(num, den), wp).mul(hz(w - 1 + 2 * k), wp)
+            yield t, max(-t.lower_fraction(), t.upper_fraction())
 
     # |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder is at
     # most 4 |c_K| zeta(w-1+2K, A)
     kept, rem = _em_truncate(tail_terms(), negligible)
-    pieces.extend(RealBall.from_fraction(c, wp).mul(z, wp) for c, z in kept)
-    return ball_sum(pieces, wp).add_error(rem)
+    return ball_sum(pieces + kept, wp).add_error(rem)
 
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(l1, l2), radius at most 2^(1-w) relative to the
-    value at working precision w; escalates the direct-sum cutoff on demand
-    (the tail depth follows the target)."""
+    value at working precision w, from one evaluation at the direct-sum cutoff
+    M = max(32, wp/2) (the tail depth follows the target)."""
     l1, l2 = p.l1, p.l2
     target = ctx.working_precision
     wp = target + GUARD_BITS
-    m_cut = max(32, wp // 2)
-    for _ in range(_MAX_ESCALATIONS):
-        result = _double_zeta_once(l1, l2, wp, m_cut)
-        lo = result.lower_fraction()
-        if lo > 0 and result.radius_fraction() <= lo * Fraction(2, 2**target):
-            return result
-        m_cut *= 2
+    result = _double_zeta_once(l1, l2, wp, max(32, wp // 2))
+    lo = result.lower_fraction()
+    if lo > 0 and result.radius_fraction() <= lo * Fraction(2, 2**target):
+        return result
     raise PrecisionUnreachableError(
         f"double_zeta({l1},{l2}) did not reach 2^-{target} relative radius"
     )
@@ -194,18 +187,19 @@ def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:
     """Enclosure of T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2)."""
     wp = t.precision + GUARD_BITS
     w = t.weight
+    chain = wp + w  # a rectangular complex product widens a relative radius by <= sqrt 2
     # power tables: x^e for e = 1..w-2, y^e for e = 0..w-3
     xp = [ComplexBall.one(), x]
     for _ in range(2, w - 1):
-        xp.append(xp[-1].mul(x, wp))
+        xp.append(xp[-1].mul(x, chain))
     yp = [ComplexBall.one()]
     if w >= 4:
         yp.append(y)
     for _ in range(2, w - 2):
-        yp.append(yp[-1].mul(y, wp))
+        yp.append(yp[-1].mul(y, chain))
     terms = []
     for pair, val in t.entries.items():
-        terms.append(xp[pair.l1 - 1].mul(yp[pair.l2 - 1], wp).mul_real(val, wp))
+        terms.append(xp[pair.l1 - 1].mul(yp[pair.l2 - 1], chain).mul_real(val, chain))
     return complex_sum(terms, wp)
 
 
@@ -219,13 +213,15 @@ def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
 
 def _divided_difference(x: ComplexBall, y: ComplexBall, l: int, wp: int) -> ComplexBall:
     """(x^(l-1) - y^(l-1)) / (x - y) as the homogeneous sum
-    sum_{i+j=l-2} x^i y^j, finite at x = y."""
+    sum_{i+j=l-2} x^i y^j, finite at x = y; the products carry l more bits
+    than wp, as in ``gen_poly_eval``."""
+    chain = wp + l
     xp = [ComplexBall.one()]
     yp = [ComplexBall.one()]
     for _ in range(l - 2):
-        xp.append(xp[-1].mul(x, wp))
-        yp.append(yp[-1].mul(y, wp))
-    return complex_sum((xp[i].mul(yp[l - 2 - i], wp) for i in range(l - 1)), wp)
+        xp.append(xp[-1].mul(x, chain))
+        yp.append(yp[-1].mul(y, chain))
+    return complex_sum((xp[i].mul(yp[l - 2 - i], chain) for i in range(l - 1)), wp)
 
 
 def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,

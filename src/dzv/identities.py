@@ -240,7 +240,8 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
         raise DomainError("cube-root-of-unity equations need weight >= 3")
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    omega = cube_root_of_unity(ctx)
+    # the power chains widen omega's relative radius by about 2^(0.45 l)
+    omega = cube_root_of_unity(PrecisionCtx(ctx.working_precision + l))
     xs = [ComplexBall.one(), omega, omega.conj()]
     one = ComplexBall.one()
     zl = zeta_numeric(l, ctx)

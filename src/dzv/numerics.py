@@ -47,7 +47,7 @@ class DomainError(ValueError):
 
 
 class PrecisionUnreachableError(RuntimeError):
-    """Automatic parameter escalation hit its cap before meeting the radius target."""
+    """An evaluation's radius missed its relative target at the fixed cutoffs."""
 
 
 def require_exact(x, what: str, kinds: tuple = (int, Fraction)):

@@ -1,9 +1,10 @@
 """Riemann zeta at integer arguments and Hurwitz zeta via Euler-Maclaurin.
 
 Even zeta values live exactly in rational * pi^m form; odd values and Hurwitz
-values are certified balls.  The Euler-Maclaurin remainder is always bounded
-rigorously (4x the first omitted correction term, derived from the periodized
-Bernoulli kernel bound |B_2m({x}) - B_2m| <= 2|B_2m|) and added to the radius.
+values are certified balls, a Hurwitz value one Euler-Maclaurin sum in integer
+fixed point, evaluated once.  The remainder is always bounded rigorously (4x
+the first omitted correction term, derived from the periodized Bernoulli
+kernel bound |B_2m({x}) - B_2m| <= 2|B_2m|) and added to the radius.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .numerics import (
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
-    ball_sum,
     pipoly_eval,
     require_exact,
 )
@@ -27,7 +27,6 @@ from .numerics import (
 __all__ = ["zeta_even_exact", "zeta_numeric", "hurwitz_zeta"]
 
 _GUARD = 32
-_MAX_ESCALATIONS = 10
 
 
 @cache
@@ -41,18 +40,20 @@ def zeta_even_exact(m: int) -> PiPolynomial:
 
 def _em_coefficients(s: int):
     """The Euler-Maclaurin coefficients c_k = B_2k (s)_{2k-1} / (2k)! for
-    k = 1, 2, ...; the k-th correction term of zeta(s, x) is c_k x^(1-s-2k)."""
+    k = 1, 2, ..., as integer pairs (numerator, denominator); the k-th
+    correction term of zeta(s, x) is c_k x^(1-s-2k)."""
     rfv = s
     fact = 2
     k = 1
     while True:
-        yield bernoulli(2 * k) * rfv / fact
+        b = bernoulli(2 * k)
+        yield b.numerator * rfv, b.denominator * fact
         rfv *= (s + 2 * k - 1) * (s + 2 * k)
         fact *= (2 * k + 1) * (2 * k + 2)
         k += 1
 
 
-def _em_truncate(terms, negligible: Fraction):
+def _em_truncate(terms, negligible):
     """The Euler-Maclaurin truncation rule over lazy (term, bound) pairs, bound
     an upper bound on |term|: keep terms up to the first whose remainder bound
     4 * bound is at most ``negligible``, or up to the asymptotic minimum (the
@@ -68,48 +69,44 @@ def _em_truncate(terms, negligible: Fraction):
         prev = bound
 
 
-def _em_correction_terms(s: int, x: Fraction):
-    """The correction terms c_k x^(1-s-2k), k = 1, 2, ..., as exact rationals,
-    each paired with its absolute value."""
-    x2inv = 1 / (x * x)
-    pw = 1 / x ** (s - 1)
-    for c in _em_coefficients(s):
-        pw *= x2inv
-        c *= pw
-        yield c, abs(c)
-
-
-def _hurwitz_em_once(s: int, a: Fraction, wp: int, n_lead: int) -> RealBall:
-    """One Euler-Maclaurin evaluation of zeta(s, a) = sum_{n>=0} (n+a)^-s:
+def _hurwitz_em_once(s: int, a, wp: int, n_lead: int) -> RealBall:
+    """One Euler-Maclaurin evaluation of zeta(s, a) = sum_{n>=0} (n+a)^-s,
+    a = p/q an int or a Fraction:
 
         sum_{n<N} (n+a)^-s + x^(1-s)/(s-1) + x^-s/2
           + sum_k B_2k/(2k)! (s)_{2k-1} x^(1-s-2k) + R,    x = a + N.
+
+    Each term is one integer floor at unit u = 2^-W, low by less than one
+    unit, so the sum of the F floors is low by less than F units and the ball
+    is centred on that one-sided interval; a correction's floor f stands for
+    a term in [f, f+1), so |f| + 1 bounds it for the truncation.  With
+    W = wp + s (bitlen p - bitlen q + 1) + bitlen 4N and a^-s above
+    2^-s(bitlen p - bitlen q + 1), F u stays below 2^-(wp+1) of zeta(s, a)
+    while F <= 2N.
     """
-    pieces = []
-    for n in range(n_lead):
-        pieces.append(RealBall.from_fraction(1 / (n + a) ** s, wp))
-    x = a + n_lead
-    xpow = 1 / x ** (s - 1)
-    pieces.append(RealBall.from_fraction(xpow / (s - 1), wp))
-    pieces.append(RealBall.from_fraction(xpow / (2 * x), wp))
+    p, q = a.numerator, a.denominator
+    width = wp + s * (p.bit_length() - q.bit_length() + 1) + (4 * n_lead).bit_length()
+    q1 = q ** (s - 1) << width
+    xq = p + n_lead * q
+    xpow = xq ** (s - 1)
+    leading = [q1 * q // (n * q + p) ** s for n in range(n_lead)]
+    head = q1 // ((s - 1) * xpow)
+    corrections = (num * q1 * q ** (2 * k) // (den * xpow * xq ** (2 * k))
+                   for k, (num, den) in enumerate(_em_coefficients(s), 1))
     # a^-s + x^(1-s)/(s-1) <= zeta(s, a), so the remainder is below 2^-wp of the value
-    negligible = (1 / a**s + xpow / (s - 1)) / 2**wp
-    corrections, rem = _em_truncate(_em_correction_terms(s, x), negligible)
-    for c in corrections:
-        pieces.append(RealBall.from_fraction(c, wp))
-    return ball_sum(pieces, wp).add_error(rem)
+    kept, rem = _em_truncate(((f, abs(f) + 1) for f in corrections), (leading[0] + head) >> wp)
+    total = sum(leading) + head + q1 * q // (2 * xpow * xq) + sum(kept)
+    floors = n_lead + 2 + len(kept)
+    return RealBall(2 * total + floors, -width - 1, floors + 2 * rem, -width - 1)
 
 
 @cache
-def _hurwitz_rational(s: int, a: Fraction, precision: int) -> RealBall:
+def _hurwitz_rational(s: int, a, precision: int) -> RealBall:
     wp = precision + _GUARD
-    n_lead = max(16, wp // 4)
-    for _ in range(_MAX_ESCALATIONS):
-        result = _hurwitz_em_once(s, a, wp, n_lead)
-        lo = result.lower_fraction()
-        if lo > 0 and result.radius_fraction() <= lo * Fraction(1, 2**precision):
-            return result
-        n_lead *= 2
+    result = _hurwitz_em_once(s, a, wp, max(16, wp // 4))
+    lo = result.lower_fraction()
+    if lo > 0 and result.radius_fraction() <= lo * Fraction(1, 2**precision):
+        return result
     raise PrecisionUnreachableError(
         f"hurwitz_zeta({s}, {a}) did not reach 2^-{precision} relative radius"
     )
@@ -121,9 +118,8 @@ def hurwitz_zeta(s: int, a: int | Fraction, ctx: PrecisionCtx) -> RealBall:
     it was written as), memoized by (s, a, working precision)."""
     if require_exact(s, "hurwitz_zeta's s", (int,)) < 2:
         raise DomainError(f"hurwitz_zeta requires s >= 2, got {s!r}")
-    # 2 and Fraction(2) are one memo key, so the key is always a Fraction
-    a = Fraction(require_exact(a, "hurwitz_zeta's a"))
-    if a < 1:
+    # 2 and Fraction(2) are equal and hash alike, so they share one memo key
+    if require_exact(a, "hurwitz_zeta's a") < 1:
         raise DomainError("hurwitz_zeta requires a >= 1")
     return _hurwitz_rational(s, a, ctx.working_precision)
 

@@ -345,6 +345,23 @@ def test_run_config_int_fields_take_only_ints(field, value):
         RunConfig(**fields)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("output_format", ["json"], "^unknown output format"),
+    ("output_format", None, "^unknown output format"),
+    ("output_path", 3, "^output_path must be a str or None"),
+    ("output_path", b"r.json", "^output_path must be a str or None"),
+    ("suites", "theorem1", "^suites must be a list of suite names"),
+    ("suites", None, "^suites must be a list of suite names"),
+], ids=["format-list", "format-none", "path-int", "path-bytes", "suites-str", "suites-none"])
+def test_run_config_other_fields_reject_wrong_types(field, value, match):
+    # a format list is unhashable, fd 3 is not a path, and "theorem1" is not
+    # the suites t, h, e, ...
+    fields = dict(weight_min=1, weight_max=1, suites=("theorem1",))
+    fields[field] = value
+    with pytest.raises(DomainError, match=match):
+        RunConfig(**fields)
+
+
 def test_all_suite_names_registered():
     assert set(SUITE_NAMES) == {
         "sum-formula", "weighted-sum", "harmonic", "gkz-parity", "theorem1",

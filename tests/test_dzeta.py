@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dzv import dzeta as dzeta_mod
 from dzv.dzeta import (
     IndexPair,
     _direct_sums,
@@ -24,6 +25,7 @@ from dzv.numerics import (
     DomainError,
     PiPolynomial,
     PrecisionCtx,
+    PrecisionUnreachableError,
     RealBall,
     pipoly_eval,
 )
@@ -144,7 +146,7 @@ def test_tables_share_one_hurwitz_vector_per_weight():
 @pytest.mark.parametrize("l1, l2, m_cut, wp", [
     (2, 1, 120, 240),    # harmonic H_M, the largest; the 192-bit cutoff
     (2, 28, 120, 240),
-    (16, 14, 240, 240),  # one escalation
+    (16, 14, 240, 240),  # twice the 192-bit cutoff
     (7, 3, 32, 112),
     (40, 1, 56, 112),    # floor(2^W / m^40) is 0 from m = 18 on
 ])
@@ -158,6 +160,18 @@ def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
     assert h_m.contains_fraction(h)
     # H_M multiplies zeta(l1, A) < 1, so this bounds the radius the direct part adds
     assert s_m.radius_fraction() + h_m.radius_fraction() <= Fraction(1, 2 ** (wp + l1))
+
+
+def test_double_zeta_radius_miss_raises_and_caches_nothing(monkeypatch):
+    monkeypatch.setattr(dzeta_mod, "_double_zeta_once",
+                        lambda l1, l2, wp, m_cut: RealBall(1, 0, 1, -1))
+    ctx = PrecisionCtx(72)
+    with pytest.raises(PrecisionUnreachableError):
+        double_zeta(IndexPair(5, 3), ctx)
+    before = _table.cache_info().currsize
+    with pytest.raises(PrecisionUnreachableError):
+        get_table(9, ctx)
+    assert _table.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("make", [build_table, get_table], ids=["build", "get"])

@@ -482,6 +482,13 @@ def test_lemma1_sweep_small(ctx128):
         assert all(r.passed for r in lemma1_check(l, ctx128)), l
 
 
+def test_lemma1_passes_where_the_power_chains_lose_l_over_2_bits():
+    # rectangular products widen omega^k's radius by about 1.366^k, so at 64
+    # bits an omega and power chains without l extra bits fail eq5 here
+    ctx = PrecisionCtx(64, Fraction(1, 10**15))
+    assert all(r.passed for r in lemma1_check(48, ctx))
+
+
 def test_lemma1_conjugate_symmetry(ctx128):
     """Summing over {1, w, w^2} with w replaced by its conjugate permutes the
     same multiset of arguments, so each side's enclosure is unchanged."""

@@ -1,12 +1,19 @@
 """Tests for exact even zeta values and the Euler-Maclaurin Hurwitz engine."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dzv.numerics import DomainError, PiPolynomial, PrecisionCtx, RealBall
+from dzv import zeta as zeta_mod
+from dzv.numerics import (
+    DomainError,
+    PiPolynomial,
+    PrecisionCtx,
+    PrecisionUnreachableError,
+    RealBall,
+)
 from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
 from oracles import (
@@ -167,8 +174,8 @@ def test_hurwitz_derivative_vs_finite_difference(s, a):
 
 
 def test_hurwitz_high_precision_escalation():
-    # the relative target holds at high precision; measured, the first rung of
-    # the escalation ladder already meets it, for every key here
+    # the relative target holds at high precision from the one evaluation at
+    # N = max(16, wp/4) leading terms, for every key here
     ctx = PrecisionCtx(512)
     z = hurwitz_zeta(3, 1, ctx)
     assert z.radius_fraction() <= z.lower_fraction() * Fraction(1, 2**512)
@@ -208,3 +215,64 @@ def test_hurwitz_int_and_fraction_share_one_memo_key(ctx128):
         assert _hurwitz_rational.cache_info().currsize == 1
     bounds = {(v.lower_fraction(), v.upper_fraction()) for v in values}
     assert len(bounds) == 1
+
+
+@pytest.mark.parametrize("a", [121, Fraction(7, 3), Fraction(1000, 999)],
+                         ids=["121", "7/3", "1000/999"])
+def test_hurwitz_recurrence_at_1024_bits(a):
+    """zeta(s,a) - zeta(s,a+1) = a^-s to 2^-1020 of a^-s, for s up to 200,
+    where the fixed-point width W grows by s bits per bit of a."""
+    ctx = PrecisionCtx(1024)
+    wp = 1100
+    for s in (2, 3, 17, 64, 129, 200):
+        power = 1 / Fraction(a) ** s
+        res = hurwitz_zeta(s, a, ctx).sub(hurwitz_zeta(s, a + 1, ctx), wp)
+        res = res.sub(RealBall.from_fraction(power, wp), wp)
+        assert res.contains_zero(), s
+        assert res.radius_fraction() <= power / 2**1020, s
+
+
+def _em_coefficient_oracle(s: int, k: int) -> Fraction:
+    """c_k = B_2k (s)_{2k-1} / (2k)! from the oracle Bernoulli numbers."""
+    return _AT[2 * k] * prod(range(s, s + 2 * k - 1)) / factorial(2 * k)
+
+
+def test_hurwitz_kernel_floors_enclose_the_truncated_sum(monkeypatch):
+    """With the truncation's remainder replaced by 0, the kernel's ball must
+    still hold the exact Euler-Maclaurin sum of the terms it kept: the floors'
+    counted error is in the radius and the centre sits mid-way in their
+    one-sided interval.  Every bound the truncation draws covers all of
+    [f, f+1), the terms a correction's floor f stands for."""
+    truncate = zeta_mod._em_truncate
+    drawn = []
+
+    def without_remainder(terms, negligible):
+        def recorded():
+            for f, bound in terms:
+                drawn.append((f, bound))
+                yield f, bound
+        kept, _ = truncate(recorded(), negligible)
+        return kept, 0
+
+    monkeypatch.setattr(zeta_mod, "_em_truncate", without_remainder)
+    n_lead = 16
+    for s in (2, 3, 5, 9, 20, 41):
+        for a in (1, Fraction(3, 2), Fraction(7, 3), 12, 121, Fraction(1000, 999)):
+            drawn.clear()
+            ball = zeta_mod._hurwitz_em_once(s, a, 96, n_lead)
+            x = a + n_lead
+            exact = (sum(1 / Fraction(n + a) ** s for n in range(n_lead))
+                     + 1 / ((s - 1) * Fraction(x) ** (s - 1)) + 1 / (2 * Fraction(x) ** s))
+            for k in range(1, len(drawn)):  # the last pair drawn is the omitted one
+                exact += _em_coefficient_oracle(s, k) / Fraction(x) ** (s - 1 + 2 * k)
+            assert ball.contains_fraction(exact), (s, a)
+            assert all(bound >= max(abs(f), abs(f + 1)) for f, bound in drawn), (s, a)
+
+
+def test_hurwitz_radius_miss_raises_and_caches_nothing(monkeypatch):
+    monkeypatch.setattr(zeta_mod, "_hurwitz_em_once",
+                        lambda s, a, wp, n_lead: RealBall(1, 0, 1, -1))
+    before = _hurwitz_rational.cache_info().currsize
+    with pytest.raises(PrecisionUnreachableError):
+        hurwitz_zeta(7, Fraction(5, 3), PrecisionCtx(100))
+    assert _hurwitz_rational.cache_info().currsize == before
