@@ -49,6 +49,7 @@ from .numerics import (
     PrecisionUnreachableError,
     RealBall,
     require_exact,
+    _decimal_str,
     _radius_decimal,
     _radius_digits,
     _sci,
@@ -154,7 +155,7 @@ def _decimal_truncate(q: Fraction, digits: int) -> str:
     only when a printed digit is nonzero, so 0.000... never prints as -0.000..."""
     scaled = (abs(q.numerator) * 10 ** digits) // q.denominator
     sign = "-" if q < 0 and scaled else ""
-    s = str(scaled).rjust(digits + 1, "0")
+    s = _decimal_str(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + s
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
@@ -172,7 +173,7 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     (ia, _, fa), (ib, _, fb) = (_decimal_truncate(abs(q), max_digits).partition(".")
                                 for q in (lo, hi))
     if ia != ib:
-        s = str(round(abs(ball.midpoint_fraction())))
+        s = _decimal_str(round(abs(ball.midpoint_fraction())))
     else:
         k = len(os.path.commonprefix([fa, fb]))
         s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
@@ -188,10 +189,16 @@ def _ball_str(b: Union[RealBall, ComplexBall], prec: int) -> str:
     return certified_decimal(b, digits)
 
 
+def _fraction_str(q: Fraction) -> str:
+    """str(q) for a rational of any size: "p" or "p/q"."""
+    s = _decimal_str(q.numerator)
+    return s if q.denominator == 1 else f"{s}/{_decimal_str(q.denominator)}"
+
+
 def _record(r: CheckReport, config: RunConfig) -> CheckRecord:
     if r.tolerance is None:  # exact rational sides
-        return CheckRecord(r.label, r.weight, str(r.lhs), str(r.rhs), str(r.residual), "0",
-                           r.exact, r.passed)
+        return CheckRecord(r.label, r.weight, _fraction_str(r.lhs), _fraction_str(r.rhs),
+                           _fraction_str(r.residual), "0", r.exact, r.passed)
     res = r.residual
     parts = [res.real, res.imag] if isinstance(res, ComplexBall) else [res]
     rad = max(b.radius_fraction() for b in parts)
@@ -467,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "bernoulli":
-            print(bernoulli(args.m))
+            print(_fraction_str(bernoulli(args.m)))
         elif args.command == "dzeta":
             default_prec = _default_precision()  # checked even when -p overrides it
             prec = default_prec if args.precision is None else args.precision

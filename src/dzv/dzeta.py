@@ -20,10 +20,13 @@ a Hurwitz value, so
     tail = zeta(w-1, A)/(l1-1) - zeta(w, A)/2 + sum_{k<K} c_k zeta(w-1+2k, A),
     c_k = B_2k (l1)_{2k-1} / (2k)!,   w = l1 + l2.
 
-The remainder is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule
-of the Hurwitz evaluator (one ``zeta._em_truncate`` for both) applied to each
-m2 and summed, and added to the radius.  One weight-w table reads the same
-vector zeta(w-1+j, A).
+Each tail term, a rational times one Hurwitz ball, is one integer floor of
+its midpoint and one integer ceiling of its radius at unit 2^-W, and the tail
+is one ball centred on the counted interval of those floors.  The remainder
+is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule of the
+Hurwitz evaluator (one ``zeta._em_truncate`` for both) applied to each m2 and
+summed, and added to the radius.  One weight-w table reads the same vector
+zeta(w-1+j, A).
 """
 
 from __future__ import annotations
@@ -99,41 +102,60 @@ def _direct_sums(l1: int, l2: int, m_cut: int, wp: int) -> tuple[RealBall, RealB
     return s_m, h_m
 
 
+def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
+    """Ball for the Euler-Maclaurin tail sum_{m2>=A} m2^-l2 zeta(l1, m2+1),
+    w = l1 + l2, with hz(s) the ball for zeta(s, A):
+
+        zeta(w-1, A)/(l1-1) - zeta(w, A)/2 + sum_{k<K} c_k zeta(w-1+2k, A) + R.
+
+    Each term (num/den) zeta(s, A) is two integers at unit u = 2^-W from
+    ``RealBall.scaled_floors``: the floor f of num mid / den and the ceiling
+    r of |num| rad / den, so the term lies in [f - r, f + 1 + r] and
+    |f| + 1 + r bounds it for the truncation.  The F floors are low by less
+    than F units, and the ball is centred on that one-sided interval.
+    While l1 + 2k <= 2A, |c_k| zeta(w-1+2k, A) shrinks by a factor of about
+    (l1+2k)^2 / (2 pi A)^2 <= 1/pi^2 per k, from below 1 at k = 1 down to
+    the stopping bound 2^-(wp+l1+2), so F = K + 2 <= wp + l1, and
+    W = wp + l1 + bitlen(wp+l1) + 2 keeps F u below 2^-(wp+l1+2).  (W only
+    sizes the radius: F is counted, so the ball encloses for any K.)
+    """
+    width = wp + l1 + (wp + l1).bit_length() + 2
+    terms = [hz(w - 1).scaled_floors(1, l1 - 1, width), hz(w).scaled_floors(-1, 2, width)]
+    # hz(w-1+2k) is evaluated only when the truncation draws term k
+    corrections = (hz(w - 1 + 2 * k).scaled_floors(num, den, width)
+                   for k, (num, den) in enumerate(_em_coefficients(l1), 1))
+    # zeta(l1, l2) >= 2^-l1, so a remainder below 2^-(wp+l1) is below 2^-wp of the
+    # value; |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder is
+    # at most 4 |c_K| zeta(w-1+2K, A)
+    kept, rem = _em_truncate((((f, r), abs(f) + 1 + r) for f, r in corrections),
+                             1 << (width - wp - l1))
+    terms += kept
+    floors = len(terms)
+    total = sum(f for f, _ in terms)
+    rad = sum(r for _, r in terms) + rem
+    return RealBall(2 * total + floors, -width - 1, floors + 2 * rad, -width - 1)
+
+
 def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
-    w = l1 + l2
     a_cut = m_cut + 1
     hz_ctx = PrecisionCtx(wp)
 
     def hz(s: int) -> RealBall:
         return hurwitz_zeta(s, a_cut, hz_ctx)
 
-    # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A)
-    s_m, h_m = _direct_sums(l1, l2, m_cut, wp)
-    pieces = [s_m, h_m.mul(hz(l1), wp)]
-
+    # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A);
     # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
     # for every m >= A, summed against m^-l2
-    pieces.append(RealBall.from_fraction(Fraction(1, l1 - 1), wp).mul(hz(w - 1), wp))
-    pieces.append(hz(w).mul_2exp(-1).neg())
-    # zeta(l1, l2) >= 2^-l1, so a remainder below 2^-(wp+l1) is below 2^-wp of the value
-    negligible = Fraction(1, 2 ** (wp + l1))
-
-    def tail_terms():
-        # hz(w-1+2k) is evaluated only when the truncation draws term k
-        for k, (num, den) in enumerate(_em_coefficients(l1), 1):
-            t = RealBall.from_fraction(Fraction(num, den), wp).mul(hz(w - 1 + 2 * k), wp)
-            yield t, max(-t.lower_fraction(), t.upper_fraction())
-
-    # |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder is at
-    # most 4 |c_K| zeta(w-1+2K, A)
-    kept, rem = _em_truncate(tail_terms(), negligible)
-    return ball_sum(pieces + kept, wp).add_error(rem)
+    s_m, h_m = _direct_sums(l1, l2, m_cut, wp)
+    return ball_sum([s_m, h_m.mul(hz(l1), wp), _tail(l1, l1 + l2, wp, hz)], wp)
 
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(l1, l2), radius at most 2^(1-w) relative to the
     value at working precision w, from one evaluation at the direct-sum cutoff
-    M = max(32, wp/2) (the tail depth follows the target)."""
+    M = max(32, wp/2): the direct sums and the Euler-Maclaurin tail are each
+    summed in integer fixed point, and the tail depth follows the target.
+    Raises PrecisionUnreachableError if the radius misses that target."""
     l1, l2 = p.l1, p.l2
     target = ctx.working_precision
     wp = target + GUARD_BITS

@@ -311,6 +311,17 @@ class RealBall:
                 base = base.mul(base, prec)
         return result
 
+    def scaled_floors(self, num: int, den: int, width: int) -> Tuple[int, int]:
+        """(f, r) at unit 2^-width for the ball (num/den) * self, den > 0:
+        f = floor(num mid / den) and r = ceil(|num| rad / den), so every point
+        of the scaled ball lies in [f - r, f + 1 + r] units."""
+        e = self._me + width
+        f = (num * self._mm << e) // den if e >= 0 else num * self._mm // (den << -e)
+        e = self._re + width
+        n = abs(num) * self._rm
+        r = -(-(n << e) // den) if e >= 0 else -(-n // (den << -e))
+        return f, r
+
     def add_error(self, q) -> "RealBall":
         """Inflate the radius by a nonnegative rational bound (rounded up)."""
         if require_exact(q, "add_error's bound") < 0:
@@ -332,12 +343,28 @@ class RealBall:
         return f"RealBall({mid_s} +/- {_radius_decimal(self.radius_fraction())})"
 
 
+def _decimal_str(n: int) -> str:
+    """str(n) for an integer of any size.  Python refuses str() of an int
+    above its int_max_str_digits limit (4300 digits by default); such an n is
+    split at a power of ten into halves, each printed the same way, so no
+    process-wide setting is changed."""
+    try:
+        return str(n)
+    except ValueError:  # above the limit
+        pass
+    if n < 0:
+        return "-" + _decimal_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits of n
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
+
+
 def _radius_digits(r: Fraction) -> Tuple[int, int]:
     """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
     upper bound of the positive rational r."""
     num, den = r.numerator, r.denominator
     # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
-    e = len(str(num)) - len(str(den))
+    e = len(_decimal_str(num)) - len(_decimal_str(den))
     if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
         e -= 1
     # r in [10^e, 10^(e+1)); round the mantissa UP to 2 digits: ceil(r * 10^(1-e))

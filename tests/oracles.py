@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import factorial, prod
 from typing import List, Tuple
 
 from dzv.numerics import PrecisionCtx, RealBall
@@ -49,6 +50,15 @@ def akiyama_tanigawa_bernoulli(n: int) -> List[Fraction]:
     if n >= 1:
         out[1] = -out[1]
     return out
+
+
+_B_TO_60 = akiyama_tanigawa_bernoulli(60)
+
+
+def em_coefficient(s: int, k: int) -> Fraction:
+    """The Euler-Maclaurin coefficient c_k = B_2k (s)_{2k-1} / (2k)!, k <= 30,
+    from the Akiyama-Tanigawa Bernoulli numbers."""
+    return _B_TO_60[2 * k] * prod(range(s, s + 2 * k - 1)) / factorial(2 * k)
 
 
 def bbp_pi_interval(terms: int) -> Tuple[Fraction, Fraction]:

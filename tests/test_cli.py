@@ -15,6 +15,7 @@ from dzv.cli import (
     SUITE_NAMES,
     SuiteReport,
     _ball_str,
+    _decimal_str,
     _decimal_truncate,
     _radius_decimal,
     _record,
@@ -22,7 +23,14 @@ from dzv.cli import (
     cmd_verify,
     main,
 )
-from dzv.numerics import CheckReport, ComplexBall, DomainError, PrecisionCtx, RealBall
+from dzv.numerics import (
+    CheckReport,
+    ComplexBall,
+    DomainError,
+    PrecisionCtx,
+    RealBall,
+    exact_check,
+)
 from dzv.zeta import zeta_numeric
 
 from oracles import zeta_direct_interval
@@ -217,6 +225,50 @@ def test_radius_decimal_is_a_tight_upper_bound(r):
 def test_radius_decimal_rounds_up_into_the_next_decade():
     assert _radius_decimal(Fraction(1)) == "1.0e+00"
     assert _radius_decimal(Fraction(995, 1000)) == "1.0e+00"
+
+
+# Python refuses str() of an int above 4300 digits (its default limit); every
+# printed number goes through _decimal_str instead
+
+def _from_decimal(s: str) -> int:
+    """The integer a decimal string spells, read 100 digits at a time."""
+    sign, digits = (-1, s[1:]) if s.startswith("-") else (1, s)
+    n = 0
+    for i in range(0, len(digits), 100):
+        chunk = digits[i:i + 100]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-(2 ** 30000), 2 ** 30000))
+@example(10 ** 5000)
+@example(10 ** 5000 - 1)
+@example(-(2 ** 1601))
+def test_decimal_str_spells_any_integer(n):
+    s = _decimal_str(n)
+    assert _from_decimal(s) == n
+    assert s.lstrip("-") == "0" or not s.lstrip("-").startswith("0")
+
+
+def test_ball_above_the_str_digit_limit_prints():
+    # 4515 decimals at 15,000 bits, past the 4300-digit limit
+    printed = _ball_str(RealBall.from_fraction(Fraction(1, 3), 15000), 15000)
+    assert printed.startswith("0.") and len(printed) > 4500
+    assert set(printed[2:]) == {"3"}
+
+
+def test_radius_of_ten_to_minus_5000_prints():
+    assert _radius_decimal(Fraction(1, 10 ** 5000)) == "1.0e-5000"
+    assert _radius_decimal(Fraction(10 ** 5000 + 1, 10 ** 10000)) == "1.1e-5000"
+
+
+def test_exact_record_with_a_5000_digit_numerator_prints():
+    sevens = 7 * (10 ** 5000 - 1) // 9
+    rec = _record(exact_check("big", 3, Fraction(sevens), Fraction(sevens, 3)), RunConfig())
+    assert rec.lhs == "7" * 5000
+    assert rec.rhs == "7" * 5000 + "/3"
+    assert rec.residual_midpoint == _decimal_str(2 * sevens) + "/3"
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ from dzv.numerics import (
     RealBall,
     pipoly_eval,
 )
-from dzv.zeta import _hurwitz_rational, zeta_even_exact, zeta_numeric
+from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
-from oracles import brute_double_zeta, odd_weight_double_zeta
+from oracles import brute_double_zeta, em_coefficient, odd_weight_double_zeta
 
 # exact weight-4 double zeta values, derived once from the harmonic relation
 # and the sum formula (both proved relations, independent of the evaluator)
@@ -162,6 +162,57 @@ def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
     assert s_m.radius_fraction() + h_m.radius_fraction() <= Fraction(1, 2 ** (wp + l1))
 
 
+@pytest.mark.parametrize("widen", [None, 20], ids=["exact-z", "wide-z"])
+def test_tail_floors_enclose_the_truncated_sum(monkeypatch, widen):
+    """With the truncation's remainder replaced by 0, the tail ball must hold
+    the exact sum of the terms it kept at every point of the Hurwitz balls:
+    fed zeta(s, A) midpoints as exact balls, the sum of the kept terms'
+    midpoints (the floors' counted error is in the radius and the centre sits
+    mid-way in their one-sided interval); fed balls of relative radius 2^-20,
+    both extreme sums (the scaled radii are in the radius too).  Every bound
+    the truncation draws covers its term over the whole ball."""
+    truncate = dzeta_mod._em_truncate
+    drawn, negligibles = [], []
+
+    def without_remainder(terms, negligible):
+        negligibles.append(negligible)
+
+        def recorded():
+            for term, bound in terms:
+                drawn.append(bound)
+                yield term, bound
+        kept, _ = truncate(recorded(), negligible)
+        return kept, 0
+
+    monkeypatch.setattr(dzeta_mod, "_em_truncate", without_remainder)
+    for wp, a_cut in ((112, 57), (240, 121)):
+        ctx = PrecisionCtx(wp)
+
+        def hz(s):
+            mid = hurwitz_zeta(s, a_cut, ctx).midpoint_fraction()
+            z = RealBall.from_fraction(mid, 8 * wp)
+            assert z.is_exact()
+            return z if widen is None else z.add_error(mid / 2 ** widen)
+
+        for l1, l2 in ((2, 1), (2, 28), (5, 5), (16, 14), (29, 1)):
+            w = l1 + l2
+            drawn.clear()
+            negligibles.clear()
+            ball = dzeta_mod._tail(l1, w, wp, hz)
+            unit = Fraction(1, 2 ** (wp + l1)) / negligibles[0]
+            for k, bound in enumerate(drawn, 1):
+                z = hz(w - 1 + 2 * k)
+                term = abs(em_coefficient(l1, k)) * max(-z.lower_fraction(), z.upper_fraction())
+                assert bound * unit >= term, (wp, l1, l2, k)
+            coeffs = {w - 1: Fraction(1, l1 - 1), w: Fraction(-1, 2)}
+            for k in range(1, len(drawn)):  # the last bound drawn is the omitted one
+                coeffs[w - 1 + 2 * k] = em_coefficient(l1, k)
+            ends = {s: (c * hz(s).lower_fraction(), c * hz(s).upper_fraction())
+                    for s, c in coeffs.items()}
+            assert ball.contains_fraction(sum(min(e) for e in ends.values())), (wp, l1, l2)
+            assert ball.contains_fraction(sum(max(e) for e in ends.values())), (wp, l1, l2)
+
+
 def test_double_zeta_radius_miss_raises_and_caches_nothing(monkeypatch):
     monkeypatch.setattr(dzeta_mod, "_double_zeta_once",
                         lambda l1, l2, wp, m_cut: RealBall(1, 0, 1, -1))
@@ -232,6 +283,13 @@ def test_table_precision_escalation(pair, p):
     b = double_zeta(pair, PrecisionCtx(2 * p))
     assert b.radius_fraction() < a.radius_fraction()
     assert a.intersects(b)
+
+
+def test_192_bit_tables_intersect_the_512_bit_tables():
+    for l in range(3, 13):
+        low, high = get_table(l, PrecisionCtx(192)), get_table(l, PrecisionCtx(512))
+        for pair in low.pairs():
+            assert low.entries[pair].intersects(high.entries[pair]), pair
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,26 @@ def test_exact_dyadic_ball_does_not_depend_on_precision():
     assert p.contains_fraction(Fraction(-1, 6))
 
 
+@pytest.mark.parametrize("ball, width", [
+    (RealBall(3, 5, 1, 2), 10),                                # both exponents shift left
+    (RealBall(-3, 5, 1, -20), 10),                             # midpoint left, radius divided
+    (RealBall.from_fraction(Fraction(1, 3), 200), 64),         # both divided
+    (RealBall.from_fraction(Fraction(-22, 7), 100).add_error(Fraction(1, 10**20)), 80),
+    (RealBall.from_fraction(Fraction(5, 8), 64), 16),          # zero radius
+], ids=["left", "mixed", "right", "negative", "exact"])
+@pytest.mark.parametrize("num, den", [(1, 3), (-1, 2), (691, 2730), (-5, 66)])
+def test_scaled_floors_cover_both_ends(ball, width, num, den):
+    """(num/den) * ball lies in [f - r, f + 1 + r] units of 2^-width, with f
+    the floor of the scaled midpoint and r the ceiling of the scaled radius."""
+    f, r = ball.scaled_floors(num, den, width)
+    u, c = Fraction(1, 2 ** width), Fraction(num, den)
+    for end in (ball.lower_fraction(), ball.upper_fraction()):
+        assert (f - r) * u <= c * end <= (f + 1 + r) * u
+    assert f * u <= c * ball.midpoint_fraction() < (f + 1) * u
+    assert (r - 1) * u < abs(c) * ball.radius_fraction() <= r * u
+    assert (r == 0) == ball.is_exact()
+
+
 # ---------------------------------------------------------------------------
 # PiPolynomial
 # ---------------------------------------------------------------------------

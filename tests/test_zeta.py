@@ -1,7 +1,7 @@
 """Tests for exact even zeta values and the Euler-Maclaurin Hurwitz engine."""
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_nume
 
 from oracles import (
     akiyama_tanigawa_bernoulli,
+    em_coefficient,
     hurwitz_direct_interval,
     zeta_direct_interval,
 )
@@ -232,11 +233,6 @@ def test_hurwitz_recurrence_at_1024_bits(a):
         assert res.radius_fraction() <= power / 2**1020, s
 
 
-def _em_coefficient_oracle(s: int, k: int) -> Fraction:
-    """c_k = B_2k (s)_{2k-1} / (2k)! from the oracle Bernoulli numbers."""
-    return _AT[2 * k] * prod(range(s, s + 2 * k - 1)) / factorial(2 * k)
-
-
 def test_hurwitz_kernel_floors_enclose_the_truncated_sum(monkeypatch):
     """With the truncation's remainder replaced by 0, the kernel's ball must
     still hold the exact Euler-Maclaurin sum of the terms it kept: the floors'
@@ -264,7 +260,7 @@ def test_hurwitz_kernel_floors_enclose_the_truncated_sum(monkeypatch):
             exact = (sum(1 / Fraction(n + a) ** s for n in range(n_lead))
                      + 1 / ((s - 1) * Fraction(x) ** (s - 1)) + 1 / (2 * Fraction(x) ** s))
             for k in range(1, len(drawn)):  # the last pair drawn is the omitted one
-                exact += _em_coefficient_oracle(s, k) / Fraction(x) ** (s - 1 + 2 * k)
+                exact += em_coefficient(s, k) / Fraction(x) ** (s - 1 + 2 * k)
             assert ball.contains_fraction(exact), (s, a)
             assert all(bound >= max(abs(f), abs(f + 1)) for f, bound in drawn), (s, a)
 
