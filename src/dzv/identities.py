@@ -240,8 +240,11 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
         raise DomainError("cube-root-of-unity equations need weight >= 3")
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    # the power chains widen omega's relative radius by about 2^(0.45 l)
-    omega = cube_root_of_unity(PrecisionCtx(ctx.working_precision + l))
+    # omega's radius enters _homogeneous's majorant times sum_i i C_i X^(i-1) Y^(d-i),
+    # X, Y about 1: at most about l zeta(l) for T_l (the sum formula) and l^2/2
+    # for the divided difference, so 2 bitlen(l) bits above wp keep it below
+    # 2^-wp of each side
+    omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
     xs = [ComplexBall.one(), omega, omega.conj()]
     one = ComplexBall.one()
     zl = zeta_numeric(l, ctx)

@@ -112,14 +112,16 @@ def _round_mid(man: int, exp: int, prec: int) -> Tuple[int, int, Optional[int]]:
 
 
 def _rad_up(man: int, exp: int) -> Tuple[int, int]:
-    """Round a nonnegative dyadic upward to a short mantissa."""
+    """Round a nonnegative dyadic upward to a short mantissa; the result
+    depends only on the value, not on how it is written."""
     if man == 0:
         return 0, 0
     bits = man.bit_length()
     if bits <= _RAD_BITS:
         return man, exp
     sh = bits - _RAD_BITS
-    return (man >> sh) + 1, exp + sh
+    top = man >> sh
+    return top + (top << sh != man), exp + sh
 
 
 def _rounded(mm: int, me: int, rm: int, re: int, prec: int) -> "RealBall":
@@ -237,6 +239,10 @@ class RealBall:
 
     def upper_fraction(self) -> Fraction:
         return self.midpoint_fraction() + self.radius_fraction()
+
+    def dyadic(self) -> Tuple[int, int, int, int]:
+        """(mm, me, rm, re): the midpoint is mm 2^me and the radius rm 2^re."""
+        return self._mm, self._me, self._rm, self._re
 
     def is_exact(self) -> bool:
         return self._rm == 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import factorial
 
 from .bernoulli import bernoulli
@@ -38,19 +39,27 @@ def zeta_even_exact(m: int) -> PiPolynomial:
     return PiPolynomial.single(m, coeff)
 
 
+@cache
+def _em_term(s: int, k: int) -> tuple[int, int, int, int]:
+    """(numerator, denominator, (s)_{2k-1}, (2k)!) of the Euler-Maclaurin
+    coefficient c_k = B_2k (s)_{2k-1} / (2k)!, memoized per (s, k); term k
+    extends term k - 1, which a caller drawing k = 1, 2, ... has cached."""
+    if k == 1:
+        rfv, fact = s, 2
+    else:
+        _, _, rfv, fact = _em_term(s, k - 1)
+        rfv *= (s + 2 * k - 3) * (s + 2 * k - 2)
+        fact *= (2 * k - 1) * (2 * k)
+    b = bernoulli(2 * k)
+    return b.numerator * rfv, b.denominator * fact, rfv, fact
+
+
 def _em_coefficients(s: int):
     """The Euler-Maclaurin coefficients c_k = B_2k (s)_{2k-1} / (2k)! for
     k = 1, 2, ..., as integer pairs (numerator, denominator); the k-th
     correction term of zeta(s, x) is c_k x^(1-s-2k)."""
-    rfv = s
-    fact = 2
-    k = 1
-    while True:
-        b = bernoulli(2 * k)
-        yield b.numerator * rfv, b.denominator * fact
-        rfv *= (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-        k += 1
+    for k in count(1):
+        yield _em_term(s, k)[:2]
 
 
 def _em_truncate(terms, negligible):

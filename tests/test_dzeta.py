@@ -11,6 +11,8 @@ from dzv import dzeta as dzeta_mod
 from dzv.dzeta import (
     IndexPair,
     _direct_sums,
+    _divided_difference,
+    _homogeneous,
     _table,
     build_table,
     double_zeta,
@@ -21,12 +23,14 @@ from dzv.dzeta import (
 )
 from dzv.identities import harmonic_check, sum_formula_check, weighted_sum_check
 from dzv.numerics import (
+    GUARD_BITS,
     ComplexBall,
     DomainError,
     PiPolynomial,
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
+    cube_root_of_unity,
     pipoly_eval,
 )
 from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_numeric
@@ -322,6 +326,121 @@ def test_gen_poly_y_zero_picks_l2_equal_1_column(ctx128):
     t = get_table(5, ctx128)
     v = gen_poly_eval(t, ComplexBall.one(), ComplexBall.zero())
     assert v.real.same_enclosure(t.entry(4, 1))
+
+
+def _corner(b: RealBall, side: int) -> Fraction:
+    """The midpoint (side 0) or an end (side +-1) of a ball."""
+    return b.midpoint_fraction() + side * b.radius_fraction()
+
+
+def _exact_homogeneous(coeffs, x, y):
+    """sum c_i x^i y^(d-i) in exact rationals, complex numbers as pairs."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    h, p = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    terms = []
+    for c in reversed(coeffs):  # c_d y^0, c_(d-1) y^1, ...
+        terms.append((c, p))
+        p = mul(p, y)
+    for c, yp in terms:  # Horner in x from i = d down to 0
+        h = mul(h, x)
+        if c is not None:
+            h = (h[0] + c * yp[0], h[1] + c * yp[1])
+    return h
+
+
+def _ball(mid_man, mid_exp, rad_man, rad_exp, exact):
+    return RealBall(mid_man, mid_exp, 0 if exact else rad_man, rad_exp)
+
+
+# point parts: zero, or up to 4 or tiny (|.| <= 2^-10); coefficients near 1
+_kernel_parts = st.just(None) | st.tuples(st.integers(-2 ** 30, 2 ** 30), st.integers(-40, -28),
+                                          st.integers(0, 2 ** 20), st.integers(-80, -40))
+_kernel_coeffs = st.lists(
+    st.just(None) | st.tuples(st.integers(-2 ** 40, 2 ** 40), st.integers(-44, -38),
+                              st.integers(0, 2 ** 24), st.integers(-100, -60)),
+    min_size=1, max_size=41)
+
+
+_sides = st.lists(st.sampled_from((-1, 0, 1)), min_size=45, max_size=45)
+# exact inputs whose only errors are one kind of floor, so each count must
+# hold: the Horner floors of c x^20, the power-chain floors of c y^20, the
+# coefficient floors of sum c_i (1/2)^(20-i) with 120-bit c_i, and the
+# Horner floors of c (it)^5, every other one imaginary
+_X20 = [None] * 20 + [(0x3ab5c2d91e7, -41, 0, 0)]
+_Y20 = [(0x3ab5c2d91e7, -41, 0, 0)] + [None] * 20
+_EXACT_POINT = [(0x2c3f5a7b, -29, 0, 0), None, (-0x1d2e4f6b, -29, 0, 0), None]
+_C20 = [(2 ** 120 + 2 * i + 1, -120, 0, 0) for i in range(21)]
+_ONE_HALF = [(1, 0, 0, 0), None, (1, -1, 0, 0), None]
+_X5 = [None] * 5 + [(189139603673, -41, 0, 0)]
+_IMAGINARY_POINT = [None, (224504467, -29, 0, 0), (1, 0, 0, 0), None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_coeffs, st.lists(_kernel_parts, min_size=4, max_size=4),
+       st.lists(st.booleans(), min_size=3, max_size=3), st.integers(64, 160), _sides, _sides)
+@example(_X20, _EXACT_POINT, [True] * 3, 64, [0] * 45, [0] * 45)
+@example(_Y20, _EXACT_POINT, [True] * 3, 64, [0] * 45, [0] * 45)
+@example(_C20, _ONE_HALF, [True] * 3, 64, [0] * 45, [0] * 45)
+@example(_X5, _IMAGINARY_POINT, [True] * 3, 64, [0] * 45, [0] * 45)
+def test_homogeneous_kernel_encloses_midpoints_and_corners(coeff_parts, point_parts, exact,
+                                                          wp, sides1, sides2):
+    """The kernel ball holds the exact polynomial at the midpoints and at
+    corners of the input balls (each coefficient and each part of x and y at
+    its midpoint or either end); so does its fixed-point ball before the final
+    rounding to wp bits, where the counted floor errors are not hidden.  Each
+    of the coefficients, x and y may be exact, so every part of the radius
+    (the counted floors, r_i, the rx and ry terms) is alone in some draws."""
+    coeffs = [None if c is None else _ball(*c, exact[0]) for c in coeff_parts]
+    re_x, im_x, re_y, im_y = (RealBall.zero() if q is None else _ball(*q, exact[1 + j // 2])
+                              for j, q in enumerate(point_parts))
+    x, y = ComplexBall(re_x, im_x), ComplexBall(re_y, im_y)
+    z = _homogeneous(coeffs, x, y, wp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dzeta_mod, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
+        fixed = _homogeneous(coeffs, x, y, wp)
+    for sides in ([0] * 45, sides1, sides2):
+        cs = [None if c is None else _corner(c, e) for c, e in zip(coeffs, sides)]
+        xe = (_corner(x.real, sides[-4]), _corner(x.imag, sides[-3]))
+        ye = (_corner(y.real, sides[-2]), _corner(y.imag, sides[-1]))
+        re, im = _exact_homogeneous(cs, xe, ye)
+        for ball in (z, fixed):
+            assert ball.real.contains_fraction(re) and ball.imag.contains_fraction(im)
+    if x.imag.is_zero() and y.imag.is_zero():
+        assert z.imag.is_zero()
+
+
+def test_gen_poly_radius_at_2_1_follows_the_table_radii(ctx192):
+    """At the exact point (2, 1) the terms zeta(l1, l2) 2^(l1-1) of T_100 are
+    all about 2^-l2, so after the rescale to (1, 1/2) most of them lie far
+    below any fixed unit.  The radius stays within twice the spread
+    sum rad(zeta(l1, l2)) 2^(l1-1) of the exact polynomial, plus the final
+    rounding to wp bits."""
+    t = get_table(100, ctx192)
+    z = gen_poly_real(t, Fraction(2), Fraction(1))
+    spread = sum(v.radius_fraction() * 2 ** (p.l1 - 1) for p, v in t.entries.items())
+    rounding = abs(z.midpoint_fraction()) / 2 ** (ctx192.working_precision + GUARD_BITS - 1)
+    assert z.radius_fraction() <= 2 * spread + rounding
+
+
+def test_homogeneous_kernel_at_omega_meets_the_512_bit_value():
+    """lemma1's arguments at 192 bits: each T_l ball and each divided
+    difference intersects its 512-bit counterpart, weights 3..30."""
+    for l in range(3, 31):
+        balls = []
+        for p in (192, 512):
+            wp = p + GUARD_BITS
+            t = get_table(l, PrecisionCtx(p))
+            omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
+            one = ComplexBall.one()
+            pts = [(omega.add(one, wp), one), (omega.add(one, wp), omega), (omega, one),
+                   (one, omega.conj())]
+            balls.append([gen_poly_eval(t, x, y) for x, y in pts]
+                         + [_divided_difference(omega, one, l, wp)])
+        for low, high in zip(*balls):
+            assert low.intersects(high), l
+            assert high.real.radius_fraction() < low.real.radius_fraction(), l
 
 
 # ---------------------------------------------------------------------------

@@ -483,8 +483,8 @@ def test_lemma1_sweep_small(ctx128):
 
 
 def test_lemma1_passes_where_the_power_chains_lose_l_over_2_bits():
-    # rectangular products widen omega^k's radius by about 1.366^k, so at 64
-    # bits an omega and power chains without l extra bits fail eq5 here
+    # a low precision at a high weight: the divided difference's majorant
+    # widens omega's radius by about l^2/2, the most of any lemma1 side
     ctx = PrecisionCtx(64, Fraction(1, 10**15))
     assert all(r.passed for r in lemma1_check(48, ctx))
 

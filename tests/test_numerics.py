@@ -11,6 +11,7 @@ from dzv.numerics import (
     PiPolynomial,
     PrecisionCtx,
     RealBall,
+    _rad_up,
     ball_is_zero_within,
     ball_sum,
     check_from_sides,
@@ -355,3 +356,19 @@ def test_precision_ctx_stores_int_tolerance_as_fraction():
     ctx = PrecisionCtx(128, 1)
     assert type(ctx.target_tolerance) is Fraction and ctx.target_tolerance == 1
     assert ctx == PrecisionCtx(128, Fraction(1))
+
+
+@given(st.integers(1, 2 ** 60), st.integers(-100, 100), st.integers(0, 40))
+def test_rad_up_depends_only_on_the_value(m, e, k):
+    """(m << k, e - k) and (m, e) are one value and round to one value: a
+    bound, less than 2^-22 relative above it, that rounds only when a dropped
+    bit is nonzero."""
+    wide, short = _rad_up(m << k, e - k), _rad_up(m, e)
+    value = Fraction(m) * Fraction(2) ** e
+    assert Fraction(wide[0]) * Fraction(2) ** wide[1] == Fraction(short[0]) * Fraction(2) ** short[1]
+    assert value <= Fraction(short[0]) * Fraction(2) ** short[1] < value * (1 + Fraction(1, 2 ** 22))
+
+
+def test_rad_up_keeps_an_exact_power_of_two():
+    man, exp = _rad_up(2 ** 30, 0)
+    assert man << exp == 2 ** 30
