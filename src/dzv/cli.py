@@ -50,6 +50,9 @@ from .numerics import (
     RealBall,
     require_exact,
     _decimal_str,
+    _dy_add,
+    _dy_cmp,
+    _dy_ratio,
     _radius_decimal,
     _radius_digits,
     _sci,
@@ -150,11 +153,12 @@ class SuiteReport:
 # decimal formatting of balls
 # ---------------------------------------------------------------------------
 
-def _decimal_truncate(q: Fraction, digits: int) -> str:
-    """Decimal expansion of q truncated toward zero at `digits` places; signed
-    only when a printed digit is nonzero, so 0.000... never prints as -0.000..."""
-    scaled = (abs(q.numerator) * 10 ** digits) // q.denominator
-    sign = "-" if q < 0 and scaled else ""
+def _decimal_truncate(m: int, e: int, digits: int) -> str:
+    """Decimal expansion of m 2^e truncated toward zero at `digits` places;
+    signed only when a printed digit is nonzero, never as -0.000..."""
+    scaled = abs(m) * 10 ** digits
+    scaled = scaled << e if e >= 0 else scaled >> -e
+    sign = "-" if m < 0 and scaled else ""
     s = _decimal_str(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + s
@@ -164,20 +168,24 @@ def _decimal_truncate(q: Fraction, digits: int) -> str:
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
     """The digits that the truncations of both ends of the ball at max_digits
     places share, cut at a digit; when the integer parts already differ, the
-    integer nearest the midpoint, which lies in the ball since some integer
-    does.  "0" exactly when the ball contains 0, so a ball inside (-1, 1)
-    whose ends differ in the first place prints as "0."."""
-    lo, hi = ball.lower_fraction(), ball.upper_fraction()
-    if lo <= 0 <= hi:
+    integer nearest the midpoint (half to even, like round()), which lies in
+    the ball since some integer does.  "0" exactly when the ball contains 0,
+    so a ball inside (-1, 1) whose ends differ in the first place prints as
+    "0."."""
+    mm, me, rm, re = ball.dyadic()
+    lo, hi = _dy_add(mm, me, -rm, re), _dy_add(mm, me, rm, re)
+    if lo[0] <= 0 <= hi[0]:
         return "0"
-    (ia, _, fa), (ib, _, fb) = (_decimal_truncate(abs(q), max_digits).partition(".")
-                                for q in (lo, hi))
+    (ia, _, fa), (ib, _, fb) = (_decimal_truncate(abs(m), e, max_digits).partition(".")
+                                for m, e in (lo, hi))
     if ia != ib:
-        s = _decimal_str(round(abs(ball.midpoint_fraction())))
+        den = 1 << max(-me, 0)
+        n, r = divmod(abs(mm) << max(me, 0), den)
+        s = _decimal_str(n + (2 * r + (n & 1) > den))
     else:
         k = len(os.path.commonprefix([fa, fb]))
         s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
-    return "-" + s if hi < 0 and s.strip("0.") else s
+    return "-" + s if hi[0] < 0 and s.strip("0.") else s
 
 
 def _ball_str(b: Union[RealBall, ComplexBall], prec: int) -> str:
@@ -201,17 +209,18 @@ def _record(r: CheckReport, config: RunConfig) -> CheckRecord:
                            _fraction_str(r.residual), "0", r.exact, r.passed)
     res = r.residual
     parts = [res.real, res.imag] if isinstance(res, ComplexBall) else [res]
-    rad = max(b.radius_fraction() for b in parts)
-    if rad:
+    rads = [b.dyadic()[2:] for b in parts]
+    rm, re = rads[-1] if _dy_cmp(*rads[-1], *rads[0]) > 0 else rads[0]  # the larger
+    if rm:
         # print midpoints down to the radius's second significant digit,
         # 10^(e-1); truncating there moves them by less than 10^(e-1), which
         # one more unit in the radius's last digit covers
-        m, e = _radius_digits(rad)
+        m, e = _radius_digits(*_dy_ratio(rm, re))
         digits = max(1 - e, 0)
         rad_s = _sci(m + 1, e) if m < 99 else _sci(10, e + 1)
     else:
         digits, rad_s = 60, "0"
-    mid = " + ".join(_decimal_truncate(b.midpoint_fraction(), digits) for b in parts)
+    mid = " + ".join(_decimal_truncate(*b.dyadic()[:2], digits) for b in parts)
     if len(parts) == 2:
         mid += "i"
     prec = config.precision_bits
@@ -479,7 +488,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             default_prec = _default_precision()  # checked even when -p overrides it
             prec = default_prec if args.precision is None else args.precision
             value = double_zeta(IndexPair(args.l1, args.l2), PrecisionCtx(prec))
-            print(f"{_ball_str(value, prec)} ± {_radius_decimal(value.radius_fraction())}")
+            _, _, rm, re = value.dyadic()
+            print(f"{_ball_str(value, prec)} ± {_radius_decimal(*_dy_ratio(rm, re))}")
         else:
             config = _config_from_args(args)
             with _report_file(config.output_path) as fh:

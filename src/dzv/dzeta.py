@@ -104,9 +104,8 @@ def _direct_sums(l1: int, l2: int, m_cut: int, wp: int) -> tuple[RealBall, RealB
         s += one // m ** l1 * h
         h += one // m ** l2
     sq = m_cut * m_cut
-    s_m = RealBall(2 * s + (sq << width), -2 * width - 1, sq, -width - 1)
-    h_m = RealBall(2 * h + m_cut, -width - 1, m_cut, -width - 1)
-    return s_m, h_m
+    return (RealBall.from_floors(s, sq << width, 0, 2 * width),
+            RealBall.from_floors(h, m_cut, 0, width))
 
 
 def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
@@ -140,7 +139,7 @@ def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
     floors = len(terms)
     total = sum(f for f, _ in terms)
     rad = sum(r for _, r in terms) + rem
-    return RealBall(2 * total + floors, -width - 1, floors + 2 * rad, -width - 1)
+    return RealBall.from_floors(total, floors, rad, width)
 
 
 def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
@@ -167,8 +166,7 @@ def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     target = ctx.working_precision
     wp = target + GUARD_BITS
     result = _double_zeta_once(l1, l2, wp, max(32, wp // 2))
-    lo = result.lower_fraction()
-    if lo > 0 and result.radius_fraction() <= lo * Fraction(2, 2**target):
+    if result.meets_relative_radius(target - 1):
         return result
     raise PrecisionUnreachableError(
         f"double_zeta({l1},{l2}) did not reach 2^-{target} relative radius"

@@ -5,6 +5,9 @@ Balls store the midpoint and radius as dyadic numbers (mantissa * 2**exp with
 Python integers), so every operation can account for its rounding error
 exactly: results are enclosures, never estimates.  Midpoints are rounded to a
 caller-supplied precision; radii are rounded upward to a short mantissa.
+Verdicts (zero within a tolerance, intersection, a relative-radius target)
+are decided on those integers, a rational tolerance by cross-multiplying;
+midpoint_fraction() and radius_fraction() are for readers outside that path.
 """
 
 from __future__ import annotations
@@ -80,10 +83,13 @@ def _dy_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     return (m > 0) - (m < 0)
 
 
+def _dy_ratio(m: int, e: int) -> Tuple[int, int]:
+    """(num, den), den a power of two: the integers whose quotient is m*2**e."""
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
+
+
 def _dy_fraction(m: int, e: int) -> Fraction:
-    if e >= 0:
-        return Fraction(m << e)
-    return Fraction(m, 1 << (-e))
+    return Fraction(*_dy_ratio(m, e))
 
 
 def _strip_zeros(man: int, exp: int) -> Tuple[int, int]:
@@ -208,6 +214,13 @@ class RealBall:
         return RealBall(n, 0, 0, 0)
 
     @staticmethod
+    def from_floors(total: int, floors: int, rad: int, width: int) -> "RealBall":
+        """The ball of a sum of integer floors at unit 2^-width that add up to
+        `total` and are low by less than `floors` units in all (one per
+        floor): centred on [total, total + floors] units, widened by `rad`."""
+        return RealBall(2 * total + floors, -width - 1, floors + 2 * rad, -width - 1)
+
+    @staticmethod
     def from_fraction(q, prec: int) -> "RealBall":
         """Ball containing the rational q (an int or a Fraction), exact when q
         is dyadic."""
@@ -234,45 +247,24 @@ class RealBall:
     def radius_fraction(self) -> Fraction:
         return _dy_fraction(self._rm, self._re)
 
-    def lower_fraction(self) -> Fraction:
-        return self.midpoint_fraction() - self.radius_fraction()
-
-    def upper_fraction(self) -> Fraction:
-        return self.midpoint_fraction() + self.radius_fraction()
-
     def dyadic(self) -> Tuple[int, int, int, int]:
         """(mm, me, rm, re): the midpoint is mm 2^me and the radius rm 2^re."""
         return self._mm, self._me, self._rm, self._re
 
-    def is_exact(self) -> bool:
-        return self._rm == 0
-
     def is_zero(self) -> bool:
         return self._mm == 0 and self._rm == 0
 
-    def is_positive(self) -> bool:
-        """True when every point of the ball is > 0."""
-        return self._mm > 0 and _dy_cmp(self._mm, self._me, self._rm, self._re) > 0
-
-    def contains_zero(self) -> bool:
-        return _dy_cmp(abs(self._mm), self._me, self._rm, self._re) <= 0
-
-    def contains_fraction(self, q) -> bool:
-        require_exact(q, "contains_fraction's q")
-        return abs(self.midpoint_fraction() - q) <= self.radius_fraction()
-
-    def contains_ball(self, other: "RealBall") -> bool:
-        """True when other's enclosure is a subset of self's."""
-        d = abs(self.midpoint_fraction() - other.midpoint_fraction())
-        return d + other.radius_fraction() <= self.radius_fraction()
-
     def intersects(self, other: "RealBall") -> bool:
-        d = abs(self.midpoint_fraction() - other.midpoint_fraction())
-        return d <= self.radius_fraction() + other.radius_fraction()
+        """True when |mid - other's mid| <= rad + other's rad."""
+        dm, de = _dy_add(self._mm, self._me, -other._mm, other._me)
+        rm, re = _dy_add(self._rm, self._re, other._rm, other._re)
+        return _dy_cmp(abs(dm), de, rm, re) <= 0
 
-    def same_enclosure(self, other: "RealBall") -> bool:
-        return (_dy_cmp(self._mm, self._me, other._mm, other._me) == 0
-                and _dy_cmp(self._rm, self._re, other._rm, other._re) == 0)
+    def meets_relative_radius(self, k: int) -> bool:
+        """True when the lower end is positive and rad <= lower * 2^-k, that
+        is mid > 0 and rad (2^k + 1) <= mid."""
+        return self._mm > 0 and _dy_cmp(self._rm * ((1 << k) + 1), self._re,
+                                        self._mm, self._me) <= 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -346,7 +338,7 @@ class RealBall:
             mid_s = repr(float(_dy_fraction(self._mm, self._me)))
         except OverflowError:
             mid_s = f"{self._mm}*2^{self._me}"
-        return f"RealBall({mid_s} +/- {_radius_decimal(self.radius_fraction())})"
+        return f"RealBall({mid_s} +/- {_radius_decimal(*_dy_ratio(self._rm, self._re))})"
 
 
 def _decimal_str(n: int) -> str:
@@ -365,10 +357,9 @@ def _decimal_str(n: int) -> str:
     return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
 
 
-def _radius_digits(r: Fraction) -> Tuple[int, int]:
+def _radius_digits(num: int, den: int) -> Tuple[int, int]:
     """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
-    upper bound of the positive rational r."""
-    num, den = r.numerator, r.denominator
+    upper bound of the positive rational r = num/den."""
     # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
     e = len(_decimal_str(num)) - len(_decimal_str(den))
     if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
@@ -385,9 +376,9 @@ def _sci(m: int, e: int) -> str:
     return f"{m / 10:.1f}e{e:+03d}"
 
 
-def _radius_decimal(r: Fraction) -> str:
-    """Two-significant-digit upper bound of a nonnegative rational, sci notation."""
-    return _sci(*_radius_digits(r)) if r else "0"
+def _radius_decimal(num: int, den: int) -> str:
+    """Two-significant-digit upper bound of num/den >= 0, sci notation."""
+    return _sci(*_radius_digits(num, den)) if num else "0"
 
 
 def ball_sum(items: Iterable[RealBall], prec: int) -> RealBall:
@@ -427,20 +418,11 @@ class ComplexBall:
                            RealBall.from_fraction(im, prec))
 
     @staticmethod
-    def zero() -> "ComplexBall":
-        return ComplexBall(RealBall.zero(), RealBall.zero())
-
-    @staticmethod
     def one() -> "ComplexBall":
         return ComplexBall(RealBall.from_int(1), RealBall.zero())
 
     def conj(self) -> "ComplexBall":
         return ComplexBall(self.real, self.imag.neg())
-
-    def neg(self) -> "ComplexBall":
-        return ComplexBall(self.real.neg(), self.imag.neg())
-
-    __neg__ = neg
 
     def add(self, other: "ComplexBall", prec: int) -> "ComplexBall":
         return ComplexBall(self.real.add(other.real, prec),
@@ -461,15 +443,8 @@ class ComplexBall:
     def mul_int(self, n: int) -> "ComplexBall":
         return ComplexBall(self.real.mul_int(n), self.imag.mul_int(n))
 
-    def contains_zero(self) -> bool:
-        return self.real.contains_zero() and self.imag.contains_zero()
-
     def intersects(self, other: "ComplexBall") -> bool:
         return self.real.intersects(other.real) and self.imag.intersects(other.imag)
-
-    def same_enclosure(self, other: "ComplexBall") -> bool:
-        return (self.real.same_enclosure(other.real)
-                and self.imag.same_enclosure(other.imag))
 
     def __repr__(self) -> str:
         return f"ComplexBall({self.real!r}, {self.imag!r})"
@@ -641,24 +616,31 @@ def pipoly_eval(p: PiPolynomial, ctx: PrecisionCtx) -> RealBall:
 
 @dataclass(frozen=True)
 class ZeroCertificate:
-    """Record of a |midpoint| + radius <= tolerance comparison."""
+    """Record of a |midpoint| + radius <= tolerance comparison; the exact
+    midpoint and radius are read from the ball only when asked for."""
 
-    abs_midpoint: Fraction
-    radius: Fraction
-    tolerance: Fraction
+    ball: RealBall
+    tolerance: Union[int, Fraction]
     within: bool
+
+    @property
+    def abs_midpoint(self) -> Fraction:
+        return abs(self.ball.midpoint_fraction())
+
+    @property
+    def radius(self) -> Fraction:
+        return self.ball.radius_fraction()
 
 
 def ball_is_zero_within(x: RealBall, tol) -> Tuple[bool, ZeroCertificate]:
-    """True iff |midpoint| + radius <= tol (an int or a Fraction), with the
-    exact quantities recorded."""
-    tol = Fraction(require_exact(tol, "tolerance"))
-    if tol <= 0:
+    """True iff |midpoint| + radius <= tol (an int or a Fraction), decided on
+    the ball's integers: the dyadic |mid| + rad times tol's denominator is
+    compared with its numerator, so tol is never rounded to a dyadic."""
+    if require_exact(tol, "tolerance").numerator <= 0:
         raise DomainError("tolerance must be positive")
-    mid = abs(x.midpoint_fraction())
-    rad = x.radius_fraction()
-    ok = mid + rad <= tol
-    return ok, ZeroCertificate(mid, rad, tol, ok)
+    sm, se = _dy_add(abs(x._mm), x._me, x._rm, x._re)
+    ok = _dy_cmp(sm * tol.denominator, se, tol.numerator, 0) <= 0
+    return ok, ZeroCertificate(x, tol, ok)
 
 
 Side = Union[RealBall, ComplexBall, Fraction]

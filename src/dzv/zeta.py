@@ -106,15 +106,14 @@ def _hurwitz_em_once(s: int, a, wp: int, n_lead: int) -> RealBall:
     kept, rem = _em_truncate(((f, abs(f) + 1) for f in corrections), (leading[0] + head) >> wp)
     total = sum(leading) + head + q1 * q // (2 * xpow * xq) + sum(kept)
     floors = n_lead + 2 + len(kept)
-    return RealBall(2 * total + floors, -width - 1, floors + 2 * rem, -width - 1)
+    return RealBall.from_floors(total, floors, rem, width)
 
 
 @cache
 def _hurwitz_rational(s: int, a, precision: int) -> RealBall:
     wp = precision + _GUARD
     result = _hurwitz_em_once(s, a, wp, max(16, wp // 4))
-    lo = result.lower_fraction()
-    if lo > 0 and result.radius_fraction() <= lo * Fraction(1, 2**precision):
+    if result.meets_relative_radius(precision):
         return result
     raise PrecisionUnreachableError(
         f"hurwitz_zeta({s}, {a}) did not reach 2^-{precision} relative radius"

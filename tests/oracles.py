@@ -6,6 +6,11 @@ Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
 summation with integral tail bounds for zeta values, the literal truncated
 double sum for double zeta values, and at odd weight the reduction of a double
 zeta value to products of single zeta values.
+
+The ball predicates below (ends, containment, equality of enclosures, the
+zero test, the relative-radius target) and the decimal printing of a ball are
+read from its exact midpoint_fraction() and radius_fraction(), so they check
+the integer decisions of dzv against plain Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -15,8 +20,114 @@ from functools import cache
 from math import factorial, prod
 from typing import List, Tuple
 
-from dzv.numerics import PrecisionCtx, RealBall
+from hypothesis import strategies as st
+
+from dzv.numerics import ComplexBall, PrecisionCtx, RealBall, _radius_digits, _sci, require_exact
 from dzv.zeta import zeta_numeric
+
+
+# ---------------------------------------------------------------------------
+# ball predicates in exact rationals
+# ---------------------------------------------------------------------------
+
+def lower_fraction(b: RealBall) -> Fraction:
+    return b.midpoint_fraction() - b.radius_fraction()
+
+
+def upper_fraction(b: RealBall) -> Fraction:
+    return b.midpoint_fraction() + b.radius_fraction()
+
+
+def is_exact(b: RealBall) -> bool:
+    return b.radius_fraction() == 0
+
+
+def is_positive(b: RealBall) -> bool:
+    """True when every point of the ball is > 0."""
+    return lower_fraction(b) > 0
+
+
+def contains_fraction(b: RealBall, q) -> bool:
+    require_exact(q, "contains_fraction's q")
+    return abs(b.midpoint_fraction() - q) <= b.radius_fraction()
+
+
+def contains_zero(b) -> bool:
+    """A real ball holds 0, or both parts of a complex ball do."""
+    if isinstance(b, ComplexBall):
+        return contains_zero(b.real) and contains_zero(b.imag)
+    return contains_fraction(b, 0)
+
+
+def contains_ball(outer: RealBall, inner: RealBall) -> bool:
+    """True when inner's enclosure is a subset of outer's."""
+    d = abs(outer.midpoint_fraction() - inner.midpoint_fraction())
+    return d + inner.radius_fraction() <= outer.radius_fraction()
+
+
+def same_enclosure(a, b) -> bool:
+    """Equal midpoints and radii, part by part for complex balls."""
+    if isinstance(a, ComplexBall):
+        return same_enclosure(a.real, b.real) and same_enclosure(a.imag, b.imag)
+    return (a.midpoint_fraction() == b.midpoint_fraction()
+            and a.radius_fraction() == b.radius_fraction())
+
+
+def intersects(a: RealBall, b: RealBall) -> bool:
+    return abs(a.midpoint_fraction() - b.midpoint_fraction()) \
+        <= a.radius_fraction() + b.radius_fraction()
+
+
+def zero_within(b: RealBall, tol: Fraction) -> bool:
+    return abs(b.midpoint_fraction()) + b.radius_fraction() <= tol
+
+
+def meets_relative_radius(b: RealBall, k: int) -> bool:
+    """The radius target of double_zeta and hurwitz_zeta: the lower end is
+    positive and the radius is at most 2^-k of it."""
+    lo = lower_fraction(b)
+    return lo > 0 and b.radius_fraction() <= lo / 2 ** k
+
+
+# balls of any sign and scale, exact ones included, and tolerances n / 10^k
+DYADIC_BALLS = st.builds(RealBall, st.integers(-2 ** 80, 2 ** 80), st.integers(-300, 300),
+                         st.just(0) | st.integers(0, 2 ** 40), st.integers(-300, 300))
+DECIMAL_TOLERANCES = st.builds(lambda n, k: Fraction(n, 10 ** k),
+                               st.integers(1, 10 ** 6), st.integers(0, 120))
+
+
+# ---------------------------------------------------------------------------
+# decimal printing in exact rationals
+# ---------------------------------------------------------------------------
+
+def decimal_truncate(q: Fraction, digits: int) -> str:
+    """Decimal expansion of q truncated toward zero at `digits` places; signed
+    only when a printed digit is nonzero."""
+    scaled = (abs(q.numerator) * 10 ** digits) // q.denominator
+    sign = "-" if q < 0 and scaled else ""
+    s = str(scaled).rjust(digits + 1, "0")
+    if digits == 0:
+        return sign + s
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def certified_decimal(ball: RealBall, max_digits: int) -> str:
+    """The printing rule of dzv.cli.certified_decimal, on the exact ends:
+    the digits both truncated ends share, round(|mid|) when their integer
+    parts differ, and "0" exactly when the ball holds 0."""
+    lo, hi = lower_fraction(ball), upper_fraction(ball)
+    if lo <= 0 <= hi:
+        return "0"
+    (ia, _, fa), (ib, _, fb) = (decimal_truncate(abs(q), max_digits).partition(".")
+                                for q in (lo, hi))
+    if ia != ib:
+        s = str(round(abs(ball.midpoint_fraction())))
+    else:
+        k = 0
+        while k < min(len(fa), len(fb)) and fa[k] == fb[k]:
+            k += 1
+        s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
+    return "-" + s if hi < 0 and s.strip("0.") else s
 
 
 @cache
@@ -153,3 +264,16 @@ def odd_weight_double_zeta(a: int, b: int, ctx: PrecisionCtx) -> RealBall:
     if a % 2 == 0 and b >= 3:
         total = total.add(z(a).mul(z(b), wp), wp)
     return total.sub(z(w).mul_2exp(-1), wp)
+
+
+def residual_strings(parts) -> Tuple[str, str]:
+    """The residual midpoint and radius of a dzv.cli report row, from the
+    exact midpoints and the larger exact radius of the residual's parts."""
+    rad = max(b.radius_fraction() for b in parts)
+    if rad:
+        m, e = _radius_digits(rad.numerator, rad.denominator)
+        digits, rad_s = max(1 - e, 0), _sci(m + 1, e) if m < 99 else _sci(10, e + 1)
+    else:
+        digits, rad_s = 60, "0"
+    mid = " + ".join(decimal_truncate(b.midpoint_fraction(), digits) for b in parts)
+    return mid + ("i" if len(parts) == 2 else ""), rad_s

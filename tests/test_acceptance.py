@@ -33,7 +33,13 @@ from dzv.numerics import (
 )
 from dzv.zeta import hurwitz_zeta, zeta_even_exact, zeta_numeric
 
-from oracles import brute_double_zeta
+from oracles import (
+    brute_double_zeta,
+    contains_ball,
+    contains_fraction,
+    contains_zero,
+    same_enclosure,
+)
 
 _CTX = PrecisionCtx(192, Fraction(1, 10**40))
 
@@ -82,7 +88,7 @@ def test_criterion_04_spot_value_weight8():
     # pi^8/113400 evaluated far tighter than the double-zeta ball, so point
     # membership follows from enclosure containment
     point = pipoly_eval(zeta_even_exact(8) * Fraction(1, 12), PrecisionCtx(320))
-    contains = dz44.contains_ball(point)
+    contains = contains_ball(dz44, point)
     r = corollary1_check(8, _CTX)
     radius_ok = r.residual.radius_fraction() <= Fraction(1, 10**40)
     elapsed = time.monotonic() - start
@@ -132,7 +138,7 @@ def test_criterion_08_prop1_and_lemma1_3_to_20():
         # equation 5 against the exact integer part
         eq5 = reports[4]
         expected = zeta_numeric(l, _CTX).mul_int(3 * ((l + 1) // 3))
-        ok = ok and eq5.rhs.real.same_enclosure(expected) and eq5.lhs.intersects(eq5.rhs)
+        ok = ok and same_enclosure(eq5.rhs.real, expected) and eq5.lhs.intersects(eq5.rhs)
     elapsed = time.monotonic() - start
     _report(8, ok, "prop1 and all five lemma1 equations, 3 <= l <= 20", elapsed)
 
@@ -155,7 +161,7 @@ def test_criterion_09_functional_equation_sweep():
                 ComplexBall.from_fractions(y, 0, wp), _CTX)
             within = (abs(res.real.midpoint_fraction()) + res.real.radius_fraction()
                       <= _CTX.target_tolerance)
-            ok = ok and within and res.imag.contains_zero()
+            ok = ok and within and contains_zero(res.imag)
         # the (1,1) specialization is the weighted sum formula
         t21 = gen_poly_real(get_table(l, _CTX), Fraction(2), Fraction(1))
         rhs = zeta_numeric(l, _CTX).mul(
@@ -192,19 +198,19 @@ def test_criterion_11_property_suites():
     a = RealBall.from_fraction(Fraction(3, 7), 96).add_error(Fraction(1, 50))
     b = RealBall.from_fraction(Fraction(-5, 3), 96).add_error(Fraction(1, 40))
     pt_a, pt_b = Fraction(3, 7) + Fraction(1, 100), Fraction(-5, 3) - Fraction(1, 80)
-    ok = ok and a.mul(b, 96).contains_fraction(pt_a * pt_b)
-    ok = ok and a.add(b, 96).contains_fraction(pt_a + pt_b)
+    ok = ok and contains_fraction(a.mul(b, 96), pt_a * pt_b)
+    ok = ok and contains_fraction(a.add(b, 96), pt_a + pt_b)
 
     # Hurwitz recurrence exactness
     rec = hurwitz_zeta(3, Fraction(2), _CTX).sub(hurwitz_zeta(3, Fraction(3), _CTX), 240)
     rec = rec.sub(RealBall.from_fraction(Fraction(1, 8), 240), 240)
-    ok = ok and rec.contains_zero() and rec.radius_fraction() < Fraction(1, 2**180)
+    ok = ok and contains_zero(rec) and rec.radius_fraction() < Fraction(1, 2**180)
 
     # class partition completeness at weight 12: every pair is counted once,
     # and the six unit-class sums add up to the table sum
     t = get_table(12, _CTX)
     wp = t.precision + GUARD_BITS
-    ok = ok and restricted_sum(t, (1,) * 6).same_enclosure(ball_sum(t.entries.values(), wp))
+    ok = ok and same_enclosure(restricted_sum(t, (1,) * 6), ball_sum(t.entries.values(), wp))
     units = [tuple(int(i == r) for i in range(6)) for r in range(6)]
     total = ball_sum((restricted_sum(t, u) for u in units), 300)
     ok = ok and total.intersects(ball_sum(t.entries.values(), 300))

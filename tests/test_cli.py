@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dzv import numerics
 from dzv.cli import (
     RunConfig,
     SUITE_NAMES,
@@ -22,6 +24,9 @@ from dzv.cli import (
     certified_decimal,
     cmd_verify,
     main,
+    render_csv,
+    render_json,
+    render_text,
 )
 from dzv.numerics import (
     CheckReport,
@@ -33,7 +38,16 @@ from dzv.numerics import (
 )
 from dzv.zeta import zeta_numeric
 
-from oracles import zeta_direct_interval
+import oracles
+from oracles import (
+    DYADIC_BALLS,
+    contains_ball,
+    decimal_truncate,
+    lower_fraction,
+    residual_strings,
+    upper_fraction,
+    zeta_direct_interval,
+)
 
 
 def _run(*argv):
@@ -126,7 +140,7 @@ _MIDS = st.one_of(st.builds(lambda n, q: n + q / 10**9, st.integers(-300, 300), 
 @example(Fraction(-1, 5), Fraction(1, 10), 30)
 def test_certified_decimal_prints_shared_digits_or_an_inner_integer(mid, rad, digits):
     b = _ball(mid, rad)
-    lo, hi = b.lower_fraction(), b.upper_fraction()
+    lo, hi = lower_fraction(b), upper_fraction(b)
     s = certified_decimal(b, digits)
     if lo <= 0 <= hi:
         assert s == "0"
@@ -139,8 +153,8 @@ def test_certified_decimal_prints_shared_digits_or_an_inner_integer(mid, rad, di
     # bare point marks a zero-free ball whose shared truncation is 0
     k = len(s.partition(".")[2])
     assert (s == "0.") == (k == 0 and "." in s)
-    assert k <= digits and s.rstrip(".") == _decimal_truncate(lo, k) == _decimal_truncate(hi, k)
-    assert k == digits or _decimal_truncate(lo, k + 1) != _decimal_truncate(hi, k + 1)
+    assert k <= digits and s.rstrip(".") == decimal_truncate(lo, k) == decimal_truncate(hi, k)
+    assert k == digits or decimal_truncate(lo, k + 1) != decimal_truncate(hi, k + 1)
 
 
 def test_sides_near_an_integer_print_that_integer():
@@ -207,7 +221,32 @@ def test_printed_residual_encloses_the_residual(re, im, r):
         mids = rec.residual_midpoint.rstrip("i").split(" + ")
         rad = Fraction(rec.residual_radius)
         for b, m in zip(parts, mids):
-            assert RealBall.from_fraction(Fraction(m), 400).add_error(rad).contains_ball(b)
+            assert contains_ball(RealBall.from_fraction(Fraction(m), 400).add_error(rad), b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DYADIC_BALLS, DYADIC_BALLS, st.integers(0, 60))
+# midpoints 5/2 and -7/2, halfway between integers, in balls whose ends
+# differ in the integer part: round half to even gives 2 and -4
+@example(RealBall(5, -1, 1, 0), RealBall(-7, -1, 1, 0), 10)
+# ends that share every digit up to the last place; a zero radius
+@example(RealBall(123456789, -20, 1, -60), RealBall(-1, -300, 0, 0), 60)
+def test_printing_from_integers_agrees_with_the_fraction_oracle(a, b, digits):
+    """Truncated midpoints, certified digits and report residuals, printed
+    from the balls' integers, equal those printed from exact rationals."""
+    for ball in (a, b):
+        mm, me, _, _ = ball.dyadic()
+        exact = ball.midpoint_fraction()
+        assert _decimal_truncate(mm, me, digits) == decimal_truncate(exact, digits)
+        assert certified_decimal(ball, digits) == oracles.certified_decimal(ball, digits)
+    for res, parts in [(a, [a]), (ComplexBall(a, b), [a, b]), (ComplexBall(b, a), [b, a])]:
+        rec = _residual_record(res)
+        assert (rec.residual_midpoint, rec.residual_radius) == residual_strings(parts)
+
+
+def test_certified_decimal_rounds_a_halfway_midpoint_to_even():
+    assert [certified_decimal(RealBall(m, -1, 1, 0), 10) for m in (5, 7, -5, -7)] \
+        == ["2", "4", "-2", "-4"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,15 +255,15 @@ def test_printed_residual_encloses_the_residual(re, im, r):
 @example(Fraction(1))
 @example(Fraction(995, 1000))
 def test_radius_decimal_is_a_tight_upper_bound(r):
-    s = _radius_decimal(r)
+    s = _radius_decimal(r.numerator, r.denominator)
     e = int(s.split("e")[1])
     v = Fraction(s)
     assert v >= r and v - Fraction(10) ** (e - 1) < r
 
 
 def test_radius_decimal_rounds_up_into_the_next_decade():
-    assert _radius_decimal(Fraction(1)) == "1.0e+00"
-    assert _radius_decimal(Fraction(995, 1000)) == "1.0e+00"
+    assert _radius_decimal(1, 1) == "1.0e+00"
+    assert _radius_decimal(995, 1000) == "1.0e+00"
 
 
 # Python refuses str() of an int above 4300 digits (its default limit); every
@@ -259,8 +298,8 @@ def test_ball_above_the_str_digit_limit_prints():
 
 
 def test_radius_of_ten_to_minus_5000_prints():
-    assert _radius_decimal(Fraction(1, 10 ** 5000)) == "1.0e-5000"
-    assert _radius_decimal(Fraction(10 ** 5000 + 1, 10 ** 10000)) == "1.1e-5000"
+    assert _radius_decimal(1, 10 ** 5000) == "1.0e-5000"
+    assert _radius_decimal(10 ** 5000 + 1, 10 ** 10000) == "1.1e-5000"
 
 
 def test_exact_record_with_a_5000_digit_numerator_prints():
@@ -269,6 +308,47 @@ def test_exact_record_with_a_5000_digit_numerator_prints():
     assert rec.lhs == "7" * 5000
     assert rec.rhs == "7" * 5000 + "/3"
     assert rec.residual_midpoint == _decimal_str(2 * sevens) + "/3"
+
+
+_TABLE_SUITES = ("sum-formula", "weighted-sum", "harmonic", "gkz-parity", "theorem1",
+                 "corollary1", "prop1", "lemma1", "eq26")
+
+
+def test_verdicts_and_digits_read_no_ball_as_a_fraction(monkeypatch, capsys):
+    """Every verdict and printed digit comes from the balls' integers: with
+    the exact-rational readers of a ball made to raise, the table suites, the
+    three report formats and `dzv dzeta` still run.  No other test builds
+    tables at 200 bits, so every table and Hurwitz value is built here."""
+    def refuse(*args):
+        raise AssertionError("a ball was read as a Fraction")
+
+    monkeypatch.setattr(RealBall, "midpoint_fraction", refuse)
+    monkeypatch.setattr(RealBall, "radius_fraction", refuse)
+    monkeypatch.setattr(numerics, "_dy_fraction", refuse)
+    reports, code = cmd_verify(RunConfig(precision_bits=200, weight_min=3, weight_max=8,
+                                         suites=_TABLE_SUITES))
+    assert code == 0 and sum(r.passed_count for r in reports) > 9 * 6
+    for render in (render_json, render_csv, render_text):
+        assert render(reports)
+    # no side at these weights has ends with different integer parts
+    assert certified_decimal(RealBall(5, -1, 1, 0), 10) == "2"
+    assert main(["dzeta", "16", "14", "-p", "200"]) == 0
+    assert capsys.readouterr().out.startswith("0.0000152822608")
+
+
+_GOLDEN = Path(__file__).parent / "data" / "verify-3-12.json"
+
+
+def test_verify_report_matches_the_golden_file(capsys):
+    """`dzv verify --weights 3..12 --precision 192 --format json`, all suites,
+    with each suite's wall_time removed, byte for byte as committed.  A change
+    to any printed digit regenerates tests/data/verify-3-12.json on purpose:
+    the same command, wall_time dropped, json.dumps(..., indent=2) + newline."""
+    assert main(["verify", "--weights", "3..12", "--precision", "192", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for r in reports:
+        del r["wall_time"]
+    assert json.dumps(reports, indent=2) + "\n" == _GOLDEN.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from dzv.numerics import (
 )
 from dzv.zeta import zeta_even_exact, zeta_numeric
 
+from oracles import contains_zero, same_enclosure
+
 
 def _unit(r):
     """The coefficient vector of the single l1 class r mod 6."""
@@ -46,7 +48,7 @@ def _unit(r):
 def test_restricted_sum_single_match(ctx128):
     t = get_table(8, ctx128)
     s = restricted_sum(t, _unit(4))  # l1 = 4 (mod 6) in weight 8 is (4, 4) alone
-    assert s.same_enclosure(t.entry(4, 4))
+    assert same_enclosure(s, t.entry(4, 4))
 
 
 def test_restricted_sum_empty_match_is_exact_zero(ctx128):
@@ -65,7 +67,7 @@ def test_mod6_filters_partition_each_table(ctx128):
     for w in (3, 4, 7, 12):
         t = get_table(w, ctx128)
         wp = t.precision + GUARD_BITS
-        assert restricted_sum(t, (1,) * 6).same_enclosure(ball_sum(t.entries.values(), wp))
+        assert same_enclosure(restricted_sum(t, (1,) * 6), ball_sum(t.entries.values(), wp))
         total = ball_sum((restricted_sum(t, _unit(r)) for r in range(6)), 300)
         assert total.intersects(ball_sum(t.entries.values(), 300))
 
@@ -77,7 +79,7 @@ def test_restricted_sum_fraction_coefficients_scale_each_pair(ctx128):
     s = restricted_sum(t, (0, 0, Fraction(1, 3), 0, Fraction(-1, 4), 0))
     expected = ball_sum([t.entry(2, 5).mul(third, wp),
                          t.entry(4, 3).mul_int(-1).mul_2exp(-2)], wp)
-    assert s.same_enclosure(expected)
+    assert same_enclosure(s, expected)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -129,7 +131,7 @@ def test_left_sides_transcribe_the_statements(ctx192):
             1: [(1, _first(3)), (1, _first(4)), (-1, _first(5))],
             2: [(1, _first(4))],
         }[l % 3]
-        assert theorem1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, theorem1)), l
+        assert same_enclosure(theorem1_check(l, ctx192).lhs, _signed_sum(t, theorem1)), l
 
         # S(l1 = 2l (3), odd) - S(l1 = 2l (3), even) - S(l1 = l-1 (3)) - 2 S(l1 = 4 (6))
         prop1 = [
@@ -138,22 +140,22 @@ def test_left_sides_transcribe_the_statements(ctx192):
             (-1, lambda l1, l2: l1 % 3 == (l - 1) % 3),
             (-2, lambda l1, l2: l1 % 6 == 4),
         ]
-        assert prop1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, prop1)), l
+        assert same_enclosure(prop1_check(l, ctx192).lhs, _signed_sum(t, prop1)), l
 
         if l % 2 == 1:
             continue
         even, odd = gkz_parity_check(l, ctx192)
         both_even = [(1, lambda l1, l2: l1 % 2 == 0 and l2 % 2 == 0)]
         both_odd = [(1, lambda l1, l2: l1 % 2 == 1 and l2 % 2 == 1)]
-        assert even.lhs.same_enclosure(_signed_sum(t, both_even)), l
-        assert odd.lhs.same_enclosure(_signed_sum(t, both_odd)), l
+        assert same_enclosure(even.lhs, _signed_sum(t, both_even)), l
+        assert same_enclosure(odd.lhs, _signed_sum(t, both_odd)), l
 
         corollary1 = {
             0: [(1, _both(3, 3)), (-1, _both(4, 2)), (-1, _both(5, 1))],
             4: [(1, _both(3, 1)), (1, _both(4, 0)), (-1, _both(5, 5))],
             2: [(1, _both(4, 4))],
         }[l % 6]
-        assert corollary1_check(l, ctx192).lhs.same_enclosure(_signed_sum(t, corollary1)), l
+        assert same_enclosure(corollary1_check(l, ctx192).lhs, _signed_sum(t, corollary1)), l
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def test_t_m11_class_vector_is_the_generating_polynomial(ctx128):
     for l in range(3, 15):
         t = get_table(l, ctx128)
         s = restricted_sum(t, _T_M11)
-        assert s.same_enclosure(gen_poly_real(t, Fraction(-1), Fraction(1))), l
+        assert same_enclosure(s, gen_poly_real(t, Fraction(-1), Fraction(1))), l
 
 
 @pytest.mark.parametrize("check", [sum_formula_check, gkz_parity_check, theorem1_check,
@@ -385,7 +387,7 @@ def test_corollary1_iii_rederivable_from_theorem1_and_parity(ctx128):
         diff = zl.mul(RealBall.from_fraction(Fraction(1, 6), wp), wp)
         diff = diff.sub(odd.mul(RealBall.from_fraction(Fraction(1, 3), wp), wp), wp)
         diff = diff.sub(zl.mul(RealBall.from_fraction(Fraction(1, 12), wp), wp), wp)
-        assert diff.contains_zero()
+        assert contains_zero(diff)
         assert abs(diff.midpoint_fraction()) + diff.radius_fraction() \
             <= ctx128.target_tolerance
 
@@ -442,7 +444,7 @@ def test_prop1_two_evaluation_modes_agree(ctx128):
         assert by_pair.midpoint_fraction() == by_term.midpoint_fraction()
         assert by_pair.radius_fraction() <= by_term.radius_fraction()
         if l % 3 != 2:  # no cancelling overlap: radii agree too
-            assert by_pair.same_enclosure(by_term)
+            assert same_enclosure(by_pair, by_term)
         assert prop1_check(l, ctx128).lhs.intersects(by_pair)
 
 
@@ -455,7 +457,7 @@ def test_lemma1_weight4_equation3_both_sides_vanish(ctx128):
     eq3 = reports[2]
     assert eq3.passed
     assert eq3.rhs.real.is_zero() and eq3.rhs.imag.is_zero()
-    assert eq3.lhs.contains_zero()
+    assert contains_zero(eq3.lhs)
 
 
 def test_lemma1_weight4_equation1_rhs_value(ctx128):
@@ -465,7 +467,7 @@ def test_lemma1_weight4_equation1_rhs_value(ctx128):
     assert eq1.passed
     expected = pipoly_eval(PiPolynomial.single(4, Fraction(1, 30)), ctx128)
     assert eq1.rhs.real.intersects(expected)
-    assert eq1.rhs.imag.contains_zero()
+    assert contains_zero(eq1.rhs.imag)
 
 
 def test_lemma1_weight6_equation5_integer_part(ctx128):
@@ -474,7 +476,7 @@ def test_lemma1_weight6_equation5_integer_part(ctx128):
     assert eq5.passed
     expected = zeta_numeric(6, ctx128).mul_int(6)
     assert eq5.lhs.real.intersects(expected)
-    assert eq5.lhs.imag.contains_zero()
+    assert contains_zero(eq5.lhs.imag)
 
 
 def test_lemma1_sweep_small(ctx128):
@@ -506,8 +508,8 @@ def test_lemma1_conjugate_symmetry(ctx128):
     def lhs2(xs):
         return complex_sum((gen_poly_eval(t, x.add(one, wp), x) for x in xs), wp)
 
-    assert lhs1(xs_a).same_enclosure(lhs1(xs_b))
-    assert lhs2(xs_a).same_enclosure(lhs2(xs_b))
+    assert same_enclosure(lhs1(xs_a), lhs1(xs_b))
+    assert same_enclosure(lhs2(xs_a), lhs2(xs_b))
 
 
 def test_lemma1_rejects_small_weight(ctx128):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dzv.numerics import (
     ComplexBall,
@@ -20,7 +20,21 @@ from dzv.numerics import (
     pipoly_eval,
 )
 
-from oracles import bbp_pi_interval, zeta_direct_interval
+from oracles import (
+    DECIMAL_TOLERANCES,
+    DYADIC_BALLS,
+    bbp_pi_interval,
+    contains_fraction,
+    contains_zero,
+    intersects,
+    is_exact,
+    lower_fraction,
+    meets_relative_radius,
+    same_enclosure,
+    upper_fraction,
+    zero_within,
+    zeta_direct_interval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +46,10 @@ def test_pi_const_matches_bbp_oracle():
     for prec in (64, 128, 256):
         ball = pi_const(PrecisionCtx(prec))
         # both enclose pi, so they must overlap
-        assert max(lo, ball.lower_fraction()) <= min(hi, ball.upper_fraction())
+        assert max(lo, lower_fraction(ball)) <= min(hi, upper_fraction(ball))
     # at 256 bits the ball is tighter than the oracle and must sit inside it
     ball = pi_const(PrecisionCtx(256))
-    assert lo <= ball.lower_fraction() and ball.upper_fraction() <= hi
+    assert lo <= lower_fraction(ball) and upper_fraction(ball) <= hi
 
 
 def test_pi_radius_meets_contract():
@@ -64,21 +78,21 @@ def test_cube_root_midpoints(ctx128):
     # the imaginary part encloses sqrt(3)/2 exactly: lower^2 <= 3/4 <= upper^2
     for prec in (64, 192, 1024):
         im = cube_root_of_unity(PrecisionCtx(prec)).imag
-        assert 0 < im.lower_fraction()
-        assert im.lower_fraction() ** 2 <= Fraction(3, 4) <= im.upper_fraction() ** 2
+        assert 0 < lower_fraction(im)
+        assert lower_fraction(im) ** 2 <= Fraction(3, 4) <= upper_fraction(im) ** 2
 
 
 def test_cube_root_cubes_to_one(ctx128):
     w = cube_root_of_unity(ctx128)
     w3 = w.mul(w, 160).mul(w, 160)
-    assert w3.real.contains_fraction(1)
-    assert w3.imag.contains_zero()
+    assert contains_fraction(w3.real, 1)
+    assert contains_zero(w3.imag)
 
 
 def test_cube_root_geometric_sum_vanishes(ctx128):
     w = cube_root_of_unity(ctx128)
     s = ComplexBall.one().add(w, 160).add(w.mul(w, 160), 160)
-    assert s.contains_zero()
+    assert contains_zero(s)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +120,9 @@ def test_inclusion_add_sub_mul(c1, r1, t1, c2, r2, t2):
         b2 = _ball_around(c2, r2, prec)
         x1 = _point_inside(c1, r1, t1)
         x2 = _point_inside(c2, r2, t2)
-        assert b1.add(b2, prec).contains_fraction(x1 + x2)
-        assert b1.sub(b2, prec).contains_fraction(x1 - x2)
-        assert b1.mul(b2, prec).contains_fraction(x1 * x2)
+        assert contains_fraction(b1.add(b2, prec), x1 + x2)
+        assert contains_fraction(b1.sub(b2, prec), x1 - x2)
+        assert contains_fraction(b1.mul(b2, prec), x1 * x2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +131,7 @@ def test_inclusion_pow(n, c, r, t):
     x = _point_inside(c, r, t)
     for prec in (64, 192):
         b = _ball_around(c, r, prec)
-        assert b.pow_int(n, prec).contains_fraction(x**n)
+        assert contains_fraction(b.pow_int(n, prec), x**n)
         with pytest.raises(DomainError):
             b.pow_int(-1, prec)
 
@@ -149,7 +163,7 @@ def test_inclusion_through_random_expression_chains(steps):
             elif op == "neg":
                 acc_ball = acc_ball.neg()
                 acc_point = -acc_point
-            assert acc_ball.contains_fraction(acc_point), (op, prec)
+            assert contains_fraction(acc_ball, acc_point), (op, prec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,8 +176,8 @@ def test_inclusion_complex_mul(re1, im1, r1, s1, t1, re2, im2, r2, s2, t2):
     x1, y1 = _point_inside(re1, r1, s1), _point_inside(im1, r1, t1)
     x2, y2 = _point_inside(re2, r2, s2), _point_inside(im2, r2, t2)
     prod = z1.mul(z2, prec)
-    assert prod.real.contains_fraction(x1 * x2 - y1 * y2)
-    assert prod.imag.contains_fraction(x1 * y2 + y1 * x2)
+    assert contains_fraction(prod.real, x1 * x2 - y1 * y2)
+    assert contains_fraction(prod.imag, x1 * y2 + y1 * x2)
 
 
 def test_ball_sum_is_permutation_invariant():
@@ -171,15 +185,15 @@ def test_ball_sum_is_permutation_invariant():
              for i in range(1, 9)]
     a = ball_sum(balls, 96)
     b = ball_sum(list(reversed(balls)), 96)
-    assert a.same_enclosure(b)
+    assert same_enclosure(a, b)
 
 
 def test_exact_scalar_operations():
     b = RealBall.from_fraction(Fraction(3, 8), 64)
-    assert b.is_exact()
+    assert is_exact(b)
     assert b.mul_int(-5).midpoint_fraction() == Fraction(-15, 8)
     assert b.mul_2exp(3).midpoint_fraction() == 3
-    assert b.mul_2exp(3).is_exact()
+    assert is_exact(b.mul_2exp(3))
 
 
 def test_exact_dyadic_ball_does_not_depend_on_precision():
@@ -188,11 +202,11 @@ def test_exact_dyadic_ball_does_not_depend_on_precision():
     third = RealBall.from_fraction(Fraction(1, 3), 200)
     wide = RealBall.from_fraction(Fraction(-1, 2), 200)
     short = RealBall.from_fraction(Fraction(-1, 2), 2)
-    assert wide.is_exact() and wide.midpoint_fraction() == Fraction(-1, 2)
+    assert is_exact(wide) and wide.midpoint_fraction() == Fraction(-1, 2)
     p, q = wide.mul(third, 200), short.mul(third, 200)
     assert p.midpoint_fraction() == q.midpoint_fraction()
     assert p.radius_fraction() == q.radius_fraction()
-    assert p.contains_fraction(Fraction(-1, 6))
+    assert contains_fraction(p, Fraction(-1, 6))
 
 
 @pytest.mark.parametrize("ball, width", [
@@ -208,11 +222,11 @@ def test_scaled_floors_cover_both_ends(ball, width, num, den):
     the floor of the scaled midpoint and r the ceiling of the scaled radius."""
     f, r = ball.scaled_floors(num, den, width)
     u, c = Fraction(1, 2 ** width), Fraction(num, den)
-    for end in (ball.lower_fraction(), ball.upper_fraction()):
+    for end in (lower_fraction(ball), upper_fraction(ball)):
         assert (f - r) * u <= c * end <= (f + 1 + r) * u
     assert f * u <= c * ball.midpoint_fraction() < (f + 1) * u
     assert (r - 1) * u < abs(c) * ball.radius_fraction() <= r * u
-    assert (r == 0) == ball.is_exact()
+    assert (r == 0) == is_exact(ball)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +256,13 @@ def test_pipoly_eval_zeta2(ctx128):
     # {2 -> 1/6} must evaluate inside the direct-summation enclosure of zeta(2)
     lo, hi = zeta_direct_interval(2, 4096)
     ball = pipoly_eval(PiPolynomial.single(2, Fraction(1, 6)), ctx128)
-    assert lo <= ball.lower_fraction() and ball.upper_fraction() <= hi
+    assert lo <= lower_fraction(ball) and upper_fraction(ball) <= hi
 
 
 def test_pipoly_eval_trivial_cases(ctx128):
     assert pipoly_eval(PiPolynomial.zero(), ctx128).is_zero()
     c = pipoly_eval(PiPolynomial.constant(Fraction(3, 4)), ctx128)
-    assert c.is_exact() and c.midpoint_fraction() == Fraction(3, 4)
+    assert is_exact(c) and c.midpoint_fraction() == Fraction(3, 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,14 +303,55 @@ def test_check_from_sides_needs_small_residual_and_intersecting_sides():
     assert check_from_sides("real", 3, third, third, ctx).passed
     # disjoint complex sides whose residual is far below the tolerance
     near = ComplexBall.from_fractions(Fraction(1, 10**50), Fraction(1, 10**60), 400)
-    r = check_from_sides("complex", 3, near, ComplexBall.zero(), ctx)
+    r = check_from_sides("complex", 3, near, ComplexBall.from_real(RealBall.zero()), ctx)
     assert r.residual.real.radius_fraction() + abs(r.residual.real.midpoint_fraction()) \
         <= ctx.target_tolerance
-    assert not near.intersects(ComplexBall.zero()) and not r.passed
+    assert not near.intersects(ComplexBall.from_real(RealBall.zero())) and not r.passed
     assert r.tolerance == ctx.target_tolerance and not r.exact
     # sides that intersect but differ by more than the tolerance
     wide = ComplexBall.from_real(third.add_error(Fraction(1, 10**20)))
     assert not check_from_sides("wide", 3, wide, ComplexBall.from_real(third), ctx).passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(DYADIC_BALLS, DYADIC_BALLS, DECIMAL_TOLERANCES, st.integers(0, 200))
+# |mid| + rad == tol (3/8 + 1/2), and touching balls: |-3/8 - 3/8| == 1/2 + 1/4
+@example(RealBall(-3, -3, 1, -1), RealBall(3, -3, 1, -2), Fraction(875, 1000), 0)
+# rad == lower * 2^-k: mid 9, rad 1, lower 8 = 2^3, at both ends of the exponent range
+@example(RealBall(9, 250, 1, 250), RealBall(-9, 250, 1, 250), Fraction(1), 3)
+@example(RealBall(9, -300, 1, -300), RealBall(9, -300, 0, 0), Fraction(1, 10 ** 120), 3)
+# rad 2^-k of the midpoint but not of the lower end: mid 17, rad 2, lower 15
+@example(RealBall(17, 0, 2, 0), RealBall(17, 0, 2, 0), Fraction(1), 3)
+# equal exact points touch; a zero ball is within any tolerance
+@example(RealBall(5, -1, 0, 0), RealBall(5, -1, 0, 0), Fraction(1, 10 ** 120), 0)
+@example(RealBall.zero(), RealBall(1, 0, 0, 0), Fraction(1, 10 ** 120), 0)
+def test_integer_decisions_agree_with_the_fraction_oracle(a, b, tol, k):
+    """intersects, the zero test and the relative-radius target decide on the
+    balls' integers; each verdict equals the exact rational one."""
+    assert a.intersects(b) == intersects(a, b)
+    assert ComplexBall(a, b).intersects(ComplexBall(b, b)) == intersects(a, b)
+    ok, cert = ball_is_zero_within(a, tol)
+    assert ok == cert.within == zero_within(a, tol)
+    assert (cert.abs_midpoint, cert.radius, cert.tolerance) == \
+        (abs(a.midpoint_fraction()), a.radius_fraction(), tol)
+    assert a.meets_relative_radius(k) == meets_relative_radius(a, k)
+    # radii next to the target mid / (2^k + 1)
+    mm, me, _, _ = a.dyadic()
+    for d in (-1, 0, 1):
+        near = RealBall(mm, me, max(abs(mm) // ((1 << k) + 1) + d, 0), me)
+        assert near.meets_relative_radius(k) == meets_relative_radius(near, k)
+
+
+def test_integer_decisions_at_their_boundaries():
+    touching = RealBall(-3, -3, 1, -1), RealBall(3, -3, 1, -2)
+    assert touching[0].intersects(touching[1])
+    assert not touching[0].intersects(RealBall(3, -3, 1, -3))
+    assert ball_is_zero_within(touching[0], Fraction(875, 1000))[0]
+    assert not ball_is_zero_within(touching[0], Fraction(874, 1000))[0]
+    assert RealBall(9, 0, 1, 0).meets_relative_radius(3)
+    assert not RealBall(9, 0, 1, 0).meets_relative_radius(4)
+    assert not RealBall(17, 0, 2, 0).meets_relative_radius(3)
+    assert not RealBall(-9, 0, 1, 0).meets_relative_radius(0)
 
 
 def test_ball_is_zero_within_rejects_bad_tolerance():
@@ -336,7 +391,7 @@ def test_rational_arguments_are_int_or_fraction(bad):
         lambda: ComplexBall.from_fractions(bad, 0, 128),
         lambda: ComplexBall.from_fractions(0, bad, 128),
         lambda: third.add_error(bad),
-        lambda: third.contains_fraction(bad),
+        lambda: contains_fraction(third, bad),
         lambda: ball_is_zero_within(third, bad),
     ]
     for call in calls:
@@ -345,10 +400,10 @@ def test_rational_arguments_are_int_or_fraction(bad):
 
 
 def test_rational_arguments_accept_int_and_fraction():
-    assert RealBall.from_fraction(3, 64).same_enclosure(RealBall.from_int(3))
+    assert same_enclosure(RealBall.from_fraction(3, 64), RealBall.from_int(3))
     tenth = RealBall.from_fraction(Fraction(1, 10), 128)
-    assert tenth.contains_fraction(Fraction(1, 10)) and not tenth.is_exact()
-    assert tenth.add_error(1).contains_fraction(1)
+    assert contains_fraction(tenth, Fraction(1, 10)) and not is_exact(tenth)
+    assert contains_fraction(tenth.add_error(1), 1)
     assert ball_is_zero_within(RealBall.zero(), 1)[0]
 
 

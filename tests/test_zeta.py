@@ -18,8 +18,12 @@ from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_nume
 
 from oracles import (
     akiyama_tanigawa_bernoulli,
+    contains_fraction,
+    contains_zero,
     em_coefficient,
     hurwitz_direct_interval,
+    lower_fraction,
+    upper_fraction,
     zeta_direct_interval,
 )
 
@@ -68,11 +72,11 @@ def test_zeta_even_exact_rejects_non_int_index():
 def test_zeta_numeric_examples(ctx128):
     lo, hi = zeta_direct_interval(2, 4096)
     z2 = zeta_numeric(2, ctx128)
-    assert lo <= z2.lower_fraction() and z2.upper_fraction() <= hi
+    assert lo <= lower_fraction(z2) and upper_fraction(z2) <= hi
 
     lo, hi = zeta_direct_interval(3, 2048)
     z3 = zeta_numeric(3, ctx128)
-    assert lo <= z3.lower_fraction() and z3.upper_fraction() <= hi
+    assert lo <= lower_fraction(z3) and upper_fraction(z3) <= hi
 
 
 def test_zeta_numeric_consistency_even_arguments(ctx64):
@@ -80,7 +84,7 @@ def test_zeta_numeric_consistency_even_arguments(ctx64):
     for s in range(2, 42, 2):
         lo, hi = zeta_direct_interval(s, 64)
         z = zeta_numeric(s, ctx64)
-        assert max(lo, z.lower_fraction()) <= min(hi, z.upper_fraction()), s
+        assert max(lo, lower_fraction(z)) <= min(hi, upper_fraction(z)), s
 
 
 def test_zeta_numeric_rejects_divergent():
@@ -114,7 +118,7 @@ def test_zeta_numeric_radius_meets_relative_target():
         ctx = PrecisionCtx(prec)
         for s in (2, 3, 11):
             z = zeta_numeric(s, ctx)
-            assert z.radius_fraction() <= z.lower_fraction() * Fraction(4, 2**prec)
+            assert z.radius_fraction() <= lower_fraction(z) * Fraction(4, 2**prec)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ def test_hurwitz_against_direct_sum_oracle(ctx128):
     for s, a in ((2, Fraction(1)), (3, Fraction(3, 2)), (5, Fraction(7, 3)), (4, Fraction(12))):
         lo, hi = hurwitz_direct_interval(s, a, 3000)
         h = hurwitz_zeta(s, a, ctx128)
-        assert max(lo, h.lower_fraction()) <= min(hi, h.upper_fraction()), (s, a)
+        assert max(lo, lower_fraction(h)) <= min(hi, upper_fraction(h)), (s, a)
 
 
 def test_hurwitz_shift_example(ctx128):
@@ -151,7 +155,7 @@ def test_hurwitz_defining_recurrence(s, a):
     wp = 200
     res = hurwitz_zeta(s, a, ctx).sub(hurwitz_zeta(s, a + 1, ctx), wp)
     res = res.sub(RealBall.from_fraction(1 / Fraction(a) ** s, wp), wp)
-    assert res.contains_zero()
+    assert contains_zero(res)
     # radius stays at roundoff scale: a few ulps of the leading value
     assert res.radius_fraction() <= Fraction(1, 2**120)
 
@@ -169,9 +173,9 @@ def test_hurwitz_derivative_vs_finite_difference(s, a):
     fd = fd.mul(RealBall.from_fraction(1 / h, wp), wp)
     deriv = hurwitz_zeta(s + 1, a, ctx).mul_int(-s)
     taylor_bound = (Fraction(s * (s + 1), 2)
-                    * hurwitz_zeta(s + 2, a, ctx).upper_fraction() * h)
+                    * upper_fraction(hurwitz_zeta(s + 2, a, ctx)) * h)
     residual = fd.sub(deriv, wp).add_error(taylor_bound)
-    assert residual.contains_zero()
+    assert contains_zero(residual)
 
 
 def test_hurwitz_high_precision_escalation():
@@ -179,14 +183,14 @@ def test_hurwitz_high_precision_escalation():
     # N = max(16, wp/4) leading terms, for every key here
     ctx = PrecisionCtx(512)
     z = hurwitz_zeta(3, 1, ctx)
-    assert z.radius_fraction() <= z.lower_fraction() * Fraction(1, 2**512)
+    assert z.radius_fraction() <= lower_fraction(z) * Fraction(1, 2**512)
     lo, hi = zeta_direct_interval(3, 1024)
-    assert max(lo, z.lower_fraction()) <= min(hi, z.upper_fraction())
+    assert max(lo, lower_fraction(z)) <= min(hi, upper_fraction(z))
     ctx = PrecisionCtx(1024)
     for s in (2, 41, 101):
         for a in (1, 121):
             z = hurwitz_zeta(s, a, ctx)
-            assert z.radius_fraction() <= z.lower_fraction() * Fraction(1, 2**1024)
+            assert z.radius_fraction() <= lower_fraction(z) * Fraction(1, 2**1024)
 
 
 def test_hurwitz_preconditions(ctx128):
@@ -214,7 +218,7 @@ def test_hurwitz_int_and_fraction_share_one_memo_key(ctx128):
         _hurwitz_rational.cache_clear()
         values += [hurwitz_zeta(5, first, ctx128), hurwitz_zeta(5, second, ctx128)]
         assert _hurwitz_rational.cache_info().currsize == 1
-    bounds = {(v.lower_fraction(), v.upper_fraction()) for v in values}
+    bounds = {(lower_fraction(v), upper_fraction(v)) for v in values}
     assert len(bounds) == 1
 
 
@@ -229,7 +233,7 @@ def test_hurwitz_recurrence_at_1024_bits(a):
         power = 1 / Fraction(a) ** s
         res = hurwitz_zeta(s, a, ctx).sub(hurwitz_zeta(s, a + 1, ctx), wp)
         res = res.sub(RealBall.from_fraction(power, wp), wp)
-        assert res.contains_zero(), s
+        assert contains_zero(res), s
         assert res.radius_fraction() <= power / 2**1020, s
 
 
@@ -261,7 +265,7 @@ def test_hurwitz_kernel_floors_enclose_the_truncated_sum(monkeypatch):
                      + 1 / ((s - 1) * Fraction(x) ** (s - 1)) + 1 / (2 * Fraction(x) ** s))
             for k in range(1, len(drawn)):  # the last pair drawn is the omitted one
                 exact += em_coefficient(s, k) / Fraction(x) ** (s - 1 + 2 * k)
-            assert ball.contains_fraction(exact), (s, a)
+            assert contains_fraction(ball, exact), (s, a)
             assert all(bound >= max(abs(f), abs(f + 1)) for f, bound in drawn), (s, a)
 
 
