@@ -12,6 +12,7 @@ from .numerics import (
     CheckReport,
     ComplexBall,
     DomainError,
+    OutsideHypothesis,
     PiPolynomial,
     PrecisionCtx,
     PrecisionUnreachableError,

@@ -12,7 +12,8 @@ from functools import cache
 from math import isqrt, prod
 from typing import Optional, Sequence
 
-from .numerics import CheckReport, DomainError, PrecisionCtx, exact_check, require_exact
+from .numerics import (CheckReport, DomainError, OutsideHypothesis, PrecisionCtx, exact_check,
+                       require_exact)
 
 __all__ = [
     "bernoulli",
@@ -123,21 +124,22 @@ def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckRep
     accepted to share the ``(l, ctx)`` signature of every suite.
     """
     if require_exact(l, "a weight", (int,)) % 2 != 0 or l < 4:
-        raise DomainError("the Bernoulli convolution identity needs even l >= 4")
+        raise OutsideHypothesis("needs even weight >= 4")
     lhs = sum(_even_classes(l))
     rhs = -(l - 1) * bernoulli(l)
     return exact_check(f"euler-bernoulli[l={l}]", l, lhs, rhs)
 
 
 def _require_gap6_weight(l: int) -> None:
+    """The hypothesis of the gap-6 identities and of the chain that ends in them."""
     if require_exact(l, "a weight", (int,)) % 6 != 2 or l < 8:
-        raise DomainError("gap-6 identities need l = 2 (mod 6) and l >= 8")
+        raise OutsideHypothesis("needs l = 2 (mod 6), l >= 8")
 
 
 def ramanujan_sum(l: int, m: int) -> Fraction:
     """Exact sum_{j = m (mod 6), 0 <= j <= l} C(l,j) B_j B_{l-j}."""
     _require_gap6_weight(l)
-    if m not in (0, 2, 4):
+    if require_exact(m, "a residue", (int,)) not in (0, 2, 4):
         raise DomainError("residue m must be one of 0, 2, 4")
     return _even_classes(l)[m // 2]
 

@@ -45,6 +45,7 @@ from .numerics import (
     CheckReport,
     ComplexBall,
     DomainError,
+    OutsideHypothesis,
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
@@ -236,50 +237,32 @@ def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:
 
 
 # ---------------------------------------------------------------------------
-# suite registry: name -> (hypothesis on the weight, library check (l, ctx))
+# suite registry: name -> check (l, ctx); its OutsideHypothesis is a skip
 # ---------------------------------------------------------------------------
 
-def _weight_3(l: int) -> Optional[str]:
-    return None if l >= 3 else "needs weight >= 3"
-
-
-def _weight_4(l: int) -> Optional[str]:
-    return None if l >= 4 else "needs weight >= 4 (both exponents >= 2)"
-
-
-def _even_weight_4(l: int) -> Optional[str]:
-    return None if l % 2 == 0 and l >= 4 else "needs even weight >= 4"
-
-
-def _gap6_weight(l: int) -> Optional[str]:
-    return None if l % 6 == 2 and l >= 8 else "needs l = 2 (mod 6), l >= 8"
-
-
 _SUITES: dict = {
-    "sum-formula": (_weight_3, sum_formula_check),
-    "weighted-sum": (_weight_3, weighted_sum_check),
-    "harmonic": (_weight_4, harmonic_check),
-    "gkz-parity": (_even_weight_4, gkz_parity_check),
-    "theorem1": (_weight_3, theorem1_check),
-    "corollary1": (_even_weight_4, corollary1_check),
-    "prop1": (_weight_3, prop1_check),
-    "lemma1": (_weight_3, lemma1_check),
-    "eq26": (_weight_3, eq26_check),
-    "euler-bernoulli": (_even_weight_4, euler_identity_check),
-    "ramanujan": (_gap6_weight, ramanujan_check),
-    "corollary2-chain": (_gap6_weight, corollary2_exact_chain),
+    "sum-formula": sum_formula_check,
+    "weighted-sum": weighted_sum_check,
+    "harmonic": harmonic_check,
+    "gkz-parity": gkz_parity_check,
+    "theorem1": theorem1_check,
+    "corollary1": corollary1_check,
+    "prop1": prop1_check,
+    "lemma1": lemma1_check,
+    "eq26": eq26_check,
+    "euler-bernoulli": euler_identity_check,
+    "ramanujan": ramanujan_check,
+    "corollary2-chain": corollary2_exact_chain,
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_suite_weight(suite: str, l: int, config: RunConfig, ctx: PrecisionCtx) -> list:
-    applies, check = _SUITES[suite]
-    reason = applies(l)
-    if reason is not None:
-        return [_blank_record(suite, l, passed=True, skipped_reason=reason)]
     try:
-        reports = check(l, ctx)
+        reports = _SUITES[suite](l, ctx)
+    except OutsideHypothesis as exc:
+        return [_blank_record(suite, l, passed=True, skipped_reason=str(exc))]
     except PrecisionUnreachableError as exc:
         return [_blank_record(suite, l, passed=False, error=str(exc))]
     if isinstance(reports, CheckReport):

@@ -48,6 +48,7 @@ from .numerics import (
     GUARD_BITS,
     ComplexBall,
     DomainError,
+    OutsideHypothesis,
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
@@ -189,11 +190,15 @@ class DzvTable:
         return sorted(self.entries.keys())
 
 
+def _table_weight(l: int) -> int:
+    if require_exact(l, "a table weight", (int,)) < 3:
+        raise OutsideHypothesis("needs weight >= 3")  # no convergent pair below
+    return l
+
+
 def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Compute the complete weight-l table at the context's working precision."""
-    if require_exact(l, "a table weight", (int,)) < 3:
-        raise DomainError("tables need weight >= 3 (no convergent pairs below)")
-    pairs = [IndexPair(l1, l - l1) for l1 in range(2, l)]
+    pairs = [IndexPair(l1, l - l1) for l1 in range(2, _table_weight(l))]
     values = [double_zeta(q, ctx) for q in pairs]
     return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))))
 
@@ -206,8 +211,8 @@ def _table(l: int, precision: int) -> DzvTable:
 def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Memoized tables; the key is (weight, working precision), and a table
     holds nothing else of the context.  The weight is checked before the memo,
-    where 12.0 would hit the entry for 12."""
-    return _table(require_exact(l, "a table weight", (int,)), ctx.working_precision)
+    where 12.0 would hit the entry for 12 and weight 2 would count a miss."""
+    return _table(_table_weight(l), ctx.working_precision)
 
 
 def _ceil_modulus(re: int, im: int) -> int:
@@ -357,8 +362,6 @@ def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,
 
     the divided difference is evaluated in homogeneous form, so x = y is fine.
     """
-    if l < 3:
-        raise DomainError("the functional equation needs weight >= 3")
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     xy = x.add(y, wp)

@@ -12,11 +12,11 @@ T_l(-1, 1) is (-1, 1, -1, 1, -1, 1).  The sum, parity, theorem1, corollary1 and
 prop1 formulas are the rows of ``_STATEMENTS``, each a class sum = z zeta(l)
 + c (another class sum), and ``_statement_checks`` judges every row.
 
-Every suite is a function ``check(l, ctx)`` that fetches its own table and
-judges with the caller's context.  Numeric checks pass by
-``check_from_sides``: the residual ball certifies zero within the context
-tolerance AND the two sides' enclosures intersect; exact checks compare
-rationals or pi-polynomials and carry no tolerance.
+Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
+weight its statement does not cover, else fetches its own table and judges with
+the caller's context.  Numeric checks pass by ``check_from_sides``: the residual
+ball certifies zero within the context tolerance AND the two sides' enclosures
+intersect; exact checks compare rationals or pi-polynomials, with no tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .bernoulli import (
     _block,
     _class_sums,
     _exact_int,
+    _require_gap6_weight,
     _vsc_denominator,
     bernoulli,
     ramanujan_sum,
@@ -48,6 +49,7 @@ from .numerics import (
     CheckReport,
     ComplexBall,
     DomainError,
+    OutsideHypothesis,
     PiPolynomial,
     PrecisionCtx,
     RealBall,
@@ -111,40 +113,43 @@ def restricted_sum(t: DzvTable, coeffs: Sequence[int | Fraction]) -> RealBall:
 # the statement table of the restricted sum formulas; the harmonic relation
 # ---------------------------------------------------------------------------
 
-# suite -> (modulus, {l mod modulus: rows}); a row (tag, lhs, z, c, rhs) states
-# sum lhs[l1%6] zeta(l1,l2) = z zeta(l) + c sum rhs[l1%6] zeta(l1,l2), rhs None
-# when c = 0.  A weight whose residue has no rows is outside the hypothesis.
+# suite -> (modulus, {l mod modulus: rows}, hypothesis); a row (tag, lhs, z, c, rhs)
+# states sum lhs[l1%6] zeta(l1,l2) = z zeta(l) + c sum rhs[l1%6] zeta(l1,l2), rhs
+# None when c = 0.  A weight below 3 or whose residue has no rows is outside it.
+_WEIGHT_3, _EVEN_WEIGHT_4 = "needs weight >= 3", "needs even weight >= 4"
 _STATEMENTS = {
-    "sum-formula": (1, {0: [("", _ALL, 1, 0, None)]}),  # the table adds up to zeta(l)
+    "sum-formula": (1, {0: [("", _ALL, 1, 0, None)]}, _WEIGHT_3),  # adds up to zeta(l)
     # even weight: both-even sum = (3/4) zeta(l), both-odd sum = (1/4) zeta(l)
     "gkz-parity": (2, {0: [("even", _EVEN_L1, Fraction(3, 4), 0, None),
-                           ("odd", _ODD_L1, Fraction(1, 4), 0, None)]}),
+                           ("odd", _ODD_L1, Fraction(1, 4), 0, None)]}, _EVEN_WEIGHT_4),
     # the weight-mod-3 restricted sum formula over first-index classes mod 6
     "theorem1": (3, {0: [("i", (0, 0, 0, 1, -1, -1), 0, Fraction(1, 3), _ODD_L1)],
                      1: [("ii", (0, 0, 0, 1, 1, -1), 0, Fraction(1, 3), _EVEN_L1)],
-                     2: [("iii", (0, 0, 0, 0, 1, 0), Fraction(1, 6), Fraction(-1, 3), _ODD_L1)]}),
+                     2: [("iii", (0, 0, 0, 0, 1, 0), Fraction(1, 6), Fraction(-1, 3), _ODD_L1)]},
+                 _WEIGHT_3),
     # even-weight restatement over both-index classes mod 6, (l1, l2) = (3,3) -
     # (4,2) - (5,1), (3,1) + (4,0) - (5,5), (4,4) for l = 0, 4, 2 (mod 6); the
     # l1 class fixes the l2 class, so the left sides are theorem1's
     "corollary1": (6, {0: [("i", (0, 0, 0, 1, -1, -1), Fraction(1, 12), 0, None)],
                        4: [("ii", (0, 0, 0, 1, 1, -1), Fraction(1, 4), 0, None)],
-                       2: [("iii", (0, 0, 0, 0, 1, 0), Fraction(1, 12), 0, None)]}),
+                       2: [("iii", (0, 0, 0, 0, 1, 0), Fraction(1, 12), 0, None)]},
+                   _EVEN_WEIGHT_4),
     # the signed restricted sum identity, r = 2l mod 3 split by parity of l1:
     #   S(l1=r(3), odd) - S(l1=r(3), even) - S(l1=l-1(3)) - 2 S(l1=4(6))
     #     = -frac((l+1)/3) zeta(l) + (2/3) T_l(-1, 1);
     # at l = 2 (mod 3) the classes 1 and 4 each carry cancelling signs
     "prop1": (3, {0: [("", (-1, 0, -1, 1, -2, -1), Fraction(-1, 3), Fraction(2, 3), _T_M11)],
                   1: [("", (-1, 0, -1, -1, -2, 1), Fraction(-2, 3), Fraction(2, 3), _T_M11)],
-                  2: [("", (0, 0, 0, 0, -4, 0), 0, Fraction(2, 3), _T_M11)]}),
+                  2: [("", (0, 0, 0, 0, -4, 0), 0, Fraction(2, 3), _T_M11)]}, _WEIGHT_3),
 }
 
 
 def _statement_checks(suite: str, l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """Judge every row of the suite's statement table at weight l."""
-    modulus, by_residue = _STATEMENTS[suite]
+    modulus, by_residue, hypothesis = _STATEMENTS[suite]
     rows = by_residue.get(require_exact(l, "a weight", (int,)) % modulus)
-    if rows is None:
-        raise DomainError(f"{suite} states no formula in weight {l}")
+    if rows is None or l < 3:
+        raise OutsideHypothesis(hypothesis)
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     out = []
@@ -175,8 +180,8 @@ def weighted_sum_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(l) for every split
     a + b = l with 2 <= a <= b."""
-    if l < 4:
-        raise DomainError("the harmonic relation needs weight >= 4 (a, b >= 2)")
+    if require_exact(l, "a weight", (int,)) < 4:
+        raise OutsideHypothesis("needs weight >= 4 (both exponents >= 2)")
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     zl = zeta_numeric(l, ctx)
@@ -236,8 +241,6 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The five identities obtained by summing T_l specializations over
     x in {1, omega, omega^2} (omega = exp(2 pi i/3)); residue-class sums mod 3
     appear on the right sides."""
-    if l < 3:
-        raise DomainError("cube-root-of-unity equations need weight >= 3")
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     # omega's radius enters _homogeneous's majorant times sum_i i C_i X^(i-1) Y^(d-i),
@@ -351,8 +354,7 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     The report's sides are the pi^l coefficients of (b); it passes only when
     (a), (b) and (c) all hold.  Exact, so ``ctx`` is ignored.
     """
-    if require_exact(l, "a weight", (int,)) % 6 != 2 or l < 8:
-        raise DomainError("the exact chain needs l = 2 (mod 6) and l >= 8")
+    _require_gap6_weight(l)
 
     count = sum(1 for l1 in range(2, l) if l1 % 6 == 4 and (l - l1) % 6 == 4)
     count_ok = count == (l - 2) // 6

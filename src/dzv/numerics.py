@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "DomainError",
+    "OutsideHypothesis",
     "PrecisionUnreachableError",
     "PrecisionCtx",
     "RealBall",
@@ -47,6 +48,10 @@ GUARD_BITS = 48
 
 class DomainError(ValueError):
     """An argument violates an operation's mathematical precondition."""
+
+
+class OutsideHypothesis(DomainError):
+    """The weight is outside the statement's hypothesis; the message says which."""
 
 
 class PrecisionUnreachableError(RuntimeError):
@@ -518,20 +523,19 @@ class PiPolynomial:
     """Finite sum of terms coeff * pi**k with exact rational coefficients.
 
     The exact carrier for even zeta values and their products; supports ring
-    arithmetic and exact equality.
+    arithmetic and exact equality.  Exponents are ints >= 0; coefficients and
+    scalars are ints or Fractions, so 0.1 is not read as a binary double.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[int, Fraction]] = None):
         clean = {}
-        if terms:
-            for k, c in terms.items():
-                if k < 0:
-                    raise DomainError("pi exponents must be nonnegative")
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(k)] = c
+        for k, c in (terms or {}).items():
+            if require_exact(k, "a pi exponent", (int,)) < 0:
+                raise DomainError("pi exponents must be nonnegative")
+            if require_exact(c, "a pi-polynomial coefficient"):
+                clean[k] = Fraction(c)
         self._terms = clean
 
     @staticmethod
@@ -540,11 +544,11 @@ class PiPolynomial:
 
     @staticmethod
     def constant(c) -> "PiPolynomial":
-        return PiPolynomial({0: Fraction(c)})
+        return PiPolynomial({0: c})
 
     @staticmethod
     def single(k: int, c) -> "PiPolynomial":
-        return PiPolynomial({k: Fraction(c)})
+        return PiPolynomial({k: c})
 
     def terms(self) -> Mapping[int, Fraction]:
         return dict(self._terms)
@@ -583,7 +587,7 @@ class PiPolynomial:
                     k = k1 + k2
                     out[k] = out.get(k, Fraction(0)) + c1 * c2
             return PiPolynomial(out)
-        return PiPolynomial({k: c * Fraction(other) for k, c in self._terms.items()})
+        return self * PiPolynomial.constant(other)
 
     __rmul__ = __mul__
 

@@ -7,10 +7,12 @@ summation with integral tail bounds for zeta values, the literal truncated
 double sum for double zeta values, and at odd weight the reduction of a double
 zeta value to products of single zeta values.
 
-The ball predicates below (ends, containment, equality of enclosures, the
-zero test, the relative-radius target) and the decimal printing of a ball are
-read from its exact midpoint_fraction() and radius_fraction(), so they check
-the integer decisions of dzv against plain Fraction arithmetic.
+The weight hypotheses of the suites are plain predicates, written apart
+from the checks that raise OutsideHypothesis.  The ball predicates below
+(ends, containment, equality of enclosures, the zero test, the
+relative-radius target) and the decimal printing of a ball are read from its
+exact midpoint_fraction() and radius_fraction(), so they check the integer
+decisions of dzv against plain Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -94,6 +96,44 @@ DYADIC_BALLS = st.builds(RealBall, st.integers(-2 ** 80, 2 ** 80), st.integers(-
                          st.just(0) | st.integers(0, 2 ** 40), st.integers(-300, 300))
 DECIMAL_TOLERANCES = st.builds(lambda n, k: Fraction(n, 10 ** k),
                                st.integers(1, 10 ** 6), st.integers(0, 120))
+
+
+# ---------------------------------------------------------------------------
+# each suite's hypothesis on the weight, as a predicate apart from its check
+# ---------------------------------------------------------------------------
+
+def _weight_3(l: int) -> Optional[str]:
+    return None if l >= 3 else "needs weight >= 3"
+
+
+def _weight_4(l: int) -> Optional[str]:
+    return None if l >= 4 else "needs weight >= 4 (both exponents >= 2)"
+
+
+def _even_weight_4(l: int) -> Optional[str]:
+    return None if l % 2 == 0 and l >= 4 else "needs even weight >= 4"
+
+
+def _gap6_weight(l: int) -> Optional[str]:
+    return None if l % 6 == 2 and l >= 8 else "needs l = 2 (mod 6), l >= 8"
+
+
+# suite -> the reason a weight is skipped, or None when the suite states a
+# formula there
+SUITE_HYPOTHESES = {
+    "sum-formula": _weight_3,
+    "weighted-sum": _weight_3,
+    "harmonic": _weight_4,
+    "gkz-parity": _even_weight_4,
+    "theorem1": _weight_3,
+    "corollary1": _even_weight_4,
+    "prop1": _weight_3,
+    "lemma1": _weight_3,
+    "eq26": _weight_3,
+    "euler-bernoulli": _even_weight_4,
+    "ramanujan": _gap6_weight,
+    "corollary2-chain": _gap6_weight,
+}
 
 
 # ---------------------------------------------------------------------------

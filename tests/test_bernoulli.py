@@ -210,6 +210,15 @@ def test_ramanujan_sum_preconditions():
         ramanujan_sum(8, 3)
 
 
+@pytest.mark.parametrize("m", [False, True, Fraction(2), 2.0, 4.0, "2", None],
+                         ids=["False", "True", "Fraction", "float", "float-4", "str", "None"])
+def test_ramanujan_sum_residue_is_an_int(m):
+    """The residue is gated like the weight: False is not S_0, Fraction(2) and
+    2.0 are not S_2, and none of them reaches a tuple index."""
+    with pytest.raises(DomainError):
+        ramanujan_sum(8, m)
+
+
 def test_ramanujan_check_weight8_and_14():
     for l in (8, 14):
         verdicts = ramanujan_check(l)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dzv import numerics
 from dzv.cli import (
+    _SUITES,
     RunConfig,
     SUITE_NAMES,
     SuiteReport,
@@ -32,15 +33,18 @@ from dzv.numerics import (
     CheckReport,
     ComplexBall,
     DomainError,
+    OutsideHypothesis,
     PrecisionCtx,
     RealBall,
     exact_check,
 )
+from dzv.dzeta import _table
 from dzv.zeta import zeta_numeric
 
 import oracles
 from oracles import (
     DYADIC_BALLS,
+    SUITE_HYPOTHESES,
     contains_ball,
     decimal_truncate,
     lower_fraction,
@@ -616,8 +620,7 @@ def test_precision_unreachable_recorded_as_error(monkeypatch):
     def exploding(l, ctx):
         raise PrecisionUnreachableError("synthetic escalation cap")
 
-    monkeypatch.setitem(cli_mod._SUITES, "sum-formula",
-                        (lambda l: None, exploding))
+    monkeypatch.setitem(cli_mod._SUITES, "sum-formula", exploding)
     config = RunConfig(precision_bits=96, tolerance_exponent=20,
                        weight_min=3, weight_max=3, suites=("sum-formula",),
                        output_format="json")
@@ -626,3 +629,54 @@ def test_precision_unreachable_recorded_as_error(monkeypatch):
     rec = reports[0].checks[0]
     assert rec.error == "synthetic escalation cap"
     assert rec.passed is False
+
+
+# ---------------------------------------------------------------------------
+# weight hypotheses: each check decides its own, the report records it
+# ---------------------------------------------------------------------------
+
+def test_skips_agree_with_the_hypothesis_oracle():
+    """For every suite and weight -2..60, a weight is recorded as one skip
+    exactly when the oracle predicate says the suite states nothing there,
+    with the oracle's reason; every other weight gets its check's rows."""
+    reports, _ = cmd_verify(RunConfig(precision_bits=64, tolerance_exponent=3, weight_min=-2,
+                                      weight_max=60, suites=SUITE_NAMES))
+    assert [r.suite for r in reports] == list(SUITE_NAMES) == list(SUITE_HYPOTHESES)
+    for r in reports:
+        for l in range(-2, 61):
+            rows = [c for c in r.checks if c.weight == l]
+            reason = SUITE_HYPOTHESES[r.suite](l)
+            if reason is None:
+                assert rows and all(c.skipped_reason is None for c in rows), (r.suite, l)
+            else:
+                assert [(c.skipped_reason, c.passed) for c in rows] == [(reason, True)], (r.suite, l)
+
+
+# one weight outside each suite's hypothesis, at or above 3 where one exists
+_OUTSIDE = {"sum-formula": 2, "weighted-sum": 2, "harmonic": 3, "gkz-parity": 5,
+            "theorem1": 1, "corollary1": 7, "prop1": 0, "lemma1": 2, "eq26": -1,
+            "euler-bernoulli": 9, "ramanujan": 10, "corollary2-chain": 11}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_check_raises_its_hypothesis_before_any_table(suite):
+    """The check itself raises OutsideHypothesis with the skip reason, before
+    it asks for a table: no table memo miss is counted."""
+    l = _OUTSIDE[suite]
+    reason = SUITE_HYPOTHESES[suite](l)
+    assert reason is not None
+    misses = _table.cache_info().misses
+    with pytest.raises(OutsideHypothesis) as exc:
+        _SUITES[suite](l, PrecisionCtx(64))
+    assert str(exc.value) == reason
+    assert _table.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("bad", [4.0, True, 8.0], ids=["4.0", "True", "8.0"])
+def test_non_int_weight_is_bad_input_not_a_skip(suite, bad):
+    """A weight that is not an int is refused as bad input, never recorded as
+    a weight outside the hypothesis."""
+    with pytest.raises(DomainError) as exc:
+        _SUITES[suite](bad, PrecisionCtx(64))
+    assert not isinstance(exc.value, OutsideHypothesis)

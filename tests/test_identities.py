@@ -172,7 +172,7 @@ def _table_mutations():
     smallest weight >= 9 the row applies to, where every l1 class mod 6 holds
     a pair.  A row without a second class sum has c = 0 and rhs None, so only
     its lhs and z are raised."""
-    for suite, (modulus, by_residue) in _STATEMENTS.items():
+    for suite, (modulus, by_residue, _) in _STATEMENTS.items():
         for residue, rows in by_residue.items():
             l = next(w for w in range(9, 9 + modulus) if w % modulus == residue)
             for i, (tag, lhs, z, c, rhs) in enumerate(rows):
@@ -193,10 +193,11 @@ def test_every_mutated_statement_row_fails(ctx128, monkeypatch):
     mutations = list(_table_mutations())
     for suite, residue, l, i, row in mutations:
         assert _statement_checks(suite, l, ctx128)[i].passed, (suite, l, i)
-        modulus, by_residue = _STATEMENTS[suite]
+        modulus, by_residue, hypothesis = _STATEMENTS[suite]
         rows = list(by_residue[residue])
         rows[i] = row
-        monkeypatch.setitem(_STATEMENTS, suite, (modulus, {**by_residue, residue: rows}))
+        monkeypatch.setitem(_STATEMENTS, suite,
+                            (modulus, {**by_residue, residue: rows}, hypothesis))
         if _statement_checks(suite, l, ctx128)[i].passed:
             accepted.append((suite, l, row))
         monkeypatch.undo()

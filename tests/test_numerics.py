@@ -279,6 +279,38 @@ def test_pipoly_rejects_negative_exponent():
         PiPolynomial({-1: Fraction(1)})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PiPolynomial.single(2.5, 1),
+    lambda: PiPolynomial.single(2.0, 1),
+    lambda: PiPolynomial.single(True, 1),
+    lambda: PiPolynomial({"2": Fraction(1, 6)}),
+    lambda: PiPolynomial.single(2, 0.1),
+    lambda: PiPolynomial.single(2, 0.0),
+    lambda: PiPolynomial.single(2, "1/6"),
+    lambda: PiPolynomial.single(2, True),
+    lambda: PiPolynomial.constant(0.5),
+    lambda: PiPolynomial({2: Fraction(1, 6), 4: 0.25}),
+    lambda: PiPolynomial.single(2, 1) * 0.1,
+    lambda: 0.1 * PiPolynomial.single(2, 1),
+    lambda: PiPolynomial.single(2, 1) * "3",
+    lambda: PiPolynomial.zero() * 0.5,
+], ids=["exp-2.5", "exp-2.0", "exp-bool", "exp-str", "coeff-0.1", "coeff-0.0", "coeff-str",
+        "coeff-bool", "constant-0.5", "dict-0.25", "mul-0.1", "rmul-0.1", "mul-str",
+        "zero-mul-0.5"])
+def test_pipoly_takes_only_exact_arguments(make):
+    """Exponents are ints and coefficients and scalars ints or Fractions:
+    2.5 is not truncated to pi^2 and 0.1 is not stored as a binary double."""
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_pipoly_exact_arguments_are_kept():
+    p = PiPolynomial.single(2, 1) * 3 * Fraction(1, 18)
+    assert p.terms() == {2: Fraction(1, 6)} and 6 * p == PiPolynomial.single(2, 1)
+    assert PiPolynomial.constant(Fraction(1, 10)).coeff(0) == Fraction(1, 10)
+    assert PiPolynomial({0: 0, 3: Fraction(0)}).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # residual acceptance
 # ---------------------------------------------------------------------------
