@@ -25,7 +25,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import ceil, factorial
 from typing import Optional, Sequence, Tuple
 
 from .bernoulli import (
@@ -43,6 +43,7 @@ from .dzeta import (
     gen_poly_eval,
     get_table,
     _divided_difference,
+    _table_weight,
 )
 from .numerics import (
     GUARD_BITS,
@@ -227,20 +228,20 @@ def prop1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 # cube-root-of-unity equations
 # ---------------------------------------------------------------------------
 
-def _alternating_mod3_sum(t: DzvTable, res3: int) -> RealBall:
-    """sum over l1 = res3 (mod 3) of (-1)^(l1-1) zeta(l1, l2)."""
-    return restricted_sum(t, [(1 if r % 2 else -1) if r % 3 == res3 % 3 else 0 for r in range(6)])
-
-
-def _plain_mod3_sum(t: DzvTable, res3: int) -> RealBall:
-    """sum over l1 = res3 (mod 3) of zeta(l1, l2)."""
-    return restricted_sum(t, [int(r % 3 == res3 % 3) for r in range(6)])
+# Lemma 1's equations 1-4: sum T_l(a, b) over x in {1, omega, omega^2} = 3 sum over
+# l1 = r(l) (mod 3) of sign[l1%6] zeta(l1, l2), + (l+1)/2 zeta(l) - T_l(-1, 1) if tail
+_LEMMA1 = [  # (tag, (a, b), r, sign, tail), a and b one of x, 1, x+1
+    ("eq1", ("x+1", "1"), lambda l: 1, _T_M11, True),
+    ("eq2", ("x+1", "x"), lambda l: 2 * l, _T_M11, True),
+    ("eq3", ("x", "1"), lambda l: 1, _ALL, False),
+    ("eq4", ("1", "x"), lambda l: l - 1, _ALL, False),
+]
 
 
 def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The five identities obtained by summing T_l specializations over
-    x in {1, omega, omega^2} (omega = exp(2 pi i/3)); residue-class sums mod 3
-    appear on the right sides."""
+    x in {1, omega, omega^2} (omega = exp(2 pi i/3)): the rows of _LEMMA1, then
+    the divided difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3)."""
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     # omega's radius enters _homogeneous's majorant times sum_i i C_i X^(i-1) Y^(d-i),
@@ -248,41 +249,26 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     # for the divided difference, so 2 bitlen(l) bits above wp keep it below
     # 2^-wp of each side
     omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
-    xs = [ComplexBall.one(), omega, omega.conj()]
     one = ComplexBall.one()
+    roots = [{"x": x, "1": one, "x+1": x.add(one, wp)} for x in (one, omega, omega.conj())]
     zl = zeta_numeric(l, ctx)
     zl_c = ComplexBall.from_real(zl)
     t_m11 = ComplexBall.from_real(restricted_sum(t, _T_M11))
     half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)
     shared_tail = ComplexBall.from_real(zl.mul(half_lp1, wp)).sub(t_m11, wp)
 
-    def T(xb: ComplexBall, yb: ComplexBall) -> ComplexBall:
-        return gen_poly_eval(t, xb, yb)
-
     reports = []
+    for tag, (a, b), residue, sign, tail in _LEMMA1:
+        lhs = complex_sum((gen_poly_eval(t, args[a], args[b]) for args in roots), wp)
+        coeffs = [sign[c] if c % 3 == residue(l) % 3 else 0 for c in range(6)]
+        rhs = ComplexBall.from_real(restricted_sum(t, coeffs).mul_int(3))
+        rhs = rhs.add(shared_tail, wp) if tail else rhs
+        reports.append(check_from_sides(f"lemma1.{tag}[l={l}]", l, lhs, rhs, ctx))
 
-    lhs1 = complex_sum((T(x.add(one, wp), one) for x in xs), wp)
-    rhs1 = ComplexBall.from_real(_alternating_mod3_sum(t, 1).mul_int(3)).add(shared_tail, wp)
-    reports.append(check_from_sides(f"lemma1.eq1[l={l}]", l, lhs1, rhs1, ctx))
-
-    lhs2 = complex_sum((T(x.add(one, wp), x) for x in xs), wp)
-    rhs2 = ComplexBall.from_real(
-        _alternating_mod3_sum(t, (2 * l) % 3).mul_int(3)).add(shared_tail, wp)
-    reports.append(check_from_sides(f"lemma1.eq2[l={l}]", l, lhs2, rhs2, ctx))
-
-    lhs3 = complex_sum((T(x, one) for x in xs), wp)
-    rhs3 = ComplexBall.from_real(_plain_mod3_sum(t, 1).mul_int(3))
-    reports.append(check_from_sides(f"lemma1.eq3[l={l}]", l, lhs3, rhs3, ctx))
-
-    lhs4 = complex_sum((T(one, x) for x in xs), wp)
-    rhs4 = ComplexBall.from_real(_plain_mod3_sum(t, (l - 1) % 3).mul_int(3))
-    reports.append(check_from_sides(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
-
-    dd_sum = complex_sum((_divided_difference(x, one, l, wp) for x in xs), wp)
+    dd_sum = complex_sum((_divided_difference(args["x"], one, l, wp) for args in roots), wp)
     lhs5 = dd_sum.mul(zl_c, wp)
     rhs5 = zl_c.mul_int(3 * ((l + 1) // 3))
     reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
-
     return reports
 
 
@@ -303,10 +289,16 @@ def _eq26_sample_args(l: int) -> list:
 
 def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The functional equation of T_l at (1, 1) and four seeded rational
-    points (x, y)."""
+    points (x, y), at a precision that follows the size of the sides."""
+    pts = _eq26_sample_args(_table_weight(l))
+    # a side is at most (l+1) zeta(l) M^(l-2) <= S = 2 l M^(l-2), M = max(1, |x|, |y|,
+    # |x+y|), with radius about S 2^-p: S above 2^GUARD_BITS raises p by the excess
+    m = max(max(1, abs(x), abs(y), abs(x + y)) for x, y in pts)
+    extra = (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS
+    ctx = replace(ctx, working_precision=ctx.working_precision + max(0, extra))
     wp = ctx.working_precision + GUARD_BITS
     out = []
-    for x, y in _eq26_sample_args(l):
+    for x, y in pts:
         lhs, rhs = functional_eq26_sides(l, ComplexBall.from_fractions(x, 0, wp),
                                          ComplexBall.from_fractions(y, 0, wp), ctx)
         out.append(check_from_sides(f"eq26[l={l},x={x},y={y}]", l, lhs, rhs, ctx))

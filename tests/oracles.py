@@ -4,8 +4,9 @@ Every expected value asserted by the tests is computed here by a method
 independent of the code path under test: Pascal's triangle for binomials,
 Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
 summation with integral tail bounds for zeta values, the literal truncated
-double sum for double zeta values, and at odd weight the reduction of a double
-zeta value to products of single zeta values.
+double sum for double zeta values, at odd weight the reduction of a double
+zeta value to products of single zeta values, and Lemma 1's five equations
+written out one by one.
 
 The weight hypotheses of the suites are plain predicates, written apart
 from the checks that raise OutsideHypothesis.  The ball predicates below
@@ -24,7 +25,20 @@ from typing import List, Optional, Tuple
 
 from hypothesis import strategies as st
 
-from dzv.numerics import ComplexBall, PrecisionCtx, RealBall, _radius_digits, _sci, require_exact
+from dzv.dzeta import _divided_difference, gen_poly_eval, get_table
+from dzv.identities import _T_M11, restricted_sum
+from dzv.numerics import (
+    GUARD_BITS,
+    ComplexBall,
+    PrecisionCtx,
+    RealBall,
+    _radius_digits,
+    _sci,
+    check_from_sides,
+    complex_sum,
+    cube_root_of_unity,
+    require_exact,
+)
 from dzv.zeta import zeta_numeric
 
 
@@ -317,3 +331,62 @@ def residual_strings(parts) -> Tuple[str, str]:
         digits, rad_s = 60, "0"
     mid = " + ".join(decimal_truncate(b.midpoint_fraction(), digits) for b in parts)
     return mid + ("i" if len(parts) == 2 else ""), rad_s
+
+
+# ---------------------------------------------------------------------------
+# Lemma 1, one equation at a time
+# ---------------------------------------------------------------------------
+
+def _alternating_mod3_sum(t, res3: int) -> RealBall:
+    """sum over l1 = res3 (mod 3) of (-1)^(l1-1) zeta(l1, l2)."""
+    return restricted_sum(t, [(1 if r % 2 else -1) if r % 3 == res3 % 3 else 0 for r in range(6)])
+
+
+def _plain_mod3_sum(t, res3: int) -> RealBall:
+    """sum over l1 = res3 (mod 3) of zeta(l1, l2)."""
+    return restricted_sum(t, [int(r % 3 == res3 % 3) for r in range(6)])
+
+
+def lemma1_explicit(l: int, ctx: PrecisionCtx) -> list:
+    """Lemma 1's five equations, each written out by hand: the reference that
+    the row table of ``dzv.identities.lemma1_check`` must reproduce record for
+    record, with the same operations in the same order."""
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
+    omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
+    xs = [ComplexBall.one(), omega, omega.conj()]
+    one = ComplexBall.one()
+    zl = zeta_numeric(l, ctx)
+    zl_c = ComplexBall.from_real(zl)
+    t_m11 = ComplexBall.from_real(restricted_sum(t, _T_M11))
+    half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)
+    shared_tail = ComplexBall.from_real(zl.mul(half_lp1, wp)).sub(t_m11, wp)
+
+    def T(xb: ComplexBall, yb: ComplexBall) -> ComplexBall:
+        return gen_poly_eval(t, xb, yb)
+
+    reports = []
+
+    lhs1 = complex_sum((T(x.add(one, wp), one) for x in xs), wp)
+    rhs1 = ComplexBall.from_real(_alternating_mod3_sum(t, 1).mul_int(3)).add(shared_tail, wp)
+    reports.append(check_from_sides(f"lemma1.eq1[l={l}]", l, lhs1, rhs1, ctx))
+
+    lhs2 = complex_sum((T(x.add(one, wp), x) for x in xs), wp)
+    rhs2 = ComplexBall.from_real(
+        _alternating_mod3_sum(t, (2 * l) % 3).mul_int(3)).add(shared_tail, wp)
+    reports.append(check_from_sides(f"lemma1.eq2[l={l}]", l, lhs2, rhs2, ctx))
+
+    lhs3 = complex_sum((T(x, one) for x in xs), wp)
+    rhs3 = ComplexBall.from_real(_plain_mod3_sum(t, 1).mul_int(3))
+    reports.append(check_from_sides(f"lemma1.eq3[l={l}]", l, lhs3, rhs3, ctx))
+
+    lhs4 = complex_sum((T(one, x) for x in xs), wp)
+    rhs4 = ComplexBall.from_real(_plain_mod3_sum(t, (l - 1) % 3).mul_int(3))
+    reports.append(check_from_sides(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
+
+    dd_sum = complex_sum((_divided_difference(x, one, l, wp) for x in xs), wp)
+    lhs5 = dd_sum.mul(zl_c, wp)
+    rhs5 = zl_c.mul_int(3 * ((l + 1) // 3))
+    reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
+
+    return reports

@@ -11,6 +11,7 @@ from dzv.identities import (
     _statement_checks,
     corollary1_check,
     corollary2_exact_chain,
+    eq26_check,
     gkz_parity_check,
     lemma1_check,
     prop1_check,
@@ -33,7 +34,7 @@ from dzv.numerics import (
 )
 from dzv.zeta import zeta_even_exact, zeta_numeric
 
-from oracles import contains_zero, same_enclosure
+from oracles import contains_zero, lemma1_explicit, same_enclosure
 
 
 def _unit(r):
@@ -516,6 +517,44 @@ def test_lemma1_conjugate_symmetry(ctx128):
 def test_lemma1_rejects_small_weight(ctx128):
     with pytest.raises(DomainError):
         lemma1_check(2, ctx128)
+
+
+def _record(r):
+    return (r.label, r.passed) + tuple(b.dyadic() for side in (r.lhs, r.rhs, r.residual)
+                                       for b in (side.real, side.imag))
+
+
+@pytest.mark.parametrize("l", [*range(3, 31), 48])
+def test_lemma1_rows_match_the_explicit_equations(l, ctx128):
+    """The row table gives, record for record, the five equations written out
+    by hand: same labels, verdicts and ball integers on both parts."""
+    assert list(map(_record, lemma1_check(l, ctx128))) == \
+        list(map(_record, lemma1_explicit(l, ctx128)))
+
+
+# ---------------------------------------------------------------------------
+# two-variable functional equation
+# ---------------------------------------------------------------------------
+
+def test_eq26_passes_above_weight_100_at_192_bits(ctx192):
+    """At weight 104 the terms of a side reach about 2^100 at x = 2, y = -2,
+    too large for a 2^-192 relative table radius to meet 1e-40; the tables are
+    asked for the bits those terms take, so every point passes."""
+    reports = eq26_check(104, ctx192)
+    assert [r.label for r in reports if not r.passed] == []
+
+
+def test_eq26_builds_tables_only_at_the_run_precision(ctx192):
+    """Up to weight 20 the sides stay below 2^GUARD_BITS, so eq26 reads the
+    tables every other suite of the run reads: one miss per weight, then hits."""
+    _table.cache_clear()
+    for l in range(3, 21):
+        assert all(r.passed for r in eq26_check(l, ctx192)), l
+    assert _table.cache_info().misses == 18
+    hits = _table.cache_info().hits
+    for l in range(3, 21):
+        get_table(l, ctx192)
+    assert _table.cache_info()[:2] == (hits + 18, 18)
 
 
 # ---------------------------------------------------------------------------
