@@ -100,9 +100,11 @@ class RunConfig:
             raise DomainError(f"output_path must be a str or None, got {self.output_path!r}")
         if self.parallelism != 1:
             raise DomainError("parallelism must be 1 (runs are single-threaded)")
-        for s in self.suites:
+        for i, s in enumerate(self.suites):
             if s not in SUITE_NAMES:
                 raise DomainError(f"unknown suite {s!r}")
+            if s in self.suites[:i]:
+                raise DomainError(f"suite {s!r} is named twice")
 
     def ctx(self) -> PrecisionCtx:
         return PrecisionCtx(self.precision_bits,

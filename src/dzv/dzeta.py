@@ -29,10 +29,14 @@ summed, and added to the radius.  One weight-w table reads the same vector
 zeta(w-1+j, A).
 
 T_l and the divided difference (x^(l-1) - y^(l-1)) / (x - y) are homogeneous
-polynomials in (x, y), so ``_homogeneous`` evaluates both: it rescales x and y
-by one power of two, runs Horner's rule in integer fixed point with counted
-floors, and bounds the spread over the input balls by a first-order majorant
-with its exact remainder; no ball product per term.
+polynomials in (x, y).  At exact real dyadic points x = a 2^s, y = b 2^s, the
+points of eq26 and lemma1's x = 1 terms, each is one exact dot product of the
+integers a^i b^(d-i) with a coefficient vector of integer mantissas at one
+exponent (T_l's is built with its table, the divided difference's is all
+ones), rounded once.  At inexact or complex points ``_homogeneous`` evaluates
+both: it rescales x and y by one power of two, runs Horner's rule in integer
+fixed point with counted floors, and bounds the spread over the input balls by
+a first-order majorant with its exact remainder; no ball product per term.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, repeat
 from math import isqrt
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -177,11 +183,13 @@ def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
 @dataclass(frozen=True)
 class DzvTable:
     """All double zeta values of one weight at one working precision: entries
-    over l1 >= 2, l2 >= 1, l1 + l2 = weight (exactly weight - 2 of them)."""
+    over l1 >= 2, l2 >= 1, l1 + l2 = weight (exactly weight - 2 of them), and
+    T_l's coefficient vector from ``_coefficient_vector``."""
 
     weight: int
     precision: int
     entries: Mapping[IndexPair, RealBall]
+    vector: tuple
 
     def entry(self, l1: int, l2: int) -> RealBall:
         return self.entries[IndexPair(l1, l2)]
@@ -200,7 +208,8 @@ def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Compute the complete weight-l table at the context's working precision."""
     pairs = [IndexPair(l1, l - l1) for l1 in range(2, _table_weight(l))]
     values = [double_zeta(q, ctx) for q in pairs]
-    return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))))
+    return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))),
+                    _coefficient_vector([None] + values))
 
 
 @cache
@@ -328,15 +337,45 @@ def _homogeneous(coeffs: Sequence[Optional[RealBall]], x: ComplexBall, y: Comple
     return ComplexBall(real, _rounded(hi, exp, rad, exp, wp))
 
 
+def _coefficient_vector(coeffs: Sequence[Optional[RealBall]]) -> tuple:
+    """(mids, rads, e): c_i has midpoint mids[i] 2^e and radius rads[i] 2^e,
+    e the least exponent of any part; None is an absent term."""
+    parts = [(0, 0, 0, 0) if c is None else c.dyadic() for c in coeffs]
+    e = min(min(me, re) for _, me, _, re in parts)
+    return (tuple(mm << (me - e) for mm, me, _, _ in parts),
+            tuple(rm << (re - e) for _, _, rm, re in parts), e)
+
+
+def _dot(vector: tuple, x: ComplexBall, y: ComplexBall, wp: int) -> Optional[ComplexBall]:
+    """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
+    when x = a 2^s and y = b 2^s are exact real dyadics (zero radii and
+    exact-zero imaginary parts), else None.  With t_i = a^i b^(d-i), the
+    midpoint sum mids[i] t_i and the radius sum rads[i] |t_i| are exact
+    integers at the unit 2^(e + sd), rounded once to wp bits."""
+    (xm, xe, xr, _), (ym, ye, yr, _) = x.real.dyadic(), y.real.dyadic()
+    if xr or yr or not (x.imag.is_zero() and y.imag.is_zero()):
+        return None
+    mids, rads, e = vector
+    d, s = len(mids) - 1, min(xe, ye)
+    ys = list(accumulate(repeat(ym << (ye - s), d), mul, initial=1))
+    terms = list(map(mul, accumulate(repeat(xm << (xe - s), d), mul, initial=1), reversed(ys)))
+    mid, rad = sum(map(mul, mids, terms)), sum(map(mul, rads, map(abs, terms)))
+    return ComplexBall(_rounded(mid, e + s * d, rad, e + s * d, wp), RealBall.zero())
+
+
 def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:
     """Enclosure of T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2): the
     homogeneous polynomial of degree l - 2 whose x^(l1-1) coefficient is
-    zeta(l1, l - l1) (there is none at l1 = 1), evaluated by one
-    ``_homogeneous`` pass in integer fixed point."""
-    coeffs = [None] * (t.weight - 1)
-    for pair, value in t.entries.items():
-        coeffs[pair.l1 - 1] = value
-    return _homogeneous(coeffs, x, y, t.precision + GUARD_BITS)
+    zeta(l1, l - l1) (there is none at l1 = 1); one ``_dot`` over the table's
+    vector at an exact real dyadic point, else one ``_homogeneous`` pass."""
+    wp = t.precision + GUARD_BITS
+    z = _dot(t.vector, x, y, wp)
+    if z is None:
+        coeffs = [None] * (t.weight - 1)
+        for pair, value in t.entries.items():
+            coeffs[pair.l1 - 1] = value
+        z = _homogeneous(coeffs, x, y, wp)
+    return z
 
 
 def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
@@ -349,8 +388,9 @@ def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
 
 def _divided_difference(x: ComplexBall, y: ComplexBall, l: int, wp: int) -> ComplexBall:
     """(x^(l-1) - y^(l-1)) / (x - y) as the homogeneous sum
-    sum_{i+j=l-2} x^i y^j, finite at x = y."""
-    return _homogeneous([RealBall.from_int(1)] * (l - 1), x, y, wp)
+    sum_{i+j=l-2} x^i y^j, finite at x = y: the all-ones vector."""
+    z = _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
+    return _homogeneous([RealBall.from_int(1)] * (l - 1), x, y, wp) if z is None else z
 
 
 def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dzv import numerics
+from dzv import dzeta, numerics
 from dzv.cli import (
     _SUITES,
     RunConfig,
@@ -38,7 +38,8 @@ from dzv.numerics import (
     RealBall,
     exact_check,
 )
-from dzv.dzeta import _table
+from dzv.dzeta import _table, functional_eq26_check
+from dzv.identities import eq26_check
 from dzv.zeta import zeta_numeric
 
 import oracles
@@ -340,6 +341,30 @@ def test_verdicts_and_digits_read_no_ball_as_a_fraction(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("0.0000152822608")
 
 
+def test_horner_kernel_runs_only_at_inexact_points(monkeypatch):
+    """Call counts, which hold on any host: with tables 3..20 cached at 192
+    bits, one pass of the table suites runs ``_homogeneous`` only for lemma1's
+    omega and conjugate terms, two roots of three for 12 T_l and 3 divided
+    differences per weight, 180 in all.  eq26, at its dyadic sample points
+    and at other points with denominator 8, runs it never."""
+    config = RunConfig(weight_min=3, weight_max=20, suites=_TABLE_SUITES)
+    cmd_verify(config)  # builds the tables
+    calls = []
+    kernel = dzeta._homogeneous
+    monkeypatch.setattr(dzeta, "_homogeneous", lambda *args: calls.append(args) or kernel(*args))
+    assert cmd_verify(config)[1] == 0
+    assert len(calls) == 180
+    calls.clear()
+    ctx = config.ctx()
+    wp = ctx.working_precision + numerics.GUARD_BITS
+    for l in range(3, 21):
+        assert all(r.passed for r in eq26_check(l, ctx))
+        x, y = Fraction(l - 11, 8), Fraction(13 - 3 * l, 8)
+        functional_eq26_check(l, ComplexBall.from_fractions(x, 0, wp),
+                              ComplexBall.from_fractions(y, 0, wp), ctx)
+    assert calls == []
+
+
 _GOLDEN = Path(__file__).parent / "data" / "verify-3-12.json"
 
 
@@ -460,6 +485,8 @@ def test_run_config_validation():
         RunConfig(weight_min=10, weight_max=3)
     with pytest.raises(DomainError):
         RunConfig(suites=("nosuch",))
+    with pytest.raises(DomainError, match="^suite 'eq26' is named twice$"):
+        RunConfig(suites=("eq26", "lemma1", "eq26"))
     with pytest.raises(DomainError):
         RunConfig(output_format="xml")
     with pytest.raises(DomainError):
@@ -559,11 +586,15 @@ def test_config_file_with_flag_precedence(tmp_path):
     ({"suites": " , "}, [], 2),
     (None, ["--out", ""], 2),
     ({"out": ""}, [], 2),
+    # a repeated suite would run, and print, twice
+    (None, ["--suites", "theorem1,theorem1"], 2),
+    ({"suites": ["eq26", "eq26"]}, [], 2),
     # 10^5000 has more digits than int-to-str conversion allows by default
     (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
 ], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
         "tol-negative-exponent", "suites-flag-empty", "suites-list-empty", "suites-string-empty",
-        "out-flag-empty", "out-key-empty", "tol-5000-digits"])
+        "out-flag-empty", "out-key-empty", "suites-flag-twice", "suites-file-twice",
+        "tol-5000-digits"])
 def test_verify_input_contract(tmp_path, capsys, config, flags, code):
     # bad input is exit 2 with one error line, never a default or a traceback
     argv = ["verify", "--weights", "3..3", *flags]

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from dzv import dzeta as dzeta_mod
 from dzv.dzeta import (
     IndexPair,
+    _coefficient_vector,
     _direct_sums,
     _divided_difference,
+    _dot,
     _homogeneous,
     _table,
     build_table,
@@ -21,7 +23,12 @@ from dzv.dzeta import (
     gen_poly_real,
     get_table,
 )
-from dzv.identities import harmonic_check, sum_formula_check, weighted_sum_check
+from dzv.identities import (
+    _eq26_sample_args,
+    harmonic_check,
+    sum_formula_check,
+    weighted_sum_check,
+)
 from dzv.numerics import (
     GUARD_BITS,
     ComplexBall,
@@ -420,6 +427,79 @@ def test_homogeneous_kernel_encloses_midpoints_and_corners(coeff_parts, point_pa
             assert contains_fraction(ball.real, re) and contains_fraction(ball.imag, im)
     if x.imag.is_zero() and y.imag.is_zero():
         assert z.imag.is_zero()
+
+
+# exact real dyadic points m 2^e, |.| up to 2^34, zero included
+_dyadic_points = st.tuples(st.integers(-2 ** 30, 2 ** 30), st.integers(-40, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_coeffs, _dyadic_points, _dyadic_points, st.booleans(), st.integers(64, 160),
+       _sides, _sides)
+@example(_C20, (0, 0), (3, -3), True, 64, [0] * 45, [0] * 45)
+@example(_X20, (-5, -2), (0, 0), False, 64, [1] * 45, [-1] * 45)
+def test_dot_encloses_the_polynomial_at_exact_real_points(coeff_parts, xp, yp, exact, wp,
+                                                          sides1, sides2):
+    """At an exact real dyadic point the dot product over the coefficient
+    vector holds the exact polynomial at the coefficients' midpoints and at
+    corners of their balls.  Before the final rounding its midpoint is the
+    polynomial at the midpoints and its radius the spread
+    sum r_i |x^i y^(d-i)|, both exactly; after it the radius is at most that
+    spread plus one rounding to wp bits (rounded up to a short mantissa)."""
+    coeffs = [None if c is None else _ball(*c, exact) for c in coeff_parts]
+    x, y = (ComplexBall.from_real(RealBall(m, e, 0, 0)) for m, e in (xp, yp))
+    vector = _coefficient_vector(coeffs)
+    z = _dot(vector, x, y, wp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dzeta_mod, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
+        fixed = _dot(vector, x, y, wp)
+    xe, ye = (x.real.midpoint_fraction(), 0), (y.real.midpoint_fraction(), 0)
+    d = len(coeffs) - 1
+    spread = sum(c.radius_fraction() * abs(xe[0] ** i * ye[0] ** (d - i))
+                 for i, c in enumerate(coeffs) if c is not None)
+    mid, _ = _exact_homogeneous([None if c is None else _corner(c, 0) for c in coeffs], xe, ye)
+    assert fixed.real.midpoint_fraction() == mid and fixed.real.radius_fraction() == spread
+    assert z.imag.is_zero() and fixed.imag.is_zero()
+    for sides in (sides1, sides2):
+        cs = [None if c is None else _corner(c, e) for c, e in zip(coeffs, sides)]
+        value, _ = _exact_homogeneous(cs, xe, ye)
+        assert contains_fraction(z.real, value)
+    assert z.real.radius_fraction() <= (spread + abs(mid) / 2 ** wp) * (1 + Fraction(1, 2 ** 23))
+
+
+def test_dot_meets_the_horner_kernel_at_eq26_points(ctx192):
+    """Tables 3..30 at 192 bits and every eq26 sample point: eq26's four T_l
+    argument pairs and the divided difference, by the dispatching calls (the
+    dot product at these points) and by ``_homogeneous`` on the same inputs.
+    The balls intersect and the dot product's is no wider."""
+    wp = ctx192.working_precision + GUARD_BITS
+    for l in range(3, 31):
+        t = get_table(l, ctx192)
+        coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
+        ones = [RealBall.from_int(1)] * (l - 1)
+        for xq, yq in _eq26_sample_args(l):
+            x, y = ComplexBall.from_fractions(xq, 0, wp), ComplexBall.from_fractions(yq, 0, wp)
+            xy = x.add(y, wp)
+            pairs = [(gen_poly_eval(t, a, b), _homogeneous(coeffs, a, b, wp))
+                     for a, b in ((xy, y), (xy, x), (x, y), (y, x))]
+            pairs.append((_divided_difference(x, y, l, wp), _homogeneous(ones, x, y, wp)))
+            for dot, horner in pairs:
+                assert dot.intersects(horner) and dot.imag.is_zero(), (l, xq, yq)
+                assert dot.real.radius_fraction() <= horner.real.radius_fraction(), (l, xq, yq)
+
+
+def test_table_vector_shifts_back_to_the_entries(ctx192):
+    """Each x^(l1-1) entry of a table's vector is the table entry's dyadic()
+    shifted to the common exponent, so shifting back loses no bit; x^0 is
+    absent."""
+    for l in range(3, 31):
+        t = get_table(l, ctx192)
+        mids, rads, e = t.vector
+        assert len(mids) == len(rads) == l - 1 and mids[0] == rads[0] == 0
+        for pair, value in t.entries.items():
+            mm, me, rm, re = value.dyadic()
+            m, r = mids[pair.l1 - 1], rads[pair.l1 - 1]
+            assert (m, r) == (mm << (me - e), rm << (re - e))
 
 
 def test_gen_poly_radius_at_2_1_follows_the_table_radii(ctx192):
