@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .bernoulli import bernoulli, euler_identity_check, ramanujan_check
 from .dzeta import IndexPair, double_zeta
@@ -156,16 +156,38 @@ class SuiteReport:
 # decimal formatting of balls
 # ---------------------------------------------------------------------------
 
+def _truncated(m: int, e: int, digits: int) -> int:
+    """floor(|m 2^e| 10^digits): |m 2^e| truncated at `digits` decimal places,
+    as an integer."""
+    scaled = abs(m) * 10 ** digits
+    return scaled << e if e >= 0 else scaled >> -e
+
+
 def _decimal_truncate(m: int, e: int, digits: int) -> str:
     """Decimal expansion of m 2^e truncated toward zero at `digits` places;
     signed only when a printed digit is nonzero, never as -0.000..."""
-    scaled = abs(m) * 10 ** digits
-    scaled = scaled << e if e >= 0 else scaled >> -e
+    scaled = _truncated(m, e, digits)
     sign = "-" if m < 0 and scaled else ""
     s = _decimal_str(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + s
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def _shared_digits(a: int, b: int) -> Tuple[int, int]:
+    """(h, j) for integers 0 <= a <= b: the least j with a // 10^j = b // 10^j,
+    and h that quotient, the leading decimal digits a and b share."""
+    diff = b - a
+    if not diff:
+        return b, 0
+    j = len(_decimal_str(diff))  # 10^(j-1) <= diff < 10^j: no smaller j shares
+    h, r = divmod(b, 10 ** j)
+    if r >= diff:  # a = b - diff >= h 10^j
+        return h, j
+    # a // 10^j = h - 1, and h // 10^n = (h-1) // 10^n once 10^n does not divide h
+    t = _decimal_str(h)
+    n = len(t) - len(t.rstrip("0")) + 1
+    return h // 10 ** n, j + n
 
 
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
@@ -179,15 +201,16 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     lo, hi = _dy_add(mm, me, -rm, re), _dy_add(mm, me, rm, re)
     if lo[0] <= 0 <= hi[0]:
         return "0"
-    (ia, _, fa), (ib, _, fb) = (_decimal_truncate(abs(m), e, max_digits).partition(".")
-                                for m, e in (lo, hi))
-    if ia != ib:
+    head, j = _shared_digits(*sorted(_truncated(m, e, max_digits) for m, e in (lo, hi)))
+    if j > max_digits:  # the integer parts differ
         den = 1 << max(-me, 0)
         n, r = divmod(abs(mm) << max(me, 0), den)
         s = _decimal_str(n + (2 * r + (n & 1) > den))
     else:
-        k = len(os.path.commonprefix([fa, fb]))
-        s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
+        k = max_digits - j
+        t = _decimal_str(head).rjust(k + 1, "0")
+        ia, fa = t[:len(t) - k], t[len(t) - k:]
+        s = f"{ia}.{fa}" if k or ia == "0" else ia
     return "-" + s if hi[0] < 0 and s.strip("0.") else s
 
 

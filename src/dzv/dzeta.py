@@ -29,14 +29,16 @@ summed, and added to the radius.  One weight-w table reads the same vector
 zeta(w-1+j, A).
 
 T_l and the divided difference (x^(l-1) - y^(l-1)) / (x - y) are homogeneous
-polynomials in (x, y).  At exact real dyadic points x = a 2^s, y = b 2^s, the
-points of eq26 and lemma1's x = 1 terms, each is one exact dot product of the
+polynomials in (x, y), evaluated at exact real dyadic points x = a 2^s,
+y = b 2^s only (eq26's points): each is one exact dot product of the
 integers a^i b^(d-i) with a coefficient vector of integer mantissas at one
 exponent (T_l's is built with its table, the divided difference's is all
-ones), rounded once.  At inexact or complex points ``_homogeneous`` evaluates
-both: it rescales x and y by one power of two, runs Horner's rule in integer
-fixed point with counted floors, and bounds the spread over the input balls by
-a first-order majorant with its exact remainder; no ball product per term.
+ones), rounded once; any other point raises DomainError.  There is no
+complex evaluation: with other integer weights the same vector gives every
+restricted sum and Lemma 1's sums over the cube roots of unity
+(``dzv.identities``), so lemma1 checks the roots-of-unity filter, the
+weighted sum formula and an integer count, not a complex kernel.  Horner's
+rule at complex points is kept in the tests, as the oracle for lemma1.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
-from math import isqrt
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -224,119 +225,6 @@ def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     return _table(_table_weight(l), ctx.working_precision)
 
 
-def _ceil_modulus(re: int, im: int) -> int:
-    """ceil(sqrt(re^2 + im^2)), exact when im = 0."""
-    n = re * re + im * im
-    s = isqrt(n)
-    return s + (s * s != n)
-
-
-def _homogeneous(coeffs: Sequence[Optional[RealBall]], x: ComplexBall, y: ComplexBall,
-                 wp: int) -> ComplexBall:
-    """Enclosure of P(x, y) = sum_{i=0..d} c_i x^i y^(d-i), d = len(coeffs) - 1,
-    for real balls c_i (None for an absent term) and complex balls x, y,
-    rounded to wp bits.
-
-    Rescale.  P(x, y) = 2^(kd) P(2^-k x, 2^-k y), with 2^k <= the larger
-    midpoint modulus < 2^(k+1), so a small point loses no bits to an absolute
-    unit.  After the rescale every midpoint and radius is an integer at the
-    unit u = 2^-W, exactly: W is at or above every input exponent.
-
-    Midpoint.  With x~, y~, c~_i the midpoints, the floored chain
-    p_j = floor(p_(j-1) y~) and homogeneous Horner
-    h <- floor(h x~) + floor(c~_i p_(d-i)), i = d..0, give h near
-    P(x~, y~).  A complex floor floors each component, low by less than one
-    unit when it leaves a remainder and exact otherwise, so its modulus error
-    is at most the count of inexact components.  An error e in p_(j-1) is at
-    most e |y~| in p_(j-1) y~, an error E in h at most E |x~| in h x~, and
-    one in p_(d-i) at most |c~_i| e in c~_i p_(d-i); with ceilings of |x~|
-    and |y~| (isqrt, exact for a real midpoint) the counted bound
-    E >= |h - P(x~, y~)| is carried in integers.
-
-    Radius.  For x, y, c_i anywhere in their balls, |x - x~| <= rx
-    = rad(re x) + rad(im x), likewise ry, and |c_i - c~_i| <= r_i.  Each term
-    is a product of d + 1 factors, and
-
-        |prod a_k - prod b_k| <= sum_k |a_k - b_k| prod_(m!=k) (|b_m| + r_m)
-
-    (telescope through a_1..a_k b_(k+1)..b_n and use |a_m| <= |b_m| + r_m),
-    so with X = ceil|x~| + rx, Y = ceil|y~| + ry and C_i = |c~_i| + r_i
-
-        |P(c, x, y) - P(c~, x~, y~)| <= sum_i r_i X^i Y^(d-i)
-            + C_i (i rx X^(i-1) Y^(d-i) + (d-i) ry X^i Y^(d-i-1)),
-
-    summed with ceilings.  Both parts get the radius E + that sum; real
-    inputs (exact-zero imaginary parts) give an exact-zero imaginary part.
-
-    The bound holds for any W, which only sizes the radius.  Each step adds
-    at most two floors and one unit per ceiling, and after the rescale
-    M = max(X, Y) >= 1, so E <= 8 (d+1)^2 max(1, C_i) M^d units; the lower
-    bound wp + 2 bitlen(d+1) + 16 on W keeps E u below 2^-(wp+12) of that
-    scale of the terms.
-    """
-    d = len(coeffs) - 1
-    parts = [b.dyadic() for b in (x.real, x.imag, y.real, y.imag)]
-    present = [(i, c.dyadic()) for i, c in enumerate(coeffs) if c is not None]
-    # 2^k <= the larger midpoint modulus < 2^(k+1), from the squares at unit 2^-v
-    v = -min(me for _, me, _, _ in parts)
-    sq = [(mm << (me + v)) ** 2 for mm, me, _, _ in parts]
-    sq = max(sq[0] + sq[1], sq[2] + sq[3])
-    k = (sq.bit_length() - 1) // 2 - v if sq else 0
-    width = max(wp + 2 * (d + 1).bit_length() + 16,
-                k - min(min(me, re) for _, me, _, re in parts),
-                -min((min(me, re) for _, (_, me, _, re) in present), default=0))
-    one, mask = 1 << width, (1 << width) - 1
-    xr, xi, yr, yi = (mm << (me - k + width) for mm, me, _, _ in parts)
-    rx, ry = ((parts[j][2] << (parts[j][3] - k + width))
-              + (parts[j + 1][2] << (parts[j + 1][3] - k + width)) for j in (0, 2))
-    # ceilings of |x~| and |y~|; c~_i, r_i and C_i = |c~_i| + r_i
-    ax, ay = _ceil_modulus(xr, xi), _ceil_modulus(yr, yi)
-    cs = [None] * (d + 1)
-    for i, (mm, me, rm, re) in present:
-        c, r = mm << (me + width), rm << (re + width)
-        cs[i] = c, r, abs(c) + r
-
-    # p_j ~ y~^j with its counted error, j = 0..d
-    ypow = [(one, 0, 0)]
-    for _ in range(d):
-        pr, pi, e = ypow[-1]
-        a, b = pr * yr - pi * yi, pr * yi + pi * yr
-        ypow.append((a >> width, b >> width,
-                     -(-e * ay >> width) + (a & mask != 0) + (b & mask != 0)))
-    hr = hi = err = 0
-    for i in range(d, -1, -1):
-        a, b = hr * xr - hi * xi, hr * xi + hi * xr
-        hr, hi = a >> width, b >> width
-        err = -(-err * ax >> width) + (a & mask != 0) + (b & mask != 0)
-        if cs[i] is not None:
-            c, _, big_c = cs[i]
-            pr, pi, e = ypow[d - i]
-            a, b = c * pr, c * pi
-            hr += a >> width
-            hi += b >> width
-            err += -(-big_c * e >> width) + (a & mask != 0) + (b & mask != 0)
-
-    # the majorant at unit u^4, with X^i and Y^j ceilings at unit u
-    xs, ys = [one], [one]
-    for _ in range(d):
-        xs.append(-(-xs[-1] * (ax + rx) >> width))
-        ys.append(-(-ys[-1] * (ay + ry) >> width))
-    acc = 0
-    for i, _ in present:
-        _, r, big_c = cs[i]
-        acc += r * xs[i] * ys[d - i] << width
-        if rx and i:
-            acc += big_c * i * rx * xs[i - 1] * ys[d - i]
-        if ry and i < d:
-            acc += big_c * (d - i) * ry * xs[i] * ys[d - i - 1]
-    rad = -(-acc >> 3 * width) + err
-    exp = k * d - width
-    real = _rounded(hr, exp, rad, exp, wp)
-    if x.imag.is_zero() and y.imag.is_zero():
-        return ComplexBall(real, RealBall.zero())
-    return ComplexBall(real, _rounded(hi, exp, rad, exp, wp))
-
-
 def _coefficient_vector(coeffs: Sequence[Optional[RealBall]]) -> tuple:
     """(mids, rads, e): c_i has midpoint mids[i] 2^e and radius rads[i] 2^e,
     e the least exponent of any part; None is an absent term."""
@@ -346,40 +234,42 @@ def _coefficient_vector(coeffs: Sequence[Optional[RealBall]]) -> tuple:
             tuple(rm << (re - e) for _, _, rm, re in parts), e)
 
 
-def _dot(vector: tuple, x: ComplexBall, y: ComplexBall, wp: int) -> Optional[ComplexBall]:
+def _vector_dot(vector: tuple, weights: Sequence[int], shift: int, wp: int) -> RealBall:
+    """sum_i weights[i] c_i 2^shift for the coefficient vector (mids, rads, e)
+    and integer weights: the midpoint sum mids[i] weights[i] and the radius
+    sum rads[i] |weights[i]| are exact integers at the unit 2^(e + shift),
+    rounded once to wp bits, like ``ball_sum``."""
+    mids, rads, e = vector
+    return _rounded(sum(map(mul, mids, weights)), e + shift,
+                    sum(map(mul, rads, map(abs, weights))), e + shift, wp)
+
+
+def _dot(vector: tuple, x: ComplexBall, y: ComplexBall, wp: int) -> ComplexBall:
     """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
-    when x = a 2^s and y = b 2^s are exact real dyadics (zero radii and
-    exact-zero imaginary parts), else None.  With t_i = a^i b^(d-i), the
-    midpoint sum mids[i] t_i and the radius sum rads[i] |t_i| are exact
-    integers at the unit 2^(e + sd), rounded once to wp bits."""
+    at x = a 2^s and y = b 2^s, exact real dyadics (zero radii and exact-zero
+    imaginary parts): one ``_vector_dot`` with the integers a^i b^(d-i) at the
+    shift sd.  Any other point raises DomainError."""
     (xm, xe, xr, _), (ym, ye, yr, _) = x.real.dyadic(), y.real.dyadic()
     if xr or yr or not (x.imag.is_zero() and y.imag.is_zero()):
-        return None
-    mids, rads, e = vector
-    d, s = len(mids) - 1, min(xe, ye)
+        raise DomainError(f"homogeneous polynomials are evaluated at exact real dyadic "
+                          f"points only, got ({x!r}, {y!r})")
+    d, s = len(vector[0]) - 1, min(xe, ye)
     ys = list(accumulate(repeat(ym << (ye - s), d), mul, initial=1))
     terms = list(map(mul, accumulate(repeat(xm << (xe - s), d), mul, initial=1), reversed(ys)))
-    mid, rad = sum(map(mul, mids, terms)), sum(map(mul, rads, map(abs, terms)))
-    return ComplexBall(_rounded(mid, e + s * d, rad, e + s * d, wp), RealBall.zero())
+    return ComplexBall(_vector_dot(vector, terms, s * d, wp), RealBall.zero())
 
 
 def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:
     """Enclosure of T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2): the
     homogeneous polynomial of degree l - 2 whose x^(l1-1) coefficient is
-    zeta(l1, l - l1) (there is none at l1 = 1); one ``_dot`` over the table's
-    vector at an exact real dyadic point, else one ``_homogeneous`` pass."""
-    wp = t.precision + GUARD_BITS
-    z = _dot(t.vector, x, y, wp)
-    if z is None:
-        coeffs = [None] * (t.weight - 1)
-        for pair, value in t.entries.items():
-            coeffs[pair.l1 - 1] = value
-        z = _homogeneous(coeffs, x, y, wp)
-    return z
+    zeta(l1, l - l1) (there is none at l1 = 1), as one ``_dot`` over the
+    table's vector.  x and y must be exact real dyadics, else DomainError."""
+    return _dot(t.vector, x, y, t.precision + GUARD_BITS)
 
 
 def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
-    """T_l at exact rational real arguments."""
+    """T_l at exact dyadic rational real arguments; any other rational raises
+    DomainError."""
     wp = t.precision + GUARD_BITS
     xb = ComplexBall.from_fractions(x, 0, wp)
     yb = ComplexBall.from_fractions(y, 0, wp)
@@ -388,9 +278,9 @@ def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
 
 def _divided_difference(x: ComplexBall, y: ComplexBall, l: int, wp: int) -> ComplexBall:
     """(x^(l-1) - y^(l-1)) / (x - y) as the homogeneous sum
-    sum_{i+j=l-2} x^i y^j, finite at x = y: the all-ones vector."""
-    z = _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
-    return _homogeneous([RealBall.from_int(1)] * (l - 1), x, y, wp) if z is None else z
+    sum_{i+j=l-2} x^i y^j, finite at x = y: ``_dot`` over the all-ones
+    vector, so x and y must be exact real dyadics, else DomainError."""
+    return _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
 
 
 def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,
@@ -407,9 +297,8 @@ def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,
     xy = x.add(y, wp)
     lhs = gen_poly_eval(t, xy, y).add(gen_poly_eval(t, xy, x), wp)
     rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)
-    dd = _divided_difference(x, y, l, wp)
-    zl = ComplexBall.from_real(zeta_numeric(l, ctx))
-    return lhs, rhs.add(dd.mul(zl, wp), wp)
+    dd = _divided_difference(x, y, l, wp).real  # a real point: exact-zero imaginary part
+    return lhs, rhs.add(ComplexBall.from_real(dd.mul(zeta_numeric(l, ctx), wp)), wp)
 
 
 def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,

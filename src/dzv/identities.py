@@ -12,6 +12,14 @@ T_l(-1, 1) is (-1, 1, -1, 1, -1, 1).  The sum, parity, theorem1, corollary1 and
 prop1 formulas are the rows of ``_STATEMENTS``, each a class sum = z zeta(l)
 + c (another class sum), and ``_statement_checks`` judges every row.
 
+Lemma 1's cube-root-of-unity sums are integer class vectors too: with
+z = exp(i pi/3), the x = omega and x = omega^2 terms of T_l add up to
+sum 2 cos(pi n/3) zeta(l1, l2) with n mod 6 fixed by l1 mod 6, and the x = 1
+term is T_l(2, 1) or T_l(1, 1).  So equations 3 and 4 are the roots-of-unity
+filter, an identity of class vectors; equations 1 and 2 add the weighted sum
+formula T_l(2, 1) = (l+1)/2 zeta(l); equation 5 is an integer count times
+zeta(l).  No complex number is evaluated.
+
 Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
 weight its statement does not cover, else fetches its own table and judges with
 the caller's context.  Numeric checks pass by ``check_from_sides``: the residual
@@ -40,10 +48,9 @@ from .bernoulli import (
 from .dzeta import (
     DzvTable,
     functional_eq26_sides,
-    gen_poly_eval,
     get_table,
-    _divided_difference,
     _table_weight,
+    _vector_dot,
 )
 from .numerics import (
     GUARD_BITS,
@@ -56,8 +63,6 @@ from .numerics import (
     RealBall,
     ball_sum,
     check_from_sides,
-    complex_sum,
-    cube_root_of_unity,
     exact_check,
     require_exact,
 )
@@ -95,19 +100,19 @@ def _scale(ball: RealBall, c: int | Fraction, wp: int) -> RealBall:
     return ball.mul(RealBall.from_fraction(c, wp), wp)
 
 
-def restricted_sum(t: DzvTable, coeffs: Sequence[int | Fraction]) -> RealBall:
-    """sum over the table of coeffs[l1 % 6] zeta(l1, l2).
+def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
+    """sum over the table of coeffs[l1 % 6] zeta(l1, l2), integer coefficients.
 
     Since l2 = l - l1, a congruence mod 2, 3 or 6 on either index is a set of
     l1 classes mod 6, so six coefficients state any signed restricted sum.
-    Each pair is scaled once and the sum rounds once; all-zero coefficients
-    give the exact zero ball."""
-    coeffs = tuple(require_exact(c, "a restricted_sum coefficient") for c in coeffs)
+    The sum is one exact dot product over the table's vector (the x^(l1-1)
+    entry is zeta(l1, l2)), rounded once; all-zero coefficients give the
+    exact zero ball."""
+    coeffs = tuple(require_exact(c, "a restricted_sum coefficient", (int,)) for c in coeffs)
     if len(coeffs) != 6:
         raise DomainError(f"restricted_sum needs 6 coefficients, one per l1 mod 6, got {len(coeffs)}")
-    wp = t.precision + GUARD_BITS
-    return ball_sum((_scale(t.entries[p], coeffs[p.l1 % 6], wp)
-                     for p in t.pairs() if coeffs[p.l1 % 6]), wp)
+    weights = [coeffs[(i + 1) % 6] for i in range(t.weight - 1)]
+    return _vector_dot(t.vector, weights, 0, t.precision + GUARD_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -228,46 +233,64 @@ def prop1_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 # cube-root-of-unity equations
 # ---------------------------------------------------------------------------
 
-# Lemma 1's equations 1-4: sum T_l(a, b) over x in {1, omega, omega^2} = 3 sum over
-# l1 = r(l) (mod 3) of sign[l1%6] zeta(l1, l2), + (l+1)/2 zeta(l) - T_l(-1, 1) if tail
-_LEMMA1 = [  # (tag, (a, b), r, sign, tail), a and b one of x, 1, x+1
-    ("eq1", ("x+1", "1"), lambda l: 1, _T_M11, True),
-    ("eq2", ("x+1", "x"), lambda l: 2 * l, _T_M11, True),
-    ("eq3", ("x", "1"), lambda l: 1, _ALL, False),
-    ("eq4", ("1", "x"), lambda l: l - 1, _ALL, False),
+# Lemma 1's equations 1-4: sum T_l(X, Y) over x in {1, omega, omega^2} = 3 sum over
+# l1 = r(l) (mod 3) of sign[l1%6] zeta(l1, l2), + (l+1)/2 zeta(l) - T_l(-1, 1) if tail.
+# X and Y are each x, 1 or x+1; with z = exp(i pi/3), omega = z^2 and omega + 1 = z,
+# so at x = omega they are z^a and z^b (exponent 2, 0 or 1), at x = omega^2 z^-a and z^-b
+_LEMMA1 = [  # (tag, (a, b), r, sign, tail)
+    ("eq1", (1, 0), lambda l: 1, _T_M11, True),     # (x+1, 1)
+    ("eq2", (1, 2), lambda l: 2 * l, _T_M11, True),  # (x+1, x)
+    ("eq3", (2, 0), lambda l: 1, _ALL, False),       # (x, 1)
+    ("eq4", (0, 2), lambda l: l - 1, _ALL, False),   # (1, x)
 ]
+_AT_ONE = (1, 2, 1)  # the argument z^a at x = 1 instead: 1 (a = 0), x+1 = 2, x = 1
+_TWO_COS = (2, 1, -1, -2, -1, 1)  # z^n + z^-n = 2 cos(pi n/3), n mod 6
+
+
+def _lemma1_classes(a: int, b: int, l: int) -> tuple[int, ...]:
+    """The class vector of T_l(z^a, z^b) + T_l(z^-a, z^-b), a row's x = omega
+    and x = omega^2 terms: the coefficient of zeta(l1, l2) is z^n + z^-n,
+    n = a (l1-1) + b (l2-1), which with l2 = l - l1 depends on l1 mod 6 only."""
+    return tuple(_TWO_COS[(a * (r - 1) + b * (l - r - 1)) % 6] for r in range(6))
+
+
+def _lemma1_eq5_count(l: int) -> int:
+    """sum over x in {1, omega, omega^2} of sum_{i<=l-2} x^i, counted: with
+    omega^i = z^2i, the three roots add 1 + _TWO_COS[2i mod 6] for each i."""
+    return sum(1 + _TWO_COS[2 * i % 6] for i in range(l - 1))
 
 
 def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The five identities obtained by summing T_l specializations over
     x in {1, omega, omega^2} (omega = exp(2 pi i/3)): the rows of _LEMMA1, then
-    the divided difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3)."""
+    the divided difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3).
+
+    No complex number is evaluated.  A row's left side is one exact dot
+    product over the table's vector with integer weights: the x = 1 term's,
+    T_l(2, 1) or T_l(1, 1), plus the row's class vector for the other two
+    roots.  Equation 5's left side is zeta(l) times the counted integer.  The
+    real sides are reported as complex balls with exact-zero imaginary parts."""
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    # omega's radius enters _homogeneous's majorant times sum_i i C_i X^(i-1) Y^(d-i),
-    # X, Y about 1: at most about l zeta(l) for T_l (the sum formula) and l^2/2
-    # for the divided difference, so 2 bitlen(l) bits above wp keep it below
-    # 2^-wp of each side
-    omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
-    one = ComplexBall.one()
-    roots = [{"x": x, "1": one, "x+1": x.add(one, wp)} for x in (one, omega, omega.conj())]
     zl = zeta_numeric(l, ctx)
-    zl_c = ComplexBall.from_real(zl)
-    t_m11 = ComplexBall.from_real(restricted_sum(t, _T_M11))
     half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)
-    shared_tail = ComplexBall.from_real(zl.mul(half_lp1, wp)).sub(t_m11, wp)
+    shared_tail = zl.mul(half_lp1, wp).sub(restricted_sum(t, _T_M11), wp)
 
     reports = []
     for tag, (a, b), residue, sign, tail in _LEMMA1:
-        lhs = complex_sum((gen_poly_eval(t, args[a], args[b]) for args in roots), wp)
+        classes = _lemma1_classes(a, b, l)
+        x, y = _AT_ONE[a], _AT_ONE[b]
+        # the x^i y^(l-2-i) entry of the vector is zeta(i+1, l-1-i)
+        lhs = _vector_dot(t.vector, [x ** i * y ** (l - 2 - i) + classes[(i + 1) % 6]
+                                     for i in range(l - 1)], 0, wp)
         coeffs = [sign[c] if c % 3 == residue(l) % 3 else 0 for c in range(6)]
-        rhs = ComplexBall.from_real(restricted_sum(t, coeffs).mul_int(3))
+        rhs = restricted_sum(t, coeffs).mul_int(3)
         rhs = rhs.add(shared_tail, wp) if tail else rhs
-        reports.append(check_from_sides(f"lemma1.{tag}[l={l}]", l, lhs, rhs, ctx))
+        reports.append(check_from_sides(f"lemma1.{tag}[l={l}]", l, ComplexBall.from_real(lhs),
+                                        ComplexBall.from_real(rhs), ctx))
 
-    dd_sum = complex_sum((_divided_difference(args["x"], one, l, wp) for args in roots), wp)
-    lhs5 = dd_sum.mul(zl_c, wp)
-    rhs5 = zl_c.mul_int(3 * ((l + 1) // 3))
+    lhs5 = ComplexBall.from_real(zl.mul_int(_lemma1_eq5_count(l)))
+    rhs5 = ComplexBall.from_real(zl.mul_int(3 * ((l + 1) // 3)))
     reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
     return reports
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import accumulate, count, repeat
 from math import factorial
+from operator import mul
 
 from .bernoulli import bernoulli
 from .numerics import (
@@ -100,8 +101,11 @@ def _hurwitz_em_once(s: int, a, wp: int, n_lead: int) -> RealBall:
     xpow = xq ** (s - 1)
     leading = [q1 * q // (n * q + p) ** s for n in range(n_lead)]
     head = q1 // ((s - 1) * xpow)
-    corrections = (num * q1 * q ** (2 * k) // (den * xpow * xq ** (2 * k))
-                   for k, (num, den) in enumerate(_em_coefficients(s), 1))
+    # term k is num q1 q^2k // (den xpow xq^2k), with running products of q^2 and xq^2
+    qq, xx = q * q, xq * xq
+    corrections = (num * qk // (den * xk) for (num, den), qk, xk in
+                   zip(_em_coefficients(s), accumulate(repeat(qq), mul, initial=q1 * qq),
+                       accumulate(repeat(xx), mul, initial=xpow * xx)))
     # a^-s + x^(1-s)/(s-1) <= zeta(s, a), so the remainder is below 2^-wp of the value
     kept, rem = _em_truncate(((f, abs(f) + 1) for f in corrections), (leading[0] + head) >> wp)
     total = sum(leading) + head + q1 * q // (2 * xpow * xq) + sum(kept)

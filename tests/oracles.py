@@ -5,8 +5,10 @@ independent of the code path under test: Pascal's triangle for binomials,
 Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
 summation with integral tail bounds for zeta values, the literal truncated
 double sum for double zeta values, at odd weight the reduction of a double
-zeta value to products of single zeta values, and Lemma 1's five equations
-written out one by one.
+zeta value to products of single zeta values, Horner's rule in counted
+integer fixed point for T_l at complex points, Lemma 1's five equations
+written out one by one with it, and the cube roots of unity in exact
+Q(sqrt -3) arithmetic.
 
 The weight hypotheses of the suites are plain predicates, written apart
 from the checks that raise OutsideHypothesis.  The ball predicates below
@@ -18,14 +20,15 @@ decisions of dzv against plain Fraction arithmetic.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
-from typing import List, Optional, Tuple
+from math import factorial, isqrt, prod
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from dzv.dzeta import _divided_difference, gen_poly_eval, get_table
+from dzv.dzeta import get_table
 from dzv.identities import _T_M11, restricted_sum
 from dzv.numerics import (
     GUARD_BITS,
@@ -33,6 +36,7 @@ from dzv.numerics import (
     PrecisionCtx,
     RealBall,
     _radius_digits,
+    _rounded,
     _sci,
     check_from_sides,
     complex_sum,
@@ -177,11 +181,19 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     if ia != ib:
         s = str(round(abs(ball.midpoint_fraction())))
     else:
-        k = 0
-        while k < min(len(fa), len(fb)) and fa[k] == fb[k]:
-            k += 1
+        k = len(os.path.commonprefix([fa, fb]))
         s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
     return "-" + s if hi < 0 and s.strip("0.") else s
+
+
+def shared_leading_digits(a: int, b: int) -> Tuple[int, int]:
+    """(h, j) for integers 0 <= a <= b, from the common prefix of their
+    decimal strings padded to one length: j digits follow the shared ones, and
+    h is the shared digits' value."""
+    sa, sb = str(a), str(b)
+    sa = sa.rjust(len(sb), "0")
+    k = len(os.path.commonprefix([sa, sb]))
+    return int(sb[:k] or "0"), len(sb) - k
 
 
 @cache
@@ -334,8 +346,130 @@ def residual_strings(parts) -> Tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
+# the complex Horner kernel: T_l and the divided difference at any point
+# ---------------------------------------------------------------------------
+
+def _ceil_modulus(re: int, im: int) -> int:
+    """ceil(sqrt(re^2 + im^2)), exact when im = 0."""
+    n = re * re + im * im
+    s = isqrt(n)
+    return s + (s * s != n)
+
+
+def _homogeneous(coeffs: Sequence[Optional[RealBall]], x: ComplexBall, y: ComplexBall,
+                 wp: int) -> ComplexBall:
+    """Enclosure of P(x, y) = sum_{i=0..d} c_i x^i y^(d-i), d = len(coeffs) - 1,
+    for real balls c_i (None for an absent term) and complex balls x, y,
+    rounded to wp bits.
+
+    Rescale.  P(x, y) = 2^(kd) P(2^-k x, 2^-k y), with 2^k <= the larger
+    midpoint modulus < 2^(k+1), so a small point loses no bits to an absolute
+    unit.  After the rescale every midpoint and radius is an integer at the
+    unit u = 2^-W, exactly: W is at or above every input exponent.
+
+    Midpoint.  With x~, y~, c~_i the midpoints, the floored chain
+    p_j = floor(p_(j-1) y~) and homogeneous Horner
+    h <- floor(h x~) + floor(c~_i p_(d-i)), i = d..0, give h near
+    P(x~, y~).  A complex floor floors each component, low by less than one
+    unit when it leaves a remainder and exact otherwise, so its modulus error
+    is at most the count of inexact components.  An error e in p_(j-1) is at
+    most e |y~| in p_(j-1) y~, an error E in h at most E |x~| in h x~, and
+    one in p_(d-i) at most |c~_i| e in c~_i p_(d-i); with ceilings of |x~|
+    and |y~| (isqrt, exact for a real midpoint) the counted bound
+    E >= |h - P(x~, y~)| is carried in integers.
+
+    Radius.  For x, y, c_i anywhere in their balls, |x - x~| <= rx
+    = rad(re x) + rad(im x), likewise ry, and |c_i - c~_i| <= r_i.  Each term
+    is a product of d + 1 factors, and
+
+        |prod a_k - prod b_k| <= sum_k |a_k - b_k| prod_(m!=k) (|b_m| + r_m)
+
+    (telescope through a_1..a_k b_(k+1)..b_n and use |a_m| <= |b_m| + r_m),
+    so with X = ceil|x~| + rx, Y = ceil|y~| + ry and C_i = |c~_i| + r_i
+
+        |P(c, x, y) - P(c~, x~, y~)| <= sum_i r_i X^i Y^(d-i)
+            + C_i (i rx X^(i-1) Y^(d-i) + (d-i) ry X^i Y^(d-i-1)),
+
+    summed with ceilings.  Both parts get the radius E + that sum; real
+    inputs (exact-zero imaginary parts) give an exact-zero imaginary part.
+
+    The bound holds for any W, which only sizes the radius.  Each step adds
+    at most two floors and one unit per ceiling, and after the rescale
+    M = max(X, Y) >= 1, so E <= 8 (d+1)^2 max(1, C_i) M^d units; the lower
+    bound wp + 2 bitlen(d+1) + 16 on W keeps E u below 2^-(wp+12) of that
+    scale of the terms.
+    """
+    d = len(coeffs) - 1
+    parts = [b.dyadic() for b in (x.real, x.imag, y.real, y.imag)]
+    present = [(i, c.dyadic()) for i, c in enumerate(coeffs) if c is not None]
+    # 2^k <= the larger midpoint modulus < 2^(k+1), from the squares at unit 2^-v
+    v = -min(me for _, me, _, _ in parts)
+    sq = [(mm << (me + v)) ** 2 for mm, me, _, _ in parts]
+    sq = max(sq[0] + sq[1], sq[2] + sq[3])
+    k = (sq.bit_length() - 1) // 2 - v if sq else 0
+    width = max(wp + 2 * (d + 1).bit_length() + 16,
+                k - min(min(me, re) for _, me, _, re in parts),
+                -min((min(me, re) for _, (_, me, _, re) in present), default=0))
+    one, mask = 1 << width, (1 << width) - 1
+    xr, xi, yr, yi = (mm << (me - k + width) for mm, me, _, _ in parts)
+    rx, ry = ((parts[j][2] << (parts[j][3] - k + width))
+              + (parts[j + 1][2] << (parts[j + 1][3] - k + width)) for j in (0, 2))
+    # ceilings of |x~| and |y~|; c~_i, r_i and C_i = |c~_i| + r_i
+    ax, ay = _ceil_modulus(xr, xi), _ceil_modulus(yr, yi)
+    cs = [None] * (d + 1)
+    for i, (mm, me, rm, re) in present:
+        c, r = mm << (me + width), rm << (re + width)
+        cs[i] = c, r, abs(c) + r
+
+    # p_j ~ y~^j with its counted error, j = 0..d
+    ypow = [(one, 0, 0)]
+    for _ in range(d):
+        pr, pi, e = ypow[-1]
+        a, b = pr * yr - pi * yi, pr * yi + pi * yr
+        ypow.append((a >> width, b >> width,
+                     -(-e * ay >> width) + (a & mask != 0) + (b & mask != 0)))
+    hr = hi = err = 0
+    for i in range(d, -1, -1):
+        a, b = hr * xr - hi * xi, hr * xi + hi * xr
+        hr, hi = a >> width, b >> width
+        err = -(-err * ax >> width) + (a & mask != 0) + (b & mask != 0)
+        if cs[i] is not None:
+            c, _, big_c = cs[i]
+            pr, pi, e = ypow[d - i]
+            a, b = c * pr, c * pi
+            hr += a >> width
+            hi += b >> width
+            err += -(-big_c * e >> width) + (a & mask != 0) + (b & mask != 0)
+
+    # the majorant at unit u^4, with X^i and Y^j ceilings at unit u
+    xs, ys = [one], [one]
+    for _ in range(d):
+        xs.append(-(-xs[-1] * (ax + rx) >> width))
+        ys.append(-(-ys[-1] * (ay + ry) >> width))
+    acc = 0
+    for i, _ in present:
+        _, r, big_c = cs[i]
+        acc += r * xs[i] * ys[d - i] << width
+        if rx and i:
+            acc += big_c * i * rx * xs[i - 1] * ys[d - i]
+        if ry and i < d:
+            acc += big_c * (d - i) * ry * xs[i] * ys[d - i - 1]
+    rad = -(-acc >> 3 * width) + err
+    exp = k * d - width
+    real = _rounded(hr, exp, rad, exp, wp)
+    if x.imag.is_zero() and y.imag.is_zero():
+        return ComplexBall(real, RealBall.zero())
+    return ComplexBall(real, _rounded(hi, exp, rad, exp, wp))
+
+
+# ---------------------------------------------------------------------------
 # Lemma 1, one equation at a time
 # ---------------------------------------------------------------------------
+
+# each row's arguments of T_l as written in the paper, at the root x
+LEMMA1_ARGUMENTS = {"eq1": ("x+1", "1"), "eq2": ("x+1", "x"), "eq3": ("x", "1"),
+                    "eq4": ("1", "x")}
+
 
 def _alternating_mod3_sum(t, res3: int) -> RealBall:
     """sum over l1 = res3 (mod 3) of (-1)^(l1-1) zeta(l1, l2)."""
@@ -348,14 +482,20 @@ def _plain_mod3_sum(t, res3: int) -> RealBall:
 
 
 def lemma1_explicit(l: int, ctx: PrecisionCtx) -> list:
-    """Lemma 1's five equations, each written out by hand: the reference that
-    the row table of ``dzv.identities.lemma1_check`` must reproduce record for
-    record, with the same operations in the same order."""
+    """Lemma 1's five equations, each written out by hand, with every T_l and
+    divided difference evaluated by the complex Horner kernel at x = 1, omega
+    and omega^2 and summed as complex balls: the independent reference whose
+    sides ``dzv.identities.lemma1_check``'s must intersect."""
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
+    # omega's radius enters the kernel's majorant times sum_i i C_i X^(i-1) Y^(d-i),
+    # X, Y about 1: at most about l zeta(l) for T_l (the sum formula) and l^2/2
+    # for the divided difference, so 2 bitlen(l) bits above wp keep it below
+    # 2^-wp of each side
     omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
     xs = [ComplexBall.one(), omega, omega.conj()]
     one = ComplexBall.one()
+    coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
     zl = zeta_numeric(l, ctx)
     zl_c = ComplexBall.from_real(zl)
     t_m11 = ComplexBall.from_real(restricted_sum(t, _T_M11))
@@ -363,7 +503,7 @@ def lemma1_explicit(l: int, ctx: PrecisionCtx) -> list:
     shared_tail = ComplexBall.from_real(zl.mul(half_lp1, wp)).sub(t_m11, wp)
 
     def T(xb: ComplexBall, yb: ComplexBall) -> ComplexBall:
-        return gen_poly_eval(t, xb, yb)
+        return _homogeneous(coeffs, xb, yb, wp)
 
     reports = []
 
@@ -384,9 +524,53 @@ def lemma1_explicit(l: int, ctx: PrecisionCtx) -> list:
     rhs4 = ComplexBall.from_real(_plain_mod3_sum(t, (l - 1) % 3).mul_int(3))
     reports.append(check_from_sides(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
 
-    dd_sum = complex_sum((_divided_difference(x, one, l, wp) for x in xs), wp)
+    ones = [RealBall.from_int(1)] * (l - 1)
+    dd_sum = complex_sum((_homogeneous(ones, x, one, wp) for x in xs), wp)
     lhs5 = dd_sum.mul(zl_c, wp)
     rhs5 = zl_c.mul_int(3 * ((l + 1) // 3))
     reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
 
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the cube roots of unity in exact arithmetic: Q(sqrt -3)
+# ---------------------------------------------------------------------------
+
+# p + q sqrt(-3) as the pair (p, q) of rationals; omega = (-1 + sqrt(-3))/2
+_Q3_ROOT = {"1": (Fraction(1), Fraction(0)), "x": (Fraction(-1, 2), Fraction(1, 2)),
+            "x+1": (Fraction(1, 2), Fraction(1, 2))}
+
+
+def _q3_mul(u: tuple, v: tuple) -> tuple:
+    return u[0] * v[0] - 3 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _q3_powers(u: tuple, n: int) -> list:
+    """u^0, u^1, ..., u^n."""
+    out = [(Fraction(1), Fraction(0))]
+    for _ in range(n):
+        out.append(_q3_mul(out[-1], u))
+    return out
+
+
+def lemma1_pair_coefficients(tag: str, l: int) -> dict:
+    """{l1: X^(l1-1) Y^(l2-1) + its conjugate} over the weight-l pairs, for
+    (X, Y) the arguments of Lemma 1's row ``tag`` at x = omega, multiplied out
+    in Q(sqrt -3); the x = omega^2 term is the conjugate.  Each value is the
+    integer 2 Re."""
+    xs, ys = (_q3_powers(_Q3_ROOT[name], l - 2) for name in LEMMA1_ARGUMENTS[tag])
+    out = {}
+    for l1 in range(2, l):
+        p, _ = _q3_mul(xs[l1 - 1], ys[l - l1 - 1])
+        assert (2 * p).denominator == 1
+        out[l1] = int(2 * p)
+    return out
+
+
+def roots_of_unity_count(l: int) -> tuple:
+    """sum over x in {1, omega, omega^2} of sum_{i<=l-2} x^i, in Q(sqrt -3)."""
+    omega = _Q3_ROOT["x"]
+    terms = [u for x in (_Q3_ROOT["1"], omega, (omega[0], -omega[1]))
+             for u in _q3_powers(x, l - 2)]
+    return sum(p for p, _ in terms), sum(q for _, q in terms)

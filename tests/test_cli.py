@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dzv import dzeta, numerics
+from dzv import numerics
 from dzv.cli import (
     _SUITES,
     RunConfig,
@@ -22,6 +22,7 @@ from dzv.cli import (
     _decimal_truncate,
     _radius_decimal,
     _record,
+    _shared_digits,
     certified_decimal,
     cmd_verify,
     main,
@@ -249,6 +250,37 @@ def test_printing_from_integers_agrees_with_the_fraction_oracle(a, b, digits):
         assert (rec.residual_midpoint, rec.residual_radius) == residual_strings(parts)
 
 
+# 0 <= a <= b with b a little above or below a multiple of a power of ten, so
+# that a's digits end in 9s where b's end in 0s
+_CARRIES = st.builds(lambda m, p, u, d: [max(m * 10 ** p + u - d, 0), max(m * 10 ** p + u, 0)],
+                     st.integers(0, 10 ** 20), st.integers(0, 60),
+                     st.integers(-3, 3), st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CARRIES | st.lists(st.integers(0, 10 ** 70), min_size=2, max_size=2).map(sorted))
+@example([199, 200])
+@example([1999, 2000])
+@example([0, 10 ** 57])
+@example([10 ** 57 - 1, 10 ** 57])
+@example([5, 5])
+def test_shared_digits_match_the_commonprefix_reference(ends):
+    assert _shared_digits(*ends) == oracles.shared_leading_digits(*ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 8, 10 ** 8), st.integers(0, 40), st.integers(1, 10 ** 4),
+       st.integers(0, 70), st.integers(0, 50))
+@example(2, 1, 1, 60, 57)      # ends 0.1999... and 0.2000...1 at 57 places
+@example(-1, 0, 1, 40, 30)
+def test_certified_decimal_across_a_carry_matches_the_commonprefix_reference(n, k, r, rk,
+                                                                            digits):
+    """Balls centred on n / 10^k, whose truncated ends are likely to differ by a
+    carry, print as the commonprefix rule on the exact ends prints them."""
+    b = _ball(Fraction(n, 10 ** k), Fraction(r, 10 ** rk))
+    assert certified_decimal(b, digits) == oracles.certified_decimal(b, digits)
+
+
 def test_certified_decimal_rounds_a_halfway_midpoint_to_even():
     assert [certified_decimal(RealBall(m, -1, 1, 0), 10) for m in (5, 7, -5, -7)] \
         == ["2", "4", "-2", "-4"]
@@ -341,20 +373,22 @@ def test_verdicts_and_digits_read_no_ball_as_a_fraction(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("0.0000152822608")
 
 
-def test_horner_kernel_runs_only_at_inexact_points(monkeypatch):
+def test_warm_table_suites_evaluate_no_complex_point(monkeypatch):
     """Call counts, which hold on any host: with tables 3..20 cached at 192
-    bits, one pass of the table suites runs ``_homogeneous`` only for lemma1's
-    omega and conjugate terms, two roots of three for 12 T_l and 3 divided
-    differences per weight, 180 in all.  eq26, at its dyadic sample points
-    and at other points with denominator 8, runs it never."""
+    bits, one pass of the table suites builds no cube root of unity and
+    multiplies no complex balls (lemma1 reads integer class vectors, eq26
+    evaluates at exact real dyadic points), and eq26 at other points with
+    denominator 8 evaluates without raising."""
     config = RunConfig(weight_min=3, weight_max=20, suites=_TABLE_SUITES)
     cmd_verify(config)  # builds the tables
     calls = []
-    kernel = dzeta._homogeneous
-    monkeypatch.setattr(dzeta, "_homogeneous", lambda *args: calls.append(args) or kernel(*args))
+    root, mul = numerics.cube_root_of_unity, ComplexBall.mul
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dzv"]:
+        if getattr(module, "cube_root_of_unity", None) is root:
+            monkeypatch.setattr(module, "cube_root_of_unity",
+                                lambda *args: calls.append(args) or root(*args))
+    monkeypatch.setattr(ComplexBall, "mul", lambda *args: calls.append(args) or mul(*args))
     assert cmd_verify(config)[1] == 0
-    assert len(calls) == 180
-    calls.clear()
     ctx = config.ctx()
     wp = ctx.working_precision + numerics.GUARD_BITS
     for l in range(3, 21):

@@ -14,7 +14,6 @@ from dzv.dzeta import (
     _direct_sums,
     _divided_difference,
     _dot,
-    _homogeneous,
     _table,
     build_table,
     double_zeta,
@@ -42,7 +41,9 @@ from dzv.numerics import (
 )
 from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
+import oracles
 from oracles import (
+    _homogeneous,
     brute_double_zeta,
     contains_fraction,
     contains_zero,
@@ -416,7 +417,7 @@ def test_homogeneous_kernel_encloses_midpoints_and_corners(coeff_parts, point_pa
     x, y = ComplexBall(re_x, im_x), ComplexBall(re_y, im_y)
     z = _homogeneous(coeffs, x, y, wp)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dzeta_mod, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
+        mp.setattr(oracles, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
         fixed = _homogeneous(coeffs, x, y, wp)
     for sides in ([0] * 45, sides1, sides2):
         cs = [None if c is None else _corner(c, e) for c, e in zip(coeffs, sides)]
@@ -516,22 +517,43 @@ def test_gen_poly_radius_at_2_1_follows_the_table_radii(ctx192):
 
 
 def test_homogeneous_kernel_at_omega_meets_the_512_bit_value():
-    """lemma1's arguments at 192 bits: each T_l ball and each divided
-    difference intersects its 512-bit counterpart, weights 3..30."""
+    """The Horner oracle at lemma1's complex arguments at 192 bits: each T_l
+    ball and each divided difference intersects its 512-bit counterpart,
+    weights 3..30."""
     for l in range(3, 31):
         balls = []
         for p in (192, 512):
             wp = p + GUARD_BITS
             t = get_table(l, PrecisionCtx(p))
+            coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
             omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
             one = ComplexBall.one()
             pts = [(omega.add(one, wp), one), (omega.add(one, wp), omega), (omega, one),
                    (one, omega.conj())]
-            balls.append([gen_poly_eval(t, x, y) for x, y in pts]
-                         + [_divided_difference(omega, one, l, wp)])
+            balls.append([_homogeneous(coeffs, x, y, wp) for x, y in pts]
+                         + [_homogeneous([RealBall.from_int(1)] * (l - 1), omega, one, wp)])
         for low, high in zip(*balls):
             assert low.intersects(high), l
             assert high.real.radius_fraction() < low.real.radius_fraction(), l
+
+
+def test_polynomials_reject_points_that_are_not_exact_real_dyadics(ctx192):
+    """T_l and the divided difference are evaluated at exact real dyadic
+    points only: omega, a real point with a nonzero radius and a non-dyadic
+    rational raise DomainError instead of being enclosed."""
+    t = get_table(9, ctx192)
+    wp = ctx192.working_precision + GUARD_BITS
+    one = ComplexBall.one()
+    omega = cube_root_of_unity(PrecisionCtx(wp))
+    blurred = ComplexBall.from_real(RealBall(3, -1, 1, -100))
+    third = ComplexBall.from_fractions(Fraction(1, 3), 0, wp)
+    for x, y in ((omega, one), (one, omega), (blurred, one), (one, blurred), (third, one)):
+        with pytest.raises(DomainError):
+            gen_poly_eval(t, x, y)
+        with pytest.raises(DomainError):
+            _divided_difference(x, y, 9, wp)
+    with pytest.raises(DomainError):
+        gen_poly_real(t, Fraction(1, 3), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

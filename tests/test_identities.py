@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from dzv.dzeta import _table, gen_poly_eval, gen_poly_real, get_table
+from dzv.dzeta import _table, gen_poly_real, get_table
 from dzv.identities import (
+    _LEMMA1,
     _STATEMENTS,
     _T_M11,
+    _lemma1_classes,
+    _lemma1_eq5_count,
     _statement_checks,
     corollary1_check,
     corollary2_exact_chain,
@@ -34,7 +37,14 @@ from dzv.numerics import (
 )
 from dzv.zeta import zeta_even_exact, zeta_numeric
 
-from oracles import contains_zero, lemma1_explicit, same_enclosure
+from oracles import (
+    _homogeneous,
+    contains_zero,
+    lemma1_explicit,
+    lemma1_pair_coefficients,
+    roots_of_unity_count,
+    same_enclosure,
+)
 
 
 def _unit(r):
@@ -73,16 +83,6 @@ def test_mod6_filters_partition_each_table(ctx128):
         assert total.intersects(ball_sum(t.entries.values(), 300))
 
 
-def test_restricted_sum_fraction_coefficients_scale_each_pair(ctx128):
-    t = get_table(7, ctx128)
-    wp = t.precision + GUARD_BITS
-    third = RealBall.from_fraction(Fraction(1, 3), wp)
-    s = restricted_sum(t, (0, 0, Fraction(1, 3), 0, Fraction(-1, 4), 0))
-    expected = ball_sum([t.entry(2, 5).mul(third, wp),
-                         t.entry(4, 3).mul_int(-1).mul_2exp(-2)], wp)
-    assert same_enclosure(s, expected)
-
-
 @pytest.mark.parametrize("coeffs", [
     (1, 0, 1, 0, 1),
     (1, 0, 1, 0, 1, 0, 1),
@@ -92,8 +92,13 @@ def test_restricted_sum_fraction_coefficients_scale_each_pair(ctx128):
     (True, 0, 0, 0, 0, 0),
     ("1", 0, 0, 0, 0, 0),
     "101010",
-], ids=["five", "seven", "empty", "float", "float-half", "bool", "str-entry", "str"])
+    (0, 0, Fraction(1, 3), 0, Fraction(-1, 4), 0),
+    (0, 0, Fraction(2), 0, 0, 0),
+], ids=["five", "seven", "empty", "float", "float-half", "bool", "str-entry", "str", "fraction",
+        "integral-fraction"])
 def test_restricted_sum_rejects_bad_coefficients(ctx128, coeffs):
+    """Six int coefficients, no more or fewer; a Fraction is refused even when
+    it is an integer, as a float or a bool is."""
     t = get_table(6, ctx128)
     with pytest.raises(DomainError):
         restricted_sum(t, coeffs)
@@ -487,28 +492,32 @@ def test_lemma1_sweep_small(ctx128):
 
 
 def test_lemma1_passes_where_the_power_chains_lose_l_over_2_bits():
-    # a low precision at a high weight: the divided difference's majorant
-    # widens omega's radius by about l^2/2, the most of any lemma1 side
+    # a low precision at a high weight, where evaluating T_l at omega by
+    # Horner's rule widened omega's radius by about l^2/2; the class vectors
+    # evaluate no complex point, and the sides are exact dot products
     ctx = PrecisionCtx(64, Fraction(1, 10**15))
     assert all(r.passed for r in lemma1_check(48, ctx))
 
 
 def test_lemma1_conjugate_symmetry(ctx128):
-    """Summing over {1, w, w^2} with w replaced by its conjugate permutes the
-    same multiset of arguments, so each side's enclosure is unchanged."""
+    """Summing the Horner kernel over {1, w, w^2} with w replaced by its
+    conjugate permutes the same multiset of arguments, so each side's
+    enclosure is unchanged: the oracle treats the two roots alike, as the
+    class vectors, which add the omega term and its conjugate, assume."""
     l = 7
     t = get_table(l, ctx128)
     wp = ctx128.working_precision + 48
+    coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
     omega = cube_root_of_unity(ctx128)
     one = ComplexBall.one()
     xs_a = [one, omega, omega.conj()]
     xs_b = [one, omega.conj(), omega]
 
     def lhs1(xs):
-        return complex_sum((gen_poly_eval(t, x.add(one, wp), one) for x in xs), wp)
+        return complex_sum((_homogeneous(coeffs, x.add(one, wp), one, wp) for x in xs), wp)
 
     def lhs2(xs):
-        return complex_sum((gen_poly_eval(t, x.add(one, wp), x) for x in xs), wp)
+        return complex_sum((_homogeneous(coeffs, x.add(one, wp), x, wp) for x in xs), wp)
 
     assert same_enclosure(lhs1(xs_a), lhs1(xs_b))
     assert same_enclosure(lhs2(xs_a), lhs2(xs_b))
@@ -519,17 +528,47 @@ def test_lemma1_rejects_small_weight(ctx128):
         lemma1_check(2, ctx128)
 
 
-def _record(r):
-    return (r.label, r.passed) + tuple(b.dyadic() for side in (r.lhs, r.rhs, r.residual)
-                                       for b in (side.real, side.imag))
+def test_lemma1_class_vectors_are_twice_the_real_parts():
+    """Each row's class vector, read at every pair of every weight below 60,
+    is the integer X^(l1-1) Y^(l2-1) + its conjugate for the row's arguments
+    at x = omega, multiplied out exactly in Q(sqrt -3)."""
+    for tag, (a, b), *_ in _LEMMA1:
+        for l in range(3, 60):
+            classes = _lemma1_classes(a, b, l)
+            assert {l1: classes[l1 % 6] for l1 in range(2, l)} == \
+                lemma1_pair_coefficients(tag, l), (tag, l)
 
 
-@pytest.mark.parametrize("l", [*range(3, 31), 48])
-def test_lemma1_rows_match_the_explicit_equations(l, ctx128):
-    """The row table gives, record for record, the five equations written out
-    by hand: same labels, verdicts and ball integers on both parts."""
-    assert list(map(_record, lemma1_check(l, ctx128))) == \
-        list(map(_record, lemma1_explicit(l, ctx128)))
+def test_lemma1_eq5_count_is_the_roots_of_unity_sum():
+    """Equation 5's integer is the sum over {1, omega, omega^2} of
+    sum_{i<=l-2} x^i in Q(sqrt -3), and that is 3 floor((l+1)/3)."""
+    for l in range(3, 200):
+        assert roots_of_unity_count(l) == (_lemma1_eq5_count(l), 0) == (3 * ((l + 1) // 3), 0), l
+
+
+def _agree_with_the_horner_sides(l: int, ctx: PrecisionCtx) -> None:
+    """Same labels and verdicts as the five equations by the Horner kernel,
+    and each side intersects the kernel's and is at most 1 bit wider."""
+    for new, old in zip(lemma1_check(l, ctx), lemma1_explicit(l, ctx), strict=True):
+        assert (new.label, new.passed) == (old.label, old.passed)
+        for a, b in ((new.lhs, old.lhs), (new.rhs, old.rhs)):
+            assert a.intersects(b), new.label
+            for p, q in ((a.real, b.real), (a.imag, b.imag)):
+                assert p.radius_fraction() <= 2 * q.radius_fraction(), new.label
+
+
+@pytest.mark.parametrize("l", [*range(3, 61), 150, 151, 152])
+def test_lemma1_rows_match_the_explicit_equations(l, ctx192):
+    """The class-vector rows give, record for record, the five equations
+    written out by hand and evaluated at the cube roots of unity by the
+    Horner kernel, at 192 bits."""
+    _agree_with_the_horner_sides(l, ctx192)
+
+
+def test_lemma1_rows_match_the_explicit_equations_at_512_bits():
+    ctx = PrecisionCtx(512, Fraction(1, 10**120))
+    for l in range(3, 31):
+        _agree_with_the_horner_sides(l, ctx)
 
 
 # ---------------------------------------------------------------------------
