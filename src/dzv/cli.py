@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .bernoulli import bernoulli, euler_identity_check, ramanujan_check
 from .dzeta import IndexPair, double_zeta
@@ -43,7 +43,6 @@ from .identities import (
 )
 from .numerics import (
     CheckReport,
-    ComplexBall,
     DomainError,
     OutsideHypothesis,
     PrecisionCtx,
@@ -52,7 +51,6 @@ from .numerics import (
     require_exact,
     _decimal_str,
     _dy_add,
-    _dy_cmp,
     _dy_ratio,
     _radius_decimal,
     _radius_digits,
@@ -214,13 +212,8 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     return "-" + s if hi[0] < 0 and s.strip("0.") else s
 
 
-def _ball_str(b: Union[RealBall, ComplexBall], prec: int) -> str:
-    digits = max(8, int(prec * 0.301))
-    if isinstance(b, ComplexBall):
-        re = certified_decimal(b.real, digits)
-        im = certified_decimal(b.imag, digits)
-        return f"{re} + {im}i"
-    return certified_decimal(b, digits)
+def _ball_str(b: RealBall, prec: int) -> str:
+    return certified_decimal(b, max(8, int(prec * 0.301)))
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -233,25 +226,20 @@ def _record(r: CheckReport, config: RunConfig) -> CheckRecord:
     if r.tolerance is None:  # exact rational sides
         return CheckRecord(r.label, r.weight, _fraction_str(r.lhs), _fraction_str(r.rhs),
                            _fraction_str(r.residual), "0", r.exact, r.passed)
-    res = r.residual
-    parts = [res.real, res.imag] if isinstance(res, ComplexBall) else [res]
-    rads = [b.dyadic()[2:] for b in parts]
-    rm, re = rads[-1] if _dy_cmp(*rads[-1], *rads[0]) > 0 else rads[0]  # the larger
+    mm, me, rm, re = r.residual.dyadic()
     if rm:
-        # print midpoints down to the radius's second significant digit,
-        # 10^(e-1); truncating there moves them by less than 10^(e-1), which
+        # print the midpoint down to the radius's second significant digit,
+        # 10^(e-1); truncating there moves it by less than 10^(e-1), which
         # one more unit in the radius's last digit covers
         m, e = _radius_digits(*_dy_ratio(rm, re))
         digits = max(1 - e, 0)
         rad_s = _sci(m + 1, e) if m < 99 else _sci(10, e + 1)
     else:
         digits, rad_s = 60, "0"
-    mid = " + ".join(_decimal_truncate(*b.dyadic()[:2], digits) for b in parts)
-    if len(parts) == 2:
-        mid += "i"
     prec = config.precision_bits
     return CheckRecord(r.label, r.weight, _ball_str(r.lhs, prec), _ball_str(r.rhs, prec),
-                       mid, rad_s, r.exact, r.passed, f"1e-{config.tolerance_exponent}")
+                       _decimal_truncate(mm, me, digits), rad_s, r.exact, r.passed,
+                       f"1e-{config.tolerance_exponent}")
 
 
 def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:
@@ -368,13 +356,16 @@ def _str(value) -> str:
 
 
 def _int(value) -> int:
-    """An integer given as a JSON integer or a decimal string."""
+    """An integer given as a JSON integer or a string of ASCII digits with an
+    optional sign, after stripping whitespace.  int() alone would also read
+    "1_92" as 192 and Arabic-Indic or other non-ASCII digits."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    try:
-        return int(_str(value))
-    except (ValueError, DomainError):
-        raise DomainError(f"expected an integer, got {value!r}") from None
+    s = value.strip() if isinstance(value, str) else ""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError(f"expected an integer, got {value!r}")
+    return int(s)
 
 
 def _suites(value) -> dict:
@@ -423,12 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_b = sub.add_parser("bernoulli", help="print an exact Bernoulli number")
-    p_b.add_argument("m", type=int)
+    p_b.add_argument("m", type=_int)
 
     p_d = sub.add_parser("dzeta", help="print a double zeta value to certified digits")
-    p_d.add_argument("l1", type=int)
-    p_d.add_argument("l2", type=int)
-    p_d.add_argument("-p", "--precision", type=int, default=None)
+    p_d.add_argument("l1", type=_int)
+    p_d.add_argument("l2", type=_int)
+    p_d.add_argument("-p", "--precision", type=_int, default=None)
 
     p_v = sub.add_parser("verify", help="run verification suites over a weight range")
     for key, (_, help_text) in _OPTIONS.items():

@@ -29,16 +29,18 @@ summed, and added to the radius.  One weight-w table reads the same vector
 zeta(w-1+j, A).
 
 T_l and the divided difference (x^(l-1) - y^(l-1)) / (x - y) are homogeneous
-polynomials in (x, y), evaluated at exact real dyadic points x = a 2^s,
-y = b 2^s only (eq26's points): each is one exact dot product of the
-integers a^i b^(d-i) with a coefficient vector of integer mantissas at one
-exponent (T_l's is built with its table, the divided difference's is all
-ones), rounded once; any other point raises DomainError.  There is no
-complex evaluation: with other integer weights the same vector gives every
-restricted sum and Lemma 1's sums over the cube roots of unity
-(``dzv.identities``), so lemma1 checks the roots-of-unity filter, the
-weighted sum formula and an integer count, not a complex kernel.  Horner's
-rule at complex points is kept in the tests, as the oracle for lemma1.
+polynomials in (x, y), evaluated at dyadic rationals x = a 2^s, y = b 2^s
+only (ints or Fractions, such as eq26's points): each is one exact dot
+product of the integers a^i b^(d-i) with a coefficient vector of integer
+mantissas at one exponent (T_l's is built with its table, the divided
+difference's is all ones), rounded once to a real ball; any other point
+raises DomainError.  There is no complex evaluation: with other integer
+weights the same vector gives every restricted sum and Lemma 1's sums over
+the cube roots of unity (``dzv.identities``), so lemma1 checks the
+roots-of-unity filter, the weighted sum formula and an integer count, not a
+complex kernel.  Horner's rule at complex points is kept in the tests, as
+the oracle for lemma1.  Only ``functional_eq26_check`` still takes and
+returns complex balls, for the benchmark worker that calls it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .numerics import (
     PrecisionUnreachableError,
     RealBall,
     _rounded,
+    _strip_zeros,
     ball_sum,
     require_exact,
 )
@@ -244,65 +247,78 @@ def _vector_dot(vector: tuple, weights: Sequence[int], shift: int, wp: int) -> R
                     sum(map(mul, rads, map(abs, weights))), e + shift, wp)
 
 
-def _dot(vector: tuple, x: ComplexBall, y: ComplexBall, wp: int) -> ComplexBall:
+def _dyadic_point(q) -> tuple[int, int]:
+    """(a, s) with q = a 2^s, a odd or zero, for an int or a Fraction whose
+    denominator is a power of two; any other q raises DomainError."""
+    den = require_exact(q, "a polynomial point").denominator
+    if den & (den - 1):
+        raise DomainError(f"homogeneous polynomials are evaluated at dyadic rationals "
+                          f"only, got {q}")
+    return _strip_zeros(q.numerator, 1 - den.bit_length()) if q else (0, 0)
+
+
+def _dot(vector: tuple, x, y, wp: int) -> RealBall:
     """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
-    at x = a 2^s and y = b 2^s, exact real dyadics (zero radii and exact-zero
-    imaginary parts): one ``_vector_dot`` with the integers a^i b^(d-i) at the
-    shift sd.  Any other point raises DomainError."""
-    (xm, xe, xr, _), (ym, ye, yr, _) = x.real.dyadic(), y.real.dyadic()
-    if xr or yr or not (x.imag.is_zero() and y.imag.is_zero()):
-        raise DomainError(f"homogeneous polynomials are evaluated at exact real dyadic "
-                          f"points only, got ({x!r}, {y!r})")
+    at x = a 2^s and y = b 2^s, dyadic rationals: one ``_vector_dot`` with the
+    integers a^i b^(d-i) at the shift sd.  Any other point raises DomainError."""
+    (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
     d, s = len(vector[0]) - 1, min(xe, ye)
     ys = list(accumulate(repeat(ym << (ye - s), d), mul, initial=1))
     terms = list(map(mul, accumulate(repeat(xm << (xe - s), d), mul, initial=1), reversed(ys)))
-    return ComplexBall(_vector_dot(vector, terms, s * d, wp), RealBall.zero())
+    return _vector_dot(vector, terms, s * d, wp)
 
 
-def gen_poly_eval(t: DzvTable, x: ComplexBall, y: ComplexBall) -> ComplexBall:
+def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
     """Enclosure of T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2): the
     homogeneous polynomial of degree l - 2 whose x^(l1-1) coefficient is
     zeta(l1, l - l1) (there is none at l1 = 1), as one ``_dot`` over the
-    table's vector.  x and y must be exact real dyadics, else DomainError."""
+    table's vector.  x and y are ints or dyadic Fractions, else DomainError."""
     return _dot(t.vector, x, y, t.precision + GUARD_BITS)
 
 
-def gen_poly_real(t: DzvTable, x: Fraction, y: Fraction) -> RealBall:
-    """T_l at exact dyadic rational real arguments; any other rational raises
-    DomainError."""
-    wp = t.precision + GUARD_BITS
-    xb = ComplexBall.from_fractions(x, 0, wp)
-    yb = ComplexBall.from_fractions(y, 0, wp)
-    return gen_poly_eval(t, xb, yb).real
+# an alias kept only because perfbench/tracer.py wraps dzv.dzeta.gen_poly_real
+# by name; it goes with that span
+gen_poly_real = gen_poly_eval
 
 
-def _divided_difference(x: ComplexBall, y: ComplexBall, l: int, wp: int) -> ComplexBall:
+def _divided_difference(x, y, l: int, wp: int) -> RealBall:
     """(x^(l-1) - y^(l-1)) / (x - y) as the homogeneous sum
     sum_{i+j=l-2} x^i y^j, finite at x = y: ``_dot`` over the all-ones
-    vector, so x and y must be exact real dyadics, else DomainError."""
+    vector, so x and y must be dyadic rationals, else DomainError."""
     return _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
 
 
-def functional_eq26_sides(l: int, x: ComplexBall, y: ComplexBall,
-                          ctx: PrecisionCtx) -> tuple[ComplexBall, ComplexBall]:
+def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, RealBall]:
     """Both sides of the two-variable functional equation
 
         T_l(x+y, y) + T_l(x+y, x) = T_l(x, y) + T_l(y, x)
-                                    + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l);
+                                    + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l)
 
-    the divided difference is evaluated in homogeneous form, so x = y is fine.
+    at dyadic rationals x and y (ints or Fractions), with x + y formed
+    exactly; the divided difference is evaluated in homogeneous form, so
+    x = y is fine.
     """
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    xy = x.add(y, wp)
+    rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)  # x and y checked here
+    xy = Fraction(x) + y
     lhs = gen_poly_eval(t, xy, y).add(gen_poly_eval(t, xy, x), wp)
-    rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)
-    dd = _divided_difference(x, y, l, wp).real  # a real point: exact-zero imaginary part
-    return lhs, rhs.add(ComplexBall.from_real(dd.mul(zeta_numeric(l, ctx), wp)), wp)
+    dd = _divided_difference(x, y, l, wp)
+    return lhs, rhs.add(dd.mul(zeta_numeric(l, ctx), wp), wp)
 
 
 def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,
                           ctx: PrecisionCtx) -> ComplexBall:
-    """Residual lhs - rhs of the functional equation; must contain zero."""
-    lhs, rhs = functional_eq26_sides(l, x, y, ctx)
-    return lhs.sub(rhs, ctx.working_precision + GUARD_BITS)
+    """Residual lhs - rhs of the functional equation at balls x and y that
+    are exact real dyadics (zero radius, exact-zero imaginary part), else
+    DomainError; it must contain zero.  The residual is real, returned as a
+    complex ball with an exact-zero imaginary part.  This adapter only keeps
+    the benchmark worker's calling convention: ROADMAP item 1 moves that
+    caller to ``functional_eq26_sides`` and deletes it."""
+    def point(z: ComplexBall) -> Fraction:
+        if z.real.dyadic()[2] or not z.imag.is_zero():
+            raise DomainError(f"eq26 is evaluated at exact real dyadic points only, got {z!r}")
+        return z.real.midpoint_fraction()
+
+    lhs, rhs = functional_eq26_sides(l, point(x), point(y), ctx)
+    return ComplexBall.from_real(lhs.sub(rhs, ctx.working_precision + GUARD_BITS))

@@ -22,7 +22,8 @@ zeta(l).  No complex number is evaluated.
 
 Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
 weight its statement does not cover, else fetches its own table and judges with
-the caller's context.  Numeric checks pass by ``check_from_sides``: the residual
+the caller's context.  Every numeric side is a real ball, eq26's at its exact
+rational points included, and passes by ``check_from_sides``: the residual
 ball certifies zero within the context tolerance AND the two sides' enclosures
 intersect; exact checks compare rationals or pi-polynomials, with no tolerance.
 """
@@ -48,6 +49,7 @@ from .bernoulli import (
 from .dzeta import (
     DzvTable,
     functional_eq26_sides,
+    gen_poly_eval,
     get_table,
     _table_weight,
     _vector_dot,
@@ -55,7 +57,6 @@ from .dzeta import (
 from .numerics import (
     GUARD_BITS,
     CheckReport,
-    ComplexBall,
     DomainError,
     OutsideHypothesis,
     PiPolynomial,
@@ -175,10 +176,11 @@ def sum_formula_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 
 
 def weighted_sum_check(l: int, ctx: PrecisionCtx) -> CheckReport:
-    """sum 2^(l1-1) zeta(l1, l2) = (l+1) zeta(l) / 2 over the weight-l table."""
+    """T_l(2, 1) = sum 2^(l1-1) zeta(l1, l2) = (l+1) zeta(l) / 2 over the
+    weight-l table; the left side is the dot product lemma1 reads too."""
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    lhs = ball_sum((v.mul_int(2 ** (p.l1 - 1)) for p, v in t.entries.items()), wp)
+    lhs = gen_poly_eval(t, 2, 1)
     rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(l + 1, 2), wp), wp)
     return check_from_sides(f"weighted-sum[l={l}]", l, lhs, rhs, ctx)
 
@@ -268,8 +270,8 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     No complex number is evaluated.  A row's left side is one exact dot
     product over the table's vector with integer weights: the x = 1 term's,
     T_l(2, 1) or T_l(1, 1), plus the row's class vector for the other two
-    roots.  Equation 5's left side is zeta(l) times the counted integer.  The
-    real sides are reported as complex balls with exact-zero imaginary parts."""
+    roots.  Equation 5's left side is zeta(l) times the counted integer.
+    Every side is a real ball."""
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     zl = zeta_numeric(l, ctx)
@@ -286,12 +288,10 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
         coeffs = [sign[c] if c % 3 == residue(l) % 3 else 0 for c in range(6)]
         rhs = restricted_sum(t, coeffs).mul_int(3)
         rhs = rhs.add(shared_tail, wp) if tail else rhs
-        reports.append(check_from_sides(f"lemma1.{tag}[l={l}]", l, ComplexBall.from_real(lhs),
-                                        ComplexBall.from_real(rhs), ctx))
+        reports.append(check_from_sides(f"lemma1.{tag}[l={l}]", l, lhs, rhs, ctx))
 
-    lhs5 = ComplexBall.from_real(zl.mul_int(_lemma1_eq5_count(l)))
-    rhs5 = ComplexBall.from_real(zl.mul_int(3 * ((l + 1) // 3)))
-    reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
+    reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, zl.mul_int(_lemma1_eq5_count(l)),
+                                    zl.mul_int(3 * ((l + 1) // 3)), ctx))
     return reports
 
 
@@ -319,13 +319,8 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     m = max(max(1, abs(x), abs(y), abs(x + y)) for x, y in pts)
     extra = (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS
     ctx = replace(ctx, working_precision=ctx.working_precision + max(0, extra))
-    wp = ctx.working_precision + GUARD_BITS
-    out = []
-    for x, y in pts:
-        lhs, rhs = functional_eq26_sides(l, ComplexBall.from_fractions(x, 0, wp),
-                                         ComplexBall.from_fractions(y, 0, wp), ctx)
-        out.append(check_from_sides(f"eq26[l={l},x={x},y={y}]", l, lhs, rhs, ctx))
-    return out
+    return [check_from_sides(f"eq26[l={l},x={x},y={y}]", l,
+                             *functional_eq26_sides(l, x, y, ctx), ctx) for x, y in pts]
 
 
 # ---------------------------------------------------------------------------

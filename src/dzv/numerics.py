@@ -1,5 +1,7 @@
 """Arbitrary-precision substrate: exact rationals, midpoint-radius balls,
-complex balls, and formal polynomials in pi.
+and formal polynomials in pi.  Every check side is a real ball; the complex
+balls below are only the benchmark tracer's wrapped operations and the
+calling convention of ``dzeta.functional_eq26_check``.
 
 Balls store the midpoint and radius as dyadic numbers (mantissa * 2**exp with
 Python integers), so every operation can account for its rounding error
@@ -404,7 +406,9 @@ def ball_sum(items: Iterable[RealBall], prec: int) -> RealBall:
 # ---------------------------------------------------------------------------
 
 class ComplexBall:
-    """Rectangular complex enclosure: independent real and imaginary balls."""
+    """Rectangular complex enclosure: independent real and imaginary balls.
+    No check evaluates one; these are the operations the benchmark tracer
+    wraps by name."""
 
     __slots__ = ("real", "imag")
 
@@ -422,13 +426,6 @@ class ComplexBall:
         return ComplexBall(RealBall.from_fraction(re, prec),
                            RealBall.from_fraction(im, prec))
 
-    @staticmethod
-    def one() -> "ComplexBall":
-        return ComplexBall(RealBall.from_int(1), RealBall.zero())
-
-    def conj(self) -> "ComplexBall":
-        return ComplexBall(self.real, self.imag.neg())
-
     def add(self, other: "ComplexBall", prec: int) -> "ComplexBall":
         return ComplexBall(self.real.add(other.real, prec),
                            self.imag.add(other.imag, prec))
@@ -444,12 +441,6 @@ class ComplexBall:
 
     def mul_real(self, other: RealBall, prec: int) -> "ComplexBall":
         return ComplexBall(self.real.mul(other, prec), self.imag.mul(other, prec))
-
-    def mul_int(self, n: int) -> "ComplexBall":
-        return ComplexBall(self.real.mul_int(n), self.imag.mul_int(n))
-
-    def intersects(self, other: "ComplexBall") -> bool:
-        return self.real.intersects(other.real) and self.imag.intersects(other.imag)
 
     def __repr__(self) -> str:
         return f"ComplexBall({self.real!r}, {self.imag!r})"
@@ -647,7 +638,7 @@ def ball_is_zero_within(x: RealBall, tol) -> Tuple[bool, ZeroCertificate]:
     return ok, ZeroCertificate(x, tol, ok)
 
 
-Side = Union[RealBall, ComplexBall, Fraction]
+Side = Union[RealBall, Fraction]
 
 
 @dataclass(frozen=True)
@@ -666,14 +657,14 @@ class CheckReport:
     exact: bool = False
 
 
-def check_from_sides(label: str, weight: int, lhs, rhs, ctx: PrecisionCtx) -> CheckReport:
+def check_from_sides(label: str, weight: int, lhs: RealBall, rhs: RealBall,
+                     ctx: PrecisionCtx) -> CheckReport:
     """The pass rule of every numeric check: the residual lhs - rhs is
-    certified zero within the context tolerance (each part, for complex
-    sides) and the two enclosures intersect."""
+    certified zero within the context tolerance and the two enclosures
+    intersect."""
     tol = ctx.target_tolerance
     residual = lhs.sub(rhs, ctx.working_precision + GUARD_BITS)
-    parts = (residual.real, residual.imag) if isinstance(residual, ComplexBall) else (residual,)
-    passed = all(ball_is_zero_within(p, tol)[0] for p in parts) and lhs.intersects(rhs)
+    passed = ball_is_zero_within(residual, tol)[0] and lhs.intersects(rhs)
     return CheckReport(label, weight, lhs, rhs, residual, passed, tol)
 
 

@@ -32,13 +32,13 @@ from dzv.dzeta import get_table
 from dzv.identities import _T_M11, restricted_sum
 from dzv.numerics import (
     GUARD_BITS,
+    CheckReport,
     ComplexBall,
     PrecisionCtx,
     RealBall,
     _radius_digits,
     _rounded,
     _sci,
-    check_from_sides,
     complex_sum,
     cube_root_of_unity,
     require_exact,
@@ -93,7 +93,10 @@ def same_enclosure(a, b) -> bool:
             and a.radius_fraction() == b.radius_fraction())
 
 
-def intersects(a: RealBall, b: RealBall) -> bool:
+def intersects(a, b) -> bool:
+    """The enclosures meet, part by part for complex balls."""
+    if isinstance(a, ComplexBall):
+        return intersects(a.real, b.real) and intersects(a.imag, b.imag)
     return abs(a.midpoint_fraction() - b.midpoint_fraction()) \
         <= a.radius_fraction() + b.radius_fraction()
 
@@ -332,17 +335,16 @@ def odd_weight_double_zeta(a: int, b: int, ctx: PrecisionCtx) -> RealBall:
     return total.sub(z(w).mul_2exp(-1), wp)
 
 
-def residual_strings(parts) -> Tuple[str, str]:
+def residual_strings(res: RealBall) -> Tuple[str, str]:
     """The residual midpoint and radius of a dzv.cli report row, from the
-    exact midpoints and the larger exact radius of the residual's parts."""
-    rad = max(b.radius_fraction() for b in parts)
+    residual's exact midpoint and radius."""
+    rad = res.radius_fraction()
     if rad:
         m, e = _radius_digits(rad.numerator, rad.denominator)
         digits, rad_s = max(1 - e, 0), _sci(m + 1, e) if m < 99 else _sci(10, e + 1)
     else:
         digits, rad_s = 60, "0"
-    mid = " + ".join(decimal_truncate(b.midpoint_fraction(), digits) for b in parts)
-    return mid + ("i" if len(parts) == 2 else ""), rad_s
+    return decimal_truncate(res.midpoint_fraction(), digits), rad_s
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +495,8 @@ def lemma1_explicit(l: int, ctx: PrecisionCtx) -> list:
     # for the divided difference, so 2 bitlen(l) bits above wp keep it below
     # 2^-wp of each side
     omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
-    xs = [ComplexBall.one(), omega, omega.conj()]
-    one = ComplexBall.one()
+    one = ComplexBall.from_real(RealBall.from_int(1))
+    xs = [one, omega, ComplexBall(omega.real, omega.imag.neg())]
     coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
     zl = zeta_numeric(l, ctx)
     zl_c = ComplexBall.from_real(zl)
@@ -505,30 +507,40 @@ def lemma1_explicit(l: int, ctx: PrecisionCtx) -> list:
     def T(xb: ComplexBall, yb: ComplexBall) -> ComplexBall:
         return _homogeneous(coeffs, xb, yb, wp)
 
+    def judge(label: str, weight: int, lhs: ComplexBall, rhs: ComplexBall,
+              ctx: PrecisionCtx) -> CheckReport:
+        """dzv's pass rule, judged on both parts of complex sides in exact
+        rationals: each part of the residual within the tolerance, and the
+        sides intersecting."""
+        res = lhs.sub(rhs, wp)
+        passed = (zero_within(res.real, ctx.target_tolerance)
+                  and zero_within(res.imag, ctx.target_tolerance) and intersects(lhs, rhs))
+        return CheckReport(label, weight, lhs, rhs, res, passed, ctx.target_tolerance)
+
     reports = []
 
     lhs1 = complex_sum((T(x.add(one, wp), one) for x in xs), wp)
     rhs1 = ComplexBall.from_real(_alternating_mod3_sum(t, 1).mul_int(3)).add(shared_tail, wp)
-    reports.append(check_from_sides(f"lemma1.eq1[l={l}]", l, lhs1, rhs1, ctx))
+    reports.append(judge(f"lemma1.eq1[l={l}]", l, lhs1, rhs1, ctx))
 
     lhs2 = complex_sum((T(x.add(one, wp), x) for x in xs), wp)
     rhs2 = ComplexBall.from_real(
         _alternating_mod3_sum(t, (2 * l) % 3).mul_int(3)).add(shared_tail, wp)
-    reports.append(check_from_sides(f"lemma1.eq2[l={l}]", l, lhs2, rhs2, ctx))
+    reports.append(judge(f"lemma1.eq2[l={l}]", l, lhs2, rhs2, ctx))
 
     lhs3 = complex_sum((T(x, one) for x in xs), wp)
     rhs3 = ComplexBall.from_real(_plain_mod3_sum(t, 1).mul_int(3))
-    reports.append(check_from_sides(f"lemma1.eq3[l={l}]", l, lhs3, rhs3, ctx))
+    reports.append(judge(f"lemma1.eq3[l={l}]", l, lhs3, rhs3, ctx))
 
     lhs4 = complex_sum((T(one, x) for x in xs), wp)
     rhs4 = ComplexBall.from_real(_plain_mod3_sum(t, (l - 1) % 3).mul_int(3))
-    reports.append(check_from_sides(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
+    reports.append(judge(f"lemma1.eq4[l={l}]", l, lhs4, rhs4, ctx))
 
     ones = [RealBall.from_int(1)] * (l - 1)
     dd_sum = complex_sum((_homogeneous(ones, x, one, wp) for x in xs), wp)
     lhs5 = dd_sum.mul(zl_c, wp)
-    rhs5 = zl_c.mul_int(3 * ((l + 1) // 3))
-    reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
+    rhs5 = ComplexBall.from_real(zl.mul_int(3 * ((l + 1) // 3)))
+    reports.append(judge(f"lemma1.eq5[l={l}]", l, lhs5, rhs5, ctx))
 
     return reports
 

@@ -107,6 +107,15 @@ def test_cli_dzeta_divergent_is_usage_error():
     assert _run("dzeta", "1", "2").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["bernoulli", "1_2"], ["bernoulli", "\u0661\u0662"],
+                                  ["dzeta", "2_0", "1"], ["dzeta", "2", "\u0661"],
+                                  ["dzeta", "2", "1", "-p", "1_92"]])
+def test_integer_arguments_take_ascii_digits_only(capsys, argv):
+    # int() would read "1_2" as 12 and Arabic-Indic digits as their values
+    assert main(argv) == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # certified digit printing
 # ---------------------------------------------------------------------------
@@ -217,17 +226,13 @@ _RESIDUAL_FRACTIONS = st.builds(lambda n, d, k: Fraction(n, d) * Fraction(10) **
 
 
 @settings(max_examples=200, deadline=None)
-@given(_RESIDUAL_FRACTIONS, _RESIDUAL_FRACTIONS, _RESIDUAL_FRACTIONS.map(abs).filter(bool))
-def test_printed_residual_encloses_the_residual(re, im, r):
+@given(_RESIDUAL_FRACTIONS, _RESIDUAL_FRACTIONS.map(abs).filter(bool))
+def test_printed_residual_encloses_the_residual(mid, r):
     # a positive radius; a radius of 0 keeps 60 decimals (test above)
-    real = RealBall.from_fraction(re, 300).add_error(r)
-    imag = RealBall.from_fraction(im, 300).add_error(r / 3)
-    for res, parts in [(real, [real]), (ComplexBall(real, imag), [real, imag])]:
-        rec = _residual_record(res)
-        mids = rec.residual_midpoint.rstrip("i").split(" + ")
-        rad = Fraction(rec.residual_radius)
-        for b, m in zip(parts, mids):
-            assert contains_ball(RealBall.from_fraction(Fraction(m), 400).add_error(rad), b)
+    res = RealBall.from_fraction(mid, 300).add_error(r)
+    rec = _residual_record(res)
+    printed = RealBall.from_fraction(Fraction(rec.residual_midpoint), 400)
+    assert contains_ball(printed.add_error(Fraction(rec.residual_radius)), res)
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,9 +250,9 @@ def test_printing_from_integers_agrees_with_the_fraction_oracle(a, b, digits):
         exact = ball.midpoint_fraction()
         assert _decimal_truncate(mm, me, digits) == decimal_truncate(exact, digits)
         assert certified_decimal(ball, digits) == oracles.certified_decimal(ball, digits)
-    for res, parts in [(a, [a]), (ComplexBall(a, b), [a, b]), (ComplexBall(b, a), [b, a])]:
+    for res in (a, b):
         rec = _residual_record(res)
-        assert (rec.residual_midpoint, rec.residual_radius) == residual_strings(parts)
+        assert (rec.residual_midpoint, rec.residual_radius) == residual_strings(res)
 
 
 # 0 <= a <= b with b a little above or below a multiple of a power of ten, so
@@ -373,21 +378,27 @@ def test_verdicts_and_digits_read_no_ball_as_a_fraction(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("0.0000152822608")
 
 
+def _counted(calls, fn):
+    return lambda *args: calls.append(args) or fn(*args)
+
+
 def test_warm_table_suites_evaluate_no_complex_point(monkeypatch):
     """Call counts, which hold on any host: with tables 3..20 cached at 192
-    bits, one pass of the table suites builds no cube root of unity and
-    multiplies no complex balls (lemma1 reads integer class vectors, eq26
-    evaluates at exact real dyadic points), and eq26 at other points with
-    denominator 8 evaluates without raising."""
+    bits, one pass of the table suites builds no cube root of unity and does
+    no complex ball arithmetic (lemma1 reads integer class vectors, eq26
+    evaluates real balls at rational points), and eq26 at other points with
+    denominator 8, also through the complex-ball adapter, evaluates without
+    raising."""
     config = RunConfig(weight_min=3, weight_max=20, suites=_TABLE_SUITES)
     cmd_verify(config)  # builds the tables
     calls = []
-    root, mul = numerics.cube_root_of_unity, ComplexBall.mul
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dzv"]:
-        if getattr(module, "cube_root_of_unity", None) is root:
-            monkeypatch.setattr(module, "cube_root_of_unity",
-                                lambda *args: calls.append(args) or root(*args))
-    monkeypatch.setattr(ComplexBall, "mul", lambda *args: calls.append(args) or mul(*args))
+    for name in ("cube_root_of_unity", "complex_sum"):
+        fn = getattr(numerics, name)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "dzv"]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, _counted(calls, fn))
+    for name in ("add", "sub", "mul", "mul_real"):
+        monkeypatch.setattr(ComplexBall, name, _counted(calls, getattr(ComplexBall, name)))
     assert cmd_verify(config)[1] == 0
     ctx = config.ctx()
     wp = ctx.working_precision + numerics.GUARD_BITS
@@ -397,6 +408,18 @@ def test_warm_table_suites_evaluate_no_complex_point(monkeypatch):
         functional_eq26_check(l, ComplexBall.from_fractions(x, 0, wp),
                               ComplexBall.from_fractions(y, 0, wp), ctx)
     assert calls == []
+
+
+@pytest.mark.parametrize("bits, tol", [(192, 40), (512, 120)])
+def test_lemma1_and_eq26_records_print_real_sides(bits, tol):
+    """Every side of lemma1 and eq26 is a real ball, so no record of weights
+    3..30 prints an imaginary part in its sides or its residual."""
+    reports, code = cmd_verify(RunConfig(precision_bits=bits, tolerance_exponent=tol,
+                                         weight_min=3, weight_max=30, suites=("lemma1", "eq26")))
+    records = [c for r in reports for c in r.checks]
+    assert code == 0 and len(records) == 28 * 10
+    for c in records:
+        assert not any("i" in s for s in (c.lhs, c.rhs, c.residual_midpoint)), c.label
 
 
 _GOLDEN = Path(__file__).parent / "data" / "verify-3-12.json"
@@ -488,8 +511,8 @@ def test_verify_determinism_except_wall_time():
     r2, _ = cmd_verify(config)
     assert code == 0
     assert all(c.tolerance == "1e-20" for r in r1 for c in r.checks)
-    # eq26 records carry both sides, not a bare residual
-    assert all(c.lhs.endswith("i") and c.rhs.endswith("i") for c in r1[1].checks)
+    # eq26 records carry both real sides, not a bare residual
+    assert all(c.lhs and c.rhs and "i" not in c.lhs + c.rhs for c in r1[1].checks)
 
     def strip(reports):
         out = [r.to_dict() for r in reports]
@@ -583,7 +606,7 @@ def test_env_var_precision_override(tmp_path):
 
 @pytest.mark.parametrize("argv", [["verify", "--suites", "sum-formula", "--weights", "3..3"],
                                   ["dzeta", "2", "1"]])
-@pytest.mark.parametrize("value", ["abc", "63"])
+@pytest.mark.parametrize("value", ["abc", "63", "1_92", "\u0661\u0669\u0662"])
 def test_env_var_precision_invalid_is_usage_error(monkeypatch, capsys, argv, value):
     monkeypatch.setenv("DZV_PRECISION", value)
     assert main(argv) == 2
@@ -623,12 +646,18 @@ def test_config_file_with_flag_precedence(tmp_path):
     # a repeated suite would run, and print, twice
     (None, ["--suites", "theorem1,theorem1"], 2),
     ({"suites": ["eq26", "eq26"]}, [], 2),
+    # int() would read these as 192, 3 and 10: only ASCII digits are integers
+    (None, ["--precision", "1_92"], 2),
+    ({"precision": "1_92"}, [], 2),
+    (None, ["--weights", "\u0663..\u0663"], 2),
+    (None, ["--tol", "1e-1_0"], 2),
     # 10^5000 has more digits than int-to-str conversion allows by default
     (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
 ], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
         "tol-negative-exponent", "suites-flag-empty", "suites-list-empty", "suites-string-empty",
         "out-flag-empty", "out-key-empty", "suites-flag-twice", "suites-file-twice",
-        "tol-5000-digits"])
+        "precision-flag-underscore", "precision-key-underscore", "weights-flag-arabic-indic",
+        "tol-underscore", "tol-5000-digits"])
 def test_verify_input_contract(tmp_path, capsys, config, flags, code):
     # bad input is exit 2 with one error line, never a default or a traceback
     argv = ["verify", "--weights", "3..3", *flags]

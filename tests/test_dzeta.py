@@ -18,8 +18,8 @@ from dzv.dzeta import (
     build_table,
     double_zeta,
     functional_eq26_check,
+    functional_eq26_sides,
     gen_poly_eval,
-    gen_poly_real,
     get_table,
 )
 from dzv.identities import (
@@ -48,6 +48,7 @@ from oracles import (
     contains_fraction,
     contains_zero,
     em_coefficient,
+    intersects,
     is_exact,
     is_positive,
     lower_fraction,
@@ -321,15 +322,13 @@ def test_192_bit_tables_intersect_the_512_bit_tables():
 
 def test_gen_poly_at_11_is_zeta(ctx128):
     t = get_table(6, ctx128)
-    v = gen_poly_eval(t, ComplexBall.one(), ComplexBall.one())
-    assert v.real.intersects(zeta_numeric(6, ctx128))
-    assert contains_zero(v.imag)
+    assert gen_poly_eval(t, 1, 1).intersects(zeta_numeric(6, ctx128))
 
 
 def test_gen_poly_at_minus1_1_weight4(ctx128):
     # T_4(-1,1) = -zeta(4)/2 = -pi^4/180
     t = get_table(4, ctx128)
-    val = gen_poly_real(t, Fraction(-1), Fraction(1))
+    val = gen_poly_eval(t, Fraction(-1), Fraction(1))
     expected = pipoly_eval(zeta_even_exact(4) * Fraction(-1, 2), ctx128)
     assert val.intersects(expected)
 
@@ -337,14 +336,12 @@ def test_gen_poly_at_minus1_1_weight4(ctx128):
 def test_gen_poly_x_zero_vanishes(ctx128):
     # every term carries x^(l1-1) with l1-1 >= 1
     t = get_table(4, ctx128)
-    v = gen_poly_eval(t, ComplexBall.from_real(RealBall.zero()), ComplexBall.one())
-    assert v.real.is_zero() and v.imag.is_zero()
+    assert gen_poly_eval(t, 0, 1).is_zero()
 
 
 def test_gen_poly_y_zero_picks_l2_equal_1_column(ctx128):
     t = get_table(5, ctx128)
-    v = gen_poly_eval(t, ComplexBall.one(), ComplexBall.from_real(RealBall.zero()))
-    assert same_enclosure(v.real, t.entry(4, 1))
+    assert same_enclosure(gen_poly_eval(t, 1, 0), t.entry(4, 1))
 
 
 def _corner(b: RealBall, side: int) -> Fraction:
@@ -448,24 +445,23 @@ def test_dot_encloses_the_polynomial_at_exact_real_points(coeff_parts, xp, yp, e
     sum r_i |x^i y^(d-i)|, both exactly; after it the radius is at most that
     spread plus one rounding to wp bits (rounded up to a short mantissa)."""
     coeffs = [None if c is None else _ball(*c, exact) for c in coeff_parts]
-    x, y = (ComplexBall.from_real(RealBall(m, e, 0, 0)) for m, e in (xp, yp))
+    x, y = (m * Fraction(2) ** e for m, e in (xp, yp))
     vector = _coefficient_vector(coeffs)
     z = _dot(vector, x, y, wp)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dzeta_mod, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
         fixed = _dot(vector, x, y, wp)
-    xe, ye = (x.real.midpoint_fraction(), 0), (y.real.midpoint_fraction(), 0)
+    xe, ye = (x, 0), (y, 0)
     d = len(coeffs) - 1
     spread = sum(c.radius_fraction() * abs(xe[0] ** i * ye[0] ** (d - i))
                  for i, c in enumerate(coeffs) if c is not None)
     mid, _ = _exact_homogeneous([None if c is None else _corner(c, 0) for c in coeffs], xe, ye)
-    assert fixed.real.midpoint_fraction() == mid and fixed.real.radius_fraction() == spread
-    assert z.imag.is_zero() and fixed.imag.is_zero()
+    assert fixed.midpoint_fraction() == mid and fixed.radius_fraction() == spread
     for sides in (sides1, sides2):
         cs = [None if c is None else _corner(c, e) for c, e in zip(coeffs, sides)]
         value, _ = _exact_homogeneous(cs, xe, ye)
-        assert contains_fraction(z.real, value)
-    assert z.real.radius_fraction() <= (spread + abs(mid) / 2 ** wp) * (1 + Fraction(1, 2 ** 23))
+        assert contains_fraction(z, value)
+    assert z.radius_fraction() <= (spread + abs(mid) / 2 ** wp) * (1 + Fraction(1, 2 ** 23))
 
 
 def test_dot_meets_the_horner_kernel_at_eq26_points(ctx192):
@@ -478,15 +474,15 @@ def test_dot_meets_the_horner_kernel_at_eq26_points(ctx192):
         t = get_table(l, ctx192)
         coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
         ones = [RealBall.from_int(1)] * (l - 1)
-        for xq, yq in _eq26_sample_args(l):
-            x, y = ComplexBall.from_fractions(xq, 0, wp), ComplexBall.from_fractions(yq, 0, wp)
-            xy = x.add(y, wp)
-            pairs = [(gen_poly_eval(t, a, b), _homogeneous(coeffs, a, b, wp))
-                     for a, b in ((xy, y), (xy, x), (x, y), (y, x))]
-            pairs.append((_divided_difference(x, y, l, wp), _homogeneous(ones, x, y, wp)))
+        for x, y in _eq26_sample_args(l):
+            ball = {q: ComplexBall.from_fractions(q, 0, wp) for q in (x, y, x + y)}
+            pairs = [(gen_poly_eval(t, a, b), _homogeneous(coeffs, ball[a], ball[b], wp))
+                     for a, b in ((x + y, y), (x + y, x), (x, y), (y, x))]
+            pairs.append((_divided_difference(x, y, l, wp),
+                          _homogeneous(ones, ball[x], ball[y], wp)))
             for dot, horner in pairs:
-                assert dot.intersects(horner) and dot.imag.is_zero(), (l, xq, yq)
-                assert dot.real.radius_fraction() <= horner.real.radius_fraction(), (l, xq, yq)
+                assert dot.intersects(horner.real) and horner.imag.is_zero(), (l, x, y)
+                assert dot.radius_fraction() <= horner.real.radius_fraction(), (l, x, y)
 
 
 def test_table_vector_shifts_back_to_the_entries(ctx192):
@@ -510,7 +506,7 @@ def test_gen_poly_radius_at_2_1_follows_the_table_radii(ctx192):
     sum rad(zeta(l1, l2)) 2^(l1-1) of the exact polynomial, plus the final
     rounding to wp bits."""
     t = get_table(100, ctx192)
-    z = gen_poly_real(t, Fraction(2), Fraction(1))
+    z = gen_poly_eval(t, 2, 1)
     spread = sum(v.radius_fraction() * 2 ** (p.l1 - 1) for p, v in t.entries.items())
     rounding = abs(z.midpoint_fraction()) / 2 ** (ctx192.working_precision + GUARD_BITS - 1)
     assert z.radius_fraction() <= 2 * spread + rounding
@@ -527,33 +523,35 @@ def test_homogeneous_kernel_at_omega_meets_the_512_bit_value():
             t = get_table(l, PrecisionCtx(p))
             coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
             omega = cube_root_of_unity(PrecisionCtx(wp + 2 * l.bit_length()))
-            one = ComplexBall.one()
+            one = ComplexBall.from_real(RealBall.from_int(1))
             pts = [(omega.add(one, wp), one), (omega.add(one, wp), omega), (omega, one),
-                   (one, omega.conj())]
+                   (one, ComplexBall(omega.real, omega.imag.neg()))]
             balls.append([_homogeneous(coeffs, x, y, wp) for x, y in pts]
                          + [_homogeneous([RealBall.from_int(1)] * (l - 1), omega, one, wp)])
         for low, high in zip(*balls):
-            assert low.intersects(high), l
+            assert intersects(low, high), l
             assert high.real.radius_fraction() < low.real.radius_fraction(), l
 
 
 def test_polynomials_reject_points_that_are_not_exact_real_dyadics(ctx192):
-    """T_l and the divided difference are evaluated at exact real dyadic
-    points only: omega, a real point with a nonzero radius and a non-dyadic
-    rational raise DomainError instead of being enclosed."""
+    """T_l, the divided difference and eq26's sides are evaluated at ints and
+    dyadic Fractions only: a float, a bool, a non-dyadic rational and balls
+    (real or complex) raise DomainError instead of being enclosed, and an
+    int point is the same ball as the equal Fraction."""
     t = get_table(9, ctx192)
     wp = ctx192.working_precision + GUARD_BITS
-    one = ComplexBall.one()
-    omega = cube_root_of_unity(PrecisionCtx(wp))
-    blurred = ComplexBall.from_real(RealBall(3, -1, 1, -100))
-    third = ComplexBall.from_fractions(Fraction(1, 3), 0, wp)
-    for x, y in ((omega, one), (one, omega), (blurred, one), (one, blurred), (third, one)):
-        with pytest.raises(DomainError):
-            gen_poly_eval(t, x, y)
-        with pytest.raises(DomainError):
-            _divided_difference(x, y, 9, wp)
-    with pytest.raises(DomainError):
-        gen_poly_real(t, Fraction(1, 3), Fraction(1))
+    bad = [1.5, 2.0, True, Fraction(1, 3), Fraction(5, 6), RealBall.from_int(1),
+           cube_root_of_unity(PrecisionCtx(wp)), ComplexBall.from_fractions(1, 0, wp)]
+    for b in bad:
+        for x, y in ((b, 1), (1, b)):
+            with pytest.raises(DomainError):
+                gen_poly_eval(t, x, y)
+            with pytest.raises(DomainError):
+                _divided_difference(x, y, 9, wp)
+            with pytest.raises(DomainError):
+                functional_eq26_sides(9, x, y, ctx192)
+    for x, y in ((2, 1), (-3, 5), (0, 7), (Fraction(-3, 8), 2)):
+        assert same_enclosure(gen_poly_eval(t, x, y), gen_poly_eval(t, Fraction(x), Fraction(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,31 +614,51 @@ def test_table_level_residuals_through_weight_30(ctx192):
 # functional equation
 # ---------------------------------------------------------------------------
 
-def _cb(q, wp=200):
-    return ComplexBall.from_fractions(Fraction(q), 0, wp)
+def _eq26_residual(l, x, y, ctx):
+    lhs, rhs = functional_eq26_sides(l, x, y, ctx)
+    return lhs.sub(rhs, ctx.working_precision + GUARD_BITS)
 
 
 def test_eq26_at_11_reduces_to_weighted_sum(ctx128):
     l = 4
-    res = functional_eq26_check(l, _cb(1), _cb(1), ctx128)
-    assert contains_zero(res)
+    assert contains_zero(_eq26_residual(l, 1, 1, ctx128))
     # the same specialization says T_l(2,1) = (l+1) zeta(l) / 2
     t = get_table(l, ctx128)
-    t21 = gen_poly_real(t, Fraction(2), Fraction(1))
+    t21 = gen_poly_eval(t, 2, 1)
     rhs = zeta_numeric(l, ctx128).mul(RealBall.from_fraction(Fraction(l + 1, 2), 200), 200)
     assert t21.intersects(rhs)
 
 
 def test_eq26_at_1_0_is_sum_formula(ctx128):
-    res = functional_eq26_check(5, _cb(1), _cb(0), ctx128)
-    assert contains_zero(res)
+    assert contains_zero(_eq26_residual(5, 1, 0, ctx128))
 
 
 def test_eq26_at_1_minus1_even_weight(ctx128):
-    res = functional_eq26_check(6, _cb(1), _cb(-1), ctx128)
-    assert contains_zero(res)
+    assert contains_zero(_eq26_residual(6, 1, -1, ctx128))
 
 
 def test_eq26_rejects_small_weight(ctx128):
     with pytest.raises(DomainError):
-        functional_eq26_check(2, _cb(1), _cb(1), ctx128)
+        functional_eq26_sides(2, 1, 1, ctx128)
+
+
+def test_eq26_check_adapts_complex_points_to_the_real_sides(ctx128):
+    """functional_eq26_check keeps the complex-ball calling convention of the
+    benchmark worker: at exact real dyadic balls its residual's real part is
+    the same ball as lhs - rhs of functional_eq26_sides at the same Fractions,
+    and its imaginary part is the exact zero.  A ball with a radius or an
+    imaginary part raises DomainError."""
+    wp = ctx128.working_precision + GUARD_BITS
+    for l in (3, 4, 9, 17, 30):
+        for x, y in _eq26_sample_args(l):
+            res = functional_eq26_check(l, ComplexBall.from_fractions(x, 0, wp),
+                                        ComplexBall.from_fractions(y, 0, wp), ctx128)
+            assert res.real.dyadic() == _eq26_residual(l, x, y, ctx128).dyadic(), (l, x, y)
+            assert res.imag.dyadic() == (0, 0, 0, 0)
+    one = ComplexBall.from_fractions(1, 0, wp)
+    for bad in (ComplexBall.from_real(RealBall(3, -1, 1, -100)),
+                ComplexBall.from_fractions(1, Fraction(1, 8), wp),
+                ComplexBall.from_fractions(Fraction(1, 3), 0, wp)):
+        for x, y in ((bad, one), (one, bad)):
+            with pytest.raises(DomainError):
+                functional_eq26_check(5, x, y, ctx128)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dzv.dzeta import _table, gen_poly_real, get_table
+from dzv.dzeta import _table, gen_poly_eval, get_table
 from dzv.identities import (
     _LEMMA1,
     _STATEMENTS,
@@ -21,6 +21,7 @@ from dzv.identities import (
     restricted_sum,
     sum_formula_check,
     theorem1_check,
+    weighted_sum_check,
 )
 from dzv.bernoulli import ramanujan_sum
 from dzv.numerics import (
@@ -40,6 +41,7 @@ from dzv.zeta import zeta_even_exact, zeta_numeric
 from oracles import (
     _homogeneous,
     contains_zero,
+    intersects,
     lemma1_explicit,
     lemma1_pair_coefficients,
     roots_of_unity_count,
@@ -218,7 +220,7 @@ def test_t_m11_class_vector_is_the_generating_polynomial(ctx128):
     for l in range(3, 15):
         t = get_table(l, ctx128)
         s = restricted_sum(t, _T_M11)
-        assert same_enclosure(s, gen_poly_real(t, Fraction(-1), Fraction(1))), l
+        assert same_enclosure(s, gen_poly_eval(t, -1, 1)), l
 
 
 @pytest.mark.parametrize("check", [sum_formula_check, gkz_parity_check, theorem1_check,
@@ -463,7 +465,7 @@ def test_lemma1_weight4_equation3_both_sides_vanish(ctx128):
     reports = lemma1_check(4, ctx128)
     eq3 = reports[2]
     assert eq3.passed
-    assert eq3.rhs.real.is_zero() and eq3.rhs.imag.is_zero()
+    assert eq3.rhs.is_zero()
     assert contains_zero(eq3.lhs)
 
 
@@ -473,8 +475,7 @@ def test_lemma1_weight4_equation1_rhs_value(ctx128):
     eq1 = lemma1_check(4, ctx128)[0]
     assert eq1.passed
     expected = pipoly_eval(PiPolynomial.single(4, Fraction(1, 30)), ctx128)
-    assert eq1.rhs.real.intersects(expected)
-    assert contains_zero(eq1.rhs.imag)
+    assert eq1.rhs.intersects(expected)
 
 
 def test_lemma1_weight6_equation5_integer_part(ctx128):
@@ -482,8 +483,7 @@ def test_lemma1_weight6_equation5_integer_part(ctx128):
     eq5 = lemma1_check(6, ctx128)[4]
     assert eq5.passed
     expected = zeta_numeric(6, ctx128).mul_int(6)
-    assert eq5.lhs.real.intersects(expected)
-    assert contains_zero(eq5.lhs.imag)
+    assert eq5.lhs.intersects(expected)
 
 
 def test_lemma1_sweep_small(ctx128):
@@ -509,9 +509,10 @@ def test_lemma1_conjugate_symmetry(ctx128):
     wp = ctx128.working_precision + 48
     coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
     omega = cube_root_of_unity(ctx128)
-    one = ComplexBall.one()
-    xs_a = [one, omega, omega.conj()]
-    xs_b = [one, omega.conj(), omega]
+    omega_bar = ComplexBall(omega.real, omega.imag.neg())
+    one = ComplexBall.from_real(RealBall.from_int(1))
+    xs_a = [one, omega, omega_bar]
+    xs_b = [one, omega_bar, omega]
 
     def lhs1(xs):
         return complex_sum((_homogeneous(coeffs, x.add(one, wp), one, wp) for x in xs), wp)
@@ -521,6 +522,19 @@ def test_lemma1_conjugate_symmetry(ctx128):
 
     assert same_enclosure(lhs1(xs_a), lhs1(xs_b))
     assert same_enclosure(lhs2(xs_a), lhs2(xs_b))
+
+
+def test_weighted_sum_left_side_is_t_l_at_2_1(ctx192):
+    """weighted-sum's left side is T_l(2, 1), the dot product that lemma1's
+    rows 1 and 2 read at x = 1, and the same ball as the sum of the entries
+    times 2^(l1-1) with one final rounding, weights 3..40."""
+    for l in range(3, 41):
+        t = get_table(l, ctx192)
+        lhs = weighted_sum_check(l, ctx192).lhs
+        per_entry = ball_sum((v.mul_int(2 ** (p.l1 - 1)) for p, v in t.entries.items()),
+                             t.precision + GUARD_BITS)
+        assert same_enclosure(lhs, gen_poly_eval(t, 2, 1)), l
+        assert same_enclosure(lhs, per_entry), l
 
 
 def test_lemma1_rejects_small_weight(ctx128):
@@ -548,13 +562,13 @@ def test_lemma1_eq5_count_is_the_roots_of_unity_sum():
 
 def _agree_with_the_horner_sides(l: int, ctx: PrecisionCtx) -> None:
     """Same labels and verdicts as the five equations by the Horner kernel,
-    and each side intersects the kernel's and is at most 1 bit wider."""
+    and each real side intersects the kernel's complex side (whose imaginary
+    part holds 0) and is at most 1 bit wider than its real part."""
     for new, old in zip(lemma1_check(l, ctx), lemma1_explicit(l, ctx), strict=True):
         assert (new.label, new.passed) == (old.label, old.passed)
         for a, b in ((new.lhs, old.lhs), (new.rhs, old.rhs)):
-            assert a.intersects(b), new.label
-            for p, q in ((a.real, b.real), (a.imag, b.imag)):
-                assert p.radius_fraction() <= 2 * q.radius_fraction(), new.label
+            assert intersects(a, b.real) and contains_zero(b.imag), new.label
+            assert a.radius_fraction() <= 2 * b.real.radius_fraction(), new.label
 
 
 @pytest.mark.parametrize("l", [*range(3, 61), 150, 151, 152])

@@ -91,7 +91,7 @@ def test_cube_root_cubes_to_one(ctx128):
 
 def test_cube_root_geometric_sum_vanishes(ctx128):
     w = cube_root_of_unity(ctx128)
-    s = ComplexBall.one().add(w, 160).add(w.mul(w, 160), 160)
+    s = ComplexBall.from_real(RealBall.from_int(1)).add(w, 160).add(w.mul(w, 160), 160)
     assert contains_zero(s)
 
 
@@ -333,16 +333,15 @@ def test_check_from_sides_needs_small_residual_and_intersecting_sides():
     ctx = PrecisionCtx(128, Fraction(1, 10**40))
     third = RealBall.from_fraction(Fraction(1, 3), 200)
     assert check_from_sides("real", 3, third, third, ctx).passed
-    # disjoint complex sides whose residual is far below the tolerance
-    near = ComplexBall.from_fractions(Fraction(1, 10**50), Fraction(1, 10**60), 400)
-    r = check_from_sides("complex", 3, near, ComplexBall.from_real(RealBall.zero()), ctx)
-    assert r.residual.real.radius_fraction() + abs(r.residual.real.midpoint_fraction()) \
-        <= ctx.target_tolerance
-    assert not near.intersects(ComplexBall.from_real(RealBall.zero())) and not r.passed
+    # disjoint sides whose residual is far below the tolerance
+    near = RealBall.from_fraction(Fraction(1, 10**50), 400)
+    r = check_from_sides("near", 3, near, RealBall.zero(), ctx)
+    assert zero_within(r.residual, ctx.target_tolerance)
+    assert not near.intersects(RealBall.zero()) and not r.passed
     assert r.tolerance == ctx.target_tolerance and not r.exact
     # sides that intersect but differ by more than the tolerance
-    wide = ComplexBall.from_real(third.add_error(Fraction(1, 10**20)))
-    assert not check_from_sides("wide", 3, wide, ComplexBall.from_real(third), ctx).passed
+    wide = third.add_error(Fraction(1, 10**20))
+    assert not check_from_sides("wide", 3, wide, third, ctx).passed
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,7 +360,6 @@ def test_integer_decisions_agree_with_the_fraction_oracle(a, b, tol, k):
     """intersects, the zero test and the relative-radius target decide on the
     balls' integers; each verdict equals the exact rational one."""
     assert a.intersects(b) == intersects(a, b)
-    assert ComplexBall(a, b).intersects(ComplexBall(b, b)) == intersects(a, b)
     ok, cert = ball_is_zero_within(a, tol)
     assert ok == cert.within == zero_within(a, tol)
     assert (cert.abs_midpoint, cert.radius, cert.tolerance) == \
