@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt, prod
+from math import lcm
 from typing import Optional, Sequence
 
 from .numerics import (CheckReport, DomainError, OutsideHypothesis, PrecisionCtx, exact_check,
@@ -62,59 +62,38 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_upto(_block(m))[m]
 
 
-@cache
-def _vsc_denominator(n: int) -> int:
-    """P_n, the product of the primes p <= 2n+1.
-
-    By von Staudt-Clausen the denominator of B_j is the product of the primes
-    p with (p-1) | j, so P_n B_j is an integer for every j <= 2n.
-    """
-    return prod(p for p in range(2, 2 * n + 2)
-                if all(p % q for q in range(2, isqrt(p) + 1)))
-
-
-def _exact_int(scale: int, x: Fraction) -> int:
-    """The integer scale * x; raises ArithmeticError when it is not one."""
-    q, r = divmod(scale, x.denominator)
-    if r:
-        raise ArithmeticError(f"{scale} * {x} is not an integer")
-    return q * x.numerator
-
-
-@cache
-def _scaled_bernoulli(n: int) -> tuple[int, ...]:
-    """The integers v_j = P_n B_j for j = 0..2n."""
-    p = _vsc_denominator(n)
-    return tuple(_exact_int(p, b) for b in _bernoulli_upto(n))
-
-
-def _class_sums(w: Sequence[int], l: int) -> list[int]:
-    """[S_0, S_2, S_4] for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) w_j w_{l-j}.
+def _class_sums(v: Sequence[Fraction], l: int) -> tuple[Fraction, ...]:
+    """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) v_j v_{l-j}.
 
     One pass over even j <= l/2: term j equals term l-j, so it is added to
-    class j mod 6 and to class (l-j) mod 6, and only once when j = l/2.
-    """
-    s = [0, 0, 0]
+    class j mod 6 and to class (l-j) mod 6, once when j = l/2.  With v_j =
+    n_j/d_j and g = d_j d_{l-j}, the term is split exactly as q + r/g, 0 <= r < g:
+    the quotients add as integers, the remainders as r (den/g) over den = lcm(g),
+    so every product and sum has the size of its terms."""
+    whole = [0, 0, 0]
+    rests = ([], [], [])  # per class, the pairs (r, g) with r > 0
     c = 1  # C(l, j)
     for j in range(0, l // 2 + 1, 2):
-        term = c * w[j] * w[l - j]
-        s[j % 6 // 2] += term
-        if 2 * j != l:
-            s[(l - j) % 6 // 2] += term
+        a, b = v[j], v[l - j]
+        na, nb = a.numerator, b.numerator
+        if na and nb:
+            g = a.denominator * b.denominator
+            q, r = divmod(c * na * nb, g)
+            for k in [j % 6 // 2] if 2 * j == l else [j % 6 // 2, (l - j) % 6 // 2]:
+                whole[k] += q
+                if r:
+                    rests[k].append((r, g))
         c = c * (l - j) * (l - j - 1) // ((j + 1) * (j + 2))
-    return s
+    den = lcm(*{g for rest in rests for _, g in rest})
+    return tuple(s + Fraction(sum(r * (den // g) for r, g in rest), den)
+                 for s, rest in zip(whole, rests))
 
 
 @cache
 def _even_classes(l: int) -> tuple[Fraction, ...]:
-    """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) B_j B_{l-j}.
-
-    Summed in integers over v_j = P_n B_j (n = _block(l)) and divided once by
-    P_n^2, so no Fraction is added on the way.
-    """
-    n = _block(l)
-    den = _vsc_denominator(n) ** 2
-    return tuple(Fraction(s, den) for s in _class_sums(_scaled_bernoulli(n), l))
+    """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) B_j B_{l-j},
+    from the table B_0..B_2n, n = _block(l)."""
+    return _class_sums(_bernoulli_upto(_block(l)), l)
 
 
 def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:

@@ -309,8 +309,29 @@ def cmd_verify(config: RunConfig) -> tuple:
 # report writers
 # ---------------------------------------------------------------------------
 
+_RECORDS = json.JSONEncoder(separators=(",\n        ", ": "))  # a record's indent=2 layout
+_CHECKS = '\n    "checks": '
+
+
 def render_json(reports: Sequence[SuiteReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    """json.dumps(indent=2) of the reports.  indent turns off json's C encoder,
+    so each suite's records go through it in one call, laid out by its
+    separators, into the frame dumped with empty checks lists.  A value holds
+    no raw newline, so "},\n        {" (between records) and the checks key's
+    line occur nowhere else."""
+    frames, bodies = [], []
+    for r in reports:
+        d = r.to_dict()
+        body = _RECORDS.encode(d["checks"])[2:-2]
+        body = body.replace("},\n        {", "\n      },\n      {\n        ")
+        bodies.append(f"[\n      {{\n        {body}\n      }}\n    ]" if body else "[]")
+        d["checks"] = []  # free the record dicts before the next suite's
+        frames.append(d)
+    head, *rests = json.dumps(frames, indent=2).split(_CHECKS + "[]")
+    pieces = [head]
+    for body, rest in zip(bodies, rests):
+        pieces += [_CHECKS, body, rest]
+    return "".join(pieces + ["\n"])
 
 
 def render_csv(reports: Sequence[SuiteReport]) -> str:
@@ -368,6 +389,14 @@ def _int(value) -> int:
     return int(s)
 
 
+def _int_arg(value: str) -> int:
+    """_int as an argparse ``type``, whose error prints _int's message."""
+    try:
+        return _int(value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _suites(value) -> dict:
     names = value.split(",") if isinstance(value, str) else value
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -414,12 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_b = sub.add_parser("bernoulli", help="print an exact Bernoulli number")
-    p_b.add_argument("m", type=_int)
+    p_b.add_argument("m", type=_int_arg)
 
     p_d = sub.add_parser("dzeta", help="print a double zeta value to certified digits")
-    p_d.add_argument("l1", type=_int)
-    p_d.add_argument("l2", type=_int)
-    p_d.add_argument("-p", "--precision", type=_int, default=None)
+    p_d.add_argument("l1", type=_int_arg)
+    p_d.add_argument("l2", type=_int_arg)
+    p_d.add_argument("-p", "--precision", type=_int_arg, default=None)
 
     p_v = sub.add_parser("verify", help="run verification suites over a weight range")
     for key, (_, help_text) in _OPTIONS.items():

@@ -40,9 +40,7 @@ from typing import Optional, Sequence, Tuple
 from .bernoulli import (
     _block,
     _class_sums,
-    _exact_int,
     _require_gap6_weight,
-    _vsc_denominator,
     bernoulli,
     ramanujan_sum,
 )
@@ -299,26 +297,26 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 # two-variable functional equation
 # ---------------------------------------------------------------------------
 
-def _eq26_sample_args(l: int) -> list:
-    """Deterministic rational sample points with |x|, |y| <= 2, plus (1, 1)."""
+@cache
+def _eq26_plan(l: int) -> tuple[tuple, int]:
+    """eq26's points at weight l, (1, 1) and seeded rationals with |x|, |y| <= 2,
+    and the bits its precision rule adds, drawn once per weight: a side is at
+    most (l+1) zeta(l) M^(l-2) <= S = 2 l M^(l-2), M = max(1, |x|, |y|, |x+y|),
+    with radius about S 2^-p, so S above 2^GUARD_BITS raises p by the excess."""
     rng = random.Random(0x26000 + l)
     pts = [(Fraction(1), Fraction(1))]
     while len(pts) < _EQ26_SAMPLES:
-        x = Fraction(rng.randint(-16, 16), 8)
-        y = Fraction(rng.randint(-16, 16), 8)
-        pts.append((x, y))
-    return pts
+        pts.append((Fraction(rng.randint(-16, 16), 8), Fraction(rng.randint(-16, 16), 8)))
+    m = max(max(1, abs(x), abs(y), abs(x + y)) for x, y in pts)
+    extra = (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS
+    return tuple(pts), max(0, extra)
 
 
 def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The functional equation of T_l at (1, 1) and four seeded rational
     points (x, y), at a precision that follows the size of the sides."""
-    pts = _eq26_sample_args(_table_weight(l))
-    # a side is at most (l+1) zeta(l) M^(l-2) <= S = 2 l M^(l-2), M = max(1, |x|, |y|,
-    # |x+y|), with radius about S 2^-p: S above 2^GUARD_BITS raises p by the excess
-    m = max(max(1, abs(x), abs(y), abs(x + y)) for x, y in pts)
-    extra = (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS
-    ctx = replace(ctx, working_precision=ctx.working_precision + max(0, extra))
+    pts, extra = _eq26_plan(_table_weight(l))
+    ctx = replace(ctx, working_precision=ctx.working_precision + extra)
     return [check_from_sides(f"eq26[l={l},x={x},y={y}]", l,
                              *functional_eq26_sides(l, x, y, ctx), ctx) for x, y in pts]
 
@@ -328,22 +326,16 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 @cache
-def _scaled_zeta_coefficients(n: int) -> tuple[int, ...]:
-    """u_j = j! P_n c_j for j = 4 (mod 6), j <= 2n, and 0 at every other
-    index, where zeta(j) = c_j pi^j is read from ``zeta_even_exact`` and P_n
-    is the von Staudt-Clausen multiple of the Bernoulli table block n.
-    Raises ArithmeticError when a factor is not a single pi^j term or a u_j
-    is not an integer."""
-    p = _vsc_denominator(n)
-    u = [0] * (2 * n + 1)
-    f = 1  # j!
-    for j in range(1, 2 * n + 1):
-        f *= j
-        if j % 6 == 4:
-            z = zeta_even_exact(j)
-            if set(z.terms()) != {j}:
-                raise ArithmeticError(f"zeta({j}) is not a single pi^{j} term: {z}")
-            u[j] = _exact_int(f * p, z.coeff(j))
+def _zeta_coefficients(n: int) -> tuple[Fraction, ...]:
+    """j! c_j for j = 4 (mod 6), j <= 2n, and 0 at every other index, where
+    zeta(j) = c_j pi^j is read from ``zeta_even_exact``.  Raises
+    ArithmeticError when a factor is not a single pi^j term."""
+    u = [Fraction(0)] * (2 * n + 1)
+    for j in range(4, 2 * n + 1, 6):
+        z = zeta_even_exact(j)
+        if set(z.terms()) != {j}:
+            raise ArithmeticError(f"zeta({j}) is not a single pi^{j} term: {z}")
+        u[j] = factorial(j) * z.coeff(j)
     return tuple(u)
 
 
@@ -355,8 +347,8 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
       (b) sum_{j=4(6), 0<j<l} zeta(j) zeta(l-j) = ((l-1)/6) zeta(l) as
           pi-polynomials.  Every factor is a single term c_j pi^j read from
           ``zeta_even_exact``, so the left side is its pi^l coefficient
-          sum C(l,j) u_j u_(l-j) / (l! P_n^2), summed in integers over
-          u_j = j! P_n c_j (P_n as for the Bernoulli class sums);
+          sum C(l,j) u_j u_(l-j) / l! over u_j = j! c_j, by the exact class
+          sum kernel of the Bernoulli identities;
       (c) converting (b) through zeta(m) = (-1)^(m/2+1) 2^(m-1) B_m/m! pi^m
           reproduces the m = 4 gap-6 Bernoulli identity exactly as checked by
           the bernoulli module.
@@ -370,10 +362,8 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     count_ok = count == (l - 2) // 6
 
     # u vanishes off j = 4 (mod 6), a class that l - j keeps when l = 2 (mod 6)
-    n = _block(l)
-    p = _vsc_denominator(n)
-    lhs_poly = PiPolynomial.single(
-        l, Fraction(_class_sums(_scaled_zeta_coefficients(n), l)[2], factorial(l) * p * p))
+    s4 = _class_sums(_zeta_coefficients(_block(l)), l)[2]
+    lhs_poly = PiPolynomial.single(l, s4 / factorial(l))
     rhs_poly = zeta_even_exact(l) * Fraction(l - 1, 6)
     poly_ok = lhs_poly == rhs_poly
 

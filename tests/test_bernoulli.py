@@ -1,23 +1,22 @@
 """Tests for exact Bernoulli numbers and the convolution identities."""
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dzv.bernoulli import (
     _bernoulli_upto,
+    _block,
+    _class_sums,
     _even_classes,
-    _exact_int,
-    _scaled_bernoulli,
-    _vsc_denominator,
     bernoulli,
     euler_identity_check,
     ramanujan_check,
     ramanujan_sum,
 )
-from dzv.identities import _scaled_zeta_coefficients, corollary2_exact_chain
+from dzv.identities import _zeta_coefficients, corollary2_exact_chain
 from dzv.numerics import DomainError
 
 from oracles import akiyama_tanigawa_bernoulli, pascal_binomial
@@ -74,8 +73,7 @@ def test_bernoulli_rejects_negative_index():
 
 
 def _clear_memos():
-    for memo in (_bernoulli_upto, _vsc_denominator, _scaled_bernoulli, _even_classes,
-                 _scaled_zeta_coefficients):
+    for memo in (_bernoulli_upto, _even_classes, _zeta_coefficients):
         memo.cache_clear()
 
 
@@ -125,23 +123,46 @@ def test_class_sums_do_not_depend_on_block_order():
     assert high_first == low_first[::-1]
 
 
-def test_scaled_bernoulli_is_exact():
-    # P_n B_j is an integer for j <= 2n, and the integer test never rounds
-    for n in (64, 128):
-        p = _vsc_denominator(n)
-        assert all(v == p * b for v, b in zip(_scaled_bernoulli(n), _AT[:2 * n + 1]))
-    assert _vsc_denominator(64) == prod(q for q in _primes_upto(129))
-    with pytest.raises(ArithmeticError):
-        _exact_int(6, Fraction(1, 4))
+def _direct_class_sums(v, l):
+    """(S_0, S_2, S_4) summed term by term over every even j, in Fractions."""
+    direct = [Fraction(0)] * 3
+    for j in range(0, l + 1, 2):
+        direct[j % 6 // 2] += pascal_binomial(l, j) * v[j] * v[l - j]
+    return tuple(direct)
+
+
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=50),
+    # large coprime denominators, so a pair's g = d_j d_(l-j) is far from every other
+    st.builds(Fraction, st.integers(-2**200, 2**200),
+              st.sampled_from([2**127 - 1, 2**89 - 1, 3**80, 10**30 + 57])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=30).map(lambda k: 2 * k), st.data())
+def test_class_sums_against_term_by_term_oracle(l, data):
+    v = data.draw(st.lists(_rationals, min_size=l + 1, max_size=l + 1))
+    assert _class_sums(v, l) == _direct_class_sums(v, l)
 
 
 @pytest.mark.parametrize("l", [126, 128, 130, 254, 256, 258, 510, 512, 514, 800])
 def test_even_classes_against_term_by_term_oracle(l):
     # weights on both sides of every table block edge (2n = 128, 256, 512)
-    direct = [Fraction(0)] * 3
-    for j in range(0, l + 1, 2):
-        direct[j % 6 // 2] += pascal_binomial(l, j) * bernoulli(j) * bernoulli(l - j)
-    assert _even_classes(l) == tuple(direct)
+    assert _even_classes(l) == _direct_class_sums([bernoulli(j) for j in range(l + 1)], l)
+
+
+@pytest.mark.parametrize("l", [506, 512, 518, 800])
+def test_chain_coefficients_against_bernoulli(l):
+    # 506 and 512 read the block n = 256, 518 and 800 the block n = 512; by
+    # zeta(j) = (-1)^(j/2+1) 2^(j-1) B_j / j! pi^j, j! c_j = (-1)^(j/2+1) 2^(j-1) B_j
+    u = _zeta_coefficients(_block(l))
+    oracle = [(-1) ** (j // 2 + 1) * 2 ** (j - 1) * bernoulli(j) if j % 6 == 4 else 0
+              for j in range(l + 1)]
+    assert list(u[:l + 1]) == oracle
+    lhs = _direct_class_sums(oracle, l)[2] / factorial(l)
+    assert corollary2_exact_chain(l).lhs == lhs
 
 
 # ---------------------------------------------------------------------------

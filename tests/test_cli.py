@@ -113,7 +113,10 @@ def test_cli_dzeta_divergent_is_usage_error():
 def test_integer_arguments_take_ascii_digits_only(capsys, argv):
     # int() would read "1_2" as 12 and Arabic-Indic digits as their values
     assert main(argv) == 2
-    assert "error: argument" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    # the message is the parser's own, not argparse's "invalid _int value"
+    assert "_int" not in err and "expected an integer, got" in err
 
 
 # ---------------------------------------------------------------------------

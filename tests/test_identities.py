@@ -9,6 +9,7 @@ from dzv.identities import (
     _LEMMA1,
     _STATEMENTS,
     _T_M11,
+    _eq26_plan,
     _lemma1_classes,
     _lemma1_eq5_count,
     _statement_checks,
@@ -595,6 +596,24 @@ def test_eq26_passes_above_weight_100_at_192_bits(ctx192):
     asked for the bits those terms take, so every point passes."""
     reports = eq26_check(104, ctx192)
     assert [r.label for r in reports if not r.passed] == []
+
+
+def test_eq26_points_of_weights_3_and_20_are_pinned(ctx192):
+    """The seeded points are drawn once per weight; a new seed or draw order
+    would change every eq26 label and the golden report with them."""
+    F = Fraction
+    points = {
+        3: ((1, 1), (F(-11, 8), F(-3, 4)), (F(13, 8), F(11, 8)), (F(7, 8), F(-9, 8)),
+            (F(-3, 4), F(1, 4))),
+        20: ((1, 1), (F(1, 4), 0), (F(-1, 2), F(-1, 8)), (F(-13, 8), F(-3, 4)),
+             (F(11, 8), F(-9, 8))),
+    }
+    for l, pts in points.items():
+        # both weights' sides stay below 2^GUARD_BITS: no extra bits
+        assert _eq26_plan(l) == (pts, 0)
+        assert [r.label for r in eq26_check(l, ctx192)] == \
+            [f"eq26[l={l},x={x},y={y}]" for x, y in pts]
+    assert _eq26_plan(104)[1] > 0
 
 
 def test_eq26_builds_tables_only_at_the_run_precision(ctx192):
