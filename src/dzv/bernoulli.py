@@ -23,43 +23,41 @@ __all__ = [
 ]
 
 
-@cache
-def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
-    """The tuple B_0..B_2n, from the tangent numbers T_1..T_n.
+_B: list[Fraction] = [Fraction(1), Fraction(-1, 2), Fraction(1, 6)]
+_COLUMN: list[int] = [1]
 
-    Brent and Harvey's in-place integer algorithm (*Fast computation of
-    Bernoulli, Tangent and Secant numbers*, arXiv:1108.0286) builds the T_k of
-    tan x = sum_k T_k x^(2k-1)/(2k-1)! in O(n^2) integer operations; then
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
+def _grow(m: int) -> list[Fraction]:
+    """The store, extended until it holds B_m.  It is _B = [B_0..B_2n] and
+    column n of Brent and Harvey's tangent triangle (arXiv:1108.0286),
+    _COLUMN = [A_1[n], ..., A_n[n]].
+
+    Column j needs only column j - 1, A_k[j] = (j-k) A_k[j-1] + (j-k+2) A_(k-1)[j]
+    with A_0[j] = 0, and its last entry is the tangent number T_j of
+    tan x = sum_j T_j x^(2j-1)/(2j-1)!, so B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j-1)).
+    A memo keyed by its whole argument, such as ``functools.cache``, cannot
+    share a prefix between B_m and B_(m+2); a mutable store can, and needs no
+    lock because dzv runs on one thread.  A new column is built apart before
+    either list changes, so an interrupt during the build leaves the store whole.
     """
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    out = [Fraction(0)] * (2 * n + 1)
-    out[0], out[1] = Fraction(1), Fraction(-1, 2)
-    for k in range(1, n + 1):
-        b = Fraction(2 * k * t[k], 4**k * (4**k - 1))
-        out[2 * k] = b if k % 2 else -b
-    return tuple(out)
-
-
-def _block(m: int) -> int:
-    """The least power of two n >= 64 with 2n >= m: B_m is read from the
-    table B_0..B_2n, so a sweep of weights builds a few tables."""
-    n = 64
-    while 2 * n < m:
-        n *= 2
-    return n
+    while len(_B) <= m:
+        j, a, col = len(_COLUMN) + 1, 0, []
+        for k, c in enumerate(_COLUMN, 1):
+            a = (j - k) * c + (j - k + 2) * a
+            col.append(a)
+        col.append(2 * a)
+        b = Fraction(2 * j * col[-1], 4**j * (4**j - 1))
+        new = (Fraction(0), b if j % 2 else -b)
+        _COLUMN[:] = col
+        _B.extend(new)
+    return _B
 
 
 def bernoulli(m: int) -> Fraction:
     """Exact B_m (B_0 = 1, B_1 = -1/2, B_2 = 1/6, B_3 = 0, ...)."""
     if require_exact(m, "a Bernoulli index", (int,)) < 0:
         raise DomainError("Bernoulli index must be nonnegative")
-    return _bernoulli_upto(_block(m))[m]
+    return _grow(m)[m]
 
 
 def _class_sums(v: Sequence[Fraction], l: int) -> tuple[Fraction, ...]:
@@ -92,8 +90,8 @@ def _class_sums(v: Sequence[Fraction], l: int) -> tuple[Fraction, ...]:
 @cache
 def _even_classes(l: int) -> tuple[Fraction, ...]:
     """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) B_j B_{l-j},
-    from the table B_0..B_2n, n = _block(l)."""
-    return _class_sums(_bernoulli_upto(_block(l)), l)
+    from the store grown to B_l."""
+    return _class_sums(_grow(l), l)
 
 
 def euler_identity_check(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:

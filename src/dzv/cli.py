@@ -7,9 +7,10 @@ whose keys are all in that table.
 
 Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed
 or errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the
-output path), reported as one `error:` line.  A printed ball shows the
-digits that both of its ends share when truncated, or, when their integer
-parts already differ, an integer inside the ball; "0" only when it holds 0.
+output path) or a report that cannot be written, reported as one `error:`
+line.  A printed ball shows the digits that both of its ends share when
+truncated, or, when their integer parts already differ, an integer inside
+the ball; "0" only when it holds 0.
 """
 
 from __future__ import annotations
@@ -522,7 +523,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = _config_from_args(args)
             with _report_file(config.output_path) as fh:
                 reports, code = cmd_verify(config)
-                fh.write(_RENDERERS[config.output_format](reports))
+                text = _RENDERERS[config.output_format](reports)
+                try:  # close the file (stdout: flush) here, so a full disk is exit 2
+                    with contextlib.nullcontext() if fh is sys.stdout else fh:
+                        fh.write(text)
+                        fh.flush()
+                except OSError as exc:
+                    raise DomainError(f"cannot write the report: {exc}") from None
             return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,13 +37,7 @@ from functools import cache
 from math import ceil, factorial
 from typing import Optional, Sequence, Tuple
 
-from .bernoulli import (
-    _block,
-    _class_sums,
-    _require_gap6_weight,
-    bernoulli,
-    ramanujan_sum,
-)
+from .bernoulli import _class_sums, _require_gap6_weight, bernoulli, ramanujan_sum
 from .dzeta import (
     DzvTable,
     functional_eq26_sides,
@@ -326,17 +320,13 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 @cache
-def _zeta_coefficients(n: int) -> tuple[Fraction, ...]:
-    """j! c_j for j = 4 (mod 6), j <= 2n, and 0 at every other index, where
-    zeta(j) = c_j pi^j is read from ``zeta_even_exact``.  Raises
-    ArithmeticError when a factor is not a single pi^j term."""
-    u = [Fraction(0)] * (2 * n + 1)
-    for j in range(4, 2 * n + 1, 6):
-        z = zeta_even_exact(j)
-        if set(z.terms()) != {j}:
-            raise ArithmeticError(f"zeta({j}) is not a single pi^{j} term: {z}")
-        u[j] = factorial(j) * z.coeff(j)
-    return tuple(u)
+def _zeta_coefficient(j: int) -> Fraction:
+    """j! c_j, where zeta(j) = c_j pi^j is read from ``zeta_even_exact``.
+    Raises ArithmeticError when the factor is not a single pi^j term."""
+    z = zeta_even_exact(j)
+    if set(z.terms()) != {j}:
+        raise ArithmeticError(f"zeta({j}) is not a single pi^{j} term: {z}")
+    return factorial(j) * z.coeff(j)
 
 
 def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
@@ -362,7 +352,7 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     count_ok = count == (l - 2) // 6
 
     # u vanishes off j = 4 (mod 6), a class that l - j keeps when l = 2 (mod 6)
-    s4 = _class_sums(_zeta_coefficients(_block(l)), l)[2]
+    s4 = _class_sums([_zeta_coefficient(j) if j % 6 == 4 else 0 for j in range(l + 1)], l)[2]
     lhs_poly = PiPolynomial.single(l, s4 / factorial(l))
     rhs_poly = zeta_even_exact(l) * Fraction(l - 1, 6)
     poly_ok = lhs_poly == rhs_poly

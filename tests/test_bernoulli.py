@@ -1,5 +1,6 @@
 """Tests for exact Bernoulli numbers and the convolution identities."""
 
+import importlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,8 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dzv.bernoulli import (
-    _bernoulli_upto,
-    _block,
     _class_sums,
     _even_classes,
     bernoulli,
@@ -16,10 +15,13 @@ from dzv.bernoulli import (
     ramanujan_check,
     ramanujan_sum,
 )
-from dzv.identities import _zeta_coefficients, corollary2_exact_chain
+from dzv.identities import _zeta_coefficient, corollary2_exact_chain
 from dzv.numerics import DomainError
 
 from oracles import akiyama_tanigawa_bernoulli, pascal_binomial
+
+# the module, which the package's function dzv.bernoulli shadows as an attribute
+bernoulli_module = importlib.import_module("dzv.bernoulli")
 
 _AT = akiyama_tanigawa_bernoulli(200)
 
@@ -52,19 +54,21 @@ def _primes_upto(n):
     return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
+def _von_staudt_clausen_holds(m, b, primes):
+    """B_m + sum_{(p-1) | m} 1/p is an integer, so the denominator of B_m is the
+    product of those primes; and B_m has the sign (-1)^(m/2+1)."""
+    ps = [p for p in primes if m % (p - 1) == 0]
+    den = 1
+    for p in ps:
+        den *= p
+    return (b.denominator == den and (b + sum(Fraction(1, p) for p in ps)).denominator == 1
+            and (b > 0) == ((m // 2) % 2 == 1))
+
+
 def test_bernoulli_von_staudt_clausen_and_sign_to_800():
-    # B_m + sum_{(p-1) | m} 1/p is an integer, so the denominator of B_m is the
-    # product of those primes; and B_m has the sign (-1)^(m/2+1)
     primes = _primes_upto(801)
     for m in range(2, 801, 2):
-        b = bernoulli(m)
-        ps = [p for p in primes if m % (p - 1) == 0]
-        den = 1
-        for p in ps:
-            den *= p
-        assert b.denominator == den, m
-        assert (b + sum(Fraction(1, p) for p in ps)).denominator == 1, m
-        assert (b > 0) == ((m // 2) % 2 == 1), m
+        assert _von_staudt_clausen_holds(m, bernoulli(m), primes), m
 
 
 def test_bernoulli_rejects_negative_index():
@@ -72,9 +76,19 @@ def test_bernoulli_rejects_negative_index():
         bernoulli(-1)
 
 
-def _clear_memos():
-    for memo in (_bernoulli_upto, _even_classes, _zeta_coefficients):
-        memo.cache_clear()
+@pytest.fixture
+def cold_store(monkeypatch):
+    """Returns a function that gives the Bernoulli store fresh module lists
+    (B_0..B_2 and the tangent column [T_1]), clears the memos that read it,
+    and returns the new list of B's; the fixture calls it once itself."""
+    def fresh():
+        monkeypatch.setattr(bernoulli_module, "_B", [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
+        monkeypatch.setattr(bernoulli_module, "_COLUMN", [1])
+        _even_classes.cache_clear()
+        _zeta_coefficient.cache_clear()
+        return bernoulli_module._B
+    fresh()
+    return fresh
 
 
 @pytest.mark.parametrize("call, n", [
@@ -84,11 +98,10 @@ def _clear_memos():
     (ramanujan_check, 14),
     (corollary2_exact_chain, 14),
 ], ids=["bernoulli", "euler", "ramanujan-sum", "ramanujan-check", "corollary2-chain"])
-def test_non_int_index_is_rejected_cold_and_warm(call, n):
+def test_non_int_index_is_rejected_cold_and_warm(cold_store, call, n):
     """n.0 and True fail with DomainError before any memo, so the verdict
     cannot depend on whether the int n warmed the memo first (12.0 would hit
     the class sums memoized for 12)."""
-    _clear_memos()
     for bad in (float(n), True):
         with pytest.raises(DomainError):
             call(bad)
@@ -98,27 +111,37 @@ def test_non_int_index_is_rejected_cold_and_warm(call, n):
             call(bad)
 
 
-def test_cache_determinism():
-    _clear_memos()
+def test_cache_determinism(cold_store):
     for m in range(60, -1, -1):  # access order must not matter
         assert bernoulli(m) == _AT[m], m
 
 
-def test_reads_across_table_blocks_agree():
-    # a cold B_800 builds the table B_0..B_1024; the indices 129..0 then read
-    # the smaller tables B_0..B_256 and B_0..B_128, which must agree with it
-    _clear_memos()
+def test_store_grows_only_to_the_index_asked_for(cold_store):
+    assert _von_staudt_clausen_holds(1030, bernoulli(1030), _primes_upto(1031))
+    assert len(bernoulli_module._B) - 1 <= 1032
+    assert bernoulli(1031) == 0
+    assert len(bernoulli_module._B) - 1 <= 1032
+
+
+def test_reads_below_a_grown_store_agree(cold_store):
+    # a cold B_800 grows the store to 800 at once, and the indices 200..0 read
+    # its prefix; a second cold store grown one index at a time must end with
+    # the same B_0..B_800
+    at_once = bernoulli_module._B
     big = bernoulli(800)
-    for m in range(129, -1, -1):
-        assert bernoulli(m) == _AT[m] == _bernoulli_upto(512)[m], m
+    for m in range(200, -1, -1):
+        assert bernoulli(m) == _AT[m], m
+    stepped = cold_store()
+    for m in range(801):
+        bernoulli(m)
+    assert stepped[:801] == at_once[:801]
     assert bernoulli(800) == big
 
 
-def test_class_sums_do_not_depend_on_block_order():
-    # weight 800 reads the block n = 512, weight 130 the block n = 128
-    _clear_memos()
+def test_class_sums_do_not_depend_on_growth_order(cold_store):
+    # weight 800 first grows the store past 130; weight 130 first grows it in two steps
     high_first = (_even_classes(800), _even_classes(130))
-    _clear_memos()
+    cold_store()
     low_first = (_even_classes(130), _even_classes(800))
     assert high_first == low_first[::-1]
 
@@ -149,18 +172,15 @@ def test_class_sums_against_term_by_term_oracle(l, data):
 
 @pytest.mark.parametrize("l", [126, 128, 130, 254, 256, 258, 510, 512, 514, 800])
 def test_even_classes_against_term_by_term_oracle(l):
-    # weights on both sides of every table block edge (2n = 128, 256, 512)
     assert _even_classes(l) == _direct_class_sums([bernoulli(j) for j in range(l + 1)], l)
 
 
-@pytest.mark.parametrize("l", [506, 512, 518, 800])
+@pytest.mark.parametrize("l", [506, 512, 518, 800, 1028])
 def test_chain_coefficients_against_bernoulli(l):
-    # 506 and 512 read the block n = 256, 518 and 800 the block n = 512; by
-    # zeta(j) = (-1)^(j/2+1) 2^(j-1) B_j / j! pi^j, j! c_j = (-1)^(j/2+1) 2^(j-1) B_j
-    u = _zeta_coefficients(_block(l))
+    # by zeta(j) = (-1)^(j/2+1) 2^(j-1) B_j / j! pi^j, j! c_j = (-1)^(j/2+1) 2^(j-1) B_j
     oracle = [(-1) ** (j // 2 + 1) * 2 ** (j - 1) * bernoulli(j) if j % 6 == 4 else 0
               for j in range(l + 1)]
-    assert list(u[:l + 1]) == oracle
+    assert [_zeta_coefficient(j) for j in range(4, l + 1, 6)] == oracle[4::6]
     lhs = _direct_class_sums(oracle, l)[2] / factorial(l)
     assert corollary2_exact_chain(l).lhs == lhs
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, determinism, and configuration precedence."""
 
+import io
 import json
 import os
 import subprocess
@@ -691,6 +692,50 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert main(["verify", "--suites", "theorem1", "--weights", "3..3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.parent.exists()
+
+
+class _FullDiskWriter(io.StringIO):
+    """A report file whose `fails` step raises ENOSPC, as on a full disk; like a
+    real file it counts as closed after a failed close."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def _step(self, name):
+        if name == self.fails:
+            raise OSError(28, "No space left on device")
+
+    def write(self, text):
+        self._step("write")
+        return super().write(text)
+
+    def flush(self):
+        self._step("flush")
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            self._step("close")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush", "close"])
+def test_unwritable_report_is_a_usage_error(monkeypatch, capsys, fails):
+    from dzv import cli as cli_mod
+
+    writer = _FullDiskWriter(fails)
+    monkeypatch.setattr(cli_mod, "open", lambda *args, **kwargs: writer, raising=False)
+    assert main(["verify", "--suites", "theorem1", "--weights", "3..3", "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 28] No space left on device\n"
+    assert writer.closed
+
+
+def test_unwritable_stdout_is_a_usage_error_and_stays_open(monkeypatch, capsys):
+    writer = _FullDiskWriter("flush")
+    monkeypatch.setattr(sys, "stdout", writer)
+    assert main(["verify", "--suites", "theorem1", "--weights", "3..3"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the report: ")
+    assert not writer.closed
 
 
 def test_main_return_paths():
