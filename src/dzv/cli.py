@@ -7,8 +7,8 @@ whose keys are all in that table.
 
 Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed
 or errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the
-output path) or a report that cannot be written, reported as one `error:`
-line.  A printed ball shows the digits that both of its ends share when
+output path) or a report or value that cannot be written, reported as one
+`error:` line.  A printed ball shows the digits that both of its ends share when
 truncated, or, when their integer parts already differ, an integer inside
 the ball; "0" only when it holds 0.
 """
@@ -503,6 +503,17 @@ def _report_file(path: Optional[str]):
         raise DomainError(f"cannot write the report: {exc}") from None
 
 
+def _write(fh, text: str, what: str) -> None:
+    """Write text to fh and close it (stdout: flush it) here, so a full disk
+    or a closed pipe is exit 2 with one error line, not a traceback."""
+    try:
+        with contextlib.nullcontext() if fh is sys.stdout else fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        raise DomainError(f"cannot write {what}: {exc}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -512,24 +523,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "bernoulli":
-            print(_fraction_str(bernoulli(args.m)))
+            _write(sys.stdout, _fraction_str(bernoulli(args.m)) + "\n", "the value")
         elif args.command == "dzeta":
             default_prec = _default_precision()  # checked even when -p overrides it
             prec = default_prec if args.precision is None else args.precision
             value = double_zeta(IndexPair(args.l1, args.l2), PrecisionCtx(prec))
             _, _, rm, re = value.dyadic()
-            print(f"{_ball_str(value, prec)} ± {_radius_decimal(*_dy_ratio(rm, re))}")
+            radius = _radius_decimal(*_dy_ratio(rm, re))
+            _write(sys.stdout, f"{_ball_str(value, prec)} ± {radius}\n", "the value")
         else:
             config = _config_from_args(args)
             with _report_file(config.output_path) as fh:
                 reports, code = cmd_verify(config)
-                text = _RENDERERS[config.output_format](reports)
-                try:  # close the file (stdout: flush) here, so a full disk is exit 2
-                    with contextlib.nullcontext() if fh is sys.stdout else fh:
-                        fh.write(text)
-                        fh.flush()
-                except OSError as exc:
-                    raise DomainError(f"cannot write the report: {exc}") from None
+                _write(fh, _RENDERERS[config.output_format](reports), "the report")
             return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

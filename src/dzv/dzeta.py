@@ -10,8 +10,14 @@ give the direct part
     sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A),
     S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2,   H_M = sum_{m<=M} m^-l2,
 
-and S_M and H_M are summed in integer fixed point with unit 2^-W.  Every
-floor(2^W / m^k) is low by less than one unit, so H_M is low by less than M
+and S_M and H_M are summed in integer fixed point with unit 2^-W.  A
+weight's pairs share one set of rows floor(2^T / m^k), k < w, m <= M, T the
+W of the pair l1 = w - 1, each row one floordiv of the row before (Brent
+and Zimmermann, *Modern Computer Arithmetic*, ch. 3-4).  Pair (l1, l2) has
+W = T - (l2 - 1) and shifts rows l1 and l2 right by l2 - 1, which is
+floor(2^W / m^k) exactly, so H_M is one running sum and S_M one dot
+product against its prefix.
+Every floor is low by less than one unit, so H_M is low by less than M
 units and S_M by less than M^2 units; W leaves these counted errors below
 2^-(wp+l1).  For the tail m2 >= A, Euler-Maclaurin expands each
 zeta(l1, m2+1) in powers of m2; summing against m2^-l2 turns every power into
@@ -26,21 +32,22 @@ is one ball centred on the counted interval of those floors.  The remainder
 is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule of the
 Hurwitz evaluator (one ``zeta._em_truncate`` for both) applied to each m2 and
 summed, and added to the radius.  One weight-w table reads the same vector
-zeta(w-1+j, A).
+zeta(w-1+j, A), each ball looked up once per build.
 
 T_l and the divided difference (x^(l-1) - y^(l-1)) / (x - y) are homogeneous
 polynomials in (x, y), evaluated at dyadic rationals x = a 2^s, y = b 2^s
 only (ints or Fractions, such as eq26's points): each is one exact dot
 product of the integers a^i b^(d-i) with a coefficient vector of integer
 mantissas at one exponent (T_l's is built with its table, the divided
-difference's is all ones), rounded once to a real ball; any other point
-raises DomainError.  There is no complex evaluation: with other integer
-weights the same vector gives every restricted sum and Lemma 1's sums over
-the cube roots of unity (``dzv.identities``), so lemma1 checks the
-roots-of-unity filter, the weighted sum formula and an integer count, not a
-complex kernel.  Horner's rule at complex points is kept in the tests, as
-the oracle for lemma1.  Only ``functional_eq26_check`` still takes and
-returns complex balls, for the benchmark worker that calls it.
+difference's is all ones, so it is the sum of those integers), rounded once
+to a real ball; any other point raises DomainError.  There is no complex
+evaluation: with other integer weights the same vector gives every
+restricted sum and Lemma 1's sums over the cube roots of unity
+(``dzv.identities``), so lemma1 checks the roots-of-unity filter, the
+weighted sum formula and an integer count, not a complex kernel.  Horner's
+rule at complex points is kept in the tests, as the oracle for lemma1.  Only
+``functional_eq26_check`` still takes and returns complex balls, for the
+benchmark worker that calls it.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
-from operator import mul
+from operator import floordiv, mul, rshift
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -97,26 +104,42 @@ class IndexPair:
         return self.l1 + self.l2
 
 
-def _direct_sums(l1: int, l2: int, m_cut: int, wp: int) -> tuple[RealBall, RealBall]:
-    """Balls for S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2 and H_M = sum_{m<=M} m^-l2,
-    M = m_cut, whose radii add up to at most 2^-(wp+l1+3).
+def _inverse_powers(l: int, wp: int, m_cut: int) -> tuple[int, list[list[int]]]:
+    """(T, rows) with rows[k][m-1] = floor(2^T / m^k) for k < l and m <= M,
+    M = m_cut, and T the direct-sum width of weight l's widest pair,
+    l1 = l - 1.  Each row is one floordiv of the row before by 1..M, since
+    floor(floor(x) / m) = floor(x / m) for positive integers x and m."""
+    width = wp + l - 1 + 2 * (m_cut + 1).bit_length() + 2
+    ms = range(1, m_cut + 1)
+    rows = [[1 << width] * m_cut]
+    for _ in range(l - 1):
+        rows.append(list(map(floordiv, rows[-1], ms)))
+    return width, rows
 
-    With unit u = 2^-W, h holds the floored H_(m-1) (low by less than m-1
-    units) when it meets f = floor(2^W / m^l1) (low by less than one unit), so
-    the product f h, in units u^2, is low by less than H_(m-1) 2^W
-    + (m-1) 2^W m^-l1 <= 1.25 (m-1) 2^W.  Summed over m <= M that is below
-    M^2 u for S_M, and H_M is low by less than M u; each ball is centered on
-    its one-sided interval.  W makes (M^2 + M) u <= 2^-(wp+l1+2).
+
+def _direct_sums(powers: tuple, l1: int, l2: int) -> tuple[RealBall, RealBall]:
+    """Balls for S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2 and H_M = sum_{m<=M} m^-l2,
+    from the weight-(l1+l2) rows (T, rows) of ``_inverse_powers``, whose radii
+    add up to at most 2^-(wp+l1+3).
+
+    The pair's width is W = T - (l2-1) = wp + l1 + 2 bitlen(M+1) + 2, and
+    rows l1 and l2 shifted right by l2 - 1 are floor(2^W / m^l1) and
+    floor(2^W / m^l2).  With unit u = 2^-W, h holds the floored H_(m-1) (low
+    by less than m-1 units) when it meets f = floor(2^W / m^l1) (low by less
+    than one unit), so the product f h, in units u^2, is low by less than
+    H_(m-1) 2^W + (m-1) 2^W m^-l1 <= 1.25 (m-1) 2^W.  Summed over m <= M that
+    is below M^2 u for S_M, and H_M is low by less than M u; each ball is
+    centered on its one-sided interval.  W makes (M^2 + M) u <= 2^-(wp+l1+2).
     """
-    width = wp + l1 + 2 * (m_cut + 1).bit_length() + 2
-    one = 1 << width
-    h = s = 0
-    for m in range(1, m_cut + 1):
-        s += one // m ** l1 * h
-        h += one // m ** l2
-    sq = m_cut * m_cut
-    return (RealBall.from_floors(s, sq << width, 0, 2 * width),
-            RealBall.from_floors(h, m_cut, 0, width))
+    top, rows = powers
+    shift = l2 - 1
+    width = top - shift
+    # hs[m] is the floored H_m, and f_m meets hs[m-1]
+    hs = list(accumulate(map(rshift, rows[l2], repeat(shift)), initial=0))
+    s = sum(map(mul, map(rshift, rows[l1], repeat(shift)), hs))
+    m_cut = len(hs) - 1
+    return (RealBall.from_floors(s, m_cut * m_cut << width, 0, 2 * width),
+            RealBall.from_floors(hs[-1], m_cut, 0, width))
 
 
 def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
@@ -153,35 +176,45 @@ def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
     return RealBall.from_floors(total, floors, rad, width)
 
 
-def _double_zeta_once(l1: int, l2: int, wp: int, m_cut: int) -> RealBall:
-    a_cut = m_cut + 1
-    hz_ctx = PrecisionCtx(wp)
+def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> list[RealBall]:
+    """Certified balls for zeta(l1, l - l1), l1 in l1s, radius at most 2^(1-w)
+    relative to the value at working precision w, from one evaluation each
+    at the direct-sum cutoff M = max(32, wp/2).  The pairs share the
+    weight's inverse-power rows and one ball zeta(s, A) per s, both dropped
+    on return.  Raises PrecisionUnreachableError at the first radius that
+    misses that target."""
+    target = ctx.working_precision
+    wp = target + GUARD_BITS
+    m_cut = max(32, wp // 2)
+    a_cut, hz_ctx, balls = m_cut + 1, PrecisionCtx(wp), {}
 
     def hz(s: int) -> RealBall:
-        return hurwitz_zeta(s, a_cut, hz_ctx)
+        if s not in balls:
+            balls[s] = hurwitz_zeta(s, a_cut, hz_ctx)
+        return balls[s]
 
-    # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A);
-    # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
-    # for every m >= A, summed against m^-l2
-    s_m, h_m = _direct_sums(l1, l2, m_cut, wp)
-    return ball_sum([s_m, h_m.mul(hz(l1), wp), _tail(l1, l1 + l2, wp, hz)], wp)
+    powers = _inverse_powers(l, wp, m_cut)
+    values = []
+    for l1 in l1s:
+        # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A);
+        # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
+        # for every m >= A, summed against m^-l2
+        s_m, h_m = _direct_sums(powers, l1, l - l1)
+        value = ball_sum([s_m, h_m.mul(hz(l1), wp), _tail(l1, l, wp, hz)], wp)
+        if not value.meets_relative_radius(target - 1):
+            raise PrecisionUnreachableError(
+                f"double_zeta({l1},{l - l1}) did not reach 2^-{target} relative radius")
+        values.append(value)
+    return values
 
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(l1, l2), radius at most 2^(1-w) relative to the
-    value at working precision w, from one evaluation at the direct-sum cutoff
-    M = max(32, wp/2): the direct sums and the Euler-Maclaurin tail are each
-    summed in integer fixed point, and the tail depth follows the target.
-    Raises PrecisionUnreachableError if the radius misses that target."""
-    l1, l2 = p.l1, p.l2
-    target = ctx.working_precision
-    wp = target + GUARD_BITS
-    result = _double_zeta_once(l1, l2, wp, max(32, wp // 2))
-    if result.meets_relative_radius(target - 1):
-        return result
-    raise PrecisionUnreachableError(
-        f"double_zeta({l1},{l2}) did not reach 2^-{target} relative radius"
-    )
+    value at working precision w: the direct sums and the Euler-Maclaurin
+    tail are each summed in integer fixed point, and the tail depth follows
+    the target.  Raises PrecisionUnreachableError if the radius misses that
+    target."""
+    return _double_zetas(p.weight, [p.l1], ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -211,7 +244,7 @@ def _table_weight(l: int) -> int:
 def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Compute the complete weight-l table at the context's working precision."""
     pairs = [IndexPair(l1, l - l1) for l1 in range(2, _table_weight(l))]
-    values = [double_zeta(q, ctx) for q in pairs]
+    values = _double_zetas(l, [q.l1 for q in pairs], ctx)
     return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))),
                     _coefficient_vector([None] + values))
 
@@ -257,14 +290,18 @@ def _dyadic_point(q) -> tuple[int, int]:
     return _strip_zeros(q.numerator, 1 - den.bit_length()) if q else (0, 0)
 
 
+def _powers(v: int, d: int) -> list[int]:
+    """[1, v, v^2, ..., v^d]."""
+    return list(accumulate(repeat(v, d), mul, initial=1))
+
+
 def _dot(vector: tuple, x, y, wp: int) -> RealBall:
     """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
     at x = a 2^s and y = b 2^s, dyadic rationals: one ``_vector_dot`` with the
     integers a^i b^(d-i) at the shift sd.  Any other point raises DomainError."""
     (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
     d, s = len(vector[0]) - 1, min(xe, ye)
-    ys = list(accumulate(repeat(ym << (ye - s), d), mul, initial=1))
-    terms = list(map(mul, accumulate(repeat(xm << (xe - s), d), mul, initial=1), reversed(ys)))
+    terms = list(map(mul, _powers(xm << (xe - s), d), reversed(_powers(ym << (ye - s), d))))
     return _vector_dot(vector, terms, s * d, wp)
 
 
@@ -281,29 +318,33 @@ def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
 gen_poly_real = gen_poly_eval
 
 
-def _divided_difference(x, y, l: int, wp: int) -> RealBall:
-    """(x^(l-1) - y^(l-1)) / (x - y) as the homogeneous sum
-    sum_{i+j=l-2} x^i y^j, finite at x = y: ``_dot`` over the all-ones
-    vector, so x and y must be dyadic rationals, else DomainError."""
-    return _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
-
-
 def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, RealBall]:
     """Both sides of the two-variable functional equation
 
         T_l(x+y, y) + T_l(x+y, x) = T_l(x, y) + T_l(y, x)
                                     + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l)
 
-    at dyadic rationals x and y (ints or Fractions), with x + y formed
-    exactly; the divided difference is evaluated in homogeneous form, so
-    x = y is fine.
+    at dyadic rationals x = a 2^s and y = b 2^s (ints or Fractions, else
+    DomainError), so x + y = (a+b) 2^s.  The powers of a, b and a + b are
+    built once: each T_l is one ``_vector_dot`` with the integers
+    u^i v^(d-i), d = l - 2, T_l(y, x)'s being T_l(x, y)'s reversed, and the
+    divided difference, in homogeneous form sum_{i+j=d} x^i y^j (so x = y is
+    fine), is the exact sum of T_l(x, y)'s integers, rounded once.
     """
+    (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)  # x and y checked here
-    xy = Fraction(x) + y
-    lhs = gen_poly_eval(t, xy, y).add(gen_poly_eval(t, xy, x), wp)
-    dd = _divided_difference(x, y, l, wp)
+    d, s = l - 2, min(xe, ye)
+    a, b = xm << (xe - s), ym << (ye - s)
+    pa, pb, pab = _powers(a, d), _powers(b, d), _powers(a + b, d)
+
+    def t_l(weights: list[int]) -> RealBall:
+        return _vector_dot(t.vector, weights, s * d, wp)
+
+    xy = list(map(mul, pa, reversed(pb)))
+    lhs = t_l(list(map(mul, pab, reversed(pb)))).add(t_l(list(map(mul, pab, reversed(pa)))), wp)
+    rhs = t_l(xy).add(t_l(xy[::-1]), wp)
+    dd = _rounded(sum(xy), s * d, 0, 0, wp)
     return lhs, rhs.add(dd.mul(zeta_numeric(l, ctx), wp), wp)
 
 

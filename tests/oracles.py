@@ -4,8 +4,10 @@ Every expected value asserted by the tests is computed here by a method
 independent of the code path under test: Pascal's triangle for binomials,
 Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
 summation with integral tail bounds for zeta values, the literal truncated
-double sum for double zeta values, at odd weight the reduction of a double
-zeta value to products of single zeta values, Horner's rule in counted
+double sum for double zeta values, the direct sums of one pair in their
+own loop with their own powers, at odd weight the reduction of a double
+zeta value to products of single zeta values, eq26's sides as five
+separate dot products, Horner's rule in counted
 integer fixed point for T_l at complex points, Lemma 1's five equations
 written out one by one with it, and the cube roots of unity in exact
 Q(sqrt -3) arithmetic.
@@ -28,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from dzv.dzeta import get_table
+from dzv.dzeta import _dot, gen_poly_eval, get_table
 from dzv.identities import _T_M11, restricted_sum
 from dzv.numerics import (
     GUARD_BITS,
@@ -303,6 +305,22 @@ def brute_double_zeta(l1: int, l2: int, cutoff: int, prec: int) -> RealBall:
     return total.add_error(part1 + part2)
 
 
+def direct_sums(l1: int, l2: int, m_cut: int, wp: int) -> Tuple[RealBall, RealBall]:
+    """S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2 and H_M = sum_{m<=M} m^-l2 for one
+    pair, M = m_cut, as dzv summed them before a weight's pairs shared rows:
+    one loop over m with floor(2^W / m^k) divided afresh, W the pair's own
+    width wp + l1 + 2 bitlen(M+1) + 2, each ball centred on its counted
+    one-sided interval of M^2 resp. M units."""
+    width = wp + l1 + 2 * (m_cut + 1).bit_length() + 2
+    one = 1 << width
+    h = s = 0
+    for m in range(1, m_cut + 1):
+        s += one // m ** l1 * h
+        h += one // m ** l2
+    return (RealBall.from_floors(s, m_cut * m_cut << width, 0, 2 * width),
+            RealBall.from_floors(h, m_cut, 0, width))
+
+
 def odd_weight_double_zeta(a: int, b: int, ctx: PrecisionCtx) -> RealBall:
     """zeta(a, b) at odd weight w = a + b from single zeta values (Euler's
     reduction, explicit in Borwein-Borwein-Girgensohn 1995), zeta(0) = -1/2:
@@ -462,6 +480,30 @@ def _homogeneous(coeffs: Sequence[Optional[RealBall]], x: ComplexBall, y: Comple
     if x.imag.is_zero() and y.imag.is_zero():
         return ComplexBall(real, RealBall.zero())
     return ComplexBall(real, _rounded(hi, exp, rad, exp, wp))
+
+
+# ---------------------------------------------------------------------------
+# eq26, one dot product per term
+# ---------------------------------------------------------------------------
+
+def divided_difference(x, y, l: int, wp: int) -> RealBall:
+    """(x^(l-1) - y^(l-1)) / (x - y) = sum_{i+j=l-2} x^i y^j as its own dot
+    product over the all-ones coefficient vector."""
+    return _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
+
+
+def eq26_sides_by_dots(l: int, x, y, ctx: PrecisionCtx) -> Tuple[RealBall, RealBall]:
+    """eq26's sides T_l(x+y, y) + T_l(x+y, x) and T_l(x, y) + T_l(y, x) plus
+    the divided difference times zeta(l), each T_l and the divided
+    difference one ``gen_poly_eval``-style dot product that builds its own
+    powers of its own two points."""
+    t = get_table(l, ctx)
+    wp = ctx.working_precision + GUARD_BITS
+    rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)
+    xy = Fraction(x) + y
+    lhs = gen_poly_eval(t, xy, y).add(gen_poly_eval(t, xy, x), wp)
+    dd = divided_difference(x, y, l, wp)
+    return lhs, rhs.add(dd.mul(zeta_numeric(l, ctx), wp), wp)
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,20 @@ def test_unwritable_stdout_is_a_usage_error_and_stays_open(monkeypatch, capsys):
     assert not writer.closed
 
 
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["bernoulli", "30"], ["dzeta", "3", "2"]],
+                         ids=["bernoulli", "dzeta"])
+def test_unwritable_stdout_for_a_value_is_a_usage_error(monkeypatch, capsys, argv, fails):
+    """``dzv bernoulli`` and ``dzv dzeta`` on a full disk exit 2 with one
+    error line, like ``verify``; exit 1 would mean a failed check."""
+    writer = _FullDiskWriter(fails)
+    monkeypatch.setattr(sys, "stdout", writer)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write the value: [Errno 28] No space left on device\n"
+    assert not writer.closed
+
+
 def test_main_return_paths():
     assert main(["bernoulli", "30"]) == 0
     assert main(["verify", "--suites", "nosuch", "--weights", "3..3"]) == 2

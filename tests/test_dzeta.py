@@ -12,8 +12,8 @@ from dzv.dzeta import (
     IndexPair,
     _coefficient_vector,
     _direct_sums,
-    _divided_difference,
     _dot,
+    _inverse_powers,
     _table,
     build_table,
     double_zeta,
@@ -47,7 +47,10 @@ from oracles import (
     brute_double_zeta,
     contains_fraction,
     contains_zero,
+    direct_sums,
+    divided_difference,
     em_coefficient,
+    eq26_sides_by_dots,
     intersects,
     is_exact,
     is_positive,
@@ -154,17 +157,29 @@ def test_get_table_caches(ctx128):
     assert get_table(7, ctx128) is get_table(7, ctx128)
 
 
-def test_tables_share_one_hurwitz_vector_per_weight():
-    # every value of a weight-w table reads zeta(w-1+j, A) at one A, and the tail
-    # stops once its remainder is negligible: tables 3..20 at 192 bits evaluate
-    # 47 distinct Hurwitz values (80 with the old fixed tail depth, and one
-    # Hurwitz value per direct-sum index would need hundreds)
+def test_tables_share_one_hurwitz_vector_per_weight(monkeypatch):
+    """Every value of a weight-w table reads zeta(w-1+j, A) at one A, and the
+    tail stops once its remainder is negligible: cold tables 3..30 at 192
+    bits evaluate the 47 Hurwitz values zeta(s, 121), s = 2..48 (80 for
+    3..20 with the old fixed tail depth, and one Hurwitz value per
+    direct-sum index would need hundreds).  Each build asks ``hurwitz_zeta``
+    for each of its s once: 874 calls, where one lookup per pair and term
+    made 5,760."""
+    asked = []
+
+    def recording(s, a, ctx):
+        asked.append((s, a, ctx.working_precision))
+        return hurwitz_zeta(s, a, ctx)
+
+    monkeypatch.setattr(dzeta_mod, "hurwitz_zeta", recording)
     _hurwitz_rational.cache_clear()
-    _table.cache_clear()
     ctx = PrecisionCtx(192)
-    for l in range(3, 21):
-        get_table(l, ctx)
-    assert _hurwitz_rational.cache_info().misses <= 47
+    for l in range(3, 31):
+        start = len(asked)
+        build_table(l, ctx)
+        assert len(set(asked[start:])) == len(asked) - start, l
+    assert _hurwitz_rational.cache_info().misses == 47
+    assert len(asked) == 874 and {a for _, a, _ in asked} == {121}
 
 
 @pytest.mark.parametrize("l1, l2, m_cut, wp", [
@@ -175,7 +190,7 @@ def test_tables_share_one_hurwitz_vector_per_weight():
     (40, 1, 56, 112),    # floor(2^W / m^40) is 0 from m = 18 on
 ])
 def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
-    s_m, h_m = _direct_sums(l1, l2, m_cut, wp)
+    s_m, h_m = _direct_sums(_inverse_powers(l1 + l2, wp, m_cut), l1, l2)
     h = s = Fraction(0)
     for m in range(1, m_cut + 1):
         s += Fraction(1, m ** l1) * h
@@ -184,6 +199,31 @@ def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
     assert contains_fraction(h_m, h)
     # H_M multiplies zeta(l1, A) < 1, so this bounds the radius the direct part adds
     assert s_m.radius_fraction() + h_m.radius_fraction() <= Fraction(1, 2 ** (wp + l1))
+
+
+@pytest.mark.parametrize("precision, weights", [
+    (64, range(3, 61)), (192, range(3, 61)), (512, range(3, 61)), (192, range(200, 203)),
+], ids=["64", "192", "512", "192-high"])
+def test_shared_rows_give_each_pairs_own_direct_sums(precision, weights):
+    """A weight's pairs read one set of rows floor(2^T / m^k), shifted to each
+    pair's width: every pair's S_M and H_M are the same dyadics as its own
+    loop over m (``oracles.direct_sums``), at a table build's M and wp."""
+    wp = precision + GUARD_BITS
+    m_cut = max(32, wp // 2)
+    for l in weights:
+        powers = _inverse_powers(l, wp, m_cut)
+        for l1 in range(2, l):
+            shared = _direct_sums(powers, l1, l - l1)
+            own = direct_sums(l1, l - l1, m_cut, wp)
+            assert [b.dyadic() for b in shared] == [b.dyadic() for b in own], (l, l1)
+
+
+def test_lone_double_zeta_is_its_table_entry(ctx192):
+    """``double_zeta`` builds the rows of its own weight through the same
+    path as a table, so a lone value is its table entry bit for bit."""
+    for l1, l2 in ((2, 1), (5, 7), (16, 14), (29, 1), (150, 3)):
+        lone = double_zeta(IndexPair(l1, l2), ctx192)
+        assert lone.dyadic() == get_table(l1 + l2, ctx192).entry(l1, l2).dyadic(), (l1, l2)
 
 
 @pytest.mark.parametrize("widen", [None, 20], ids=["exact-z", "wide-z"])
@@ -238,8 +278,8 @@ def test_tail_floors_enclose_the_truncated_sum(monkeypatch, widen):
 
 
 def test_double_zeta_radius_miss_raises_and_caches_nothing(monkeypatch):
-    monkeypatch.setattr(dzeta_mod, "_double_zeta_once",
-                        lambda l1, l2, wp, m_cut: RealBall(1, 0, 1, -1))
+    # a tail of radius 1/2 leaves every value's radius above its target
+    monkeypatch.setattr(dzeta_mod, "_tail", lambda l1, w, wp, hz: RealBall(1, 0, 1, -1))
     ctx = PrecisionCtx(72)
     with pytest.raises(PrecisionUnreachableError):
         double_zeta(IndexPair(5, 3), ctx)
@@ -478,11 +518,25 @@ def test_dot_meets_the_horner_kernel_at_eq26_points(ctx192):
             ball = {q: ComplexBall.from_fractions(q, 0, wp) for q in (x, y, x + y)}
             pairs = [(gen_poly_eval(t, a, b), _homogeneous(coeffs, ball[a], ball[b], wp))
                      for a, b in ((x + y, y), (x + y, x), (x, y), (y, x))]
-            pairs.append((_divided_difference(x, y, l, wp),
+            pairs.append((divided_difference(x, y, l, wp),
                           _homogeneous(ones, ball[x], ball[y], wp)))
             for dot, horner in pairs:
                 assert dot.intersects(horner.real) and horner.imag.is_zero(), (l, x, y)
                 assert dot.radius_fraction() <= horner.real.radius_fraction(), (l, x, y)
+
+
+def test_eq26_sides_equal_five_separate_dot_products(ctx192):
+    """Sharing the powers of a, b and a + b changes no bit: at every eq26
+    sample point of weights 3..30, and at points whose sum has a larger
+    exponent than either point or is zero, both sides are the dyadics of five
+    separate dot products (``oracles.eq26_sides_by_dots``)."""
+    extra = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(-3, 4), Fraction(7, 4)),
+             (Fraction(5, 8), Fraction(-5, 8)), (0, 0), (0, 5), (3, 3), (-7, Fraction(1, 16))]
+    for l in range(3, 31):
+        for x, y in list(_eq26_plan(l)[0]) + extra:
+            sides = functional_eq26_sides(l, x, y, ctx192)
+            dots = eq26_sides_by_dots(l, x, y, ctx192)
+            assert [b.dyadic() for b in sides] == [b.dyadic() for b in dots], (l, x, y)
 
 
 def test_table_vector_shifts_back_to_the_entries(ctx192):
@@ -546,8 +600,6 @@ def test_polynomials_reject_points_that_are_not_exact_real_dyadics(ctx192):
         for x, y in ((b, 1), (1, b)):
             with pytest.raises(DomainError):
                 gen_poly_eval(t, x, y)
-            with pytest.raises(DomainError):
-                _divided_difference(x, y, 9, wp)
             with pytest.raises(DomainError):
                 functional_eq26_sides(9, x, y, ctx192)
     for x, y in ((2, 1), (-3, 5), (0, 7), (Fraction(-3, 8), 2)):
