@@ -511,7 +511,25 @@ def _write(fh, text: str, what: str) -> None:
             fh.write(text)
             fh.flush()
     except OSError as exc:
+        if fh is sys.stdout:
+            _stdout_to_devnull()
         raise DomainError(f"cannot write {what}: {exc}") from None
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull.  A failed flush leaves
+    its bytes buffered, and the interpreter flushes them again at exit; on
+    the same full disk or closed pipe that fails too and turns the exit code
+    into 120.  A stdout with no descriptor (a test's capture) is left as is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

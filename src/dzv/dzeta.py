@@ -104,23 +104,19 @@ class IndexPair:
         return self.l1 + self.l2
 
 
-def _inverse_powers(l: int, wp: int, m_cut: int) -> tuple[int, list[list[int]]]:
-    """(T, rows) with rows[k][m-1] = floor(2^T / m^k) for k < l and m <= M,
-    M = m_cut, and T the direct-sum width of weight l's widest pair,
-    l1 = l - 1.  Each row is one floordiv of the row before by 1..M, since
-    floor(floor(x) / m) = floor(x / m) for positive integers x and m."""
-    width = wp + l - 1 + 2 * (m_cut + 1).bit_length() + 2
-    ms = range(1, m_cut + 1)
-    rows = [[1 << width] * m_cut]
-    for _ in range(l - 1):
-        rows.append(list(map(floordiv, rows[-1], ms)))
-    return width, rows
+def _direct_sums(l: int, l1s: Sequence[int], wp: int,
+                 m_cut: int) -> dict[int, tuple[RealBall, RealBall]]:
+    """{l1: (S_M, H_M)} for the pairs (l1, l2 = l - l1), l1 in l1s, with
+    S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2 and H_M = sum_{m<=M} m^-l2,
+    M = m_cut, whose radii add up to at most 2^-(wp+l1+3).
 
-
-def _direct_sums(powers: tuple, l1: int, l2: int) -> tuple[RealBall, RealBall]:
-    """Balls for S_M = sum_{M>=m1>m2>=1} m1^-l1 m2^-l2 and H_M = sum_{m<=M} m^-l2,
-    from the weight-(l1+l2) rows (T, rows) of ``_inverse_powers``, whose radii
-    add up to at most 2^-(wp+l1+3).
+    The rows floor(2^T / m^k), m <= M, come for k = 1, 2, ... in turn, each
+    one floordiv of the row before by 1..M, since floor(floor(x) / m)
+    = floor(x / m) for positive integers x and m; T is the width of the
+    widest pair, l1 = l - 1.  A pair is summed when the later of its rows
+    l1 and l2 appears, and an earlier row is kept only until its partner
+    row l - k does: besides the current row at most (l-1)/2 are kept, and
+    for a lone pair at most one.
 
     The pair's width is W = T - (l2-1) = wp + l1 + 2 bitlen(M+1) + 2, and
     rows l1 and l2 shifted right by l2 - 1 are floor(2^W / m^l1) and
@@ -131,15 +127,27 @@ def _direct_sums(powers: tuple, l1: int, l2: int) -> tuple[RealBall, RealBall]:
     is below M^2 u for S_M, and H_M is low by less than M u; each ball is
     centered on its one-sided interval.  W makes (M^2 + M) u <= 2^-(wp+l1+2).
     """
-    top, rows = powers
-    shift = l2 - 1
-    width = top - shift
-    # hs[m] is the floored H_m, and f_m meets hs[m-1]
-    hs = list(accumulate(map(rshift, rows[l2], repeat(shift)), initial=0))
-    s = sum(map(mul, map(rshift, rows[l1], repeat(shift)), hs))
-    m_cut = len(hs) - 1
-    return (RealBall.from_floors(s, m_cut * m_cut << width, 0, 2 * width),
-            RealBall.from_floors(hs[-1], m_cut, 0, width))
+    top = wp + l - 1 + 2 * (m_cut + 1).bit_length() + 2
+    ms, wanted = range(1, m_cut + 1), set(l1s)
+    row, kept, sums = [1 << top] * m_cut, {}, {}
+    for k in range(1, l):
+        row = list(map(floordiv, row, ms))
+        pair = wanted & {k, l - k}
+        if not pair:
+            continue
+        if 2 * k < l:
+            kept[k] = row  # until row l - k
+            continue
+        rows = {k: row, l - k: kept.pop(l - k, row)}  # one row when l - k == k
+        for l1 in pair:
+            shift = l - l1 - 1
+            width = top - shift
+            # hs[m] is the floored H_m, and f_m meets hs[m-1]
+            hs = list(accumulate(map(rshift, rows[l - l1], repeat(shift)), initial=0))
+            s = sum(map(mul, map(rshift, rows[l1], repeat(shift)), hs))
+            sums[l1] = (RealBall.from_floors(s, m_cut * m_cut << width, 0, 2 * width),
+                        RealBall.from_floors(hs[-1], m_cut, 0, width))
+    return sums
 
 
 def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
@@ -186,20 +194,19 @@ def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> list[RealBal
     target = ctx.working_precision
     wp = target + GUARD_BITS
     m_cut = max(32, wp // 2)
-    a_cut, hz_ctx, balls = m_cut + 1, PrecisionCtx(wp), {}
+    a_cut, hz_ctx = m_cut + 1, PrecisionCtx(wp)
 
+    @cache  # one lookup per s in this build, dropped with it
     def hz(s: int) -> RealBall:
-        if s not in balls:
-            balls[s] = hurwitz_zeta(s, a_cut, hz_ctx)
-        return balls[s]
+        return hurwitz_zeta(s, a_cut, hz_ctx)
 
-    powers = _inverse_powers(l, wp, m_cut)
+    sums = _direct_sums(l, l1s, wp, m_cut)
     values = []
     for l1 in l1s:
         # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A);
         # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
         # for every m >= A, summed against m^-l2
-        s_m, h_m = _direct_sums(powers, l1, l - l1)
+        s_m, h_m = sums[l1]
         value = ball_sum([s_m, h_m.mul(hz(l1), wp), _tail(l1, l, wp, hz)], wp)
         if not value.meets_relative_radius(target - 1):
             raise PrecisionUnreachableError(
@@ -295,14 +302,26 @@ def _powers(v: int, d: int) -> list[int]:
     return list(accumulate(repeat(v, d), mul, initial=1))
 
 
+def _common_scale(x, y) -> tuple[int, int, int]:
+    """(a, b, s) with x = a 2^s and y = b 2^s for dyadic rationals x and y
+    (ints or Fractions); any other point raises DomainError."""
+    (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
+    s = min(xe, ye)
+    return xm << (xe - s), ym << (ye - s), s
+
+
+def _monomials(pu: list[int], pv: list[int]) -> list[int]:
+    """The integers u^i v^(d-i), i = 0..d, from the powers of u and of v."""
+    return list(map(mul, pu, reversed(pv)))
+
+
 def _dot(vector: tuple, x, y, wp: int) -> RealBall:
     """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
     at x = a 2^s and y = b 2^s, dyadic rationals: one ``_vector_dot`` with the
     integers a^i b^(d-i) at the shift sd.  Any other point raises DomainError."""
-    (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
-    d, s = len(vector[0]) - 1, min(xe, ye)
-    terms = list(map(mul, _powers(xm << (xe - s), d), reversed(_powers(ym << (ye - s), d))))
-    return _vector_dot(vector, terms, s * d, wp)
+    a, b, s = _common_scale(x, y)
+    d = len(vector[0]) - 1
+    return _vector_dot(vector, _monomials(_powers(a, d), _powers(b, d)), s * d, wp)
 
 
 def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
@@ -331,18 +350,17 @@ def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, Re
     divided difference, in homogeneous form sum_{i+j=d} x^i y^j (so x = y is
     fine), is the exact sum of T_l(x, y)'s integers, rounded once.
     """
-    (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
+    a, b, s = _common_scale(x, y)
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    d, s = l - 2, min(xe, ye)
-    a, b = xm << (xe - s), ym << (ye - s)
+    d = l - 2
     pa, pb, pab = _powers(a, d), _powers(b, d), _powers(a + b, d)
 
-    def t_l(weights: list[int]) -> RealBall:
-        return _vector_dot(t.vector, weights, s * d, wp)
+    def t_l(monomials: list[int]) -> RealBall:
+        return _vector_dot(t.vector, monomials, s * d, wp)
 
-    xy = list(map(mul, pa, reversed(pb)))
-    lhs = t_l(list(map(mul, pab, reversed(pb)))).add(t_l(list(map(mul, pab, reversed(pa)))), wp)
+    xy = _monomials(pa, pb)
+    lhs = t_l(_monomials(pab, pb)).add(t_l(_monomials(pab, pa)), wp)
     rhs = t_l(xy).add(t_l(xy[::-1]), wp)
     dd = _rounded(sum(xy), s * d, 0, 0, wp)
     return lhs, rhs.add(dd.mul(zeta_numeric(l, ctx), wp), wp)

@@ -752,6 +752,44 @@ def test_unwritable_stdout_for_a_value_is_a_usage_error(monkeypatch, capsys, arg
     assert not writer.closed
 
 
+_UNWRITABLE_STDOUT = [(["bernoulli", "30"], "the value"), (["dzeta", "3", "2"], "the value"),
+                      (["verify", "--suites", "theorem1", "--weights", "3..3"], "the report")]
+
+
+def _run_into(stdout, argv):
+    """Run the CLI in its own process with buffered stdout (PYTHONUNBUFFERED
+    unset), so the bytes of a failed flush are still buffered at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "dzv.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,what", _UNWRITABLE_STDOUT, ids=["bernoulli", "dzeta", "verify"])
+def test_full_disk_stdout_exits_two_at_interpreter_exit(argv, what):
+    """The interpreter's own flush at exit must not fail a second time: that
+    prints 'Exception ignored' and turns exit 2 into 120."""
+    with open("/dev/full", "w") as full:
+        proc = _run_into(full, argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {what}: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("argv,what", _UNWRITABLE_STDOUT, ids=["bernoulli", "dzeta", "verify"])
+def test_closed_pipe_stdout_exits_two_at_interpreter_exit(argv, what):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_into(write_end, argv)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {what}: [Errno 32] Broken pipe\n"
+
+
 def test_main_return_paths():
     assert main(["bernoulli", "30"]) == 0
     assert main(["verify", "--suites", "nosuch", "--weights", "3..3"]) == 2

@@ -13,7 +13,6 @@ from dzv.dzeta import (
     _coefficient_vector,
     _direct_sums,
     _dot,
-    _inverse_powers,
     _table,
     build_table,
     double_zeta,
@@ -190,7 +189,7 @@ def test_tables_share_one_hurwitz_vector_per_weight(monkeypatch):
     (40, 1, 56, 112),    # floor(2^W / m^40) is 0 from m = 18 on
 ])
 def test_direct_sums_enclose_the_exact_sums(l1, l2, m_cut, wp):
-    s_m, h_m = _direct_sums(_inverse_powers(l1 + l2, wp, m_cut), l1, l2)
+    s_m, h_m = _direct_sums(l1 + l2, [l1], wp, m_cut)[l1]
     h = s = Fraction(0)
     for m in range(1, m_cut + 1):
         s += Fraction(1, m ** l1) * h
@@ -211,17 +210,18 @@ def test_shared_rows_give_each_pairs_own_direct_sums(precision, weights):
     wp = precision + GUARD_BITS
     m_cut = max(32, wp // 2)
     for l in weights:
-        powers = _inverse_powers(l, wp, m_cut)
-        for l1 in range(2, l):
-            shared = _direct_sums(powers, l1, l - l1)
+        sums = _direct_sums(l, range(2, l), wp, m_cut)
+        assert sorted(sums) == list(range(2, l))
+        for l1, shared in sums.items():
             own = direct_sums(l1, l - l1, m_cut, wp)
             assert [b.dyadic() for b in shared] == [b.dyadic() for b in own], (l, l1)
 
 
 def test_lone_double_zeta_is_its_table_entry(ctx192):
     """``double_zeta`` builds the rows of its own weight through the same
-    path as a table, so a lone value is its table entry bit for bit."""
-    for l1, l2 in ((2, 1), (5, 7), (16, 14), (29, 1), (150, 3)):
+    path as a table, keeping only its own pair's rows, so a lone value is
+    its table entry bit for bit, whichever of l1 and l2 is larger."""
+    for l1, l2 in ((2, 1), (5, 7), (6, 6), (16, 14), (29, 1), (150, 3)):
         lone = double_zeta(IndexPair(l1, l2), ctx192)
         assert lone.dyadic() == get_table(l1 + l2, ctx192).entry(l1, l2).dyadic(), (l1, l2)
 
