@@ -34,20 +34,17 @@ Hurwitz evaluator (one ``zeta._em_truncate`` for both) applied to each m2 and
 summed, and added to the radius.  One weight-w table reads the same vector
 zeta(w-1+j, A), each ball looked up once per build.
 
-T_l and the divided difference (x^(l-1) - y^(l-1)) / (x - y) are homogeneous
-polynomials in (x, y), evaluated at dyadic rationals x = a 2^s, y = b 2^s
-only (ints or Fractions, such as eq26's points): each is one exact dot
-product of the integers a^i b^(d-i) with a coefficient vector of integer
-mantissas at one exponent (T_l's is built with its table, the divided
-difference's is all ones, so it is the sum of those integers), rounded once
-to a real ball; any other point raises DomainError.  There is no complex
-evaluation: with other integer weights the same vector gives every
-restricted sum and Lemma 1's sums over the cube roots of unity
-(``dzv.identities``), so lemma1 checks the roots-of-unity filter, the
-weighted sum formula and an integer count, not a complex kernel.  Horner's
-rule at complex points is kept in the tests, as the oracle for lemma1.  Only
-``functional_eq26_check`` still takes and returns complex balls, for the
-benchmark worker that calls it.
+T_l is evaluated at dyadic rationals x = a 2^s, y = b 2^s only (ints or
+Fractions, else DomainError), as one exact dot product of the integers
+a^i b^(d-i) with the table's vector, rounded once.  Every table check is a
+relation between two forms, scale * (sum_l1 w[l1] zeta(l1, l - l1)
++ z zeta(l)) with integer weights w over that vector and rational z and
+scale (``_Form``), each evaluated by ``_form_ball``: one exact integer sum,
+zeta(l)'s dyadic folded in, rounded once.  eq26's sides, every restricted
+sum and Lemma 1's sums over the cube roots of unity (``dzv.identities``) are
+such forms, so no complex number is evaluated; Horner's rule at complex
+points is the tests' oracle for lemma1, and ``functional_eq26_check`` takes
+complex balls only for the benchmark worker that calls it.
 """
 
 from __future__ import annotations
@@ -56,9 +53,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
-from operator import floordiv, mul, rshift
+from math import gcd
+from operator import add, floordiv, mul, rshift
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .numerics import (
     GUARD_BITS,
@@ -68,12 +66,13 @@ from .numerics import (
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
+    _dy_add,
     _rounded,
     _strip_zeros,
     ball_sum,
     require_exact,
 )
-from .zeta import _em_coefficients, _em_truncate, hurwitz_zeta, zeta_numeric
+from .zeta import _em_coefficients, _em_truncate, _zeta_numeric, hurwitz_zeta
 
 __all__ = [
     "IndexPair",
@@ -277,14 +276,42 @@ def _coefficient_vector(coeffs: Sequence[Optional[RealBall]]) -> tuple:
             tuple(rm << (re - e) for _, _, rm, re in parts), e)
 
 
-def _vector_dot(vector: tuple, weights: Sequence[int], shift: int, wp: int) -> RealBall:
-    """sum_i weights[i] c_i 2^shift for the coefficient vector (mids, rads, e)
-    and integer weights: the midpoint sum mids[i] weights[i] and the radius
-    sum rads[i] |weights[i]| are exact integers at the unit 2^(e + shift),
-    rounded once to wp bits, like ``ball_sum``."""
-    mids, rads, e = vector
-    return _rounded(sum(map(mul, mids, weights)), e + shift,
-                    sum(map(mul, rads, map(abs, weights))), e + shift, wp)
+class _Form(NamedTuple):
+    """scale * (sum_i weights[i] c_i + z zeta(l)) over a table's vector c; missing weights are 0."""
+
+    weights: Sequence[int] = ()
+    z: int | Fraction = 0
+    scale: int | Fraction = 1
+
+
+def _form_ball(t: DzvTable, form: _Form) -> RealBall:
+    """The ball of a form over table t.  The sums of mids[i] weights[i] and
+    rads[i] |weights[i]| are exact integers; a nonzero z = p/q adds p
+    zeta(l)'s dyadic to q times them, while with z = 0 the weights' integer
+    content g is taken out.  That sum over q and the scale's denominator is
+    rounded once, then multiplied exactly by g and the scale's numerator, so
+    3 S rounds like S.  An integer times zeta(l) is exact, as ``mul_int``."""
+    weights, z, scale = form
+    wp = t.precision + GUARD_BITS
+    if not any(weights[1:]) and (n := z * scale).denominator == 1:
+        return _zeta_numeric(t.weight, t.precision).mul_int(int(n)) if n else RealBall.zero()
+    mids, rads, e = t.vector
+    mm, rm, g = sum(map(mul, mids, weights)), sum(map(mul, rads, map(abs, weights))), 1
+    if z:
+        zm, ze, zr, zre = _zeta_numeric(t.weight, t.precision).dyadic()
+        (mm, me), (rm, re) = (_dy_add(z.denominator * mm, e, z.numerator * zm, ze),
+                              _dy_add(z.denominator * rm, e, abs(z.numerator) * zr, zre))
+    else:
+        g = gcd(*weights[1:])
+        mm, me, rm, re = mm // g, e, rm // g, e
+    den = scale.denominator * z.denominator
+    if den & (den - 1) == 0:  # a power of two: the division is exact
+        k = den.bit_length() - 1
+        return _rounded(mm, me - k, rm, re - k, wp).mul_int(g * scale.numerator)
+    # a floor quotient GUARD_BITS below the last bit, low by less than a unit
+    width = wp + GUARD_BITS - me - abs(mm).bit_length() + den.bit_length()
+    f, r = RealBall(mm, me, rm, re).scaled_floors(1, den, width)
+    return _rounded(2 * f + 1, -width - 1, 2 * r + 1, -width - 1, wp).mul_int(g * scale.numerator)
 
 
 def _dyadic_point(q) -> tuple[int, int]:
@@ -317,11 +344,14 @@ def _monomials(pu: list[int], pv: list[int]) -> list[int]:
 
 def _dot(vector: tuple, x, y, wp: int) -> RealBall:
     """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
-    at x = a 2^s and y = b 2^s, dyadic rationals: one ``_vector_dot`` with the
-    integers a^i b^(d-i) at the shift sd.  Any other point raises DomainError."""
+    at dyadic rationals x = a 2^s and y = b 2^s, else DomainError: with
+    w_i = a^i b^(d-i), the sums of mids[i] w_i and rads[i] |w_i| are exact
+    integers at the unit 2^(e + sd), rounded once to wp bits, like ``ball_sum``."""
     a, b, s = _common_scale(x, y)
-    d = len(vector[0]) - 1
-    return _vector_dot(vector, _monomials(_powers(a, d), _powers(b, d)), s * d, wp)
+    mids, rads, e = vector
+    d = len(mids) - 1
+    w, e = _monomials(_powers(a, d), _powers(b, d)), e + s * d
+    return _rounded(sum(map(mul, mids, w)), e, sum(map(mul, rads, map(abs, w))), e, wp)
 
 
 def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
@@ -337,33 +367,27 @@ def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
 gen_poly_real = gen_poly_eval
 
 
-def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, RealBall]:
-    """Both sides of the two-variable functional equation
+def _eq26_forms(l: int, x, y) -> tuple[_Form, _Form]:
+    """The sides of the two-variable functional equation
 
         T_l(x+y, y) + T_l(x+y, x) = T_l(x, y) + T_l(y, x)
                                     + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l)
 
-    at dyadic rationals x = a 2^s and y = b 2^s (ints or Fractions, else
-    DomainError), so x + y = (a+b) 2^s.  The powers of a, b and a + b are
-    built once: each T_l is one ``_vector_dot`` with the integers
-    u^i v^(d-i), d = l - 2, T_l(y, x)'s being T_l(x, y)'s reversed, and the
-    divided difference, in homogeneous form sum_{i+j=d} x^i y^j (so x = y is
-    fine), is the exact sum of T_l(x, y)'s integers, rounded once.
-    """
+    at x = a 2^s, y = b 2^s (dyadic, else DomainError) as forms at scale
+    2^(sd), d = l - 2: the weights add each side's two T_l's integers
+    u^i v^(d-i), and the divided difference sum_{i+j=d} x^i y^j is z."""
     a, b, s = _common_scale(x, y)
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
     d = l - 2
     pa, pb, pab = _powers(a, d), _powers(b, d), _powers(a + b, d)
+    xy, scale = _monomials(pa, pb), Fraction(2) ** (s * d)
+    return (_Form(list(map(add, _monomials(pab, pb), _monomials(pab, pa))), 0, scale),
+            _Form(list(map(add, xy, reversed(xy))), sum(xy), scale))
 
-    def t_l(monomials: list[int]) -> RealBall:
-        return _vector_dot(t.vector, monomials, s * d, wp)
 
-    xy = _monomials(pa, pb)
-    lhs = t_l(_monomials(pab, pb)).add(t_l(_monomials(pab, pa)), wp)
-    rhs = t_l(xy).add(t_l(xy[::-1]), wp)
-    dd = _rounded(sum(xy), s * d, 0, 0, wp)
-    return lhs, rhs.add(dd.mul(zeta_numeric(l, ctx), wp), wp)
+def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, RealBall]:
+    """The two ``_eq26_forms`` at x and y over the weight-l table."""
+    t = get_table(l, ctx)
+    return tuple(_form_ball(t, form) for form in _eq26_forms(l, x, y))
 
 
 def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,

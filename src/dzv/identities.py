@@ -5,12 +5,16 @@ five cube-root-of-unity equations behind them, the two-variable functional
 equation, and the exact chain linking the l = 2 (mod 6) restricted sum formula
 to the gap-6 Bernoulli identities.
 
-In weight l every congruence mod 2, 3 or 6 on l1 or on l2 = l - l1 is a set of
-l1 classes mod 6, so each restricted sum is ``restricted_sum(t, coeffs)`` with
-one coefficient per class: the odd-l1 sum is (0, 1, 0, 1, 0, 1) and
-T_l(-1, 1) is (-1, 1, -1, 1, -1, 1).  The sum, parity, theorem1, corollary1 and
-prop1 formulas are the rows of ``_STATEMENTS``, each a class sum = z zeta(l)
-+ c (another class sum), and ``_statement_checks`` judges every row.
+Every table check is a list of relations (label, left, right) at weight l,
+judged by ``_judge`` with ``check_from_sides``.  A side is one form
+(``dzeta._Form``), scale * (sum_l1 w[l1] zeta(l1, l - l1) + z zeta(l)),
+evaluated by ``dzeta._form_ball`` as one exact integer sum rounded once, so
+left - right is an exact vector over l1 and zeta(l); only harmonic's left
+side, the product zeta(a) zeta(b), is a ball.  In weight l every congruence
+mod 2, 3 or 6 on l1 or on l2 = l - l1 is a set of l1 classes mod 6, so a
+restricted sum has one coefficient per class: the odd-l1 sum is
+(0, 1, 0, 1, 0, 1) and T_l(-1, 1) is (-1, 1, -1, 1, -1, 1).  The sum, parity,
+theorem1, corollary1 and prop1 formulas are the rows of ``_STATEMENTS``.
 
 Lemma 1's cube-root-of-unity sums are integer class vectors too: with
 z = exp(i pi/3), the x = omega and x = omega^2 terms of T_l add up to
@@ -22,10 +26,8 @@ zeta(l).  No complex number is evaluated.
 
 Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
 weight its statement does not cover, else fetches its own table and judges with
-the caller's context.  Every numeric side is a real ball, eq26's at its exact
-rational points included, and passes by ``check_from_sides``: the residual
-ball certifies zero within the context tolerance AND the two sides' enclosures
-intersect; exact checks compare rationals or pi-polynomials, with no tolerance.
+the caller's context; exact checks compare rationals or pi-polynomials, with no
+tolerance.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ from math import ceil, factorial
 from typing import Optional, Sequence, Tuple
 
 from .bernoulli import _class_sums, _require_gap6_weight, bernoulli, ramanujan_sum
-from .dzeta import (
-    DzvTable,
-    functional_eq26_sides,
-    gen_poly_eval,
-    get_table,
-    _table_weight,
-    _vector_dot,
-)
+from .dzeta import DzvTable, _eq26_forms, _Form, _form_ball, _table_weight, get_table
 from .numerics import (
     GUARD_BITS,
     CheckReport,
@@ -54,7 +49,6 @@ from .numerics import (
     PiPolynomial,
     PrecisionCtx,
     RealBall,
-    ball_sum,
     check_from_sides,
     exact_check,
     require_exact,
@@ -85,27 +79,29 @@ _ODD_L1 = (0, 1, 0, 1, 0, 1)
 _T_M11 = (-1, 1, -1, 1, -1, 1)
 
 
-def _scale(ball: RealBall, c: int | Fraction, wp: int) -> RealBall:
-    """c * ball, exact when c is dyadic."""
-    den = c.denominator
-    if den & (den - 1) == 0:
-        return ball.mul_int(c.numerator).mul_2exp(-(den.bit_length() - 1))
-    return ball.mul(RealBall.from_fraction(c, wp), wp)
+def _class_form(l: int, coeffs: Sequence[int], z=0, scale=1) -> _Form:
+    """scale * (sum coeffs[l1 % 6] zeta(l1, l - l1) + z zeta(l)) at weight l."""
+    return _Form([0, *(coeffs[l1 % 6] for l1 in range(2, l))], z, scale)
 
 
 def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
     """sum over the table of coeffs[l1 % 6] zeta(l1, l2), integer coefficients.
 
     Since l2 = l - l1, a congruence mod 2, 3 or 6 on either index is a set of
-    l1 classes mod 6, so six coefficients state any signed restricted sum.
-    The sum is one exact dot product over the table's vector (the x^(l1-1)
-    entry is zeta(l1, l2)), rounded once; all-zero coefficients give the
-    exact zero ball."""
+    l1 classes mod 6, so six coefficients state any signed restricted sum, a
+    form rounded once; all-zero coefficients give the exact zero ball."""
     coeffs = tuple(require_exact(c, "a restricted_sum coefficient", (int,)) for c in coeffs)
     if len(coeffs) != 6:
         raise DomainError(f"restricted_sum needs 6 coefficients, one per l1 mod 6, got {len(coeffs)}")
-    weights = [coeffs[(i + 1) % 6] for i in range(t.weight - 1)]
-    return _vector_dot(t.vector, weights, 0, t.precision + GUARD_BITS)
+    return _form_ball(t, _class_form(t.weight, coeffs))
+
+
+def _judge(l: int, relations: list, ctx: PrecisionCtx) -> list[CheckReport]:
+    """Each relation (label, left, right) over the weight-l table, judged by
+    ``check_from_sides``; a side is a form or, for harmonic, a ball."""
+    t = get_table(l, ctx)
+    return [check_from_sides(label, l, *(s if isinstance(s, RealBall) else _form_ball(t, s)
+                                         for s in sides), ctx) for label, *sides in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +139,20 @@ _STATEMENTS = {
 }
 
 
-def _statement_checks(suite: str, l: int, ctx: PrecisionCtx) -> list[CheckReport]:
-    """Judge every row of the suite's statement table at weight l."""
+def _statement_relations(suite: str, l: int) -> list[tuple]:
+    """The suite's rows at weight l as relations; a right side is the form
+    c (rhs + (z/c) zeta(l)), or z zeta(l) when c = 0."""
     modulus, by_residue, hypothesis = _STATEMENTS[suite]
     rows = by_residue.get(require_exact(l, "a weight", (int,)) % modulus)
     if rows is None or l < 3:
         raise OutsideHypothesis(hypothesis)
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    out = []
-    for tag, lhs, z, c, rhs in rows:
-        terms = [_scale(zeta_numeric(l, ctx), z, wp)] if z else []
-        if c:
-            terms.append(_scale(restricted_sum(t, rhs), c, wp))
-        label = f"{suite}.{tag}" if tag else suite
-        out.append(check_from_sides(f"{label}[l={l}]", l, restricted_sum(t, lhs),
-                                    ball_sum(terms, wp), ctx))
-    return out
+    return [(f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]", _class_form(l, lhs),
+             _class_form(l, rhs, Fraction(z) / c, c) if c else _Form((), z))
+            for tag, lhs, z, c, rhs in rows]
+
+
+def _statement_checks(suite: str, l: int, ctx: PrecisionCtx) -> list[CheckReport]:
+    return _judge(l, _statement_relations(suite, l), ctx)
 
 
 def sum_formula_check(l: int, ctx: PrecisionCtx) -> CheckReport:
@@ -170,28 +163,20 @@ def sum_formula_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 def weighted_sum_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     """T_l(2, 1) = sum 2^(l1-1) zeta(l1, l2) = (l+1) zeta(l) / 2 over the
     weight-l table; the left side is the dot product lemma1 reads too."""
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    lhs = gen_poly_eval(t, 2, 1)
-    rhs = zeta_numeric(l, ctx).mul(RealBall.from_fraction(Fraction(l + 1, 2), wp), wp)
-    return check_from_sides(f"weighted-sum[l={l}]", l, lhs, rhs, ctx)
+    t_2_1 = _Form([1 << i for i in range(_table_weight(l) - 1)])
+    return _judge(l, [(f"weighted-sum[l={l}]", t_2_1, _Form((), Fraction(l + 1, 2)))], ctx)[0]
 
 
 def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(l) for every split
-    a + b = l with 2 <= a <= b."""
+    a + b = l with 2 <= a <= b; the left side is the product of two balls."""
     if require_exact(l, "a weight", (int,)) < 4:
         raise OutsideHypothesis("needs weight >= 4 (both exponents >= 2)")
-    t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
-    zl = zeta_numeric(l, ctx)
-    out = []
-    for a in range(2, l // 2 + 1):
-        b = l - a
-        lhs = zeta_numeric(a, ctx).mul(zeta_numeric(b, ctx), wp)
-        rhs = t.entry(a, b).add(t.entry(b, a), wp).add(zl, wp)
-        out.append(check_from_sides(f"harmonic[{a},{b}]", l, lhs, rhs, ctx))
-    return out
+    return _judge(l, [(f"harmonic[{a},{l - a}]",
+                       zeta_numeric(a, ctx).mul(zeta_numeric(l - a, ctx), wp),
+                       _Form([(i + 1 == a) + (i + 1 == l - a) for i in range(l - 1)], 1))
+                      for a in range(2, l // 2 + 1)], ctx)
 
 
 def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckReport]:
@@ -254,37 +239,29 @@ def _lemma1_eq5_count(l: int) -> int:
     return sum(1 + _TWO_COS[2 * i % 6] for i in range(l - 1))
 
 
-def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
-    """The five identities obtained by summing T_l specializations over
-    x in {1, omega, omega^2} (omega = exp(2 pi i/3)): the rows of _LEMMA1, then
-    the divided difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3).
-
-    No complex number is evaluated.  A row's left side is one exact dot
-    product over the table's vector with integer weights: the x = 1 term's,
-    T_l(2, 1) or T_l(1, 1), plus the row's class vector for the other two
-    roots.  Equation 5's left side is zeta(l) times the counted integer.
-    Every side is a real ball."""
-    t = get_table(l, ctx)
-    wp = ctx.working_precision + GUARD_BITS
-    zl = zeta_numeric(l, ctx)
-    half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)
-    shared_tail = zl.mul(half_lp1, wp).sub(restricted_sum(t, _T_M11), wp)
-
-    reports = []
+def _lemma1_relations(l: int) -> list[tuple]:
+    """Lemma 1's five identities at weight l: each row's left side is the
+    x = 1 term's weights, T_l(2, 1)'s or T_l(1, 1)'s, plus its class vector,
+    its right side 3 times the signed l1 class mod 3, minus T_l(-1, 1) and
+    plus (l+1)/2 zeta(l) with the tail; then equation 5, the divided
+    difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3)."""
+    relations = []
     for tag, (a, b), residue, sign, tail in _LEMMA1:
         classes = _lemma1_classes(a, b, l)
         x, y = _AT_ONE[a], _AT_ONE[b]
         # the x^i y^(l-2-i) entry of the vector is zeta(i+1, l-1-i)
-        lhs = _vector_dot(t.vector, [x ** i * y ** (l - 2 - i) + classes[(i + 1) % 6]
-                                     for i in range(l - 1)], 0, wp)
-        coeffs = [sign[c] if c % 3 == residue(l) % 3 else 0 for c in range(6)]
-        rhs = restricted_sum(t, coeffs).mul_int(3)
-        rhs = rhs.add(shared_tail, wp) if tail else rhs
-        reports.append(check_from_sides(f"lemma1.{tag}[l={l}]", l, lhs, rhs, ctx))
+        left = [x ** i * y ** (l - 2 - i) + classes[(i + 1) % 6] for i in range(l - 1)]
+        right = [3 * sign[c] * (c % 3 == residue(l) % 3) - tail * _T_M11[c] for c in range(6)]
+        relations.append((f"lemma1.{tag}[l={l}]", _Form(left),
+                          _class_form(l, right, Fraction(l + 1, 2) if tail else 0)))
+    return relations + [(f"lemma1.eq5[l={l}]", _Form((), _lemma1_eq5_count(l)),
+                         _Form((), 3 * ((l + 1) // 3)))]
 
-    reports.append(check_from_sides(f"lemma1.eq5[l={l}]", l, zl.mul_int(_lemma1_eq5_count(l)),
-                                    zl.mul_int(3 * ((l + 1) // 3)), ctx))
-    return reports
+
+def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
+    """Lemma 1's five cube-root-of-unity identities; no complex number is
+    evaluated."""
+    return _judge(l, _lemma1_relations(_table_weight(l)), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +288,7 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     points (x, y), at a precision that follows the size of the sides."""
     pts, extra = _eq26_plan(_table_weight(l))
     ctx = replace(ctx, working_precision=ctx.working_precision + extra)
-    return [check_from_sides(f"eq26[l={l},x={x},y={y}]", l,
-                             *functional_eq26_sides(l, x, y, ctx), ctx) for x, y in pts]
+    return _judge(l, [(f"eq26[l={l},x={x},y={y}]", *_eq26_forms(l, x, y)) for x, y in pts], ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ summation with integral tail bounds for zeta values, the literal truncated
 double sum for double zeta values, the direct sums of one pair in their
 own loop with their own powers, at odd weight the reduction of a double
 zeta value to products of single zeta values, eq26's sides as five
-separate dot products, Horner's rule in counted
-integer fixed point for T_l at complex points, Lemma 1's five equations
-written out one by one with it, and the cube roots of unity in exact
-Q(sqrt -3) arithmetic.
+separate dot products, every table check's sides composed of separately
+rounded terms as dzv built them before its one form evaluator, Horner's
+rule in counted integer fixed point for T_l at complex points, Lemma 1's
+five equations written out one by one with it, and the cube roots of unity
+in exact Q(sqrt -3) arithmetic.
 
 The weight hypotheses of the suites are plain predicates, written apart
 from the checks that raise OutsideHypothesis.  The ball predicates below
@@ -26,12 +27,22 @@ import os
 from fractions import Fraction
 from functools import cache
 from math import factorial, isqrt, prod
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from dzv.dzeta import _dot, gen_poly_eval, get_table
-from dzv.identities import _T_M11, restricted_sum
+from dzv.identities import (
+    _AT_ONE,
+    _LEMMA1,
+    _STATEMENTS,
+    _T_M11,
+    _eq26_plan,
+    _lemma1_classes,
+    _lemma1_eq5_count,
+    restricted_sum,
+)
 from dzv.numerics import (
     GUARD_BITS,
     CheckReport,
@@ -41,6 +52,8 @@ from dzv.numerics import (
     _radius_digits,
     _rounded,
     _sci,
+    ball_sum,
+    check_from_sides,
     complex_sum,
     cube_root_of_unity,
     require_exact,
@@ -504,6 +517,80 @@ def eq26_sides_by_dots(l: int, x, y, ctx: PrecisionCtx) -> Tuple[RealBall, RealB
     lhs = gen_poly_eval(t, xy, y).add(gen_poly_eval(t, xy, x), wp)
     dd = divided_difference(x, y, l, wp)
     return lhs, rhs.add(dd.mul(zeta_numeric(l, ctx), wp), wp)
+
+
+# ---------------------------------------------------------------------------
+# every table check's sides composed term by term
+# ---------------------------------------------------------------------------
+
+def _rounded_dot(t, weights: Sequence[int], wp: int) -> RealBall:
+    """sum weights[i] c_i over the table's vector, the sums of the midpoint
+    and radius mantissas rounded once and whole, with no content taken out."""
+    mids, rads, e = t.vector
+    return _rounded(sum(map(mul, mids, weights)), e,
+                    sum(map(mul, rads, map(abs, weights))), e, wp)
+
+
+def _class_dot(t, coeffs: Sequence[int], wp: int) -> RealBall:
+    return _rounded_dot(t, [coeffs[(i + 1) % 6] for i in range(t.weight - 1)], wp)
+
+
+def _scaled(ball: RealBall, c, wp: int) -> RealBall:
+    """c * ball, exact when c is dyadic, else one ball product."""
+    den = c.denominator
+    if den & (den - 1) == 0:
+        return ball.mul_int(c.numerator).mul_2exp(-(den.bit_length() - 1))
+    return ball.mul(RealBall.from_fraction(c, wp), wp)
+
+
+def composed_checks(suite: str, l: int, ctx: PrecisionCtx) -> List[CheckReport]:
+    """A table suite's checks at weight l (none outside its hypothesis),
+    judged by dzv's pass rule on sides composed of separately rounded terms,
+    as dzv built them before every side became one form rounded once: a
+    ``_STATEMENTS`` row as a class sum against ball_sum(z zeta(l), c * class
+    sum); weighted-sum as T_l(2, 1) against zeta(l) times (l+1)/2; harmonic's
+    right side as two entries plus zeta(l), added in turn; lemma1's right
+    sides as 3 times a class sum plus the shared tail (l+1)/2 zeta(l) -
+    T_l(-1, 1); eq26 as ``eq26_sides_by_dots``."""
+    wp = ctx.working_precision + GUARD_BITS
+    if suite == "eq26":
+        pts, extra = _eq26_plan(l)
+        ectx = PrecisionCtx(ctx.working_precision + extra, ctx.target_tolerance)
+        return [check_from_sides(f"eq26[l={l},x={x},y={y}]", l,
+                                 *eq26_sides_by_dots(l, x, y, ectx), ectx) for x, y in pts]
+    t = get_table(l, ctx)
+    zl = zeta_numeric(l, ctx)
+    half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)
+    sides = []
+    if suite in _STATEMENTS:
+        modulus, by_residue, _ = _STATEMENTS[suite]
+        for tag, lhs, z, c, rhs in by_residue.get(l % modulus, []):
+            terms = [_scaled(zl, Fraction(z), wp)] if z else []
+            if c:
+                terms.append(_scaled(_class_dot(t, rhs, wp), Fraction(c), wp))
+            sides.append((f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]",
+                          _class_dot(t, lhs, wp), ball_sum(terms, wp)))
+    elif suite == "weighted-sum":
+        sides.append((f"weighted-sum[l={l}]", gen_poly_eval(t, 2, 1), zl.mul(half_lp1, wp)))
+    elif suite == "harmonic":
+        sides += [(f"harmonic[{a},{l - a}]",
+                   zeta_numeric(a, ctx).mul(zeta_numeric(l - a, ctx), wp),
+                   t.entry(a, l - a).add(t.entry(l - a, a), wp).add(zl, wp))
+                  for a in range(2, l // 2 + 1)]
+    else:
+        assert suite == "lemma1", suite
+        shared_tail = zl.mul(half_lp1, wp).sub(_class_dot(t, _T_M11, wp), wp)
+        for tag, (a, b), residue, sign, tail in _LEMMA1:
+            classes = _lemma1_classes(a, b, l)
+            x, y = _AT_ONE[a], _AT_ONE[b]
+            lhs = _rounded_dot(t, [x ** i * y ** (l - 2 - i) + classes[(i + 1) % 6]
+                                   for i in range(l - 1)], wp)
+            rhs = _class_dot(t, [sign[c] if c % 3 == residue(l) % 3 else 0 for c in range(6)],
+                             wp).mul_int(3)
+            sides.append((f"lemma1.{tag}[l={l}]", lhs, rhs.add(shared_tail, wp) if tail else rhs))
+        sides.append((f"lemma1.eq5[l={l}]", zl.mul_int(_lemma1_eq5_count(l)),
+                      zl.mul_int(3 * ((l + 1) // 3))))
+    return [check_from_sides(label, l, lhs, rhs, ctx) for label, lhs, rhs in sides]
 
 
 # ---------------------------------------------------------------------------

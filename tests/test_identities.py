@@ -1,6 +1,7 @@
 """Tests for the restricted sum identity checks."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,11 +13,14 @@ from dzv.identities import (
     _eq26_plan,
     _lemma1_classes,
     _lemma1_eq5_count,
+    _lemma1_relations,
     _statement_checks,
+    _statement_relations,
     corollary1_check,
     corollary2_exact_chain,
     eq26_check,
     gkz_parity_check,
+    harmonic_check,
     lemma1_check,
     prop1_check,
     restricted_sum,
@@ -27,8 +31,10 @@ from dzv.identities import (
 from dzv.bernoulli import ramanujan_sum
 from dzv.numerics import (
     GUARD_BITS,
+    CheckReport,
     ComplexBall,
     DomainError,
+    OutsideHypothesis,
     PiPolynomial,
     PrecisionCtx,
     RealBall,
@@ -40,7 +46,9 @@ from dzv.numerics import (
 from dzv.zeta import zeta_even_exact, zeta_numeric
 
 from oracles import (
+    LEMMA1_ARGUMENTS,
     _homogeneous,
+    composed_checks,
     contains_zero,
     intersects,
     lemma1_explicit,
@@ -627,6 +635,145 @@ def test_eq26_builds_tables_only_at_the_run_precision(ctx192):
     for l in range(3, 21):
         get_table(l, ctx192)
     assert _table.cache_info()[:2] == (hits + 18, 18)
+
+
+# ---------------------------------------------------------------------------
+# one relation form: exact vectors against the paper, sides against their
+# term-by-term compositions
+# ---------------------------------------------------------------------------
+
+def _exact_difference(l, left, right):
+    """left - right of two forms at weight l, times the least common multiple
+    d of their scales' denominators: (d, the integer coefficients of
+    zeta(l1, l - l1) for l1 = 2..l-1, the rational coefficient of zeta(l))."""
+    d = lcm(Fraction(left.scale).denominator, Fraction(right.scale).denominator)
+
+    def part(form):
+        k = d * Fraction(form.scale)
+        return [k * c for c in (list(form.weights[1:]) + [0] * l)[:l - 2]], k * form.z
+
+    (lw, lz), (rw, rz) = part(left), part(right)
+    vector = [a - b for a, b in zip(lw, rw)]
+    assert all(c.denominator == 1 for c in vector), (l, vector)
+    return d, [int(c) for c in vector], lz - rz
+
+
+def _in(*classes):
+    """1 where l1 mod 6 is one of the classes."""
+    return lambda l1, l2: int(l1 % 6 in classes)
+
+
+def _pair(r1, r2):
+    return lambda l1, l2: int(l1 % 6 == r1 and l2 % 6 == r2)
+
+
+def _odd(l1, l2):
+    return l1 % 2
+
+
+def _sgn(l1, l2):
+    """T_l(-1, 1)'s coefficient of zeta(l1, l2)."""
+    return (-1) ** (l1 - 1)
+
+
+def _paper_relations(suite, l):
+    """Each statement of the suite at weight l as the paper writes it, as
+    left - right: (tag, the coefficient of zeta(l1, l2) as a function of
+    (l1, l2), the coefficient of zeta(l)); None outside the hypothesis."""
+    if suite == "sum-formula":
+        return [("", lambda l1, l2: 1, -1)]
+    if suite == "gkz-parity":
+        return None if l % 2 else [
+            ("even", lambda l1, l2: int(l1 % 2 == 0 and l2 % 2 == 0), Fraction(-3, 4)),
+            ("odd", lambda l1, l2: int(l1 % 2 == 1 and l2 % 2 == 1), Fraction(-1, 4))]
+    if suite == "theorem1":
+        return [{0: ("i", lambda l1, l2: _in(3)(l1, l2) - _in(4, 5)(l1, l2)
+                     - Fraction(_odd(l1, l2), 3), 0),
+                 1: ("ii", lambda l1, l2: _in(3, 4)(l1, l2) - _in(5)(l1, l2)
+                     - Fraction(1 - _odd(l1, l2), 3), 0),
+                 2: ("iii", lambda l1, l2: _in(4)(l1, l2) + Fraction(_odd(l1, l2), 3),
+                     Fraction(-1, 6))}[l % 3]]
+    if suite == "corollary1":
+        return None if l % 2 else [
+            {0: ("i", lambda l1, l2: _pair(3, 3)(l1, l2) - _pair(4, 2)(l1, l2)
+                 - _pair(5, 1)(l1, l2), Fraction(-1, 12)),
+             4: ("ii", lambda l1, l2: _pair(3, 1)(l1, l2) + _pair(4, 0)(l1, l2)
+                 - _pair(5, 5)(l1, l2), Fraction(-1, 4)),
+             2: ("iii", _pair(4, 4), Fraction(-1, 12))}[l % 6]]
+    if suite == "prop1":
+        r = 2 * l % 3
+        return [("", lambda l1, l2: (int(l1 % 3 == r) * (1 if l1 % 2 else -1)
+                                     - int(l1 % 3 == (l - 1) % 3) - 2 * _in(4)(l1, l2)
+                                     - Fraction(2, 3) * _sgn(l1, l2)),
+                 Fraction((l + 1) % 3, 3))]
+    assert suite == "lemma1", suite
+    # sum over x in {1, omega, omega^2} of T_l(X, Y): the x = 1 term at the
+    # arguments' values there, and the other two multiplied out in Q(sqrt -3)
+    at_one = {"x+1": 2, "x": 1, "1": 1}
+    out = []
+    for tag, (residue, signed, tail) in {"eq1": (1, True, True), "eq2": (2 * l, True, True),
+                                         "eq3": (1, False, False),
+                                         "eq4": (l - 1, False, False)}.items():
+        roots = lemma1_pair_coefficients(tag, l)
+        xa, ya = (at_one[a] for a in LEMMA1_ARGUMENTS[tag])
+
+        def coefficient(l1, l2, roots=roots, xa=xa, ya=ya, residue=residue, signed=signed,
+                        tail=tail):
+            right = 3 * int(l1 % 3 == residue % 3) * (_sgn(l1, l2) if signed else 1)
+            return xa ** (l1 - 1) * ya ** (l2 - 1) + roots[l1] - right + tail * _sgn(l1, l2)
+
+        out.append((tag, coefficient, -Fraction(l + 1, 2) if tail else 0))
+    return out + [("eq5", lambda l1, l2: 0, roots_of_unity_count(l)[0] - 3 * ((l + 1) // 3))]
+
+
+@pytest.mark.parametrize("suite", [*_STATEMENTS, "lemma1"])
+def test_relations_are_the_papers_class_vectors(suite):
+    """At every weight 3..60, each _STATEMENTS row's and each lemma1 row's
+    exact left - right is the paper's statement: integers over l1 (after the
+    sides' common scale) and a rational zeta(l) coefficient, and the rows
+    cover the paper's weights."""
+    for l in range(3, 61):
+        paper = _paper_relations(suite, l)
+        if paper is None:
+            with pytest.raises(OutsideHypothesis):
+                _statement_relations(suite, l)
+            continue
+        ours = _lemma1_relations(l) if suite == "lemma1" else _statement_relations(suite, l)
+        assert len(ours) == len(paper), (suite, l)
+        for (label, left, right), (tag, coefficient, z) in zip(ours, paper):
+            assert label == (f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]")
+            d, vector, zeta_l = _exact_difference(l, left, right)
+            assert vector == [d * coefficient(l1, l - l1) for l1 in range(2, l)], label
+            assert zeta_l == d * z, label
+
+
+_TABLE_CHECKS = {"sum-formula": sum_formula_check, "weighted-sum": weighted_sum_check,
+                 "harmonic": harmonic_check, "gkz-parity": gkz_parity_check,
+                 "theorem1": theorem1_check, "corollary1": corollary1_check,
+                 "prop1": prop1_check, "lemma1": lemma1_check, "eq26": eq26_check}
+
+
+@pytest.mark.parametrize("bits, tol, weights", [(192, 40, range(3, 31)), (512, 120, range(3, 13))],
+                         ids=["192", "512"])
+def test_every_side_meets_its_composed_side(bits, tol, weights):
+    """Every side of the nine table suites, one form rounded once, intersects
+    the side composed of separately rounded terms (``oracles.composed_checks``)
+    and is at most 1 bit wider, and each verdict is the same; an exact side,
+    such as an empty class, stays exact."""
+    ctx = PrecisionCtx(bits, Fraction(1, 10 ** tol))
+    for l in weights:
+        for suite, check in _TABLE_CHECKS.items():
+            try:
+                reports = check(l, ctx)
+            except OutsideHypothesis:
+                assert composed_checks(suite, l, ctx) == [], (suite, l)
+                continue
+            reports = [reports] if isinstance(reports, CheckReport) else reports
+            for new, old in zip(reports, composed_checks(suite, l, ctx), strict=True):
+                assert (new.label, new.passed) == (old.label, old.passed)
+                for a, b in ((new.lhs, old.lhs), (new.rhs, old.rhs)):
+                    assert intersects(a, b), new.label
+                    assert a.radius_fraction() <= 2 * b.radius_fraction(), new.label
 
 
 # ---------------------------------------------------------------------------
