@@ -300,9 +300,6 @@ class RealBall:
         """Exact scalar multiple by an integer."""
         return RealBall(self._mm * n, self._me, self._rm * abs(n), self._re)
 
-    def mul_2exp(self, e: int) -> "RealBall":
-        return RealBall(self._mm, self._me + e, self._rm, self._re + e)
-
     def pow_int(self, n: int, prec: int) -> "RealBall":
         if n < 0:
             raise DomainError("negative powers are not supported")

@@ -62,8 +62,14 @@ from dzv.zeta import zeta_numeric
 
 
 # ---------------------------------------------------------------------------
-# ball predicates in exact rationals
+# ball predicates in exact rationals, and the exact scaling by 2^e
 # ---------------------------------------------------------------------------
+
+def mul_2exp(b: RealBall, e: int) -> RealBall:
+    """b * 2^e, exact: both exponents of the ball move by e."""
+    mm, me, rm, re = b.dyadic()
+    return RealBall(mm, me + e, rm, re + e)
+
 
 def lower_fraction(b: RealBall) -> Fraction:
     return b.midpoint_fraction() - b.radius_fraction()
@@ -363,7 +369,7 @@ def odd_weight_double_zeta(a: int, b: int, ctx: PrecisionCtx) -> RealBall:
         total = total.neg()
     if a % 2 == 0 and b >= 3:
         total = total.add(z(a).mul(z(b), wp), wp)
-    return total.sub(z(w).mul_2exp(-1), wp)
+    return total.sub(mul_2exp(z(w), -1), wp)
 
 
 def residual_strings(res: RealBall) -> Tuple[str, str]:
@@ -539,7 +545,7 @@ def _scaled(ball: RealBall, c, wp: int) -> RealBall:
     """c * ball, exact when c is dyadic, else one ball product."""
     den = c.denominator
     if den & (den - 1) == 0:
-        return ball.mul_int(c.numerator).mul_2exp(-(den.bit_length() - 1))
+        return mul_2exp(ball.mul_int(c.numerator), -(den.bit_length() - 1))
     return ball.mul(RealBall.from_fraction(c, wp), wp)
 
 

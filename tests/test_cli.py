@@ -55,6 +55,7 @@ from oracles import (
     upper_fraction,
     zeta_direct_interval,
 )
+from report_diff import diff
 
 
 def _run(*argv):
@@ -439,6 +440,26 @@ def test_verify_report_matches_the_golden_file(capsys):
     for r in reports:
         del r["wall_time"]
     assert json.dumps(reports, indent=2) + "\n" == _GOLDEN.read_text(encoding="utf-8")
+
+
+_BERNOULLI_GOLDEN = Path(__file__).parent / "data" / "verify-bernoulli-1020-1032.json"
+
+
+def test_exact_bernoulli_report_matches_the_golden_file():
+    """`dzv verify --suites euler-bernoulli,ramanujan,corollary2-chain --weights
+    1020..1032 --format json`, with wall_time and output_path dropped.  Every
+    side is an exact rational, so the report repeats byte for byte; a kernel
+    change that moves a digit shows as a diff line."""
+    config = RunConfig(weight_min=1020, weight_max=1032, output_format="json",
+                       suites=("euler-bernoulli", "ramanujan", "corollary2-chain"))
+    reports, code = cmd_verify(config)
+    assert code == 0
+    reports = json.loads(render_json(reports))
+    for r in reports:
+        del r["wall_time"], r["config"]["output_path"]
+    golden = json.loads(_BERNOULLI_GOLDEN.read_text(encoding="utf-8"))
+    assert diff(golden, reports) == []
+    assert json.dumps(reports, indent=2) + "\n" == _BERNOULLI_GOLDEN.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from oracles import (
     intersects,
     lemma1_explicit,
     lemma1_pair_coefficients,
+    mul_2exp,
     roots_of_unity_count,
     same_enclosure,
 )
@@ -365,7 +366,7 @@ def test_corollary1_weight6_with_harmonic_oracle(ctx128):
     # zeta(3,3) = (zeta(3)^2 - zeta(6))/2, then the case (i) combination
     wp = 200
     z3 = zeta_numeric(3, ctx128)
-    dz33_closed = z3.mul(z3, wp).sub(zeta_numeric(6, ctx128), wp).mul_2exp(-1)
+    dz33_closed = mul_2exp(z3.mul(z3, wp).sub(zeta_numeric(6, ctx128), wp), -1)
     assert t.entry(3, 3).intersects(dz33_closed)
     lhs = dz33_closed.sub(t.entry(4, 2), wp).sub(t.entry(5, 1), wp)
     rhs = zeta_numeric(6, ctx128).mul(RealBall.from_fraction(Fraction(1, 12), wp), wp)

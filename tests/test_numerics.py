@@ -192,8 +192,6 @@ def test_exact_scalar_operations():
     b = RealBall.from_fraction(Fraction(3, 8), 64)
     assert is_exact(b)
     assert b.mul_int(-5).midpoint_fraction() == Fraction(-15, 8)
-    assert b.mul_2exp(3).midpoint_fraction() == 3
-    assert is_exact(b.mul_2exp(3))
 
 
 def test_exact_dyadic_ball_does_not_depend_on_precision():
