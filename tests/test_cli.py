@@ -462,6 +462,29 @@ def test_exact_bernoulli_report_matches_the_golden_file():
     assert json.dumps(reports, indent=2) + "\n" == _BERNOULLI_GOLDEN.read_text(encoding="utf-8")
 
 
+_SIX_SUITE_GOLDEN = Path(__file__).parent / "data" / "verify-3-30.json"
+
+
+def test_six_suite_sweep_report_matches_the_golden_file():
+    """CI's `dzv verify --suites sum-formula,gkz-parity,theorem1,corollary1,
+    prop1,lemma1 --weights 3..30 --format json`, with wall_time and
+    output_path dropped, repeats the committed report byte for byte: every
+    Hurwitz value, table entry and residual of those weights at 192 bits is
+    pinned.  The 1024-bit golden, tests/data/verify-1024-3-16.json, is
+    compared by CI's smoke step."""
+    config = RunConfig(weight_min=3, weight_max=30, output_format="json",
+                       suites=("sum-formula", "gkz-parity", "theorem1", "corollary1",
+                               "prop1", "lemma1"))
+    reports, code = cmd_verify(config)
+    assert code == 0
+    reports = json.loads(render_json(reports))
+    for r in reports:
+        del r["wall_time"], r["config"]["output_path"]
+    golden = json.loads(_SIX_SUITE_GOLDEN.read_text(encoding="utf-8"))
+    assert diff(golden, reports) == []
+    assert json.dumps(reports, indent=2) + "\n" == _SIX_SUITE_GOLDEN.read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 # ---------------------------------------------------------------------------
