@@ -26,8 +26,7 @@ zeta(l).  No complex number is evaluated.
 
 Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
 weight its statement does not cover, else fetches its own table and judges with
-the caller's context; exact checks compare rationals or pi-polynomials, with no
-tolerance.
+the caller's context; exact checks compare rationals, with no tolerance.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .numerics import (
     CheckReport,
     DomainError,
     OutsideHypothesis,
-    PiPolynomial,
     PrecisionCtx,
     RealBall,
     check_from_sides,
@@ -181,8 +179,8 @@ def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 
 def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckReport]:
     """The parity formulas of even weight l >= 4; at weight 4 both equalities
-    are additionally verified exactly in pi-power arithmetic, and the reports
-    are marked exact."""
+    are additionally verified exactly in rational pi^4 coefficients, and the
+    reports are marked exact."""
     even, odd = _statement_checks("gkz-parity", l, ctx)
     if l == 4:
         z2, z4 = zeta_even_exact(2), zeta_even_exact(4)
@@ -297,24 +295,19 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 
 @cache
 def _zeta_coefficient(j: int) -> Fraction:
-    """j! c_j, where zeta(j) = c_j pi^j is read from ``zeta_even_exact``.
-    Raises ArithmeticError when the factor is not a single pi^j term."""
-    z = zeta_even_exact(j)
-    if set(z.terms()) != {j}:
-        raise ArithmeticError(f"zeta({j}) is not a single pi^{j} term: {z}")
-    return factorial(j) * z.coeff(j)
+    """j! c_j, where zeta(j) = c_j pi^j is read from ``zeta_even_exact``."""
+    return factorial(j) * zeta_even_exact(j)
 
 
 def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckReport:
-    """Exact verification, in rational and pi-power arithmetic, that for
-    l = 2 (mod 6), l >= 8:
+    """Exact verification, in rationals, that for l = 2 (mod 6), l >= 8:
 
       (a) the table has exactly (l-2)/6 pairs with l1 = l2 = 4 (mod 6);
-      (b) sum_{j=4(6), 0<j<l} zeta(j) zeta(l-j) = ((l-1)/6) zeta(l) as
-          pi-polynomials.  Every factor is a single term c_j pi^j read from
-          ``zeta_even_exact``, so the left side is its pi^l coefficient
-          sum C(l,j) u_j u_(l-j) / l! over u_j = j! c_j, by the exact class
-          sum kernel of the Bernoulli identities;
+      (b) sum_{j=4(6), 0<j<l} zeta(j) zeta(l-j) = ((l-1)/6) zeta(l), both
+          sides rationals times pi^l with zeta(j) = c_j pi^j read from
+          ``zeta_even_exact``: the left side's is sum C(l,j) u_j u_(l-j) / l!
+          over u_j = j! c_j, by the exact class sum kernel of the Bernoulli
+          identities, the right side's c_l (l-1)/6;
       (c) converting (b) through zeta(m) = (-1)^(m/2+1) 2^(m-1) B_m/m! pi^m
           reproduces the m = 4 gap-6 Bernoulli identity exactly as checked by
           the bernoulli module.
@@ -329,18 +322,15 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
 
     # u vanishes off j = 4 (mod 6), a class that l - j keeps when l = 2 (mod 6)
     s4 = _class_sums([_zeta_coefficient(j) if j % 6 == 4 else 0 for j in range(l + 1)], l)[2]
-    lhs_poly = PiPolynomial.single(l, s4 / factorial(l))
-    rhs_poly = zeta_even_exact(l) * Fraction(l - 1, 6)
-    poly_ok = lhs_poly == rhs_poly
+    lhs = s4 / factorial(l)
+    rhs = zeta_even_exact(l) * Fraction(l - 1, 6)
 
     # bridge to the Bernoulli convolution: multiply the pi^l coefficient
     # identity by (-1)^(l/2) l! / 2^(l-2)
     scale = Fraction((-1) ** (l // 2) * factorial(l), 2 ** (l - 2))
-    bridge_lhs = lhs_poly.coeff(l) * scale
-    bridge_rhs = rhs_poly.coeff(l) * scale
     # the m = 4 gap-6 identity: its sum and its right side -((l-1)/3) B_l
     gap6_rhs = Fraction(-(l - 1), 3) * bernoulli(l)
-    bridge_ok = bridge_lhs == ramanujan_sum(l, 4) == gap6_rhs == bridge_rhs
+    bridge_ok = lhs * scale == ramanujan_sum(l, 4) == gap6_rhs == rhs * scale
 
-    report = exact_check(f"corollary2-chain[l={l}]", l, lhs_poly.coeff(l), rhs_poly.coeff(l))
-    return replace(report, passed=report.passed and count_ok and poly_ok and bridge_ok)
+    report = exact_check(f"corollary2-chain[l={l}]", l, lhs, rhs)
+    return replace(report, passed=report.passed and count_ok and bridge_ok)

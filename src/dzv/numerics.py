@@ -1,7 +1,8 @@
 """Arbitrary-precision substrate: exact rationals, midpoint-radius balls,
 and formal polynomials in pi.  Every check side is a real ball; the complex
 balls below are only the benchmark tracer's wrapped operations and the
-calling convention of ``dzeta.functional_eq26_check``.
+calling convention of ``dzeta.functional_eq26_check``.  ``PiPolynomial`` is
+only ``pipoly_eval``'s argument, and a name the benchmark keeps.
 
 Balls store the midpoint and radius as dyadic numbers (mantissa * 2**exp with
 Python integers), so every operation can account for its rounding error
@@ -510,8 +511,8 @@ def cube_root_of_unity(ctx: PrecisionCtx) -> ComplexBall:
 class PiPolynomial:
     """Finite sum of terms coeff * pi**k with exact rational coefficients.
 
-    The exact carrier for even zeta values and their products; supports ring
-    arithmetic and exact equality.  Exponents are ints >= 0; coefficients and
+    The argument of ``pipoly_eval``; supports ring arithmetic and exact
+    equality.  Exponents are ints >= 0; coefficients and
     scalars are ints or Fractions, so 0.1 is not read as a binary double.
     """
 

@@ -1,10 +1,12 @@
 """Riemann zeta at integer arguments and Hurwitz zeta via Euler-Maclaurin.
 
-Even zeta values live exactly in rational * pi^m form; odd values and Hurwitz
-values are certified balls, a Hurwitz value one Euler-Maclaurin sum in integer
-fixed point, evaluated once.  The remainder is always bounded rigorously (4x
-the first omitted correction term, derived from the periodized Bernoulli
-kernel bound |B_2m({x}) - B_2m| <= 2|B_2m|) and added to the radius.
+An even zeta value is the exact rational c of zeta(m) = c pi^m, made a ball by
+``pipoly_eval`` (its ``PiPolynomial`` argument is a name the benchmark keeps);
+odd values and Hurwitz values at integer points are certified balls, a
+Hurwitz value one Euler-Maclaurin sum in integer fixed point, evaluated once.
+The remainder is always bounded rigorously (4x the first omitted correction
+term, derived from the periodized Bernoulli kernel bound
+|B_2m({x}) - B_2m| <= 2|B_2m|) and added to the radius.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ _GUARD = 32
 
 
 @cache
-def zeta_even_exact(m: int) -> PiPolynomial:
-    """zeta(m) for even m >= 2 as the single term ((-1)^(m/2+1) 2^(m-1) B_m / m!) pi^m."""
+def zeta_even_exact(m: int) -> Fraction:
+    """The rational c = (-1)^(m/2+1) 2^(m-1) B_m / m! of zeta(m) = c pi^m, even m >= 2."""
     if require_exact(m, "zeta_even_exact's m", (int,)) % 2 != 0 or m < 2:
         raise DomainError("exact pi-power form exists only for even m >= 2")
-    coeff = Fraction((-1) ** (m // 2 + 1) * 2 ** (m - 1), factorial(m)) * bernoulli(m)
-    return PiPolynomial.single(m, coeff)
+    return Fraction((-1) ** (m // 2 + 1) * 2 ** (m - 1), factorial(m)) * bernoulli(m)
 
 
 @cache
@@ -79,9 +80,9 @@ def _em_truncate(terms, negligible):
         prev = bound
 
 
-def _hurwitz_em_once(s: int, a, wp: int, n_lead: int) -> RealBall:
+def _hurwitz_em_once(s: int, a: int, wp: int, n_lead: int) -> RealBall:
     """One Euler-Maclaurin evaluation of zeta(s, a) = sum_{n>=0} (n+a)^-s,
-    a = p/q an int or a Fraction:
+    a an integer >= 1:
 
         sum_{n<N} (n+a)^-s + x^(1-s)/(s-1) + x^-s/2
           + sum_k B_2k/(2k)! (s)_{2k-1} x^(1-s-2k) + R,    x = a + N.
@@ -90,31 +91,28 @@ def _hurwitz_em_once(s: int, a, wp: int, n_lead: int) -> RealBall:
     unit, so the sum of the F floors is low by less than F units and the ball
     is centred on that one-sided interval; a correction's floor f stands for
     a term in [f, f+1), so |f| + 1 bounds it for the truncation.  With
-    W = wp + s (bitlen p - bitlen q + 1) + bitlen 4N and a^-s above
-    2^-s(bitlen p - bitlen q + 1), F u stays below 2^-(wp+1) of zeta(s, a)
-    while F <= 2N.
+    W = wp + s bitlen a + bitlen 4N and a^-s above 2^-s bitlen a, F u stays
+    below 2^-(wp+1) of zeta(s, a) while F <= 2N.
     """
-    p, q = a.numerator, a.denominator
-    width = wp + s * (p.bit_length() - q.bit_length() + 1) + (4 * n_lead).bit_length()
-    q1 = q ** (s - 1) << width
-    xq = p + n_lead * q
-    xpow = xq ** (s - 1)
-    leading = [q1 * q // (n * q + p) ** s for n in range(n_lead)]
-    head = q1 // ((s - 1) * xpow)
-    # term k is num q1 q^2k // (den xpow xq^2k), with running products of q^2 and xq^2
-    qq, xx = q * q, xq * xq
-    corrections = (num * qk // (den * xk) for (num, den), qk, xk in
-                   zip(_em_coefficients(s), accumulate(repeat(qq), mul, initial=q1 * qq),
-                       accumulate(repeat(xx), mul, initial=xpow * xx)))
+    width = wp + s * a.bit_length() + (4 * n_lead).bit_length()
+    one = 1 << width
+    x = a + n_lead
+    xpow = x ** (s - 1)
+    leading = [one // (n + a) ** s for n in range(n_lead)]
+    head = one // ((s - 1) * xpow)
+    # term k is num one // (den x^(s-1+2k)), with a running product of x^2
+    xx = x * x
+    corrections = (num * one // (den * xk) for (num, den), xk in
+                   zip(_em_coefficients(s), accumulate(repeat(xx), mul, initial=xpow * xx)))
     # a^-s + x^(1-s)/(s-1) <= zeta(s, a), so the remainder is below 2^-wp of the value
     kept, rem = _em_truncate(((f, abs(f) + 1) for f in corrections), (leading[0] + head) >> wp)
-    total = sum(leading) + head + q1 * q // (2 * xpow * xq) + sum(kept)
+    total = sum(leading) + head + one // (2 * xpow * x) + sum(kept)
     floors = n_lead + 2 + len(kept)
     return RealBall.from_floors(total, floors, rem, width)
 
 
 @cache
-def _hurwitz_rational(s: int, a, precision: int) -> RealBall:
+def _hurwitz(s: int, a: int, precision: int) -> RealBall:
     wp = precision + _GUARD
     result = _hurwitz_em_once(s, a, wp, max(16, wp // 4))
     if result.meets_relative_radius(precision):
@@ -124,28 +122,27 @@ def _hurwitz_rational(s: int, a, precision: int) -> RealBall:
     )
 
 
-def hurwitz_zeta(s: int, a: int | Fraction, ctx: PrecisionCtx) -> RealBall:
-    """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s, integer s >= 2 and
-    rational a >= 1 given as an int or a Fraction (a float is not the rational
-    it was written as), memoized by (s, a, working precision)."""
+def hurwitz_zeta(s: int, a: int, ctx: PrecisionCtx) -> RealBall:
+    """Certified ball for zeta(s, a) = sum_{n>=0} (n+a)^-s at integers s >= 2
+    and a >= 1, memoized by (s, a, working precision); a Fraction or a float
+    a is refused before the memo."""
     if require_exact(s, "hurwitz_zeta's s", (int,)) < 2:
         raise DomainError(f"hurwitz_zeta requires s >= 2, got {s!r}")
-    # 2 and Fraction(2) are equal and hash alike, so they share one memo key
-    if require_exact(a, "hurwitz_zeta's a") < 1:
+    if require_exact(a, "hurwitz_zeta's a", (int,)) < 1:
         raise DomainError("hurwitz_zeta requires a >= 1")
-    return _hurwitz_rational(s, a, ctx.working_precision)
+    return _hurwitz(s, a, ctx.working_precision)
 
 
 @cache
 def _zeta_numeric(s: int, precision: int) -> RealBall:
     ctx = PrecisionCtx(precision)
     if s % 2 == 0:
-        return pipoly_eval(zeta_even_exact(s), ctx)
+        return pipoly_eval(PiPolynomial.single(s, zeta_even_exact(s)), ctx)
     return hurwitz_zeta(s, 1, ctx)
 
 
 def zeta_numeric(s: int, ctx: PrecisionCtx) -> RealBall:
-    """Certified ball for zeta(s), s >= 2: exact pi-power route for even s,
+    """Certified ball for zeta(s), s >= 2: the exact c pi^s for even s,
     Euler-Maclaurin at a = 1 for odd s; memoized by (s, working precision)."""
     if require_exact(s, "zeta_numeric's s", (int,)) < 2:
         raise DomainError(f"zeta_numeric requires s >= 2, got {s!r}")

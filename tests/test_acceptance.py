@@ -25,6 +25,7 @@ from dzv.identities import (
 )
 from dzv.numerics import (
     GUARD_BITS,
+    PiPolynomial,
     PrecisionCtx,
     RealBall,
     ball_sum,
@@ -86,7 +87,7 @@ def test_criterion_04_spot_value_weight8():
     dz44 = get_table(8, _CTX).entry(4, 4)
     # pi^8/113400 evaluated far tighter than the double-zeta ball, so point
     # membership follows from enclosure containment
-    point = pipoly_eval(zeta_even_exact(8) * Fraction(1, 12), PrecisionCtx(320))
+    point = pipoly_eval(PiPolynomial.single(8, zeta_even_exact(8) / 12), PrecisionCtx(320))
     contains = contains_ball(dz44, point)
     r = corollary1_check(8, _CTX)
     radius_ok = r.residual.radius_fraction() <= Fraction(1, 10**40)
@@ -119,7 +120,7 @@ def test_criterion_07_gkz_parity_even_4_to_30():
         ok = ok and even_r.passed and odd_r.passed
         if l == 4:
             ok = ok and even_r.exact and odd_r.exact
-    # the weight-4 exact statement in pi-power arithmetic
+    # the weight-4 exact statement in rational pi^4 coefficients
     z4 = zeta_even_exact(4)
     dz22 = (zeta_even_exact(2) * zeta_even_exact(2) - z4) * Fraction(1, 2)
     ok = ok and dz22 == z4 * Fraction(3, 4) and (z4 - dz22) == z4 * Fraction(1, 4)
@@ -199,7 +200,7 @@ def test_criterion_11_property_suites():
     ok = ok and contains_fraction(a.add(b, 96), pt_a + pt_b)
 
     # Hurwitz recurrence exactness
-    rec = hurwitz_zeta(3, Fraction(2), _CTX).sub(hurwitz_zeta(3, Fraction(3), _CTX), 240)
+    rec = hurwitz_zeta(3, 2, _CTX).sub(hurwitz_zeta(3, 3, _CTX), 240)
     rec = rec.sub(RealBall.from_fraction(Fraction(1, 8), 240), 240)
     ok = ok and contains_zero(rec) and rec.radius_fraction() < Fraction(1, 2**180)
 

@@ -40,7 +40,7 @@ from dzv.numerics import (
     cube_root_of_unity,
     pipoly_eval,
 )
-from dzv.zeta import _hurwitz_rational, hurwitz_zeta, zeta_even_exact, zeta_numeric
+from dzv.zeta import _hurwitz, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
 import oracles
 from oracles import (
@@ -61,15 +61,16 @@ from oracles import (
     upper_fraction,
 )
 
-# exact weight-4 double zeta values, derived once from the harmonic relation
-# and the sum formula (both proved relations, independent of the evaluator)
+# exact weight-4 double zeta values as rational pi^4 coefficients, derived once
+# from the harmonic relation and the sum formula (both proved relations,
+# independent of the evaluator)
 _DZ22_EXACT = (zeta_even_exact(2) * zeta_even_exact(2) - zeta_even_exact(4)) * Fraction(1, 2)
 _DZ31_EXACT = zeta_even_exact(4) - _DZ22_EXACT
 
 
 def test_weight4_exact_derivations_have_expected_coefficients():
-    assert _DZ22_EXACT == PiPolynomial.single(4, Fraction(1, 120))
-    assert _DZ31_EXACT == PiPolynomial.single(4, Fraction(1, 360))
+    assert _DZ22_EXACT == Fraction(1, 120)
+    assert _DZ31_EXACT == Fraction(1, 360)
 
 
 def test_index_pair_validation():
@@ -93,12 +94,12 @@ def test_double_zeta_21_is_zeta3(ctx128):
 
 def test_double_zeta_22_is_pi4_over_120(ctx128):
     dz = double_zeta(IndexPair(2, 2), ctx128)
-    assert dz.intersects(pipoly_eval(_DZ22_EXACT, ctx128))
+    assert dz.intersects(pipoly_eval(PiPolynomial.single(4, _DZ22_EXACT), ctx128))
 
 
 def test_double_zeta_31_is_pi4_over_360(ctx128):
     dz = double_zeta(IndexPair(3, 1), ctx128)
-    assert dz.intersects(pipoly_eval(_DZ31_EXACT, ctx128))
+    assert dz.intersects(pipoly_eval(PiPolynomial.single(4, _DZ31_EXACT), ctx128))
 
 
 def test_double_zeta_radius_meets_relative_target(ctx128):
@@ -173,13 +174,13 @@ def test_tables_share_one_hurwitz_vector_per_weight(monkeypatch):
         return hurwitz_zeta(s, a, ctx)
 
     monkeypatch.setattr(dzeta_mod, "hurwitz_zeta", recording)
-    _hurwitz_rational.cache_clear()
+    _hurwitz.cache_clear()
     ctx = PrecisionCtx(192)
     for l in range(3, 31):
         start = len(asked)
         build_table(l, ctx)
         assert len(set(asked[start:])) == len(asked) - start, l
-    assert _hurwitz_rational.cache_info().misses == 47
+    assert _hurwitz.cache_info().misses == 47
     assert len(asked) == 874 and {a for _, a, _ in asked} == {121}
 
 
@@ -311,7 +312,7 @@ def test_values_do_not_depend_on_call_order():
         ctx = PrecisionCtx(192)
         return [double_zeta(IndexPair(16, 14), ctx), *build_table(12, ctx).entries.values()]
 
-    _hurwitz_rational.cache_clear()
+    _hurwitz.cache_clear()
     _table.cache_clear()
     cold = values()
     for p in (192, 256):
@@ -371,7 +372,7 @@ def test_gen_poly_at_minus1_1_weight4(ctx128):
     # T_4(-1,1) = -zeta(4)/2 = -pi^4/180
     t = get_table(4, ctx128)
     val = gen_poly_eval(t, Fraction(-1), Fraction(1))
-    expected = pipoly_eval(zeta_even_exact(4) * Fraction(-1, 2), ctx128)
+    expected = pipoly_eval(PiPolynomial.single(4, zeta_even_exact(4) * Fraction(-1, 2)), ctx128)
     assert val.intersects(expected)
 
 
@@ -661,7 +662,7 @@ def test_harmonic_22_numeric_and_exact(ctx128):
 def test_harmonic_4_10_exact_counterpart(ctx128):
     r = {r.label: r for r in harmonic_check(14, ctx128)}["harmonic[4,10]"]
     assert contains_zero(r.residual)
-    # zeta(4) zeta(10) - zeta(14) = zeta(14)/12 in pi-power arithmetic
+    # zeta(4) zeta(10) - zeta(14) = zeta(14)/12 in rational pi^14 coefficients
     lhs = zeta_even_exact(4) * zeta_even_exact(10) - zeta_even_exact(14)
     assert lhs == zeta_even_exact(14) * Fraction(1, 12)
 

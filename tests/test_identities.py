@@ -356,7 +356,7 @@ def test_corollary1_weight8_exact_counterpart(ctx128):
     z4, z8 = zeta_even_exact(4), zeta_even_exact(8)
     dz44 = (z4 * z4 - z8) * Fraction(1, 2)
     assert dz44 == z8 * Fraction(1, 12)
-    assert dz44 == PiPolynomial.single(8, Fraction(1, 113400))
+    assert dz44 == Fraction(1, 113400)
 
 
 def test_corollary1_weight6_with_harmonic_oracle(ctx128):
@@ -807,10 +807,9 @@ def test_corollary2_chain_rejects_wrong_class(ctx128):
 
 @pytest.mark.parametrize("l", [*range(8, 201, 6), 512, 800])
 def test_corollary2_chain_lhs_is_the_pi_polynomial_sum(l):
-    # the chain sums the pi^l coefficient in integers; the direct sum of
-    # PiPolynomial products must be that single term
-    direct = sum((zeta_even_exact(j) * zeta_even_exact(l - j) for j in range(4, l, 6)),
-                 start=PiPolynomial.zero())
+    # the chain sums the pi^l coefficient through the class-sum kernel; the
+    # direct term-by-term sum of the products c_j c_(l-j) must equal it
+    direct = sum(zeta_even_exact(j) * zeta_even_exact(l - j) for j in range(4, l, 6))
     r = corollary2_exact_chain(l)
-    assert direct == PiPolynomial.single(l, r.lhs)
-    assert r.passed and r.rhs == zeta_even_exact(l).coeff(l) * Fraction(l - 1, 6)
+    assert direct == r.lhs
+    assert r.passed and r.rhs == zeta_even_exact(l) * Fraction(l - 1, 6)
