@@ -296,12 +296,9 @@ def cmd_verify(config: RunConfig) -> tuple:
         start = time.monotonic()
         checks = [rec for l in weights for rec in _run_suite_weight(suite, l, config, ctx)]
         passed = sum(1 for c in checks if c.passed)
-        reports.append(SuiteReport(
-            suite=suite, checks=checks,
-            passed_count=passed, failed_count=len(checks) - passed,
-            wall_time=time.monotonic() - start,
-            config=config,
-        ))
+        reports.append(SuiteReport(suite=suite, config=config, checks=checks, passed_count=passed,
+                                   failed_count=len(checks) - passed,
+                                   wall_time=time.monotonic() - start))
     failed = sum(r.failed_count for r in reports)
     return reports, (1 if failed else 0)
 
@@ -312,27 +309,29 @@ def cmd_verify(config: RunConfig) -> tuple:
 
 _RECORDS = json.JSONEncoder(separators=(",\n        ", ": "))  # a record's indent=2 layout
 _CHECKS = '\n    "checks": '
+_BETWEEN = "\n      },\n      {\n        "  # between two records at indent=2
+_CHUNK = 128  # records per encoder call: few calls, and no report-sized string
+
+
+def _json_pieces(reports: Sequence[SuiteReport]):
+    """json.dumps(indent=2) of the reports, in pieces.  indent turns off json's
+    C encoder, so records go through it _CHUNK at a time, laid out by its
+    separators, into the frame dumped with empty checks lists.  No value holds a
+    raw newline, so "},\n        {" and the checks key's line occur nowhere else."""
+    frames = [dict(vars(r), config=dict(vars(r.config)), checks=[]) for r in reports]
+    head, *rests = (json.dumps(frames, indent=2) + "\n").split(_CHECKS + "[]")
+    yield head
+    for r, rest in zip(reports, rests):
+        sep = _CHECKS + "[\n      {\n        "
+        for i in range(0, len(r.checks), _CHUNK):
+            body = _RECORDS.encode([c.to_dict() for c in r.checks[i:i + _CHUNK]])[2:-2]
+            yield sep + body.replace("},\n        {", _BETWEEN)
+            sep = _BETWEEN
+        yield ("\n      }\n    ]" if r.checks else _CHECKS + "[]") + rest
 
 
 def render_json(reports: Sequence[SuiteReport]) -> str:
-    """json.dumps(indent=2) of the reports.  indent turns off json's C encoder,
-    so each suite's records go through it in one call, laid out by its
-    separators, into the frame dumped with empty checks lists.  A value holds
-    no raw newline, so "},\n        {" (between records) and the checks key's
-    line occur nowhere else."""
-    frames, bodies = [], []
-    for r in reports:
-        d = r.to_dict()
-        body = _RECORDS.encode(d["checks"])[2:-2]
-        body = body.replace("},\n        {", "\n      },\n      {\n        ")
-        bodies.append(f"[\n      {{\n        {body}\n      }}\n    ]" if body else "[]")
-        d["checks"] = []  # free the record dicts before the next suite's
-        frames.append(d)
-    head, *rests = json.dumps(frames, indent=2).split(_CHECKS + "[]")
-    pieces = [head]
-    for body, rest in zip(bodies, rests):
-        pieces += [_CHECKS, body, rest]
-    return "".join(pieces + ["\n"])
+    return "".join(_json_pieces(reports))
 
 
 def render_csv(reports: Sequence[SuiteReport]) -> str:
@@ -364,7 +363,8 @@ def render_text(reports: Sequence[SuiteReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+_RENDERERS = {"json": _json_pieces, "csv": lambda reports: [render_csv(reports)],
+              "text": lambda reports: [render_text(reports)]}
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +503,12 @@ def _report_file(path: Optional[str]):
         raise DomainError(f"cannot write the report: {exc}") from None
 
 
-def _write(fh, text: str, what: str) -> None:
-    """Write text to fh and close it (stdout: flush it) here, so a full disk
-    or a closed pipe is exit 2 with one error line, not a traceback."""
+def _write(fh, pieces, what: str) -> None:
+    """Write the text's pieces to fh and close it (stdout: flush it) here, so
+    a full disk or a closed pipe is exit 2 with one error line, not a traceback."""
     try:
         with contextlib.nullcontext() if fh is sys.stdout else fh:
-            fh.write(text)
+            fh.writelines(pieces)
             fh.flush()
     except OSError as exc:
         if fh is sys.stdout:
@@ -541,14 +541,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "bernoulli":
-            _write(sys.stdout, _fraction_str(bernoulli(args.m)) + "\n", "the value")
+            _write(sys.stdout, [_fraction_str(bernoulli(args.m)) + "\n"], "the value")
         elif args.command == "dzeta":
             default_prec = _default_precision()  # checked even when -p overrides it
             prec = default_prec if args.precision is None else args.precision
             value = double_zeta(IndexPair(args.l1, args.l2), PrecisionCtx(prec))
             _, _, rm, re = value.dyadic()
             radius = _radius_decimal(*_dy_ratio(rm, re))
-            _write(sys.stdout, f"{_ball_str(value, prec)} ± {radius}\n", "the value")
+            _write(sys.stdout, [f"{_ball_str(value, prec)} ± {radius}\n"], "the value")
         else:
             config = _config_from_args(args)
             with _report_file(config.output_path) as fh:

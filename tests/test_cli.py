@@ -739,16 +739,18 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
 
 
 class _FullDiskWriter(io.StringIO):
-    """A report file whose `fails` step raises ENOSPC, as on a full disk; like a
-    real file it counts as closed after a failed close."""
+    """A report file whose `fails` step raises ENOSPC, as on a full disk, from
+    its `nth` call on; like a real file it counts as closed after a failed close."""
 
-    def __init__(self, fails):
+    def __init__(self, fails, nth=1):
         super().__init__()
-        self.fails = fails
+        self.fails, self.nth, self.calls = fails, nth, 0
 
     def _step(self, name):
         if name == self.fails:
-            raise OSError(28, "No space left on device")
+            self.calls += 1
+            if self.calls >= self.nth:
+                raise OSError(28, "No space left on device")
 
     def write(self, text):
         self._step("write")
@@ -780,6 +782,71 @@ def test_unwritable_stdout_is_a_usage_error_and_stays_open(monkeypatch, capsys):
     assert main(["verify", "--suites", "theorem1", "--weights", "3..3"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write the report: ")
     assert not writer.closed
+
+
+# theorem1 3..3 as JSON is three pieces: the frame head, one chunk of records,
+# and the suite's closing lines through the final newline
+_ONE_RECORD_JSON = ["verify", "--suites", "theorem1", "--weights", "3..3", "--format", "json"]
+
+
+@pytest.mark.parametrize("nth", [2, 3])
+def test_report_failing_after_its_first_piece_is_a_usage_error(monkeypatch, capsys, nth):
+    from dzv import cli as cli_mod
+
+    writer = _FullDiskWriter("write", nth)
+    monkeypatch.setattr(cli_mod, "open", lambda *args, **kwargs: writer, raising=False)
+    assert main([*_ONE_RECORD_JSON, "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 28] No space left on device\n"
+    assert writer.calls == nth and writer.closed
+
+
+@pytest.mark.parametrize("nth", [2, 3])
+def test_stdout_failing_after_the_first_piece_is_a_usage_error_and_stays_open(
+        monkeypatch, capsys, nth):
+    writer = _FullDiskWriter("write", nth)
+    monkeypatch.setattr(sys, "stdout", writer)
+    assert main(_ONE_RECORD_JSON) == 2
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 28] No space left on device\n"
+    assert writer.calls == nth and not writer.closed
+
+
+class _RecordingWriter(io.StringIO):
+    """A report file that keeps each text written to it, past its close."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("suites,weights,chunk", [
+    ("euler-bernoulli,ramanujan,corollary2-chain", "4..200", None),
+    ("theorem1,euler-bernoulli,ramanujan,corollary2-chain", "3..12", 4),
+], ids=["bernoulli-4-200", "theorem1-bernoulli-3-12-chunk-4"])
+def test_json_report_is_written_a_chunk_of_records_at_a_time(monkeypatch, suites, weights, chunk):
+    """The report file receives render_json's text of the same run, in more
+    than one write, and no write holds more than one chunk of records.  The
+    real chunk splits 197, 263 and 197 records; a chunk of 4 splits every
+    suite of the second line, ramanujan's 12 records exactly."""
+    from dzv import cli as cli_mod
+
+    chunk = chunk or cli_mod._CHUNK
+    monkeypatch.setattr(cli_mod, "_CHUNK", chunk)
+    writer, runs = _RecordingWriter(), []
+    monkeypatch.setattr(cli_mod, "open", lambda *args, **kwargs: writer, raising=False)
+    run = cli_mod.cmd_verify
+    monkeypatch.setattr(cli_mod, "cmd_verify", lambda config: runs.append(run(config)) or runs[-1])
+    argv = ["verify", "--suites", suites, "--weights", weights, "--format", "json", "--out", "r.json"]
+    assert main(argv) == 0
+    text = "".join(writer.writes)
+    assert text == render_json(runs[0][0])
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert len(writer.writes) > 1
+    assert max(w.count('"label": ') for w in writer.writes) == chunk
+    assert writer.closed
 
 
 @pytest.mark.parametrize("fails", ["write", "flush"])
