@@ -55,8 +55,7 @@ from functools import cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import add, floordiv, mul, rshift
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import (
     GUARD_BITS,
@@ -85,7 +84,7 @@ __all__ = [
     "functional_eq26_check",
 ]
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class IndexPair:
     """Argument pair of a double zeta value; convergent iff l1 >= 2, l2 >= 1."""
 
@@ -225,20 +224,23 @@ def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
 
 @dataclass(frozen=True)
 class DzvTable:
-    """All double zeta values of one weight at one working precision: entries
-    over l1 >= 2, l2 >= 1, l1 + l2 = weight (exactly weight - 2 of them), and
-    T_l's coefficient vector from ``_coefficient_vector``."""
+    """All double zeta values of one weight at one working precision, held only
+    as T_l's coefficient vector (mids, rads, e) from ``_coefficient_vector``:
+    zeta(l1, weight - l1), l1 = 2..weight-1, is mids[l1-1] 2^e +- rads[l1-1] 2^e."""
 
     weight: int
     precision: int
-    entries: Mapping[IndexPair, RealBall]
     vector: tuple
 
     def entry(self, l1: int, l2: int) -> RealBall:
-        return self.entries[IndexPair(l1, l2)]
+        """KeyError for a pair of another weight, DomainError for a bad pair."""
+        if (p := IndexPair(l1, l2)).weight != self.weight:
+            raise KeyError(p)
+        mids, rads, e = self.vector
+        return RealBall(mids[l1 - 1], e, rads[l1 - 1], e)
 
     def pairs(self) -> list[IndexPair]:
-        return sorted(self.entries.keys())
+        return [IndexPair(l1, self.weight - l1) for l1 in range(2, self.weight)]
 
 
 def _table_weight(l: int) -> int:
@@ -249,10 +251,8 @@ def _table_weight(l: int) -> int:
 
 def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Compute the complete weight-l table at the context's working precision."""
-    pairs = [IndexPair(l1, l - l1) for l1 in range(2, _table_weight(l))]
-    values = _double_zetas(l, [q.l1 for q in pairs], ctx)
-    return DzvTable(l, ctx.working_precision, MappingProxyType(dict(zip(pairs, values))),
-                    _coefficient_vector([None] + values))
+    values = _double_zetas(l, range(2, _table_weight(l)), ctx)
+    return DzvTable(l, ctx.working_precision, _coefficient_vector([None] + values))
 
 
 @cache

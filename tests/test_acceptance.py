@@ -208,10 +208,11 @@ def test_criterion_11_property_suites():
     # and the six unit-class sums add up to the table sum
     t = get_table(12, _CTX)
     wp = t.precision + GUARD_BITS
-    ok = ok and same_enclosure(restricted_sum(t, (1,) * 6), ball_sum(t.entries.values(), wp))
+    entries = [t.entry(p.l1, p.l2) for p in t.pairs()]
+    ok = ok and same_enclosure(restricted_sum(t, (1,) * 6), ball_sum(entries, wp))
     units = [tuple(int(i == r) for i in range(6)) for r in range(6)]
     total = ball_sum((restricted_sum(t, u) for u in units), 300)
-    ok = ok and total.intersects(ball_sum(t.entries.values(), 300))
+    ok = ok and total.intersects(ball_sum(entries, 300))
 
     # reflection symmetry of the Bernoulli convolutions
     from math import comb

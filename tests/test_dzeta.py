@@ -132,7 +132,9 @@ def test_odd_weight_reduction_matches_brute_force_and_double_zeta(ctx64, ctx192)
     sweeps = [(ctx192, w) for w in range(9, 32, 2)] + [(ctx512, 41), (ctx512, 61)]
     for ctx, w in sweeps:
         p = ctx.working_precision
-        for pair, val in get_table(w, ctx).entries.items():
+        t = get_table(w, ctx)
+        for pair in t.pairs():
+            val = t.entry(pair.l1, pair.l2)
             reduced = odd_weight_double_zeta(pair.l1, pair.l2, ctx)
             assert reduced.radius_fraction() <= lower_fraction(reduced) / 2**p, (pair, p)
             assert reduced.intersects(val), (pair, p)
@@ -143,11 +145,21 @@ def test_odd_weight_reduction_matches_brute_force_and_double_zeta(ctx64, ctx192)
 # ---------------------------------------------------------------------------
 
 def test_build_table_enumeration(ctx128):
+    """pairs() lists l1 = 2..l-1 in order.  entry() of a pair of another
+    weight is a KeyError, and of a divergent or non-int pair a DomainError."""
     t3 = build_table(3, ctx128)
-    assert set(t3.entries) == {IndexPair(2, 1)}
+    assert t3.pairs() == [IndexPair(2, 1)]
     t8 = build_table(8, ctx128)
-    assert len(t8.entries) == 6
-    assert set(t8.entries) == {IndexPair(l1, 8 - l1) for l1 in range(2, 8)}
+    assert len(t8.pairs()) == 6
+    for t in (t3, t8):
+        l = t.weight
+        assert t.pairs() == [IndexPair(l1, l - l1) for l1 in range(2, l)]
+        for l1, l2 in ((2, l), (l, 1), (l + 5, 2)):
+            with pytest.raises(KeyError):
+                t.entry(l1, l2)
+        for l1, l2 in ((1, l - 1), (2.0, l - 2), (True, l - 1)):
+            with pytest.raises(DomainError):
+                t.entry(l1, l2)
 
 
 def test_build_table_rejects_weight_below_3(ctx128):
@@ -222,11 +234,20 @@ def test_shared_rows_give_each_pairs_own_direct_sums(precision, weights):
 
 def test_lone_double_zeta_is_its_table_entry(ctx192):
     """``double_zeta`` builds the rows of its own weight through the same
-    path as a table, keeping only its own pair's rows, so a lone value is
-    its table entry bit for bit, whichever of l1 and l2 is larger."""
-    for l1, l2 in ((2, 1), (5, 7), (6, 6), (16, 14), (29, 1), (150, 3)):
-        lone = double_zeta(IndexPair(l1, l2), ctx192)
-        assert lone.dyadic() == get_table(l1 + l2, ctx192).entry(l1, l2).dyadic(), (l1, l2)
+    path as a table, keeping only its own pair's rows, so a lone value
+    shifted to the table's common exponent is its vector slot bit for bit,
+    whichever of l1 and l2 is larger, and entry() is that ball.  Every pair
+    of weights 3..30 (among them (5, 7), (6, 6), (16, 14) and (29, 1)), and
+    (150, 3)."""
+    pairs = [IndexPair(l1, l - l1) for l in range(3, 31) for l1 in range(2, l)]
+    pairs.append(IndexPair(150, 3))
+    for p in pairs:
+        t = get_table(p.weight, ctx192)
+        mids, rads, e = t.vector
+        mm, me, rm, re = double_zeta(p, ctx192).dyadic()
+        m, r = mm << (me - e), rm << (re - e)
+        assert (mids[p.l1 - 1], rads[p.l1 - 1]) == (m, r), p
+        assert same_enclosure(t.entry(p.l1, p.l2), RealBall(m, e, r, e)), p
 
 
 @pytest.mark.parametrize("widen", [None, 20], ids=["exact-z", "wide-z"])
@@ -310,7 +331,8 @@ def test_non_int_table_weight_is_rejected_cold_and_warm(make):
 def test_values_do_not_depend_on_call_order():
     def values():
         ctx = PrecisionCtx(192)
-        return [double_zeta(IndexPair(16, 14), ctx), *build_table(12, ctx).entries.values()]
+        t = build_table(12, ctx)
+        return [double_zeta(IndexPair(16, 14), ctx), *(t.entry(p.l1, p.l2) for p in t.pairs())]
 
     _hurwitz.cache_clear()
     _table.cache_clear()
@@ -326,7 +348,8 @@ def test_values_do_not_depend_on_call_order():
 def test_table_entries_positive_and_below_product_bound(ctx128):
     for w in (3, 5, 8):
         t = get_table(w, ctx128)
-        for pair, val in t.entries.items():
+        for pair in t.pairs():
+            val = t.entry(pair.l1, pair.l2)
             assert is_positive(val)
             if pair.l2 >= 2:
                 prod = zeta_numeric(pair.l1, ctx128).mul(
@@ -356,7 +379,8 @@ def test_192_bit_tables_intersect_the_512_bit_tables():
     for l in range(3, 13):
         low, high = get_table(l, PrecisionCtx(192)), get_table(l, PrecisionCtx(512))
         for pair in low.pairs():
-            assert low.entries[pair].intersects(high.entries[pair]), pair
+            l1, l2 = pair.l1, pair.l2
+            assert low.entry(l1, l2).intersects(high.entry(l1, l2)), pair
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +605,15 @@ def test_eq26_sides_equal_five_separate_dot_products(ctx192):
 
 
 def test_table_vector_shifts_back_to_the_entries(ctx192):
-    """Each x^(l1-1) entry of a table's vector is the table entry's dyadic()
+    """Each x^(l1-1) entry of a table's vector is entry(l1, l2)'s dyadic()
     shifted to the common exponent, so shifting back loses no bit; x^0 is
     absent."""
     for l in range(3, 31):
         t = get_table(l, ctx192)
         mids, rads, e = t.vector
         assert len(mids) == len(rads) == l - 1 and mids[0] == rads[0] == 0
-        for pair, value in t.entries.items():
-            mm, me, rm, re = value.dyadic()
+        for pair in t.pairs():
+            mm, me, rm, re = t.entry(pair.l1, pair.l2).dyadic()
             m, r = mids[pair.l1 - 1], rads[pair.l1 - 1]
             assert (m, r) == (mm << (me - e), rm << (re - e))
 
@@ -602,7 +626,8 @@ def test_gen_poly_radius_at_2_1_follows_the_table_radii(ctx192):
     rounding to wp bits."""
     t = get_table(100, ctx192)
     z = gen_poly_eval(t, 2, 1)
-    spread = sum(v.radius_fraction() * 2 ** (p.l1 - 1) for p, v in t.entries.items())
+    spread = sum(t.entry(p.l1, p.l2).radius_fraction() * 2 ** (p.l1 - 1)
+                 for p in t.pairs())
     rounding = abs(z.midpoint_fraction()) / 2 ** (ctx192.working_precision + GUARD_BITS - 1)
     assert z.radius_fraction() <= 2 * spread + rounding
 
@@ -696,8 +721,9 @@ def test_table_level_residuals_through_weight_30(ctx192):
     weight up to 30, and every entry meets the table's radius target."""
     for w in range(3, 31):
         t = get_table(w, ctx192)
-        assert len(t.entries) == w - 2
-        for val in t.entries.values():
+        assert len(t.pairs()) == w - 2
+        for p in t.pairs():
+            val = t.entry(p.l1, p.l2)
             assert val.radius_fraction() <= lower_fraction(val) * Fraction(2, 2**192)
         assert contains_zero(sum_formula_check(w, ctx192).residual), w
         assert contains_zero(weighted_sum_check(w, ctx192).residual), w

@@ -90,9 +90,10 @@ def test_mod6_filters_partition_each_table(ctx128):
     for w in (3, 4, 7, 12):
         t = get_table(w, ctx128)
         wp = t.precision + GUARD_BITS
-        assert same_enclosure(restricted_sum(t, (1,) * 6), ball_sum(t.entries.values(), wp))
+        entries = [t.entry(p.l1, p.l2) for p in t.pairs()]
+        assert same_enclosure(restricted_sum(t, (1,) * 6), ball_sum(entries, wp))
         total = ball_sum((restricted_sum(t, _unit(r)) for r in range(6)), 300)
-        assert total.intersects(ball_sum(t.entries.values(), 300))
+        assert total.intersects(ball_sum(entries, 300))
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -127,7 +128,7 @@ def _signed_sum(t, terms):
     for p in t.pairs():
         c = sum(sign for sign, cond in terms if cond(p.l1, p.l2))
         if c:
-            out.append(t.entries[p].mul_int(c))
+            out.append(t.entry(p.l1, p.l2).mul_int(c))
     return ball_sum(out, t.precision + GUARD_BITS)
 
 
@@ -453,11 +454,11 @@ def test_prop1_two_evaluation_modes_agree(ctx128):
         coeffs = [sum(c for c, cond in terms if cond(r)) for r in range(6)]
         # per-pair accumulation, no rounding
         by_pair = ball_sum(
-            (t.entries[p].mul_int(coeffs[p.l1 % 6])
+            (t.entry(p.l1, p.l2).mul_int(coeffs[p.l1 % 6])
              for p in t.pairs() if coeffs[p.l1 % 6]), hugeprec)
         # terms outer, no rounding
         by_term = ball_sum(
-            (ball_sum((t.entries[p] for p in t.pairs() if cond(p.l1)),
+            (ball_sum((t.entry(p.l1, p.l2) for p in t.pairs() if cond(p.l1)),
                       hugeprec).mul_int(c)
              for c, cond in terms), hugeprec)
         assert by_pair.midpoint_fraction() == by_term.midpoint_fraction()
@@ -541,7 +542,7 @@ def test_weighted_sum_left_side_is_t_l_at_2_1(ctx192):
     for l in range(3, 41):
         t = get_table(l, ctx192)
         lhs = weighted_sum_check(l, ctx192).lhs
-        per_entry = ball_sum((v.mul_int(2 ** (p.l1 - 1)) for p, v in t.entries.items()),
+        per_entry = ball_sum((t.entry(p.l1, p.l2).mul_int(2 ** (p.l1 - 1)) for p in t.pairs()),
                              t.precision + GUARD_BITS)
         assert same_enclosure(lhs, gen_poly_eval(t, 2, 1)), l
         assert same_enclosure(lhs, per_entry), l
