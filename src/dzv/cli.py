@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .bernoulli import bernoulli, euler_identity_check, ramanujan_check
 from .dzeta import IndexPair, double_zeta
@@ -51,8 +51,8 @@ from .numerics import (
     RealBall,
     require_exact,
     _decimal_str,
-    _dy_add,
     _dy_ratio,
+    _pow10,
     _radius_decimal,
     _radius_digits,
     _sci,
@@ -110,10 +110,10 @@ class RunConfig:
                             Fraction(1, 10 ** self.tolerance_exponent))
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One row of a report: a serialized CheckReport, or a skipped or errored
-    weight.  Ball sides are certified decimal strings, exact sides rationals."""
+    weight.  Ball sides are certified decimal strings, exact sides rationals;
+    a NamedTuple, like CheckReport."""
 
     label: str
     weight: int
@@ -129,7 +129,7 @@ class CheckRecord:
 
     def to_dict(self) -> dict:
         """The fields; the optional ones only when set."""
-        return {k: v for k, v in vars(self).items() if v is not None}
+        return {k: v for k, v in zip(self._fields, self) if v is not None}
 
 
 @dataclass
@@ -158,7 +158,7 @@ class SuiteReport:
 def _truncated(m: int, e: int, digits: int) -> int:
     """floor(|m 2^e| 10^digits): |m 2^e| truncated at `digits` decimal places,
     as an integer."""
-    scaled = abs(m) * 10 ** digits
+    scaled = abs(m) * _pow10(digits)
     return scaled << e if e >= 0 else scaled >> -e
 
 
@@ -180,13 +180,13 @@ def _shared_digits(a: int, b: int) -> Tuple[int, int]:
     if not diff:
         return b, 0
     j = len(_decimal_str(diff))  # 10^(j-1) <= diff < 10^j: no smaller j shares
-    h, r = divmod(b, 10 ** j)
+    h, r = divmod(b, _pow10(j))
     if r >= diff:  # a = b - diff >= h 10^j
         return h, j
     # a // 10^j = h - 1, and h // 10^n = (h-1) // 10^n once 10^n does not divide h
     t = _decimal_str(h)
     n = len(t) - len(t.rstrip("0")) + 1
-    return h // 10 ** n, j + n
+    return h // _pow10(n), j + n
 
 
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
@@ -197,10 +197,12 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     so a ball inside (-1, 1) whose ends differ in the first place prints as
     "0."."""
     mm, me, rm, re = ball.dyadic()
-    lo, hi = _dy_add(mm, me, -rm, re), _dy_add(mm, me, rm, re)
-    if lo[0] <= 0 <= hi[0]:
+    e = min(me, re)
+    n, r = abs(mm) << (me - e), rm << (re - e)  # |mid| and rad at the unit 2^e
+    if n <= r:
         return "0"
-    head, j = _shared_digits(*sorted(_truncated(m, e, max_digits) for m, e in (lo, hi)))
+    # the ends' absolute values are n - r <= n + r
+    head, j = _shared_digits(_truncated(n - r, e, max_digits), _truncated(n + r, e, max_digits))
     if j > max_digits:  # the integer parts differ
         den = 1 << max(-me, 0)
         n, r = divmod(abs(mm) << max(me, 0), den)
@@ -210,7 +212,7 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
         t = _decimal_str(head).rjust(k + 1, "0")
         ia, fa = t[:len(t) - k], t[len(t) - k:]
         s = f"{ia}.{fa}" if k or ia == "0" else ia
-    return "-" + s if hi[0] < 0 and s.strip("0.") else s
+    return "-" + s if mm < 0 and s.strip("0.") else s
 
 
 def _ball_str(b: RealBall, prec: int) -> str:
@@ -307,7 +309,8 @@ def cmd_verify(config: RunConfig) -> tuple:
 # report writers
 # ---------------------------------------------------------------------------
 
-_RECORDS = json.JSONEncoder(separators=(",\n        ", ": "))  # a record's indent=2 layout
+# a record's indent=2 layout; a record holds no container, so no cycle to check
+_RECORDS = json.JSONEncoder(separators=(",\n        ", ": "), check_circular=False)
 _CHECKS = '\n    "checks": '
 _BETWEEN = "\n      },\n      {\n        "  # between two records at indent=2
 _CHUNK = 128  # records per encoder call: few calls, and no report-sized string

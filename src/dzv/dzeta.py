@@ -293,7 +293,7 @@ def _form_ball(t: DzvTable, form: _Form) -> RealBall:
     3 S rounds like S.  An integer times zeta(l) is exact, as ``mul_int``."""
     weights, z, scale = form
     wp = t.precision + GUARD_BITS
-    if not any(weights[1:]) and (n := z * scale).denominator == 1:
+    if not any(w := weights[1:]) and (n := z * scale).denominator == 1:
         return _zeta_numeric(t.weight, t.precision).mul_int(int(n)) if n else RealBall.zero()
     mids, rads, e = t.vector
     mm, rm, g = sum(map(mul, mids, weights)), sum(map(mul, rads, map(abs, weights))), 1
@@ -302,16 +302,17 @@ def _form_ball(t: DzvTable, form: _Form) -> RealBall:
         (mm, me), (rm, re) = (_dy_add(z.denominator * mm, e, z.numerator * zm, ze),
                               _dy_add(z.denominator * rm, e, abs(z.numerator) * zr, zre))
     else:
-        g = gcd(*weights[1:])
+        g = gcd(*w)
         mm, me, rm, re = mm // g, e, rm // g, e
-    den = scale.denominator * z.denominator
+    den, n = scale.denominator * z.denominator, g * scale.numerator
     if den & (den - 1) == 0:  # a power of two: the division is exact
         k = den.bit_length() - 1
-        return _rounded(mm, me - k, rm, re - k, wp).mul_int(g * scale.numerator)
-    # a floor quotient GUARD_BITS below the last bit, low by less than a unit
-    width = wp + GUARD_BITS - me - abs(mm).bit_length() + den.bit_length()
-    f, r = RealBall(mm, me, rm, re).scaled_floors(1, den, width)
-    return _rounded(2 * f + 1, -width - 1, 2 * r + 1, -width - 1, wp).mul_int(g * scale.numerator)
+        ball = _rounded(mm, me - k, rm, re - k, wp)
+    else:  # a floor quotient GUARD_BITS below the last bit, low by less than a unit
+        width = wp + GUARD_BITS - me - abs(mm).bit_length() + den.bit_length()
+        f, r = RealBall(mm, me, rm, re).scaled_floors(1, den, width)
+        ball = _rounded(2 * f + 1, -width - 1, 2 * r + 1, -width - 1, wp)
+    return ball if n == 1 else ball.mul_int(n)
 
 
 def _dyadic_point(q) -> tuple[int, int]:
@@ -379,7 +380,7 @@ def _eq26_forms(l: int, x, y) -> tuple[_Form, _Form]:
     a, b, s = _common_scale(x, y)
     d = l - 2
     pa, pb, pab = _powers(a, d), _powers(b, d), _powers(a + b, d)
-    xy, scale = _monomials(pa, pb), Fraction(2) ** (s * d)
+    xy, scale = _monomials(pa, pb), 1 << s * d if s >= 0 else Fraction(1, 1 << -s * d)
     return (_Form(list(map(add, _monomials(pab, pb), _monomials(pab, pa))), 0, scale),
             _Form(list(map(add, xy, reversed(xy))), sum(xy), scale))
 

@@ -32,14 +32,16 @@ the caller's context; exact checks compare rationals, with no tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from itertools import cycle, islice
 from math import ceil, factorial
+from operator import add
 from typing import Optional, Sequence, Tuple
 
 from .bernoulli import _class_sums, _require_gap6_weight, bernoulli, ramanujan_sum
-from .dzeta import DzvTable, _eq26_forms, _Form, _form_ball, _table_weight, get_table
+from .dzeta import (DzvTable, _eq26_forms, _Form, _form_ball, _monomials, _powers,
+                    _table_weight, get_table)
 from .numerics import (
     GUARD_BITS,
     CheckReport,
@@ -79,7 +81,7 @@ _T_M11 = (-1, 1, -1, 1, -1, 1)
 
 def _class_form(l: int, coeffs: Sequence[int], z=0, scale=1) -> _Form:
     """scale * (sum coeffs[l1 % 6] zeta(l1, l - l1) + z zeta(l)) at weight l."""
-    return _Form([0, *(coeffs[l1 % 6] for l1 in range(2, l))], z, scale)
+    return _Form([0, *islice(cycle(coeffs), 2, l)], z, scale)
 
 
 def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
@@ -96,10 +98,10 @@ def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
 
 def _judge(l: int, relations: list, ctx: PrecisionCtx) -> list[CheckReport]:
     """Each relation (label, left, right) over the weight-l table, judged by
-    ``check_from_sides``; a side is a form or, for harmonic, a ball."""
+    ``check_from_sides``; a side is a form, or for harmonic's left a ball."""
     t = get_table(l, ctx)
-    return [check_from_sides(label, l, *(s if isinstance(s, RealBall) else _form_ball(t, s)
-                                         for s in sides), ctx) for label, *sides in relations]
+    return [check_from_sides(label, l, a if isinstance(a, RealBall) else _form_ball(t, a),
+                             _form_ball(t, b), ctx) for label, a, b in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,8 @@ def gkz_parity_check(l: int, ctx: PrecisionCtx) -> Tuple[CheckReport, CheckRepor
         z2, z4 = zeta_even_exact(2), zeta_even_exact(4)
         dz22 = (z2 * z2 - z4) * Fraction(1, 2)   # harmonic relation at (2,2)
         dz31 = z4 - dz22                          # weight-4 sum formula
-        even = replace(even, passed=even.passed and dz22 == z4 * Fraction(3, 4), exact=True)
-        odd = replace(odd, passed=odd.passed and dz31 == z4 * Fraction(1, 4), exact=True)
+        even = even._replace(passed=even.passed and dz22 == z4 * Fraction(3, 4), exact=True)
+        odd = odd._replace(passed=odd.passed and dz31 == z4 * Fraction(1, 4), exact=True)
     return even, odd
 
 
@@ -245,11 +247,11 @@ def _lemma1_relations(l: int) -> list[tuple]:
     difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3)."""
     relations = []
     for tag, (a, b), residue, sign, tail in _LEMMA1:
-        classes = _lemma1_classes(a, b, l)
-        x, y = _AT_ONE[a], _AT_ONE[b]
-        # the x^i y^(l-2-i) entry of the vector is zeta(i+1, l-1-i)
-        left = [x ** i * y ** (l - 2 - i) + classes[(i + 1) % 6] for i in range(l - 1)]
-        right = [3 * sign[c] * (c % 3 == residue(l) % 3) - tail * _T_M11[c] for c in range(6)]
+        classes, r = _lemma1_classes(a, b, l), residue(l) % 3
+        # the x^i y^(l-2-i) entry of the vector is zeta(i+1, l-1-i), of class (i+1) % 6
+        xy = _monomials(_powers(_AT_ONE[a], l - 2), _powers(_AT_ONE[b], l - 2))
+        left = list(map(add, xy, islice(cycle(classes), 1, l)))
+        right = [3 * sign[c] * (c % 3 == r) - tail * _T_M11[c] for c in range(6)]
         relations.append((f"lemma1.{tag}[l={l}]", _Form(left),
                           _class_form(l, right, Fraction(l + 1, 2) if tail else 0)))
     return relations + [(f"lemma1.eq5[l={l}]", _Form((), _lemma1_eq5_count(l)),
@@ -285,7 +287,7 @@ def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The functional equation of T_l at (1, 1) and four seeded rational
     points (x, y), at a precision that follows the size of the sides."""
     pts, extra = _eq26_plan(_table_weight(l))
-    ctx = replace(ctx, working_precision=ctx.working_precision + extra)
+    ctx = PrecisionCtx(ctx.working_precision + extra, ctx.target_tolerance)
     return _judge(l, [(f"eq26[l={l},x={x},y={y}]", *_eq26_forms(l, x, y)) for x, y in pts], ctx)
 
 
@@ -333,4 +335,4 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     bridge_ok = lhs * scale == ramanujan_sum(l, 4) == gap6_rhs == rhs * scale
 
     report = exact_check(f"corollary2-chain[l={l}]", l, lhs, rhs)
-    return replace(report, passed=report.passed and count_ok and bridge_ok)
+    return report._replace(passed=report.passed and count_ok and bridge_ok)

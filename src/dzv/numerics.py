@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "DomainError",
@@ -107,24 +107,6 @@ def _strip_zeros(man: int, exp: int) -> Tuple[int, int]:
     return man >> tz, exp + tz
 
 
-def _round_mid(man: int, exp: int, prec: int) -> Tuple[int, int, Optional[int]]:
-    """Round man*2**exp to at most prec mantissa bits (to nearest).
-
-    Returns (man, exp, err_exp) where the rounding error is at most
-    2**err_exp, or err_exp None when exact.  Trailing zero bits are stripped
-    first so dyadically exact values stay exact.
-    """
-    if man == 0:
-        return 0, 0, None
-    man, exp = _strip_zeros(man, exp)
-    bits = man.bit_length() if man > 0 else (-man).bit_length()
-    if bits <= prec:
-        return man, exp, None
-    sh = bits - prec
-    man2 = (man + (1 << (sh - 1))) >> sh
-    return man2, exp + sh, exp + sh - 1
-
-
 def _rad_up(man: int, exp: int) -> Tuple[int, int]:
     """Round a nonnegative dyadic upward to a short mantissa; the result
     depends only on the value, not on how it is written."""
@@ -140,11 +122,17 @@ def _rad_up(man: int, exp: int) -> Tuple[int, int]:
 
 def _rounded(mm: int, me: int, rm: int, re: int, prec: int) -> "RealBall":
     """The kernel's one rounding rule: round the midpoint mm*2**me to prec
-    bits, add the rounding error to the radius rm*2**re, round the radius up."""
-    mm, me, err = _round_mid(mm, me, prec)
-    if err is not None:
-        rm, re = _dy_add(rm, re, 1, err)
-    rm, re = _rad_up(rm, re)
+    bits (to nearest; trailing zero bits stripped first, so dyadically exact
+    values stay exact), add the error to the radius rm*2**re, round it up."""
+    if mm:
+        sh = mm.bit_length() - prec
+        if sh > (mm & -mm).bit_length() - 1:  # more than prec bits once stripped
+            mm, me = (mm + (1 << (sh - 1))) >> sh, me + sh
+            rm, re = _dy_add(rm, re, 1, me - 1)
+        else:
+            mm, me = _strip_zeros(mm, me)
+    if rm >> _RAD_BITS:
+        rm, re = _rad_up(rm, re)
     return RealBall(mm, me, rm, re)
 
 
@@ -362,15 +350,24 @@ def _decimal_str(n: int) -> str:
     return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
 
 
+@cache
+def _pow10(n: int) -> int:
+    """10^n, kept: the printers ask for the same few powers again and again."""
+    return 10 ** n
+
+
 def _radius_digits(num: int, den: int) -> Tuple[int, int]:
     """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
     upper bound of the positive rational r = num/den."""
-    # the digit counts give 10^(e-1) < r < 10^(e+1); drop e if r < 10^e
+    # the digit counts give 10^(e-1) < r < 10^(e+1), so a/b = r 10^-e is in (0.1, 10)
     e = len(_decimal_str(num)) - len(_decimal_str(den))
-    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
-        e -= 1
-    # r in [10^e, 10^(e+1)); round the mantissa UP to 2 digits: ceil(r * 10^(1-e))
-    m = -(-num * 10 ** max(1 - e, 0) // (den * 10 ** max(e - 1, 0)))
+    a, b = (num, den * _pow10(e)) if e >= 0 else (num * _pow10(-e), den)
+    if a < b:  # r < 10^e: drop e
+        e, a = e - 1, a * 100
+    else:
+        a *= 10
+    # r in [10^e, 10^(e+1)); round the mantissa UP to 2 digits: ceil(r 10^(1-e)) = ceil(a/b)
+    m = -(-a // b)
     if m >= 100:
         m //= 10
         e += 1
@@ -378,7 +375,7 @@ def _radius_digits(num: int, den: int) -> Tuple[int, int]:
 
 
 def _sci(m: int, e: int) -> str:
-    return f"{m / 10:.1f}e{e:+03d}"
+    return f"{m // 10}.{m % 10}e{e:+03d}"
 
 
 def _radius_decimal(num: int, den: int) -> str:
@@ -625,25 +622,32 @@ class ZeroCertificate:
         return self.ball.radius_fraction()
 
 
+def _zero_within(x: RealBall, tol) -> bool:
+    """|mid| + rad <= tol for a positive int or Fraction tol, on integers: the
+    dyadic |mid| + rad times tol's denominator against its numerator."""
+    sm, se = _dy_add(abs(x._mm), x._me, x._rm, x._re)
+    if se >= 0:
+        return sm * tol.denominator << se <= tol.numerator
+    return sm * tol.denominator <= tol.numerator << -se
+
+
 def ball_is_zero_within(x: RealBall, tol) -> Tuple[bool, ZeroCertificate]:
     """True iff |midpoint| + radius <= tol (an int or a Fraction), decided on
-    the ball's integers: the dyadic |mid| + rad times tol's denominator is
-    compared with its numerator, so tol is never rounded to a dyadic."""
+    the ball's integers, with the certificate of that comparison."""
     if require_exact(tol, "tolerance").numerator <= 0:
         raise DomainError("tolerance must be positive")
-    sm, se = _dy_add(abs(x._mm), x._me, x._rm, x._re)
-    ok = _dy_cmp(sm * tol.denominator, se, tol.numerator, 0) <= 0
+    ok = _zero_within(x, tol)
     return ok, ZeroCertificate(x, tol, ok)
 
 
 Side = Union[RealBall, Fraction]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identity check: both sides, their residual and the
     verdict.  Numeric checks carry ball sides and the tolerance they were
-    judged with; exact checks carry rational sides and no tolerance."""
+    judged with; exact checks carry rational sides and no tolerance.  A
+    NamedTuple, so ``_replace`` makes a changed copy."""
 
     label: str
     weight: int
@@ -658,11 +662,15 @@ class CheckReport:
 def check_from_sides(label: str, weight: int, lhs: RealBall, rhs: RealBall,
                      ctx: PrecisionCtx) -> CheckReport:
     """The pass rule of every numeric check: the residual lhs - rhs is
-    certified zero within the context tolerance and the two enclosures
-    intersect."""
+    certified zero within the context tolerance (|mid| + rad <= tol, which
+    ``PrecisionCtx`` has checked) and the sides intersect.  The residual is
+    rounded once from the exact pair (lhs mid - rhs mid, lhs rad + rhs rad),
+    and the sides intersect iff that pair has |difference| <= sum."""
     tol = ctx.target_tolerance
-    residual = lhs.sub(rhs, ctx.working_precision + GUARD_BITS)
-    passed = ball_is_zero_within(residual, tol)[0] and lhs.intersects(rhs)
+    dm, de = _dy_add(lhs._mm, lhs._me, -rhs._mm, rhs._me)
+    sm, se = _dy_add(lhs._rm, lhs._re, rhs._rm, rhs._re)
+    residual = _rounded(dm, de, sm, se, ctx.working_precision + GUARD_BITS)
+    passed = _zero_within(residual, tol) and _dy_cmp(abs(dm), de, sm, se) <= 0
     return CheckReport(label, weight, lhs, rhs, residual, passed, tol)
 
 

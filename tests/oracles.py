@@ -18,7 +18,9 @@ from the checks that raise OutsideHypothesis.  The ball predicates below
 (ends, containment, equality of enclosures, the zero test, the
 relative-radius target) and the decimal printing of a ball are read from its
 exact midpoint_fraction() and radius_fraction(), so they check the integer
-decisions of dzv against plain Fraction arithmetic.
+decisions of dzv against plain Fraction arithmetic.  Beside them sits a frozen
+copy of the report printer in integers, the reference its tuned version must
+equal string for string.
 """
 
 from __future__ import annotations
@@ -49,9 +51,7 @@ from dzv.numerics import (
     ComplexBall,
     PrecisionCtx,
     RealBall,
-    _radius_digits,
     _rounded,
-    _sci,
     ball_sum,
     check_from_sides,
     complex_sum,
@@ -377,11 +377,100 @@ def residual_strings(res: RealBall) -> Tuple[str, str]:
     residual's exact midpoint and radius."""
     rad = res.radius_fraction()
     if rad:
-        m, e = _radius_digits(rad.numerator, rad.denominator)
-        digits, rad_s = max(1 - e, 0), _sci(m + 1, e) if m < 99 else _sci(10, e + 1)
+        m, e = _reference_radius_digits(rad.numerator, rad.denominator)
+        digits = max(1 - e, 0)
+        rad_s = _reference_sci(m + 1, e) if m < 99 else _reference_sci(10, e + 1)
     else:
         digits, rad_s = 60, "0"
     return decimal_truncate(res.midpoint_fraction(), digits), rad_s
+
+
+# ---------------------------------------------------------------------------
+# a reference copy of dzv.cli's integer printer, as it stood before its
+# kernels were tuned for speed: the tuned printer must match it string for string
+# ---------------------------------------------------------------------------
+
+def _reference_dy_add(m1: int, e1: int, m2: int, e2: int) -> Tuple[int, int]:
+    if m1 == 0:
+        return m2, e2
+    if m2 == 0:
+        return m1, e1
+    if e1 <= e2:
+        return m1 + (m2 << (e2 - e1)), e1
+    return m2 + (m1 << (e1 - e2)), e2
+
+
+def _reference_truncated(m: int, e: int, digits: int) -> int:
+    scaled = abs(m) * 10 ** digits
+    return scaled << e if e >= 0 else scaled >> -e
+
+
+def _reference_decimal_truncate(m: int, e: int, digits: int) -> str:
+    scaled = _reference_truncated(m, e, digits)
+    sign = "-" if m < 0 and scaled else ""
+    s = str(scaled).rjust(digits + 1, "0")
+    if digits == 0:
+        return sign + s
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def _reference_shared_digits(a: int, b: int) -> Tuple[int, int]:
+    diff = b - a
+    if not diff:
+        return b, 0
+    j = len(str(diff))
+    h, r = divmod(b, 10 ** j)
+    if r >= diff:
+        return h, j
+    t = str(h)
+    n = len(t) - len(t.rstrip("0")) + 1
+    return h // 10 ** n, j + n
+
+
+def reference_certified_decimal(ball: RealBall, max_digits: int) -> str:
+    mm, me, rm, re = ball.dyadic()
+    lo, hi = _reference_dy_add(mm, me, -rm, re), _reference_dy_add(mm, me, rm, re)
+    if lo[0] <= 0 <= hi[0]:
+        return "0"
+    head, j = _reference_shared_digits(*sorted(_reference_truncated(m, e, max_digits)
+                                               for m, e in (lo, hi)))
+    if j > max_digits:
+        den = 1 << max(-me, 0)
+        n, r = divmod(abs(mm) << max(me, 0), den)
+        s = str(n + (2 * r + (n & 1) > den))
+    else:
+        k = max_digits - j
+        t = str(head).rjust(k + 1, "0")
+        ia, fa = t[:len(t) - k], t[len(t) - k:]
+        s = f"{ia}.{fa}" if k or ia == "0" else ia
+    return "-" + s if hi[0] < 0 and s.strip("0.") else s
+
+
+def _reference_radius_digits(num: int, den: int) -> Tuple[int, int]:
+    e = len(str(num)) - len(str(den))
+    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
+        e -= 1
+    m = -(-num * 10 ** max(1 - e, 0) // (den * 10 ** max(e - 1, 0)))
+    if m >= 100:
+        m //= 10
+        e += 1
+    return m, e
+
+
+def _reference_sci(m: int, e: int) -> str:
+    return f"{m / 10:.1f}e{e:+03d}"
+
+
+def reference_residual_strings(res: RealBall) -> Tuple[str, str]:
+    """A report row's residual midpoint and radius, from the residual's integers."""
+    mm, me, rm, re = res.dyadic()
+    if rm:
+        m, e = _reference_radius_digits(*((rm << re, 1) if re >= 0 else (rm, 1 << -re)))
+        digits = max(1 - e, 0)
+        rad_s = _reference_sci(m + 1, e) if m < 99 else _reference_sci(10, e + 1)
+    else:
+        digits, rad_s = 60, "0"
+    return _reference_decimal_truncate(mm, me, digits), rad_s
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ codes, determinism, and configuration precedence."""
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -291,6 +292,59 @@ def test_certified_decimal_across_a_carry_matches_the_commonprefix_reference(n, 
     assert certified_decimal(b, digits) == oracles.certified_decimal(b, digits)
 
 
+def _seeded_ball(rng: random.Random, kind: int) -> RealBall:
+    """One ball of seven kinds: 0 holds 0, half of them with an end at 0;
+    1 ends that differ in the integer part (|mid| >= 2^61, rad >= 1); 2 exact
+    (rm = 0); 3 a negative midpoint with a narrow radius; 4 exponents >= 0;
+    5 any of both signs; 6 a radius at a two-digit boundary, c 10^k with c
+    in 1, 99, 100, 995, ... or 2^-k."""
+    sign = rng.choice((-1, 1))
+    if kind == 0:
+        mm, me, rm = sign * rng.getrandbits(200), rng.randint(-400, 100), rng.randint(1, 2 ** 30)
+        if rng.random() < 0.5:
+            return RealBall(mm, me, abs(mm), me)
+        return RealBall(mm, me, rm, me + abs(mm).bit_length() - rm.bit_length() + 1
+                        + rng.randint(0, 5))
+    if kind == 6:
+        mm, me = sign * rng.getrandbits(rng.randint(1, 250)), rng.randint(-300, 100)
+        if rng.random() < 0.5:
+            return RealBall(mm, me, 1, -rng.randint(0, 200))
+        return RealBall(mm, me, rng.choice((1, 9, 10, 95, 99, 100, 101, 995, 999, 1001))
+                        * 10 ** rng.randint(0, 40), 0)
+    if kind == 1:
+        return RealBall(sign * (rng.getrandbits(89) | 1 << 89), rng.randint(-28, 40),
+                        rng.randint(1, 2 ** 20), rng.randint(0, 20))
+    if kind == 2:
+        return RealBall(sign * rng.getrandbits(300), rng.randint(-600, 300), 0, 0)
+    if kind == 3:
+        me = rng.randint(-500, 50)
+        return RealBall(-(rng.getrandbits(250) | 1), me, rng.getrandbits(24), me - rng.randint(0, 80))
+    if kind == 4:
+        return RealBall(sign * rng.getrandbits(100), rng.randint(0, 200),
+                        rng.getrandbits(24), rng.randint(0, 200))
+    return RealBall(sign * rng.getrandbits(rng.randint(1, 300)), rng.randint(-700, 300),
+                    rng.getrandbits(rng.randint(0, 40)), rng.randint(-700, 300))
+
+
+def test_printer_matches_its_reference_copy_on_seeded_balls():
+    """certified_decimal at 8..300 places, and a report row's sides and
+    residual strings, equal the reference copy of the integer printer in
+    oracles on 14,000 seeded balls of seven kinds; the kinds that hold 0 and
+    whose ends differ in the integer part are checked to be what they say."""
+    rng = random.Random(0x5EED)
+    for i in range(14000):
+        kind, digits = i % 7, rng.randint(8, 300)
+        ball = _seeded_ball(rng, kind)
+        if kind < 2 and i < 700:
+            lo, hi = lower_fraction(ball), upper_fraction(ball)
+            assert (lo <= 0 <= hi) if kind == 0 else (0 < lo or hi < 0) and int(lo) != int(hi)
+        assert certified_decimal(ball, digits) == \
+            oracles.reference_certified_decimal(ball, digits), (ball.dyadic(), digits)
+        rec = _residual_record(ball)
+        assert (rec.lhs, rec.residual_midpoint, rec.residual_radius) == \
+            (oracles.reference_certified_decimal(ball, 57), *oracles.reference_residual_strings(ball))
+
+
 def test_certified_decimal_rounds_a_halfway_midpoint_to_even():
     assert [certified_decimal(RealBall(m, -1, 1, 0), 10) for m in (5, 7, -5, -7)] \
         == ["2", "4", "-2", "-4"]
@@ -462,27 +516,38 @@ def test_exact_bernoulli_report_matches_the_golden_file():
     assert json.dumps(reports, indent=2) + "\n" == _BERNOULLI_GOLDEN.read_text(encoding="utf-8")
 
 
-_SIX_SUITE_GOLDEN = Path(__file__).parent / "data" / "verify-3-30.json"
-
-
-def test_six_suite_sweep_report_matches_the_golden_file():
-    """CI's `dzv verify --suites sum-formula,gkz-parity,theorem1,corollary1,
-    prop1,lemma1 --weights 3..30 --format json`, with wall_time and
-    output_path dropped, repeats the committed report byte for byte: every
-    Hurwitz value, table entry and residual of those weights at 192 bits is
-    pinned.  The 1024-bit golden, tests/data/verify-1024-3-16.json, is
-    compared by CI's smoke step."""
-    config = RunConfig(weight_min=3, weight_max=30, output_format="json",
-                       suites=("sum-formula", "gkz-parity", "theorem1", "corollary1",
-                               "prop1", "lemma1"))
+def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple) -> None:
+    """`dzv verify --suites SUITES --weights 3..30 --format json` at 192 bits,
+    with wall_time and output_path dropped, against tests/data/NAME: no
+    record differs, then the text is equal byte for byte."""
+    config = RunConfig(weight_min=3, weight_max=30, output_format="json", suites=suites)
     reports, code = cmd_verify(config)
     assert code == 0
     reports = json.loads(render_json(reports))
     for r in reports:
         del r["wall_time"], r["config"]["output_path"]
-    golden = json.loads(_SIX_SUITE_GOLDEN.read_text(encoding="utf-8"))
-    assert diff(golden, reports) == []
-    assert json.dumps(reports, indent=2) + "\n" == _SIX_SUITE_GOLDEN.read_text(encoding="utf-8")
+    text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    assert diff(json.loads(text), reports) == []
+    assert json.dumps(reports, indent=2) + "\n" == text
+
+
+def test_six_suite_sweep_report_matches_the_golden_file():
+    """CI's `dzv verify --suites sum-formula,gkz-parity,theorem1,corollary1,
+    prop1,lemma1 --weights 3..30 --format json` repeats the committed report:
+    every Hurwitz value, table entry and residual of those weights at 192 bits
+    is pinned.  The 1024-bit golden, tests/data/verify-1024-3-16.json, is
+    compared by CI's smoke step."""
+    _assert_sweep_repeats_the_golden_file(
+        "verify-3-30.json", ("sum-formula", "gkz-parity", "theorem1", "corollary1", "prop1",
+                             "lemma1"))
+
+
+def test_sum_weighted_harmonic_sweep_report_matches_the_golden_file():
+    """`--suites sum-formula,weighted-sum,harmonic --weights 3..30`, 253
+    records: the two warm-benchmark suites with no other golden above weight
+    12 at 192 bits, and the sum formula beside them."""
+    _assert_sweep_repeats_the_golden_file(
+        "verify-sum-weighted-harmonic-3-30.json", ("sum-formula", "weighted-sum", "harmonic"))
 
 
 # ---------------------------------------------------------------------------

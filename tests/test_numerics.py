@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dzv.numerics import (
+    GUARD_BITS,
     ComplexBall,
     DomainError,
     PiPolynomial,
@@ -342,6 +343,50 @@ def test_check_from_sides_needs_small_residual_and_intersecting_sides():
     assert not check_from_sides("wide", 3, wide, third, ctx).passed
 
 
+def _short_up(n: int) -> int:
+    """The least integer >= n with at most 24 significant bits, a radius
+    that the kernel's radius rounding keeps as it is."""
+    shift = max(n.bit_length() - 24, 0)
+    return -(-n >> shift) << shift
+
+
+def _verdict_edges() -> list:
+    """(lhs, rhs, tol, passed) at the unit u = 2^-200, sides centred near
+    M u: residual midpoint m u and radius r u with m + r at a tolerance T u
+    and one unit off, sides that touch or miss by one unit, zero radii; each
+    with its sides swapped too, for a negative residual."""
+    mid, cases = 3 << 150, []
+    # T u is the largest multiple of u at most tol
+    for tol, big_t in ((Fraction(1, 10 ** 40), (1 << 200) // 10 ** 40),
+                       (Fraction(1, 2 ** 130), 1 << 70)):
+        r = _short_up(big_t // 2 + 1)  # r >= m, so the sides intersect
+        for off in (-1, 0, 1):
+            # m + r = T + off: within tol iff T + off <= tol / u
+            within = big_t + off <= tol * 2 ** 200
+            cases.append((RealBall(mid + big_t - r + off, -200, r, -200),
+                          RealBall(mid, -200, 0, 0), tol, within))
+        small = 1 << 20
+        for off, meets in ((0, True), (1, False)):  # |mid difference| = rad sum + off
+            cases.append((RealBall(mid + 2 * small + off, -200, small, -200),
+                          RealBall(mid, -200, small, -200), tol, meets))
+        cases += [(RealBall(mid, -200, 0, 0), RealBall(mid, -200, 0, 0), tol, True),
+                  (RealBall(mid + 1, -200, 0, 0), RealBall(mid, -200, 0, 0), tol, False)]
+    return cases + [(b, a, tol, passed) for a, b, tol, passed in cases]
+
+
+@pytest.mark.parametrize("lhs, rhs, tol, passed", _verdict_edges())
+def test_check_from_sides_verdict_at_its_edges(lhs, rhs, tol, passed):
+    """check_from_sides decides from one unrounded difference; its verdict
+    is ball_is_zero_within of the residual and intersects of the sides, at
+    |mid| + rad = tol and one unit either side (tol 10^-40 and 2^-130), at
+    sides that touch or miss by one unit, at zero radii and negative residuals."""
+    ctx = PrecisionCtx(128, tol)
+    r = check_from_sides("edge", 3, lhs, rhs, ctx)
+    res = lhs.sub(rhs, ctx.working_precision + GUARD_BITS)
+    assert r.residual.dyadic() == res.dyadic() and r.tolerance == tol
+    assert r.passed == (ball_is_zero_within(res, tol)[0] and lhs.intersects(rhs)) == passed
+
+
 @settings(max_examples=300, deadline=None)
 @given(DYADIC_BALLS, DYADIC_BALLS, DECIMAL_TOLERANCES, st.integers(0, 200))
 # |mid| + rad == tol (3/8 + 1/2), and touching balls: |-3/8 - 3/8| == 1/2 + 1/4
@@ -358,6 +403,8 @@ def test_integer_decisions_agree_with_the_fraction_oracle(a, b, tol, k):
     """intersects, the zero test and the relative-radius target decide on the
     balls' integers; each verdict equals the exact rational one."""
     assert a.intersects(b) == intersects(a, b)
+    assert check_from_sides("t", 3, a, b, PrecisionCtx(64, tol)).passed == \
+        (zero_within(a.sub(b, 64 + GUARD_BITS), tol) and intersects(a, b))
     ok, cert = ball_is_zero_within(a, tol)
     assert ok == cert.within == zero_within(a, tol)
     assert (cert.abs_midpoint, cert.radius, cert.tolerance) == \
