@@ -30,7 +30,7 @@ Each tail term, a rational times one Hurwitz ball, is one integer floor of
 its midpoint and one integer ceiling of its radius at unit 2^-W, and the tail
 is one ball centred on the counted interval of those floors.  The remainder
 is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule of the
-Hurwitz evaluator (one ``zeta._em_truncate`` for both) applied to each m2 and
+Hurwitz evaluator (one ``zeta._em_sum`` for both) applied to each m2 and
 summed, and added to the radius.  One weight-w table reads the same vector
 zeta(w-1+j, A), each ball looked up once per build.
 
@@ -71,7 +71,7 @@ from .numerics import (
     ball_sum,
     require_exact,
 )
-from .zeta import _em_coefficients, _em_truncate, _zeta_numeric, hurwitz_zeta
+from .zeta import _em_coefficients, _em_sum, _zeta_numeric, hurwitz_zeta
 
 __all__ = [
     "IndexPair",
@@ -150,36 +150,28 @@ def _direct_sums(l: int, l1s: Sequence[int], wp: int,
 
 def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
     """Ball for the Euler-Maclaurin tail sum_{m2>=A} m2^-l2 zeta(l1, m2+1),
-    w = l1 + l2, with hz(s) the ball for zeta(s, A):
+    w = l1 + l2, with hz(s) the ball for zeta(s, A), by ``zeta._em_sum``:
 
         zeta(w-1, A)/(l1-1) - zeta(w, A)/2 + sum_{k<K} c_k zeta(w-1+2k, A) + R.
 
     Each term (num/den) zeta(s, A) is two integers at unit u = 2^-W from
     ``RealBall.scaled_floors``: the floor f of num mid / den and the ceiling
-    r of |num| rad / den, so the term lies in [f - r, f + 1 + r] and
-    |f| + 1 + r bounds it for the truncation.  The F floors are low by less
-    than F units, and the ball is centred on that one-sided interval.
+    r of |num| rad / den, so the term lies in [f - r, f + 1 + r].
     While l1 + 2k <= 2A, |c_k| zeta(w-1+2k, A) shrinks by a factor of about
     (l1+2k)^2 / (2 pi A)^2 <= 1/pi^2 per k, from below 1 at k = 1 down to
     the stopping bound 2^-(wp+l1+2), so F = K + 2 <= wp + l1, and
-    W = wp + l1 + bitlen(wp+l1) + 2 keeps F u below 2^-(wp+l1+2).  (W only
-    sizes the radius: F is counted, so the ball encloses for any K.)
+    W = wp + l1 + bitlen(wp+l1) + 2 keeps F u below 2^-(wp+l1+2).
     """
     width = wp + l1 + (wp + l1).bit_length() + 2
-    terms = [hz(w - 1).scaled_floors(1, l1 - 1, width), hz(w).scaled_floors(-1, 2, width)]
+    f1, r1 = hz(w - 1).scaled_floors(1, l1 - 1, width)
+    f2, r2 = hz(w).scaled_floors(-1, 2, width)
     # hz(w-1+2k) is evaluated only when the truncation draws term k
     corrections = (hz(w - 1 + 2 * k).scaled_floors(num, den, width)
                    for k, (num, den) in enumerate(_em_coefficients(l1), 1))
     # zeta(l1, l2) >= 2^-l1, so a remainder below 2^-(wp+l1) is below 2^-wp of the
     # value; |R_m| <= 4 |c_K| m^(1-l1-2K) for each m, so the tail's remainder is
     # at most 4 |c_K| zeta(w-1+2K, A)
-    kept, rem = _em_truncate((((f, r), abs(f) + 1 + r) for f, r in corrections),
-                             1 << (width - wp - l1))
-    terms += kept
-    floors = len(terms)
-    total = sum(f for f, _ in terms)
-    rad = sum(r for _, r in terms) + rem
-    return RealBall.from_floors(total, floors, rad, width)
+    return _em_sum(f1 + f2, 2, r1 + r2, corrections, 1 << (width - wp - l1), width)
 
 
 def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> list[RealBall]:

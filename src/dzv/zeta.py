@@ -41,58 +41,52 @@ def zeta_even_exact(m: int) -> Fraction:
     return Fraction((-1) ** (m // 2 + 1) * 2 ** (m - 1), factorial(m)) * bernoulli(m)
 
 
-@cache
-def _em_term(s: int, k: int) -> tuple[int, int, int, int]:
-    """(numerator, denominator, (s)_{2k-1}, (2k)!) of the Euler-Maclaurin
-    coefficient c_k = B_2k (s)_{2k-1} / (2k)!, memoized per (s, k); term k
-    extends term k - 1, which a caller drawing k = 1, 2, ... has cached."""
-    if k == 1:
-        rfv, fact = s, 2
-    else:
-        _, _, rfv, fact = _em_term(s, k - 1)
-        rfv *= (s + 2 * k - 3) * (s + 2 * k - 2)
-        fact *= (2 * k - 1) * (2 * k)
-    b = bernoulli(2 * k)
-    return b.numerator * rfv, b.denominator * fact, rfv, fact
-
-
 def _em_coefficients(s: int):
     """The Euler-Maclaurin coefficients c_k = B_2k (s)_{2k-1} / (2k)! for
-    k = 1, 2, ..., as integer pairs (numerator, denominator); the k-th
-    correction term of zeta(s, x) is c_k x^(1-s-2k)."""
+    k = 1, 2, ..., as integer pairs (numerator, denominator), with running
+    products for (s)_{2k-1} and (2k)!; the k-th correction term of zeta(s, x)
+    is c_k x^(1-s-2k)."""
+    rfv, fact = s, 2
     for k in count(1):
-        yield _em_term(s, k)[:2]
+        b = bernoulli(2 * k)
+        yield b.numerator * rfv, b.denominator * fact
+        rfv *= (s + 2 * k - 1) * (s + 2 * k)
+        fact *= (2 * k + 1) * (2 * k + 2)
 
 
-def _em_truncate(terms, negligible):
-    """The Euler-Maclaurin truncation rule over lazy (term, bound) pairs, bound
-    an upper bound on |term|: keep terms up to the first whose remainder bound
-    4 * bound is at most ``negligible``, or up to the asymptotic minimum (the
-    first bound that stops shrinking).  Returns (kept terms, remainder bound),
-    the remainder bound being 4x the first omitted bound.  Pairs past the
-    stopping one are never drawn."""
-    kept = []
+def _em_sum(total: int, floors: int, rad: int, corrections, negligible: int,
+            width: int) -> RealBall:
+    """The Euler-Maclaurin rule at unit u = 2^-width: the ball of a fixed part,
+    ``floors`` integer floors adding up to ``total`` and widened by ``rad``
+    units, plus lazy corrections (f, r), each term in [f - r, f + 1 + r]
+    units, so that b = |f| + 1 + r bounds it.  Corrections are kept up to the
+    first whose remainder bound 4b is at most ``negligible``, or up to the
+    asymptotic minimum (the first b that stops shrinking); none past that one
+    is drawn.  Every floor is low by less than one unit, so the F floors of
+    the fixed part and the kept corrections are low by less than F units: the
+    ball is centred on that one-sided interval, and its radius adds the kept
+    r and 4b, the first omitted correction's remainder bound.  F is counted,
+    so the ball encloses for any number of corrections; a caller's width only
+    sizes the radius."""
     prev = None
-    for term, bound in terms:
+    for f, r in corrections:
+        bound = abs(f) + 1 + r
         if 4 * bound <= negligible or (prev is not None and bound >= prev):
-            return kept, 4 * bound
-        kept.append(term)
-        prev = bound
+            return RealBall.from_floors(total, floors, rad + 4 * bound, width)
+        total, floors, rad, prev = total + f, floors + 1, rad + r, bound
 
 
 def _hurwitz_em_once(s: int, a: int, wp: int, n_lead: int) -> RealBall:
     """One Euler-Maclaurin evaluation of zeta(s, a) = sum_{n>=0} (n+a)^-s,
-    a an integer >= 1:
+    a an integer >= 1, by ``_em_sum``:
 
         sum_{n<N} (n+a)^-s + x^(1-s)/(s-1) + x^-s/2
           + sum_k B_2k/(2k)! (s)_{2k-1} x^(1-s-2k) + R,    x = a + N.
 
-    Each term is one integer floor at unit u = 2^-W, low by less than one
-    unit, so the sum of the F floors is low by less than F units and the ball
-    is centred on that one-sided interval; a correction's floor f stands for
-    a term in [f, f+1), so |f| + 1 bounds it for the truncation.  With
-    W = wp + s bitlen a + bitlen 4N and a^-s above 2^-s bitlen a, F u stays
-    below 2^-(wp+1) of zeta(s, a) while F <= 2N.
+    Each term is one integer floor at unit u = 2^-W, a correction's floor f
+    standing for a term in [f, f+1).  With W = wp + s bitlen a + bitlen 4N
+    and a^-s above 2^-s bitlen a, F u stays below 2^-(wp+1) of zeta(s, a)
+    while the floor count F is at most 2N.
     """
     width = wp + s * a.bit_length() + (4 * n_lead).bit_length()
     one = 1 << width
@@ -102,13 +96,11 @@ def _hurwitz_em_once(s: int, a: int, wp: int, n_lead: int) -> RealBall:
     head = one // ((s - 1) * xpow)
     # term k is num one // (den x^(s-1+2k)), with a running product of x^2
     xx = x * x
-    corrections = (num * one // (den * xk) for (num, den), xk in
+    corrections = ((num * one // (den * xk), 0) for (num, den), xk in
                    zip(_em_coefficients(s), accumulate(repeat(xx), mul, initial=xpow * xx)))
     # a^-s + x^(1-s)/(s-1) <= zeta(s, a), so the remainder is below 2^-wp of the value
-    kept, rem = _em_truncate(((f, abs(f) + 1) for f in corrections), (leading[0] + head) >> wp)
-    total = sum(leading) + head + one // (2 * xpow * x) + sum(kept)
-    floors = n_lead + 2 + len(kept)
-    return RealBall.from_floors(total, floors, rem, width)
+    total = sum(leading) + head + one // (2 * xpow * x)
+    return _em_sum(total, n_lead + 2, 0, corrections, (leading[0] + head) >> wp, width)
 
 
 @cache

@@ -93,6 +93,11 @@ def contains_fraction(b: RealBall, q) -> bool:
     return abs(b.midpoint_fraction() - q) <= b.radius_fraction()
 
 
+def contains_within(b: RealBall, q, shrink: Fraction) -> bool:
+    """q lies in b with its radius less ``shrink``."""
+    return abs(b.midpoint_fraction() - q) <= b.radius_fraction() - shrink
+
+
 def contains_zero(b) -> bool:
     """A real ball holds 0, or both parts of a complex ball do."""
     if isinstance(b, ComplexBall):
@@ -120,6 +125,11 @@ def intersects(a, b) -> bool:
         return intersects(a.real, b.real) and intersects(a.imag, b.imag)
     return abs(a.midpoint_fraction() - b.midpoint_fraction()) \
         <= a.radius_fraction() + b.radius_fraction()
+
+
+def meets_interval(b: RealBall, lo: Fraction, hi: Fraction) -> bool:
+    """The ball and the interval [lo, hi] share a point."""
+    return lower_fraction(b) <= hi and lo <= upper_fraction(b)
 
 
 def zero_within(b: RealBall, tol: Fraction) -> bool:
@@ -292,6 +302,46 @@ def hurwitz_direct_interval(s: int, a: Fraction, n_terms: int) -> Tuple[Fraction
     lo = partial + 1 / ((n_terms + a) ** (s - 1) * (s - 1))
     hi = partial + 1 / ((n_terms - 1 + a) ** (s - 1) * (s - 1))
     return lo, hi
+
+
+def alternating_zeta_interval(s: int, bits: int) -> Tuple[Fraction, Fraction]:
+    """Exact rational enclosure of zeta(s), s >= 2, of width at most 2^-bits,
+    as eta(s) / (1 - 2^(1-s)) with eta(s) = sum_k (-1)^k (k+1)^-s.
+
+    eta(s) is Algorithm 1 of Cohen, Rodriguez Villegas and Zagier
+    (*Experimental Math.* 9, 2000): with the integers d = T_n(3) and
+    c_k = (-1)^k (d + sum_{j<=k} (-1)^j b_j), b_j the coefficients of the
+    shifted Chebyshev polynomial T_n(1 - 2x), eta(s) = sum_{k<n} c_k (k+1)^-s / d + e.
+    (k+1)^-s is the k-th moment of a positive measure on [0, 1], on which
+    |T_n(1 - 2x)| <= 1, so |e| <= eta(s) / d <= 1/d.  Each c_k (k+1)^-s is
+    one integer floor at unit 2^-W, the n floors low by less than n units.
+    Nothing here comes from dzv's zeta, double-zeta or Bernoulli modules."""
+    d_prev, d, n = 1, 3, 1
+    while d.bit_length() < bits + 5:  # 6/d <= 2^-(bits+1)
+        d_prev, d, n = d, 6 * d - d_prev, n + 1
+    width = n.bit_length()
+    one = 1 << width
+    b, c, total = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        total += c * one // (k + 1) ** s
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    # eta(s) lies in [total - one, total + n + one] / (d one); 1/(1 - 2^(1-s)) <= 2
+    scale = Fraction(2 ** (s - 1), (2 ** (s - 1) - 1) * d * one)
+    return (total - one) * scale, (total + n + one) * scale
+
+
+def alternating_hurwitz_interval(s: int, a: int, bits: int) -> Tuple[Fraction, Fraction]:
+    """Exact rational enclosure of zeta(s, a) = zeta(s) - sum_{n<a} n^-s, a an
+    integer >= 1, of width at most 2^-bits relative to zeta(s, a).  The
+    subtraction cancels about s log2 a bits, since zeta(s, a) >= a^(1-s)/(s-1):
+    zeta(s) is taken to that many more bits, and the partial sum as a - 1
+    integer floors at unit 2^-W, low by less than a - 1 units."""
+    bits += (s - 1) * a.bit_length() + (s - 1).bit_length() + 1
+    lo, hi = alternating_zeta_interval(s, bits)
+    width = bits + a.bit_length()
+    partial = sum((1 << width) // n**s for n in range(1, a))
+    return lo - Fraction(partial + a - 1, 1 << width), hi - Fraction(partial, 1 << width)
 
 
 def brute_double_zeta(l1: int, l2: int, cutoff: int, prec: int) -> RealBall:

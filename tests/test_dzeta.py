@@ -1,6 +1,7 @@
 """Tests for double zeta evaluation, tables, the generating polynomial, and
 its structural relations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -45,8 +46,10 @@ from dzv.zeta import _hurwitz, hurwitz_zeta, zeta_even_exact, zeta_numeric
 import oracles
 from oracles import (
     _homogeneous,
+    alternating_hurwitz_interval,
     brute_double_zeta,
     contains_fraction,
+    contains_within,
     contains_zero,
     direct_sums,
     divided_difference,
@@ -56,6 +59,7 @@ from oracles import (
     is_exact,
     is_positive,
     lower_fraction,
+    meets_interval,
     odd_weight_double_zeta,
     same_enclosure,
     upper_fraction,
@@ -251,28 +255,14 @@ def test_lone_double_zeta_is_its_table_entry(ctx192):
 
 
 @pytest.mark.parametrize("widen", [None, 20], ids=["exact-z", "wide-z"])
-def test_tail_floors_enclose_the_truncated_sum(monkeypatch, widen):
-    """With the truncation's remainder replaced by 0, the tail ball must hold
-    the exact sum of the terms it kept at every point of the Hurwitz balls:
-    fed zeta(s, A) midpoints as exact balls, the sum of the kept terms'
-    midpoints (the floors' counted error is in the radius and the centre sits
-    mid-way in their one-sided interval); fed balls of relative radius 2^-20,
-    both extreme sums (the scaled radii are in the radius too).  Every bound
-    the truncation draws covers its term over the whole ball."""
-    truncate = dzeta_mod._em_truncate
-    drawn, negligibles = [], []
-
-    def without_remainder(terms, negligible):
-        negligibles.append(negligible)
-
-        def recorded():
-            for term, bound in terms:
-                drawn.append(bound)
-                yield term, bound
-        kept, _ = truncate(recorded(), negligible)
-        return kept, 0
-
-    monkeypatch.setattr(dzeta_mod, "_em_truncate", without_remainder)
+def test_tail_floors_enclose_the_truncated_sum(em_sums, widen):
+    """With the truncation's remainder taken off its radius, the tail ball
+    must hold the exact sum of the terms it kept at every point of the
+    Hurwitz balls: fed zeta(s, A) midpoints as exact balls, the sum of the
+    kept terms' midpoints (the floors' counted error is in the radius and the
+    centre sits mid-way in their one-sided interval); fed balls of relative
+    radius 2^-20, both extreme sums (the scaled radii are in the radius too).
+    Every bound drawn covers its term over the whole ball."""
     for wp, a_cut in ((112, 57), (240, 121)):
         ctx = PrecisionCtx(wp)
 
@@ -284,21 +274,56 @@ def test_tail_floors_enclose_the_truncated_sum(monkeypatch, widen):
 
         for l1, l2 in ((2, 1), (2, 28), (5, 5), (16, 14), (29, 1)):
             w = l1 + l2
-            drawn.clear()
-            negligibles.clear()
             ball = dzeta_mod._tail(l1, w, wp, hz)
-            unit = Fraction(1, 2 ** (wp + l1)) / negligibles[0]
-            for k, bound in enumerate(drawn, 1):
+            call = em_sums[-1]
+            for k, (f, r) in enumerate(call.drawn, 1):
                 z = hz(w - 1 + 2 * k)
                 term = abs(em_coefficient(l1, k)) * max(-lower_fraction(z), upper_fraction(z))
-                assert bound * unit >= term, (wp, l1, l2, k)
+                assert Fraction(abs(f) + 1 + r, 2**call.width) >= term, (wp, l1, l2, k)
             coeffs = {w - 1: Fraction(1, l1 - 1), w: Fraction(-1, 2)}
-            for k in range(1, len(drawn)):  # the last bound drawn is the omitted one
+            for k in range(1, len(call.drawn)):  # the last correction drawn is the omitted one
                 coeffs[w - 1 + 2 * k] = em_coefficient(l1, k)
             ends = {s: (c * lower_fraction(hz(s)), c * upper_fraction(hz(s)))
                     for s, c in coeffs.items()}
-            assert contains_fraction(ball, sum(min(e) for e in ends.values())), (wp, l1, l2)
-            assert contains_fraction(ball, sum(max(e) for e in ends.values())), (wp, l1, l2)
+            for q in (sum(min(e) for e in ends.values()), sum(max(e) for e in ends.values())):
+                assert contains_within(ball, q, call.remainder), (wp, l1, l2)
+
+
+def test_table_hurwitz_keys_meet_the_alternating_oracle(monkeypatch):
+    """Every zeta(s, A) that the 192-bit tables of weights 3..30 ask for meets
+    the alternating-series oracle taken 64 bits further."""
+    keys = {}
+
+    def recorded(s, a, ctx):
+        ball = hurwitz_zeta(s, a, ctx)
+        keys[s, a, ctx.working_precision] = ball
+        return ball
+
+    monkeypatch.setattr(dzeta_mod, "hurwitz_zeta", recorded)
+    for l in range(3, 31):
+        build_table(l, PrecisionCtx(192))
+    assert keys
+    for (s, a, precision), ball in keys.items():
+        lo, hi = alternating_hurwitz_interval(s, a, precision + 64)
+        assert meets_interval(ball, lo, hi), (s, a, precision)
+
+
+# SHA-256 over the repr of every table vector of weights 3..30 at 192 bits and
+# 3..16 at 1024 bits, then of zeta_numeric(s).dyadic() for s = 2..101 at 192
+# bits.  A change that moves any of these bits on purpose updates the digest.
+_VALUES_DIGEST = "853fa8d932f4717877299b6f860b56421e27170a888e75fa7b6b12be05f6dd4c"
+
+
+def test_table_vectors_and_zeta_values_are_pinned_bit_for_bit():
+    """The goldens print about 57 digits of each side; this pins every
+    entry's last bits and radius, and each zeta value's."""
+    digest = hashlib.sha256()
+    for precision, top in ((192, 30), (1024, 16)):
+        for l in range(3, top + 1):
+            digest.update(repr(get_table(l, PrecisionCtx(precision)).vector).encode())
+    for s in range(2, 102):
+        digest.update(repr(zeta_numeric(s, PrecisionCtx(192)).dyadic()).encode())
+    assert digest.hexdigest() == _VALUES_DIGEST
 
 
 def test_double_zeta_radius_miss_raises_and_caches_nothing(monkeypatch):

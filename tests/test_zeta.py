@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dzv import zeta as zeta_mod
 from dzv.numerics import (
+    GUARD_BITS,
     DomainError,
     PrecisionCtx,
     PrecisionUnreachableError,
@@ -18,11 +19,16 @@ from dzv.zeta import _hurwitz, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
 from oracles import (
     akiyama_tanigawa_bernoulli,
+    alternating_hurwitz_interval,
+    alternating_zeta_interval,
+    bbp_pi_interval,
     contains_fraction,
+    contains_within,
     contains_zero,
     em_coefficient,
     hurwitz_direct_interval,
     lower_fraction,
+    meets_interval,
     upper_fraction,
     zeta_direct_interval,
 )
@@ -210,36 +216,44 @@ def test_hurwitz_recurrence_at_1024_bits(a):
         assert res.radius_fraction() <= power / 2**1020, s
 
 
-def test_hurwitz_kernel_floors_enclose_the_truncated_sum(monkeypatch):
-    """With the truncation's remainder replaced by 0, the kernel's ball must
-    still hold the exact Euler-Maclaurin sum of the terms it kept: the floors'
-    counted error is in the radius and the centre sits mid-way in their
-    one-sided interval.  Every bound the truncation draws covers all of
-    [f, f+1), the terms a correction's floor f stands for."""
-    truncate = zeta_mod._em_truncate
-    drawn = []
-
-    def without_remainder(terms, negligible):
-        def recorded():
-            for f, bound in terms:
-                drawn.append((f, bound))
-                yield f, bound
-        kept, _ = truncate(recorded(), negligible)
-        return kept, 0
-
-    monkeypatch.setattr(zeta_mod, "_em_truncate", without_remainder)
+def test_hurwitz_kernel_floors_enclose_the_truncated_sum(em_sums):
+    """With the truncation's remainder taken off its radius, the kernel's ball
+    must still hold the exact Euler-Maclaurin sum of the terms it kept: the
+    floors' counted error is in the radius and the centre sits mid-way in
+    their one-sided interval.  Every correction drawn, the omitted one too,
+    is the floor f of its exact term, so |f| + 1 covers it."""
     n_lead = 16
     for s in (2, 3, 5, 9, 20, 41):
         for a in (1, 2, 7, 12, 121, 1000):
-            drawn.clear()
             ball = zeta_mod._hurwitz_em_once(s, a, 96, n_lead)
+            call = em_sums[-1]
             x = a + n_lead
             exact = (sum(1 / Fraction(n + a) ** s for n in range(n_lead))
                      + 1 / ((s - 1) * Fraction(x) ** (s - 1)) + 1 / (2 * Fraction(x) ** s))
-            for k in range(1, len(drawn)):  # the last pair drawn is the omitted one
-                exact += em_coefficient(s, k) / Fraction(x) ** (s - 1 + 2 * k)
-            assert contains_fraction(ball, exact), (s, a)
-            assert all(bound >= max(abs(f), abs(f + 1)) for f, bound in drawn), (s, a)
+            for k, (f, r) in enumerate(call.drawn, 1):
+                term = em_coefficient(s, k) / Fraction(x) ** (s - 1 + 2 * k)
+                assert r == 0 and f <= term * 2**call.width < f + 1, (s, a, k)
+                if k < len(call.drawn):  # the last correction drawn is the omitted one
+                    exact += term
+            assert contains_within(ball, exact, call.remainder), (s, a)
+
+
+@pytest.mark.parametrize("s, a, wp, n_lead", [(40, 1, 96, 1), (30, 2, 128, 2), (64, 1, 192, 4)])
+def test_em_sum_stops_at_the_asymptotic_minimum(em_sums, s, a, wp, n_lead):
+    """With too few leading terms the corrections stop shrinking before any
+    is negligible: the rule stops at the first bound that is no smaller than
+    the one before, draws nothing past it, and keeps 4x that bound in the
+    radius, which still encloses zeta(s, a)."""
+    ball = zeta_mod._hurwitz_em_once(s, a, wp, n_lead)
+    (call,) = em_sums
+    bounds = [abs(f) + 1 + r for f, r in call.drawn]
+    assert len(bounds) >= 2 and bounds[-1] >= bounds[-2] and 4 * bounds[-1] > call.negligible
+    # every earlier correction shrank and was not negligible, so the rule drew on past it
+    assert all(4 * b > call.negligible for b in bounds[:-1])
+    assert all(b < prev for prev, b in zip(bounds, bounds[1:-1]))
+    lo, hi = hurwitz_direct_interval(s, a, 200)
+    assert contains_fraction(ball, lo) and contains_fraction(ball, hi)
+    assert ball.radius_fraction() >= call.remainder
 
 
 def test_hurwitz_radius_miss_raises_and_caches_nothing(monkeypatch):
@@ -249,3 +263,54 @@ def test_hurwitz_radius_miss_raises_and_caches_nothing(monkeypatch):
     with pytest.raises(PrecisionUnreachableError):
         hurwitz_zeta(7, 5, PrecisionCtx(100))
     assert _hurwitz.cache_info().currsize == before
+
+
+# ---------------------------------------------------------------------------
+# the alternating-series oracle, apart from the Euler-Maclaurin evaluator
+# ---------------------------------------------------------------------------
+
+def _narrow(lo: Fraction, hi: Fraction, bits: int) -> bool:
+    return 0 < lo <= hi and hi - lo <= lo / 2**bits
+
+
+def test_alternating_oracle_meets_c_pi_power_at_even_s():
+    """zeta(s) and zeta(s, 2) = zeta(s) - 1 at even s against c pi^s, c from
+    the Akiyama-Tanigawa Bernoulli numbers and pi from the BBP series."""
+    bits = 320
+    pi_lo, pi_hi = bbp_pi_interval(bits // 4 + 8)
+    for s in (2, 4, 10, 30, 60):
+        c = _zeta_even_coeff_oracle(s)
+        lo, hi = alternating_zeta_interval(s, bits)
+        assert _narrow(lo, hi, bits) and lo <= c * pi_hi**s and c * pi_lo**s <= hi, s
+        lo, hi = alternating_hurwitz_interval(s, 2, bits)
+        assert _narrow(lo, hi, bits) and lo <= c * pi_hi**s - 1 and c * pi_lo**s - 1 <= hi, s
+
+
+def test_alternating_oracle_meets_direct_sums_at_large_s():
+    for s in (41, 63, 101):
+        lo, hi = alternating_zeta_interval(s, 256)
+        d_lo, d_hi = zeta_direct_interval(s, 100)
+        assert _narrow(lo, hi, 256) and _narrow(d_lo, d_hi, 256) and lo <= d_hi and d_lo <= hi, s
+    for s, a in ((60, 2), (80, 3)):
+        lo, hi = alternating_hurwitz_interval(s, a, 256)
+        d_lo, d_hi = hurwitz_direct_interval(s, a, 40)
+        assert _narrow(lo, hi, 256) and _narrow(d_lo, d_hi, 256) and lo <= d_hi and d_lo <= hi, s
+
+
+@pytest.mark.parametrize("precision, a, ss", [
+    (1024 + GUARD_BITS, 537, (2, 3, 16, 17, 64, 129, 197)),
+    (2048 + GUARD_BITS, 1049, (16, 29, 30, 31, 101, 200, 361)),
+], ids=["1024", "2048"])
+def test_hurwitz_keys_of_wide_tables_meet_the_alternating_oracle(precision, a, ss):
+    """A sample of the keys zeta(s, A) that the 1024- and 2048-bit tables ask
+    for, at the point A and working precision they ask for them."""
+    for s in ss:
+        lo, hi = alternating_hurwitz_interval(s, a, precision + 64)
+        assert meets_interval(hurwitz_zeta(s, a, PrecisionCtx(precision)), lo, hi), s
+
+
+@pytest.mark.parametrize("precision", [192, 1024])
+def test_odd_zeta_values_meet_the_alternating_oracle(precision):
+    for s in range(3, 102, 2):
+        lo, hi = alternating_zeta_interval(s, precision + 64)
+        assert meets_interval(zeta_numeric(s, PrecisionCtx(precision)), lo, hi), s
