@@ -31,8 +31,9 @@ its midpoint and one integer ceiling of its radius at unit 2^-W, and the tail
 is one ball centred on the counted interval of those floors.  The remainder
 is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule of the
 Hurwitz evaluator (one ``zeta._em_sum`` for both) applied to each m2 and
-summed, and added to the radius.  One weight-w table reads the same vector
-zeta(w-1+j, A), each ball looked up once per build.
+summed, and added to the radius.  S_M + H_M zeta(l1, A) + tail is summed
+exactly and rounded once, the entry's only rounding.  One weight-w table
+reads the same vector zeta(w-1+j, A), each ball looked up once per build.
 
 T_l is evaluated at dyadic rationals x = a 2^s, y = b 2^s only (ints or
 Fractions, else DomainError), as one exact dot product of the integers
@@ -68,10 +69,9 @@ from .numerics import (
     _dy_add,
     _rounded,
     _strip_zeros,
-    ball_sum,
     require_exact,
 )
-from .zeta import _em_coefficients, _em_sum, _zeta_numeric, hurwitz_zeta
+from .zeta import _em_coefficients, _em_sum, _hurwitz, hurwitz_zeta
 
 __all__ = [
     "IndexPair",
@@ -174,6 +174,18 @@ def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
     return _em_sum(f1 + f2, 2, r1 + r2, corrections, 1 << (width - wp - l1), width)
 
 
+def _entry(s_m: RealBall, h_m: RealBall, z: RealBall, tail: RealBall, wp: int) -> RealBall:
+    """S_M + H_M z + tail as one exact dyadic midpoint and radius, the radius
+    of H_M z being |H_M| rad z + |z| rad H_M + rad H_M rad z, rounded once
+    to wp bits."""
+    (hm, he, hr, hre), (zm, ze, zr, zre) = h_m.dyadic(), z.dyadic()
+    mid, rad = (hm * zm, he + ze), (hr * zr, hre + zre)
+    for mm, me, rm, re in ((0, 0, abs(hm) * zr, he + zre), (0, 0, abs(zm) * hr, ze + hre),
+                           s_m.dyadic(), tail.dyadic()):
+        mid, rad = _dy_add(*mid, mm, me), _dy_add(*rad, rm, re)
+    return _rounded(*mid, *rad, wp)
+
+
 def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> list[RealBall]:
     """Certified balls for zeta(l1, l - l1), l1 in l1s, radius at most 2^(1-w)
     relative to the value at working precision w, from one evaluation each
@@ -193,11 +205,7 @@ def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> list[RealBal
     sums = _direct_sums(l, l1s, wp, m_cut)
     values = []
     for l1 in l1s:
-        # direct part: sum_{m2<=M} m2^-l2 zeta(l1, m2+1) = S_M + H_M zeta(l1, A);
-        # tail: zeta(l1, m+1) = m^(1-l1)/(l1-1) - m^-l1/2 + sum_k c_k m^(1-l1-2k) + R_m
-        # for every m >= A, summed against m^-l2
-        s_m, h_m = sums[l1]
-        value = ball_sum([s_m, h_m.mul(hz(l1), wp), _tail(l1, l, wp, hz)], wp)
+        value = _entry(*sums[l1], hz(l1), _tail(l1, l, wp, hz), wp)
         if not value.meets_relative_radius(target - 1):
             raise PrecisionUnreachableError(
                 f"double_zeta({l1},{l - l1}) did not reach 2^-{target} relative radius")
@@ -286,11 +294,11 @@ def _form_ball(t: DzvTable, form: _Form) -> RealBall:
     weights, z, scale = form
     wp = t.precision + GUARD_BITS
     if not any(w := weights[1:]) and (n := z * scale).denominator == 1:
-        return _zeta_numeric(t.weight, t.precision).mul_int(int(n)) if n else RealBall.zero()
+        return _hurwitz(t.weight, 1, t.precision).mul_int(int(n)) if n else RealBall.zero()
     mids, rads, e = t.vector
     mm, rm, g = sum(map(mul, mids, weights)), sum(map(mul, rads, map(abs, weights))), 1
     if z:
-        zm, ze, zr, zre = _zeta_numeric(t.weight, t.precision).dyadic()
+        zm, ze, zr, zre = _hurwitz(t.weight, 1, t.precision).dyadic()
         (mm, me), (rm, re) = (_dy_add(z.denominator * mm, e, z.numerator * zm, ze),
                               _dy_add(z.denominator * rm, e, abs(z.numerator) * zr, zre))
     else:
@@ -339,7 +347,7 @@ def _dot(vector: tuple, x, y, wp: int) -> RealBall:
     """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
     at dyadic rationals x = a 2^s and y = b 2^s, else DomainError: with
     w_i = a^i b^(d-i), the sums of mids[i] w_i and rads[i] |w_i| are exact
-    integers at the unit 2^(e + sd), rounded once to wp bits, like ``ball_sum``."""
+    integers at the unit 2^(e + sd), rounded once to wp bits."""
     a, b, s = _common_scale(x, y)
     mids, rads, e = vector
     d = len(mids) - 1

@@ -1,8 +1,11 @@
 """Arbitrary-precision substrate: exact rationals, midpoint-radius balls,
-and formal polynomials in pi.  Every check side is a real ball; the complex
-balls below are only the benchmark tracer's wrapped operations and the
-calling convention of ``dzeta.functional_eq26_check``.  ``PiPolynomial`` is
-only ``pipoly_eval``'s argument, and a name the benchmark keeps.
+and formal polynomials in pi.  Every check side is a real ball.  No dzv
+computation calls the following; ``perfbench/`` imports or wraps them by
+name (tests use some), so they go with its rework: the complex balls
+(``ComplexBall``, ``complex_sum``, ``cube_root_of_unity``), the pi section
+(``pi_const``), ``PiPolynomial``, ``pipoly_eval``, ``ball_sum``, and of
+``RealBall`` ``from_fraction``, ``pow_int`` (with ``from_int``) and
+``add_error``; in ``dzv.dzeta``, ``gen_poly_real`` and ``functional_eq26_check``.
 
 Balls store the midpoint and radius as dyadic numbers (mantissa * 2**exp with
 Python integers), so every operation can account for its rounding error

@@ -1,12 +1,13 @@
 """Riemann zeta at integer arguments and Hurwitz zeta via Euler-Maclaurin.
 
-An even zeta value is the exact rational c of zeta(m) = c pi^m, made a ball by
-``pipoly_eval`` (its ``PiPolynomial`` argument is a name the benchmark keeps);
-odd values and Hurwitz values at integer points are certified balls, a
-Hurwitz value one Euler-Maclaurin sum in integer fixed point, evaluated once.
-The remainder is always bounded rigorously (4x the first omitted correction
-term, derived from the periodized Bernoulli kernel bound
-|B_2m({x}) - B_2m| <= 2|B_2m|) and added to the radius.
+Every numeric value, zeta(s) = zeta(s, 1) at any s >= 2 and zeta(s, a) at
+integer points, is one certified ball from one Euler-Maclaurin sum in integer
+fixed point (Johansson, Numer. Algorithms 69, 2015), returned as that sum
+builds it, with no second rounding.  The remainder is always bounded
+rigorously (4x the first omitted correction term, derived from the
+periodized Bernoulli kernel bound |B_2m({x}) - B_2m| <= 2|B_2m|) and added to
+the radius.  The exact rational c of zeta(m) = c pi^m at even m is a
+separate, exact value for the Bernoulli-side checks.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from itertools import accumulate, count, repeat
 from math import factorial
 from operator import mul
 
-from .bernoulli import bernoulli
+from .bernoulli import _grow, bernoulli
 from .numerics import (
     DomainError,
-    PiPolynomial,
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
-    pipoly_eval,
     require_exact,
 )
 
@@ -45,10 +44,10 @@ def _em_coefficients(s: int):
     """The Euler-Maclaurin coefficients c_k = B_2k (s)_{2k-1} / (2k)! for
     k = 1, 2, ..., as integer pairs (numerator, denominator), with running
     products for (s)_{2k-1} and (2k)!; the k-th correction term of zeta(s, x)
-    is c_k x^(1-s-2k)."""
+    is c_k x^(1-s-2k).  B_2k comes straight from the Bernoulli store."""
     rfv, fact = s, 2
     for k in count(1):
-        b = bernoulli(2 * k)
+        b = _grow(2 * k)[2 * k]
         yield b.numerator * rfv, b.denominator * fact
         rfv *= (s + 2 * k - 1) * (s + 2 * k)
         fact *= (2 * k + 1) * (2 * k + 2)
@@ -125,17 +124,7 @@ def hurwitz_zeta(s: int, a: int, ctx: PrecisionCtx) -> RealBall:
     return _hurwitz(s, a, ctx.working_precision)
 
 
-@cache
-def _zeta_numeric(s: int, precision: int) -> RealBall:
-    ctx = PrecisionCtx(precision)
-    if s % 2 == 0:
-        return pipoly_eval(PiPolynomial.single(s, zeta_even_exact(s)), ctx)
-    return hurwitz_zeta(s, 1, ctx)
-
-
 def zeta_numeric(s: int, ctx: PrecisionCtx) -> RealBall:
-    """Certified ball for zeta(s), s >= 2: the exact c pi^s for even s,
-    Euler-Maclaurin at a = 1 for odd s; memoized by (s, working precision)."""
-    if require_exact(s, "zeta_numeric's s", (int,)) < 2:
-        raise DomainError(f"zeta_numeric requires s >= 2, got {s!r}")
-    return _zeta_numeric(s, ctx.working_precision)
+    """Certified ball for zeta(s) = zeta(s, 1), s >= 2: ``hurwitz_zeta``'s
+    one Euler-Maclaurin kernel and memo, at odd and even s alike."""
+    return hurwitz_zeta(s, 1, ctx)

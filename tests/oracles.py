@@ -4,14 +4,15 @@ Every expected value asserted by the tests is computed here by a method
 independent of the code path under test: Pascal's triangle for binomials,
 Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
 summation with integral tail bounds for zeta values, the literal truncated
-double sum for double zeta values, the direct sums of one pair in their
-own loop with their own powers, at odd weight the reduction of a double
-zeta value to products of single zeta values, eq26's sides as five
-separate dot products, every table check's sides composed of separately
-rounded terms as dzv built them before its one form evaluator, Horner's
-rule in counted integer fixed point for T_l at complex points, Lemma 1's
-five equations written out one by one with it, and the cube roots of unity
-in exact Q(sqrt -3) arithmetic.
+double sum for double zeta values, the direct sums of one pair in their own
+loop with their own powers, a table entry composed of separately rounded
+terms as dzv built it before its one rounding, at odd weight the reduction
+of a double zeta value to products of single zeta values, eq26's sides as
+five separate dot products, every table check's sides composed of
+separately rounded terms as dzv built them before its one form evaluator,
+Horner's rule in counted integer fixed point for T_l at complex points,
+Lemma 1's five equations written out one by one with it, and the cube roots
+of unity in exact Q(sqrt -3) arithmetic.
 
 The weight hypotheses of the suites are plain predicates, written apart
 from the checks that raise OutsideHypothesis.  The ball predicates below
@@ -34,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from dzv.dzeta import _dot, gen_poly_eval, get_table
+from dzv.dzeta import _dot, _tail, gen_poly_eval, get_table
 from dzv.identities import (
     _AT_ONE,
     _LEMMA1,
@@ -58,7 +59,7 @@ from dzv.numerics import (
     cube_root_of_unity,
     require_exact,
 )
-from dzv.zeta import zeta_numeric
+from dzv.zeta import hurwitz_zeta, zeta_numeric
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +389,22 @@ def direct_sums(l1: int, l2: int, m_cut: int, wp: int) -> Tuple[RealBall, RealBa
         h += one // m ** l2
     return (RealBall.from_floors(s, m_cut * m_cut << width, 0, 2 * width),
             RealBall.from_floors(h, m_cut, 0, width))
+
+
+def composed_double_zeta(l1: int, l2: int, ctx: PrecisionCtx) -> RealBall:
+    """zeta(l1, l2) as dzv composed it before each table entry was one exact
+    sum: the pair's own direct sums S_M and H_M, the product H_M zeta(l1, A)
+    rounded at wp, then S_M, that product and the tail rounded again by
+    ``ball_sum``, at the same M = max(32, wp/2) and A = M + 1."""
+    wp = ctx.working_precision + GUARD_BITS
+    m_cut = max(32, wp // 2)
+    hz_ctx = PrecisionCtx(wp)
+
+    def hz(s: int) -> RealBall:
+        return hurwitz_zeta(s, m_cut + 1, hz_ctx)
+
+    s_m, h_m = direct_sums(l1, l2, m_cut, wp)
+    return ball_sum([s_m, h_m.mul(hz(l1), wp), _tail(l1, l1 + l2, wp, hz)], wp)
 
 
 def odd_weight_double_zeta(a: int, b: int, ctx: PrecisionCtx) -> RealBall:

@@ -42,7 +42,7 @@ from dzv.numerics import (
     exact_check,
 )
 from dzv.dzeta import _table, functional_eq26_check
-from dzv.identities import eq26_check
+from dzv.identities import eq26_check, sum_formula_check
 from dzv.zeta import zeta_numeric
 
 import oracles
@@ -50,6 +50,7 @@ from oracles import (
     DYADIC_BALLS,
     SUITE_HYPOTHESES,
     contains_ball,
+    contains_fraction,
     decimal_truncate,
     lower_fraction,
     residual_strings,
@@ -179,12 +180,20 @@ def test_certified_decimal_prints_shared_digits_or_an_inner_integer(mid, rad, di
 
 
 def test_sides_near_an_integer_print_that_integer():
-    # zeta(260) = 1 + 2^-260 + ...: its ball at 192 bits holds 1 but not 0
-    assert _ball_str(zeta_numeric(260, PrecisionCtx(192)), 192) == "1"
-    reports, code = cmd_verify(RunConfig(weight_min=260, weight_max=260,
+    # a side whose ball holds an integer prints it: the sum formula's table sum
+    # at 259 and 260 is 1 + 2^-l + ..., rounded once at 240 bits, so its ball
+    # holds 1 (and not 0)
+    reports, code = cmd_verify(RunConfig(weight_min=259, weight_max=260,
                                          suites=("sum-formula",)))
-    rec = reports[0].checks[0]
-    assert code == 0 and (rec.lhs, rec.rhs) == ("1", "1")
+    assert code == 0 and [rec.lhs for rec in reports[0].checks] == ["1", "1"]
+    for l in (259, 260):
+        assert contains_fraction(sum_formula_check(l, PrecisionCtx(192)).lhs, 1), l
+    # zeta(l) = zeta(l, 1) is the Euler-Maclaurin ball as built, radius far
+    # below 2^-l, so at odd and even l alike it holds no integer and prints
+    # 57 places of 1.000...
+    for l in (259, 260):
+        assert _ball_str(zeta_numeric(l, PrecisionCtx(192)), 192) == "1." + "0" * 57, l
+    assert [rec.rhs for rec in reports[0].checks] == ["1." + "0" * 57] * 2
 
 
 @settings(max_examples=200, deadline=None)

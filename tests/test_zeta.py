@@ -1,8 +1,9 @@
 """Tests for exact even zeta values and the Euler-Maclaurin Hurwitz engine
 at integer points."""
 
+import importlib
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,11 @@ from dzv import zeta as zeta_mod
 from dzv.numerics import (
     GUARD_BITS,
     DomainError,
+    PiPolynomial,
     PrecisionCtx,
     PrecisionUnreachableError,
     RealBall,
+    pipoly_eval,
 )
 from dzv.zeta import _hurwitz, hurwitz_zeta, zeta_even_exact, zeta_numeric
 
@@ -34,6 +37,7 @@ from oracles import (
 )
 
 _AT = akiyama_tanigawa_bernoulli(60)
+bernoulli_module = importlib.import_module("dzv.bernoulli")
 
 
 def _zeta_even_coeff_oracle(m: int) -> Fraction:
@@ -310,7 +314,38 @@ def test_hurwitz_keys_of_wide_tables_meet_the_alternating_oracle(precision, a, s
 
 
 @pytest.mark.parametrize("precision", [192, 1024])
-def test_odd_zeta_values_meet_the_alternating_oracle(precision):
-    for s in range(3, 102, 2):
+def test_zeta_values_meet_the_alternating_oracle(precision):
+    for s in range(2, 102):
         lo, hi = alternating_zeta_interval(s, precision + 64)
         assert meets_interval(zeta_numeric(s, PrecisionCtx(precision)), lo, hi), s
+
+
+@pytest.mark.parametrize("precision", [192, 1024])
+def test_even_zeta_values_meet_c_pi_power_and_are_no_wider_than_pipoly_eval(precision):
+    """Even zeta(s), s = 2..200, is zeta(s, 1) from the Euler-Maclaurin
+    kernel, like odd s.  It meets c pi^s, c = zeta_even_exact(s) and pi from
+    the BBP series, and it is no wider than the ball ``pipoly_eval`` makes of
+    c pi^s.  pi^s lies in [lo, hi] 2^-W, integers stepped by pi^2's floor and
+    ceiling: each of the s/2 steps loses less than 2^-W of pi^s >= 1, so the
+    interval stays narrower than 2^-(precision+64) of the value."""
+    width = precision + 80
+    pi_lo, pi_hi = bbp_pi_interval(width // 4 + 2)
+    sq_lo, sq_hi = floor(pi_lo**2 * 2**width), ceil(pi_hi**2 * 2**width)
+    lo = hi = 1 << width
+    ctx, unit = PrecisionCtx(precision), Fraction(1, 1 << width)
+    for s in range(2, 201, 2):
+        lo, hi = lo * sq_lo >> width, -(-hi * sq_hi >> width)
+        c, z = zeta_even_exact(s), zeta_numeric(s, ctx)
+        assert meets_interval(z, c * lo * unit, c * hi * unit), s
+        old = pipoly_eval(PiPolynomial.single(s, c), ctx)
+        assert z.intersects(old) and z.radius_fraction() <= old.radius_fraction(), s
+
+
+def test_zeta_value_at_3000_grows_no_bernoulli_store(monkeypatch):
+    """zeta(3000) at 192 bits reads B_2k only for the corrections it draws,
+    not B_3000 as the exact c pi^3000 would: a fresh store stays small."""
+    monkeypatch.setattr(bernoulli_module, "_B", [Fraction(1), Fraction(-1, 2), Fraction(1, 6)])
+    monkeypatch.setattr(bernoulli_module, "_COLUMN", [1])
+    z = zeta_mod._hurwitz.__wrapped__(3000, 1, 192)  # past the memo
+    assert len(bernoulli_module._B) - 1 <= 8
+    assert lower_fraction(z) > 1 and upper_fraction(z) < 1 + Fraction(1, 2**2999)
