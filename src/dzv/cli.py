@@ -191,11 +191,12 @@ def _shared_digits(a: int, b: int) -> Tuple[int, int]:
 
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
     """The digits that the truncations of both ends of the ball at max_digits
-    places share, cut at a digit; when the integer parts already differ, the
-    integer nearest the midpoint (half to even, like round()), which lies in
-    the ball since some integer does.  "0" exactly when the ball contains 0,
-    so a ball inside (-1, 1) whose ends differ in the first place prints as
-    "0."."""
+    places share, cut at a digit and always written with a point, so shared
+    digits that stop at the units print as "130." and a ball inside (-1, 1)
+    whose ends differ in the first place as "0."; when the integer parts
+    already differ, the integer nearest the midpoint (half to even, like
+    round()), which lies in the ball since some integer does.  "0" exactly
+    when the ball contains 0."""
     mm, me, rm, re = ball.dyadic()
     e = min(me, re)
     n, r = abs(mm) << (me - e), rm << (re - e)  # |mid| and rad at the unit 2^e
@@ -211,7 +212,7 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
         k = max_digits - j
         t = _decimal_str(head).rjust(k + 1, "0")
         ia, fa = t[:len(t) - k], t[len(t) - k:]
-        s = f"{ia}.{fa}" if k or ia == "0" else ia
+        s = f"{ia}.{fa}"
     return "-" + s if mm < 0 and s.strip("0.") else s
 
 

@@ -32,8 +32,10 @@ is one ball centred on the counted interval of those floors.  The remainder
 is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule of the
 Hurwitz evaluator (one ``zeta._em_sum`` for both) applied to each m2 and
 summed, and added to the radius.  S_M + H_M zeta(l1, A) + tail is summed
-exactly and rounded once, the entry's only rounding.  One weight-w table
-reads the same vector zeta(w-1+j, A), each ball looked up once per build.
+exactly and rounded once, the entry's only rounding.  ``_double_zetas``
+writes each entry straight into T_l's coefficient vector, and one weight-w
+table reads the same vector zeta(w-1+j, A) from the one ``zeta._hurwitz``
+memo.  A lone value is the entry of its own one-pair vector.
 
 T_l is evaluated at dyadic rationals x = a 2^s, y = b 2^s only (ints or
 Fractions, else DomainError), as one exact dot product of the integers
@@ -56,7 +58,7 @@ from functools import cache
 from itertools import accumulate, repeat
 from math import gcd
 from operator import add, floordiv, mul, rshift
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .numerics import (
     GUARD_BITS,
@@ -71,7 +73,8 @@ from .numerics import (
     _strip_zeros,
     require_exact,
 )
-from .zeta import _em_coefficients, _em_sum, _hurwitz, hurwitz_zeta
+from .zeta import _em_coefficients, _em_sum, _hurwitz
+from .zeta import hurwitz_zeta  # noqa: F401  perfbench's RestoreTest reads dzv.dzeta.hurwitz_zeta
 
 __all__ = [
     "IndexPair",
@@ -186,47 +189,50 @@ def _entry(s_m: RealBall, h_m: RealBall, z: RealBall, tail: RealBall, wp: int) -
     return _rounded(*mid, *rad, wp)
 
 
-def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> list[RealBall]:
-    """Certified balls for zeta(l1, l - l1), l1 in l1s, radius at most 2^(1-w)
-    relative to the value at working precision w, from one evaluation each
-    at the direct-sum cutoff M = max(32, wp/2).  The pairs share the
-    weight's inverse-power rows and one ball zeta(s, A) per s, both dropped
-    on return.  Raises PrecisionUnreachableError at the first radius that
-    misses that target."""
+def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> tuple:
+    """T_l's coefficient vector (mids, rads, e) with slot l1 - 1 holding
+    zeta(l1, l - l1) for l1 in l1s and every other slot 0: each value is
+    mids[l1-1] 2^e +- rads[l1-1] 2^e, e the least exponent of any part, and
+    its radius is at most 2^(1-w) relative to the value at working precision
+    w, from one evaluation at the direct-sum cutoff M = max(32, wp/2).  The
+    pairs share the weight's inverse-power rows, dropped on return, and read
+    each zeta(s, A) from the one ``zeta._hurwitz`` memo.  Raises
+    PrecisionUnreachableError at the first radius that misses that target."""
     target = ctx.working_precision
     wp = target + GUARD_BITS
     m_cut = max(32, wp // 2)
-    a_cut, hz_ctx = m_cut + 1, PrecisionCtx(wp)
 
-    @cache  # one lookup per s in this build, dropped with it
     def hz(s: int) -> RealBall:
-        return hurwitz_zeta(s, a_cut, hz_ctx)
+        return _hurwitz(s, m_cut + 1, wp)
 
     sums = _direct_sums(l, l1s, wp, m_cut)
-    values = []
+    parts = [(0, 0, 0, 0)] * (l - 1)
     for l1 in l1s:
         value = _entry(*sums[l1], hz(l1), _tail(l1, l, wp, hz), wp)
         if not value.meets_relative_radius(target - 1):
             raise PrecisionUnreachableError(
                 f"double_zeta({l1},{l - l1}) did not reach 2^-{target} relative radius")
-        values.append(value)
-    return values
+        parts[l1 - 1] = value.dyadic()
+    e = min(min(me, re) for _, me, _, re in parts)
+    return (tuple(mm << (me - e) for mm, me, _, _ in parts),
+            tuple(rm << (re - e) for _, _, rm, re in parts), e)
 
 
 def double_zeta(p: IndexPair, ctx: PrecisionCtx) -> RealBall:
     """Certified ball for zeta(l1, l2), radius at most 2^(1-w) relative to the
-    value at working precision w: the direct sums and the Euler-Maclaurin
-    tail are each summed in integer fixed point, and the tail depth follows
-    the target.  Raises PrecisionUnreachableError if the radius misses that
-    target."""
-    return _double_zetas(p.weight, [p.l1], ctx)[0]
+    value at working precision w: the entry of its own one-pair vector, read
+    as a table entry is.  Raises PrecisionUnreachableError if the radius
+    misses that target."""
+    vector = _double_zetas(p.weight, [p.l1], ctx)
+    return DzvTable(p.weight, ctx.working_precision, vector).entry(p.l1, p.l2)
 
 
 @dataclass(frozen=True)
 class DzvTable:
     """All double zeta values of one weight at one working precision, held only
-    as T_l's coefficient vector (mids, rads, e) from ``_coefficient_vector``:
-    zeta(l1, weight - l1), l1 = 2..weight-1, is mids[l1-1] 2^e +- rads[l1-1] 2^e."""
+    as T_l's coefficient vector (mids, rads, e) from ``_double_zetas``, read
+    from the one ``zeta._hurwitz`` memo: zeta(l1, weight - l1), l1 = 2..weight-1,
+    is mids[l1-1] 2^e +- rads[l1-1] 2^e."""
 
     weight: int
     precision: int
@@ -251,8 +257,7 @@ def _table_weight(l: int) -> int:
 
 def build_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     """Compute the complete weight-l table at the context's working precision."""
-    values = _double_zetas(l, range(2, _table_weight(l)), ctx)
-    return DzvTable(l, ctx.working_precision, _coefficient_vector([None] + values))
+    return DzvTable(l, ctx.working_precision, _double_zetas(l, range(2, _table_weight(l)), ctx))
 
 
 @cache
@@ -265,15 +270,6 @@ def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     holds nothing else of the context.  The weight is checked before the memo,
     where 12.0 would hit the entry for 12 and weight 2 would count a miss."""
     return _table(_table_weight(l), ctx.working_precision)
-
-
-def _coefficient_vector(coeffs: Sequence[Optional[RealBall]]) -> tuple:
-    """(mids, rads, e): c_i has midpoint mids[i] 2^e and radius rads[i] 2^e,
-    e the least exponent of any part; None is an absent term."""
-    parts = [(0, 0, 0, 0) if c is None else c.dyadic() for c in coeffs]
-    e = min(min(me, re) for _, me, _, re in parts)
-    return (tuple(mm << (me - e) for mm, me, _, _ in parts),
-            tuple(rm << (re - e) for _, _, rm, re in parts), e)
 
 
 class _Form(NamedTuple):

@@ -5,7 +5,8 @@ name (tests use some), so they go with its rework: the complex balls
 (``ComplexBall``, ``complex_sum``, ``cube_root_of_unity``), the pi section
 (``pi_const``), ``PiPolynomial``, ``pipoly_eval``, ``ball_sum``, and of
 ``RealBall`` ``from_fraction``, ``pow_int`` (with ``from_int``) and
-``add_error``; in ``dzv.dzeta``, ``gen_poly_real`` and ``functional_eq26_check``.
+``add_error``; in ``dzv.dzeta``, ``gen_poly_real``, ``functional_eq26_check``
+and the ``hurwitz_zeta`` import.
 
 Balls store the midpoint and radius as dyadic numbers (mantissa * 2**exp with
 Python integers), so every operation can account for its rounding error

@@ -206,8 +206,8 @@ def decimal_truncate(q: Fraction, digits: int) -> str:
 
 def certified_decimal(ball: RealBall, max_digits: int) -> str:
     """The printing rule of dzv.cli.certified_decimal, on the exact ends:
-    the digits both truncated ends share, round(|mid|) when their integer
-    parts differ, and "0" exactly when the ball holds 0."""
+    the digits both truncated ends share, always with a point, round(|mid|)
+    when their integer parts differ, and "0" exactly when the ball holds 0."""
     lo, hi = lower_fraction(ball), upper_fraction(ball)
     if lo <= 0 <= hi:
         return "0"
@@ -217,7 +217,7 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
         s = str(round(abs(ball.midpoint_fraction())))
     else:
         k = len(os.path.commonprefix([fa, fb]))
-        s = f"{ia}.{fa[:k]}" if k or ia == "0" else ia
+        s = f"{ia}.{fa[:k]}"
     return "-" + s if hi < 0 and s.strip("0.") else s
 
 
@@ -509,7 +509,7 @@ def reference_certified_decimal(ball: RealBall, max_digits: int) -> str:
         k = max_digits - j
         t = str(head).rjust(k + 1, "0")
         ia, fa = t[:len(t) - k], t[len(t) - k:]
-        s = f"{ia}.{fa}" if k or ia == "0" else ia
+        s = f"{ia}.{fa}"
     return "-" + s if hi[0] < 0 and s.strip("0.") else s
 
 
@@ -549,6 +549,19 @@ def _ceil_modulus(re: int, im: int) -> int:
     n = re * re + im * im
     s = isqrt(n)
     return s + (s * s != n)
+
+
+def coefficient_vector(coeffs: Sequence[Optional[RealBall]]) -> tuple:
+    """(mids, rads, e), the layout of a table's vector, for real balls c_i
+    (None for an absent term): c_i = mids[i] 2^e +- rads[i] 2^e, with e the
+    least exponent of any part and an absent term's exponents 0."""
+    parts = [(0, 0, 0, 0) if c is None else c.dyadic() for c in coeffs]
+    e = min(min(me, re) for _, me, _, re in parts)
+    scale = Fraction(2) ** -e
+    mids = [Fraction(0) if c is None else c.midpoint_fraction() * scale for c in coeffs]
+    rads = [Fraction(0) if c is None else c.radius_fraction() * scale for c in coeffs]
+    assert all(q.denominator == 1 for q in mids + rads)
+    return tuple(map(int, mids)), tuple(map(int, rads)), e
 
 
 def _homogeneous(coeffs: Sequence[Optional[RealBall]], x: ComplexBall, y: ComplexBall,

@@ -42,7 +42,7 @@ from dzv.numerics import (
     exact_check,
 )
 from dzv.dzeta import _table, functional_eq26_check
-from dzv.identities import eq26_check, sum_formula_check
+from dzv.identities import eq26_check, sum_formula_check, weighted_sum_check
 from dzv.zeta import zeta_numeric
 
 import oracles
@@ -171,10 +171,10 @@ def test_certified_decimal_prints_shared_digits_or_an_inner_integer(mid, rad, di
     if int(lo) != int(hi):  # the integer parts differ: an integer of the ball
         assert s.lstrip("-").isdigit() and lo <= int(s) <= hi
         return
-    # the longest truncation both ends share, at most `digits` places; a
-    # bare point marks a zero-free ball whose shared truncation is 0
+    # the longest truncation both ends share, at most `digits` places, always
+    # with a point: "130." when the shared digits stop at the units
     k = len(s.partition(".")[2])
-    assert (s == "0.") == (k == 0 and "." in s)
+    assert "." in s
     assert k <= digits and s.rstrip(".") == decimal_truncate(lo, k) == decimal_truncate(hi, k)
     assert k == digits or decimal_truncate(lo, k + 1) != decimal_truncate(hi, k + 1)
 
@@ -194,6 +194,16 @@ def test_sides_near_an_integer_print_that_integer():
     for l in (259, 260):
         assert _ball_str(zeta_numeric(l, PrecisionCtx(192)), 192) == "1." + "0" * 57, l
     assert [rec.rhs for rec in reports[0].checks] == ["1." + "0" * 57] * 2
+    # weighted-sum's sides at 260 are near 130.5 and share the digits 130 but
+    # no decimal, so they print "130." (a bare 130 would read as a ball holding
+    # 130); at 259 the lhs holds 130 and prints that integer
+    reports, code = cmd_verify(RunConfig(weight_min=259, weight_max=260,
+                                         suites=("weighted-sum",)))
+    (at259, at260), = (r.checks for r in reports)
+    assert code == 0 and (at260.lhs, at260.rhs) == ("130.", "130.")
+    assert at259.lhs == "130"
+    assert contains_fraction(weighted_sum_check(259, PrecisionCtx(192)).lhs, 130)
+    assert not contains_fraction(weighted_sum_check(260, PrecisionCtx(192)).lhs, 130)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from dzv import dzeta as dzeta_mod
 from dzv.dzeta import (
+    DzvTable,
     IndexPair,
-    _coefficient_vector,
     _direct_sums,
+    _double_zetas,
     _dot,
     _Form,
     _form_ball,
@@ -48,6 +49,7 @@ from oracles import (
     _homogeneous,
     alternating_hurwitz_interval,
     brute_double_zeta,
+    coefficient_vector,
     composed_double_zeta,
     contains_fraction,
     contains_within,
@@ -181,24 +183,21 @@ def test_tables_share_one_hurwitz_vector_per_weight(monkeypatch):
     tail stops once its remainder is negligible: cold tables 3..30 at 192
     bits evaluate the 47 Hurwitz values zeta(s, 121), s = 2..48 (80 for
     3..20 with the old fixed tail depth, and one Hurwitz value per
-    direct-sum index would need hundreds).  Each build asks ``hurwitz_zeta``
-    for each of its s once: 874 calls, where one lookup per pair and term
-    made 5,760."""
+    direct-sum index would need hundreds).  A build reads each zeta(s, A)
+    straight from the one ``_hurwitz`` memo, once per pair and term: 5,760
+    lookups, 47 of them misses."""
     asked = []
 
-    def recording(s, a, ctx):
-        asked.append((s, a, ctx.working_precision))
-        return hurwitz_zeta(s, a, ctx)
+    def recording(s, a, precision):
+        asked.append((s, a, precision))
+        return _hurwitz(s, a, precision)
 
-    monkeypatch.setattr(dzeta_mod, "hurwitz_zeta", recording)
+    monkeypatch.setattr(dzeta_mod, "_hurwitz", recording)
     _hurwitz.cache_clear()
-    ctx = PrecisionCtx(192)
     for l in range(3, 31):
-        start = len(asked)
-        build_table(l, ctx)
-        assert len(set(asked[start:])) == len(asked) - start, l
-    assert _hurwitz.cache_info().misses == 47
-    assert len(asked) == 874 and {a for _, a, _ in asked} == {121}
+        build_table(l, PrecisionCtx(192))
+    assert _hurwitz.cache_info().misses == len(set(asked)) == 47
+    assert len(asked) == 5760 and {a for _, a, _ in asked} == {121}
 
 
 @pytest.mark.parametrize("l1, l2, m_cut, wp", [
@@ -239,17 +238,24 @@ def test_shared_rows_give_each_pairs_own_direct_sums(precision, weights):
 
 def test_lone_double_zeta_is_its_table_entry(ctx192):
     """``double_zeta`` builds the rows of its own weight through the same
-    path as a table, keeping only its own pair's rows, so a lone value
-    shifted to the table's common exponent is its vector slot bit for bit,
-    whichever of l1 and l2 is larger, and entry() is that ball.  Every pair
-    of weights 3..30 (among them (5, 7), (6, 6), (16, 14) and (29, 1)), and
-    (150, 3)."""
+    path as a table, keeping only its own pair's rows, into a one-pair
+    vector that is 0 in every slot but l1 - 1, and is that vector's
+    ``DzvTable.entry`` bit for bit.  Shifted to the table's common exponent,
+    a lone value is its table slot bit for bit, whichever of l1 and l2 is
+    larger, and the table's entry() is that ball.  Every pair of weights
+    3..30 (among them (5, 7), (6, 6), (16, 14) and (29, 1)), and (150, 3)."""
     pairs = [IndexPair(l1, l - l1) for l in range(3, 31) for l1 in range(2, l)]
     pairs.append(IndexPair(150, 3))
     for p in pairs:
+        mids, rads, e = lone = _double_zetas(p.weight, [p.l1], ctx192)
+        assert len(mids) == len(rads) == p.weight - 1, p
+        assert not any(mids[:p.l1 - 1] + mids[p.l1:] + rads[:p.l1 - 1] + rads[p.l1:]), p
+        value = double_zeta(p, ctx192)
+        lone_entry = DzvTable(p.weight, ctx192.working_precision, lone).entry(p.l1, p.l2)
+        assert value.dyadic() == lone_entry.dyadic(), p
         t = get_table(p.weight, ctx192)
         mids, rads, e = t.vector
-        mm, me, rm, re = double_zeta(p, ctx192).dyadic()
+        mm, me, rm, re = value.dyadic()
         m, r = mm << (me - e), rm << (re - e)
         assert (mids[p.l1 - 1], rads[p.l1 - 1]) == (m, r), p
         assert same_enclosure(t.entry(p.l1, p.l2), RealBall(m, e, r, e)), p
@@ -305,16 +311,16 @@ def test_tail_floors_enclose_the_truncated_sum(em_sums, widen):
 
 
 def test_table_hurwitz_keys_meet_the_alternating_oracle(monkeypatch):
-    """Every zeta(s, A) that the 192-bit tables of weights 3..30 ask for meets
-    the alternating-series oracle taken 64 bits further."""
+    """Every zeta(s, A) that the 192-bit tables of weights 3..30 read from the
+    ``_hurwitz`` memo meets the alternating-series oracle taken 64 bits
+    further."""
     keys = {}
 
-    def recorded(s, a, ctx):
-        ball = hurwitz_zeta(s, a, ctx)
-        keys[s, a, ctx.working_precision] = ball
+    def recorded(s, a, precision):
+        keys[s, a, precision] = ball = _hurwitz(s, a, precision)
         return ball
 
-    monkeypatch.setattr(dzeta_mod, "hurwitz_zeta", recorded)
+    monkeypatch.setattr(dzeta_mod, "_hurwitz", recorded)
     for l in range(3, 31):
         build_table(l, PrecisionCtx(192))
     assert keys
@@ -553,7 +559,7 @@ def test_dot_encloses_the_polynomial_at_exact_real_points(coeff_parts, xp, yp, e
     spread plus one rounding to wp bits (rounded up to a short mantissa)."""
     coeffs = [None if c is None else _ball(*c, exact) for c in coeff_parts]
     x, y = (m * Fraction(2) ** e for m, e in (xp, yp))
-    vector = _coefficient_vector(coeffs)
+    vector = coefficient_vector(coeffs)
     z = _dot(vector, x, y, wp)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dzeta_mod, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
