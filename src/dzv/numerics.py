@@ -20,6 +20,7 @@ midpoint_fraction() and radius_fraction() are for readers outside that path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -140,23 +141,6 @@ def _rounded(mm: int, me: int, rm: int, re: int, prec: int) -> "RealBall":
     return RealBall(mm, me, rm, re)
 
 
-def _dy_up_from_fraction(q: Fraction) -> Tuple[int, int]:
-    """Short dyadic upper bound of a nonnegative rational."""
-    num, den = q.numerator, q.denominator
-    if num == 0:
-        return 0, 0
-    if num < 0:
-        raise ValueError("negative radius")
-    e = num.bit_length() - den.bit_length() - _RAD_BITS
-    if e <= 0:
-        man, rem = divmod(num << (-e), den)
-    else:
-        man, rem = divmod(num, den << e)
-    if rem:
-        man += 1
-    return man, e
-
-
 # ---------------------------------------------------------------------------
 # precision context
 # ---------------------------------------------------------------------------
@@ -164,8 +148,9 @@ def _dy_up_from_fraction(q: Fraction) -> Tuple[int, int]:
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Working precision (binary digits) plus the residual tolerance checks use.
-    The precision is an int; the tolerance is an int or a Fraction and is
-    stored as a Fraction (a float is not the rational it was written as)."""
+    The precision is an int from 64 to 2^20; the tolerance is an int or a
+    Fraction and is stored as a Fraction (a float is not the rational it was
+    written as)."""
 
     working_precision: int = 192
     target_tolerance: Fraction = Fraction(1, 10**40)
@@ -176,6 +161,9 @@ class PrecisionCtx:
         object.__setattr__(self, "target_tolerance", Fraction(tol))
         if self.working_precision < 64:
             raise DomainError("working_precision must be at least 64 bits")
+        # one table row at 2^20 bits is about 2^19 integers of 2^20 bits each
+        if self.working_precision > 1 << 20:
+            raise DomainError("working_precision must be at most 2^20 = 1048576 bits")
         if self.target_tolerance <= 0:
             raise DomainError("target_tolerance must be positive")
 
@@ -236,8 +224,8 @@ class RealBall:
         if rem == 0:
             man, e = _strip_zeros(man, e)
             return RealBall(man, e, 0, 0)
-        # center the enclosure [man, man+1] ulp
-        return RealBall(2 * man + 1, e - 1, 1, e - 1)
+        # q lies in [man, man + 1] units of 2^e
+        return RealBall.from_floors(man, 1, 0, -e)
 
     # -- accessors -----------------------------------------------------------
 
@@ -323,10 +311,10 @@ class RealBall:
             raise ValueError("error bound must be nonnegative")
         if q == 0:
             return self
-        em, ee = _dy_up_from_fraction(q)
-        rm, re = _dy_add(self._rm, self._re, em, ee)
-        rm, re = _rad_up(rm, re)
-        return RealBall(self._mm, self._me, rm, re)
+        # the upper end of q's ball at _RAD_BITS - 1 bits: q rounded up at _RAD_BITS bits
+        b = RealBall.from_fraction(q, _RAD_BITS - 1)
+        rm, re = _dy_add(self._rm, self._re, *_dy_add(b._mm, b._me, b._rm, b._re))
+        return RealBall(self._mm, self._me, *_rad_up(rm, re))
 
     # -- formatting ----------------------------------------------------------
 
@@ -340,18 +328,12 @@ class RealBall:
 
 def _decimal_str(n: int) -> str:
     """str(n) for an integer of any size.  Python refuses str() of an int
-    above its int_max_str_digits limit (4300 digits by default); such an n is
-    split at a power of ten into halves, each printed the same way, so no
-    process-wide setting is changed."""
+    above its int_max_str_digits limit (4300 digits by default); a Decimal
+    has no such limit, so no process-wide setting is changed."""
     try:
         return str(n)
     except ValueError:  # above the limit
-        pass
-    if n < 0:
-        return "-" + _decimal_str(-n)
-    k = n.bit_length() * 3 // 20  # about half the decimal digits of n
-    hi, lo = divmod(n, 10 ** k)
-    return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
+        return str(Decimal(n))
 
 
 @cache
@@ -502,7 +484,7 @@ def cube_root_of_unity(ctx: PrecisionCtx) -> ComplexBall:
     k = ctx.working_precision + 8
     # s <= 2^k sqrt(3) < s + 1, so sqrt(3)/2 lies in [s, s + 1] / 2^(k+1)
     s = isqrt(3 << (2 * k))
-    return ComplexBall(RealBall(-1, -1, 0, 0), RealBall(2 * s + 1, -k - 2, 1, -k - 2))
+    return ComplexBall(RealBall(-1, -1, 0, 0), RealBall.from_floors(s, 1, 0, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +494,7 @@ def cube_root_of_unity(ctx: PrecisionCtx) -> ComplexBall:
 class PiPolynomial:
     """Finite sum of terms coeff * pi**k with exact rational coefficients.
 
-    The argument of ``pipoly_eval``; supports ring arithmetic and exact
+    The argument of ``pipoly_eval``; supports sums, products and exact
     equality.  Exponents are ints >= 0; coefficients and
     scalars are ints or Fractions, so 0.1 is not read as a binary double.
     """
@@ -529,10 +511,6 @@ class PiPolynomial:
         self._terms = clean
 
     @staticmethod
-    def zero() -> "PiPolynomial":
-        return PiPolynomial()
-
-    @staticmethod
     def constant(c) -> "PiPolynomial":
         return PiPolynomial({0: c})
 
@@ -542,9 +520,6 @@ class PiPolynomial:
 
     def terms(self) -> Mapping[int, Fraction]:
         return dict(self._terms)
-
-    def coeff(self, k: int) -> Fraction:
-        return self._terms.get(k, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -562,12 +537,6 @@ class PiPolynomial:
         for k, c in other._terms.items():
             out[k] = out.get(k, Fraction(0)) + c
         return PiPolynomial(out)
-
-    def __neg__(self) -> "PiPolynomial":
-        return PiPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "PiPolynomial") -> "PiPolynomial":
-        return self + (-other)
 
     def __mul__(self, other) -> "PiPolynomial":
         if isinstance(other, PiPolynomial):
@@ -610,20 +579,12 @@ def pipoly_eval(p: PiPolynomial, ctx: PrecisionCtx) -> RealBall:
 
 @dataclass(frozen=True)
 class ZeroCertificate:
-    """Record of a |midpoint| + radius <= tolerance comparison; the exact
-    midpoint and radius are read from the ball only when asked for."""
+    """Record of a |midpoint| + radius <= tolerance comparison: the ball
+    compared, the tolerance and the verdict."""
 
     ball: RealBall
     tolerance: Union[int, Fraction]
     within: bool
-
-    @property
-    def abs_midpoint(self) -> Fraction:
-        return abs(self.ball.midpoint_fraction())
-
-    @property
-    def radius(self) -> Fraction:
-        return self.ball.radius_fraction()
 
 
 def _zero_within(x: RealBall, tol) -> bool:

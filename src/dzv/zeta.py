@@ -32,7 +32,6 @@ __all__ = ["zeta_even_exact", "zeta_numeric", "hurwitz_zeta"]
 _GUARD = 32
 
 
-@cache
 def zeta_even_exact(m: int) -> Fraction:
     """The rational c = (-1)^(m/2+1) 2^(m-1) B_m / m! of zeta(m) = c pi^m, even m >= 2."""
     if require_exact(m, "zeta_even_exact's m", (int,)) % 2 != 0 or m < 2:

@@ -21,7 +21,9 @@ relative-radius target) and the decimal printing of a ball are read from its
 exact midpoint_fraction() and radius_fraction(), so they check the integer
 decisions of dzv against plain Fraction arithmetic.  Beside them sits a frozen
 copy of the report printer in integers, the reference its tuned version must
-equal string for string.
+equal string for string, and the former copies of two ball-layer rules, the
+radius bound of add_error and the printer of integers above str()'s digit
+limit, which their rewrites must equal.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from dzv.numerics import (
     ComplexBall,
     PrecisionCtx,
     RealBall,
+    _rad_up,
     _rounded,
     ball_sum,
     check_from_sides,
@@ -538,6 +541,49 @@ def reference_residual_strings(res: RealBall) -> Tuple[str, str]:
     else:
         digits, rad_s = 60, "0"
     return _reference_decimal_truncate(mm, me, digits), rad_s
+
+
+# ---------------------------------------------------------------------------
+# reference copies of two ball-layer rules as they stood before their rewrite:
+# the rewritten rules must match them
+# ---------------------------------------------------------------------------
+
+def _reference_dy_up_from_fraction(q: Fraction) -> Tuple[int, int]:
+    """Short dyadic upper bound of a nonnegative rational."""
+    num, den = q.numerator, q.denominator
+    if num == 0:
+        return 0, 0
+    e = num.bit_length() - den.bit_length() - 24
+    if e <= 0:
+        man, rem = divmod(num << (-e), den)
+    else:
+        man, rem = divmod(num, den << e)
+    if rem:
+        man += 1
+    return man, e
+
+
+def reference_add_error(b: RealBall, q) -> RealBall:
+    """RealBall.add_error with its bound rounded up by its own divmod."""
+    if q == 0:
+        return b
+    mm, me, rm, re = b.dyadic()
+    rm, re = _rad_up(*_reference_dy_add(rm, re, *_reference_dy_up_from_fraction(Fraction(q))))
+    return RealBall(mm, me, rm, re)
+
+
+def reference_decimal_str(n: int) -> str:
+    """str(n) for an integer of any size, split at a power of ten into
+    halves, each printed the same way, when str() refuses it."""
+    try:
+        return str(n)
+    except ValueError:  # above the int_max_str_digits limit
+        pass
+    if n < 0:
+        return "-" + reference_decimal_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits of n
+    hi, lo = divmod(n, 10 ** k)
+    return reference_decimal_str(hi) + reference_decimal_str(lo).rjust(k, "0")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dzv import numerics
+from dzv import dzeta as dzeta_mod, numerics
 from dzv.cli import (
     _SUITES,
     RunConfig,
@@ -53,6 +53,7 @@ from oracles import (
     contains_fraction,
     decimal_truncate,
     lower_fraction,
+    reference_decimal_str,
     residual_strings,
     upper_fraction,
     zeta_direct_interval,
@@ -410,6 +411,15 @@ def test_decimal_str_spells_any_integer(n):
     assert s.lstrip("-") == "0" or not s.lstrip("-").startswith("0")
 
 
+@pytest.mark.parametrize("n", [10 ** 4300, -(10 ** 4300), 10 ** 12345, 10 ** 5000 - 1,
+                               7 ** 9000, -(3 ** 12000) + 1],
+                         ids=["1e4300", "-1e4300", "1e12345", "nines", "7^9000", "-3^12000"])
+def test_decimal_str_is_the_old_split(n):
+    """Past 4300 digits, str(Decimal(n)) spells what the former split at a
+    power of ten (tests/oracles.py) did."""
+    assert _decimal_str(n) == reference_decimal_str(n)
+
+
 def test_ball_above_the_str_digit_limit_prints():
     # 4515 decimals at 15,000 bits, past the 4300-digit limit
     printed = _ball_str(RealBall.from_fraction(Fraction(1, 3), 15000), 15000)
@@ -743,6 +753,30 @@ def test_env_var_precision_invalid_is_usage_error(monkeypatch, capsys, argv, val
     monkeypatch.setenv("DZV_PRECISION", value)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: DZV_PRECISION")
+
+
+_ABSURD = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--weights", "3..3", "--suites", "theorem1", "--precision", _ABSURD], None),
+    (["dzeta", "2", "1", "-p", _ABSURD], None),
+    (["dzeta", "2", "1"], _ABSURD),
+], ids=["verify-precision", "dzeta-p", "env"])
+def test_absurd_precision_is_a_usage_error_before_any_table_work(monkeypatch, capsys, argv, env):
+    """A precision above 2^20 bits is refused by PrecisionCtx with one error
+    line and exit 2, before any table is built (an OverflowError and a
+    traceback from the table rows otherwise)."""
+    def no_table_work(*args):
+        raise AssertionError("a table build started")
+    monkeypatch.setattr(dzeta_mod, "_double_zetas", no_table_work)
+    if env is None:
+        monkeypatch.delenv("DZV_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("DZV_PRECISION", env)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^20" in err
 
 
 def test_config_file_with_flag_precedence(tmp_path):

@@ -1,6 +1,8 @@
 """Unit and property tests for the ball-arithmetic substrate."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +14,7 @@ from dzv.numerics import (
     PiPolynomial,
     PrecisionCtx,
     RealBall,
+    _RAD_BITS,
     _rad_up,
     ball_is_zero_within,
     ball_sum,
@@ -31,6 +34,7 @@ from oracles import (
     is_exact,
     lower_fraction,
     meets_relative_radius,
+    reference_add_error,
     same_enclosure,
     upper_fraction,
     zero_within,
@@ -81,6 +85,17 @@ def test_cube_root_midpoints(ctx128):
         im = cube_root_of_unity(PrecisionCtx(prec)).imag
         assert 0 < lower_fraction(im)
         assert lower_fraction(im) ** 2 <= Fraction(3, 4) <= upper_fraction(im) ** 2
+
+
+@pytest.mark.parametrize("prec", [64, 192, 1024])
+def test_cube_root_is_the_hand_built_ball(prec):
+    """Real part -1/2 exactly; imaginary part the ball of [s, s + 1] units of
+    2^-(k+1), k = prec + 8 and s = isqrt(3 4^k): (2s+1, -k-2, 1, -k-2)."""
+    k = prec + 8
+    s = isqrt(3 << (2 * k))
+    w = cube_root_of_unity(PrecisionCtx(prec))
+    assert w.real.dyadic() == (-1, -1, 0, 0)
+    assert w.imag.dyadic() == (2 * s + 1, -k - 2, 1, -k - 2)
 
 
 def test_cube_root_cubes_to_one(ctx128):
@@ -189,6 +204,39 @@ def test_ball_sum_is_permutation_invariant():
     assert same_enclosure(a, b)
 
 
+@pytest.mark.parametrize("q, prec", [
+    (Fraction(1, 3), 64), (Fraction(-22, 7), 100), (Fraction(10 ** 40 + 1, 3 ** 50), 200),
+    (Fraction(-1, 10), 23), (Fraction(2 ** 90 + 1), 64), (Fraction(-(3 ** 70), 2 ** 20), 96),
+])
+def test_inexact_from_fraction_is_the_hand_built_ball(q, prec):
+    """An inexact q at prec bits: e = bitlen |num| - bitlen den - prec - 1 and
+    m = floor(q / 2^e), the ball of [m, m + 1] units of 2^e, (2m+1, e-1, 1, e-1)."""
+    num, den = q.numerator, q.denominator
+    e = abs(num).bit_length() - den.bit_length() - prec - 1
+    m = (num << -e) // den if e <= 0 else num // (den << e)
+    assert RealBall.from_fraction(q, prec).dyadic() == (2 * m + 1, e - 1, 1, e - 1)
+
+
+def test_add_error_rounds_its_bound_as_the_old_rule():
+    """add_error's radius is the same dyadic number as with the former
+    _dy_up_from_fraction (tests/oracles.py) on seeded bounds of 1 to 60
+    digits, dyadic ones that are exact at _RAD_BITS bits and rationals that
+    are not, added to radii with fewer and more than _RAD_BITS bits."""
+    rng = random.Random(0xADD)
+    for digits in range(1, 61):
+        big = 10 ** digits
+        exact = Fraction(rng.randrange(1, 1 << _RAD_BITS)) * Fraction(2) ** rng.randint(
+            digits * 3 - 200, digits * 3)
+        for q in (exact, rng.randrange(big // 10, big),
+                  Fraction(rng.randrange(1, big), rng.randrange(big // 10, big))):
+            for rbits in (0, _RAD_BITS - 4, _RAD_BITS, _RAD_BITS + 16):
+                b = RealBall(rng.getrandbits(64) - (1 << 63), rng.randint(-300, 300),
+                             rng.getrandbits(rbits), rng.randint(-300, 300))
+                new, old = b.add_error(q), reference_add_error(b, q)
+                assert new.dyadic()[:2] == old.dyadic()[:2]
+                assert new.radius_fraction() == old.radius_fraction()
+
+
 def test_exact_scalar_operations():
     b = RealBall.from_fraction(Fraction(3, 8), 64)
     assert is_exact(b)
@@ -243,7 +291,6 @@ def test_pipoly_ring_laws(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert (p + q) + r == p + (q + r)
-    assert p - p == PiPolynomial.zero()
 
 
 def test_pipoly_strips_zero_coefficients():
@@ -259,7 +306,7 @@ def test_pipoly_eval_zeta2(ctx128):
 
 
 def test_pipoly_eval_trivial_cases(ctx128):
-    assert pipoly_eval(PiPolynomial.zero(), ctx128).is_zero()
+    assert pipoly_eval(PiPolynomial(), ctx128).is_zero()
     c = pipoly_eval(PiPolynomial.constant(Fraction(3, 4)), ctx128)
     assert is_exact(c) and c.midpoint_fraction() == Fraction(3, 4)
 
@@ -292,7 +339,7 @@ def test_pipoly_rejects_negative_exponent():
     lambda: PiPolynomial.single(2, 1) * 0.1,
     lambda: 0.1 * PiPolynomial.single(2, 1),
     lambda: PiPolynomial.single(2, 1) * "3",
-    lambda: PiPolynomial.zero() * 0.5,
+    lambda: PiPolynomial() * 0.5,
 ], ids=["exp-2.5", "exp-2.0", "exp-bool", "exp-str", "coeff-0.1", "coeff-0.0", "coeff-str",
         "coeff-bool", "constant-0.5", "dict-0.25", "mul-0.1", "rmul-0.1", "mul-str",
         "zero-mul-0.5"])
@@ -306,7 +353,7 @@ def test_pipoly_takes_only_exact_arguments(make):
 def test_pipoly_exact_arguments_are_kept():
     p = PiPolynomial.single(2, 1) * 3 * Fraction(1, 18)
     assert p.terms() == {2: Fraction(1, 6)} and 6 * p == PiPolynomial.single(2, 1)
-    assert PiPolynomial.constant(Fraction(1, 10)).coeff(0) == Fraction(1, 10)
+    assert PiPolynomial.constant(Fraction(1, 10)).terms() == {0: Fraction(1, 10)}
     assert PiPolynomial({0: 0, 3: Fraction(0)}).is_zero()
 
 
@@ -318,7 +365,7 @@ def test_ball_is_zero_within_cases():
     tiny = RealBall.from_fraction(Fraction(1, 10**60), 200).add_error(Fraction(1, 10**62))
     ok, cert = ball_is_zero_within(tiny, Fraction(1, 10**40))
     assert ok and cert.within
-    assert cert.abs_midpoint + cert.radius <= cert.tolerance
+    assert abs(cert.ball.midpoint_fraction()) + cert.ball.radius_fraction() <= cert.tolerance
 
     mid = RealBall.from_fraction(Fraction(1, 10**10), 200)
     ok, cert = ball_is_zero_within(mid, Fraction(1, 10**40))
@@ -407,8 +454,7 @@ def test_integer_decisions_agree_with_the_fraction_oracle(a, b, tol, k):
         (zero_within(a.sub(b, 64 + GUARD_BITS), tol) and intersects(a, b))
     ok, cert = ball_is_zero_within(a, tol)
     assert ok == cert.within == zero_within(a, tol)
-    assert (cert.abs_midpoint, cert.radius, cert.tolerance) == \
-        (abs(a.midpoint_fraction()), a.radius_fraction(), tol)
+    assert cert.ball is a and cert.tolerance == tol
     assert a.meets_relative_radius(k) == meets_relative_radius(a, k)
     # radii next to the target mid / (2^k + 1)
     mm, me, _, _ = a.dyadic()
@@ -437,6 +483,9 @@ def test_ball_is_zero_within_rejects_bad_tolerance():
 def test_precision_ctx_validation():
     with pytest.raises(DomainError):
         PrecisionCtx(32)
+    assert PrecisionCtx(1 << 20).working_precision == 1 << 20
+    with pytest.raises(DomainError):
+        PrecisionCtx((1 << 20) + 1)
     with pytest.raises(DomainError):
         PrecisionCtx(128, Fraction(0))
 
