@@ -63,41 +63,30 @@ def bernoulli(m: int) -> Fraction:
 def _class_sums(v: Sequence[Fraction], l: int) -> tuple[Fraction, ...]:
     """(S_0, S_2, S_4) for even l, S_m = sum_{j even, j = m (mod 6)} C(l,j) v_j v_{l-j}.
 
-    One pass over even j <= l/2 adds term j, which equals term l-j, to the class
-    of j only (half of it when j = l/2); S_m is class m plus class (l-m) mod 6.
-    With v_j = n_j/d_j and g = d_j d_{l-j}, C(l,j) is first cancelled against g
-    by k = gcd(C(l,j), g), and the term is split exactly as q + r/(g/k), r < g/k.
-    Bernoulli denominators are products of distinct primes (von Staudt-Clausen),
-    C(l,j) holds each prime at which j and l-j carry (Kummer): at weights 4..800,
-    g/k = 1 in a quarter of the terms, which need no division, and g/k averages 6
-    bits where g has 29.  Each class adds its quotients as an integer, and its
-    remainders to one fraction whose denominator grows to the lcm of the g/k only
-    as a new divisor needs it, so every product and sum has the size of its terms."""
-    whole, num, den = [0, 0, 0], [0, 0, 0], [1, 1, 1]
+    One pass over even j <= l/2 takes term j, which equals term l-j, into the
+    class of j only (half of it when j = l/2); S_m is class m plus class (l-m) mod 6.
+    With v_j = n_j/d_j and g_j = d_j d_{l-j}, C(l,j) is first cancelled against g_j
+    by k_j = gcd(C(l,j), g_j), leaving the denominator h_j = g_j/k_j (2 g_j/k_j for
+    the middle term).  Class r holds every third term of the pass, j = 2r (mod 6),
+    and is one integer sum over one common denominator D_r = lcm(h_j):
+    N_r = sum (C(l,j)/k_j)(D_r/h_j) n_j n_{l-j}, the small cofactor formed before
+    the two numerators multiply.  Bernoulli denominators are products of distinct
+    primes (von Staudt-Clausen) and C(l,j) holds each prime at which j and l-j
+    carry (Kummer), so D_r has at most 104 bits at weights 4..800, where the lcm
+    of the unreduced g_j would reach 830."""
+    terms = []
     c = 1  # C(l, j)
     for j in range(0, l // 2 + 1, 2):
         a, b = v[j], v[l - j]
-        na, nb = a.numerator, b.numerator
-        if na and nb:
-            g = a.denominator * b.denominator
-            k = gcd(c, g)
-            t, g = c // k * na * nb, g // k * (2 if 2 * j == l else 1)
-            q, r = divmod(t, g) if g > 1 else (t, 0)
-            m = j % 6 // 2
-            whole[m] += q
-            if r:
-                if den[m] % g:
-                    e = lcm(den[m], g)
-                    num[m], den[m] = num[m] * (e // den[m]), e
-                num[m] += r * (den[m] // g)
+        g = a.denominator * b.denominator
+        k = gcd(c, g)
+        terms.append((c // k, g // k << (2 * j == l), a.numerator, b.numerator))
         c = c * (l - j) * (l - j - 1) // ((j + 1) * (j + 2))
-    sums = []
-    for m in range(3):
-        p = (l // 2 - m) % 3
-        d = lcm(den[m], den[p])
-        n = num[m] * (d // den[m]) + num[p] * (d // den[p])
-        sums.append(Fraction((whole[m] + whole[p]) * d + n, d))
-    return tuple(sums)
+    classes = []
+    for t in (terms[r::3] for r in range(3)):
+        d = lcm(*(h for _, h, _, _ in t))
+        classes.append(Fraction(sum(ck * (d // h) * na * nb for ck, h, na, nb in t), d))
+    return tuple(classes[m] + classes[(l // 2 - m) % 3] for m in range(3))
 
 
 @cache

@@ -394,6 +394,19 @@ def _int(value) -> int:
     return int(s)
 
 
+def _precision(value) -> int:
+    """A precision in bits: an _int that PrecisionCtx accepts, 64 to 2^20."""
+    return PrecisionCtx(_int(value)).working_precision
+
+
+def _named(name: str, parse, value):
+    """parse(value), its DomainError prefixed with the option or variable it read."""
+    try:
+        return parse(value)
+    except DomainError as exc:
+        raise DomainError(f"{name}: {exc}") from None
+
+
 def _int_arg(value: str) -> int:
     """_int as an argparse ``type``, whose error prints _int's message."""
     try:
@@ -430,7 +443,7 @@ def _tol(value) -> dict:
 _OPTIONS = {
     "suites": (_suites, "comma-separated suite names (default: all)"),
     "weights": (_weights, "A..B inclusive (default 3..12)"),
-    "precision": (lambda v: {"precision_bits": _int(v)},
+    "precision": (lambda v: {"precision_bits": _precision(v)},
                   f"working precision in bits (default {_ENV_PRECISION} or {_DEFAULT_PRECISION})"),
     "tol": (_tol, f"residual tolerance 1e-N (default 1e-{_DEFAULT_TOL_EXP})"),
     "format": (lambda v: {"output_format": _str(v)}, "json, csv or text (default text)"),
@@ -465,12 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _default_precision() -> int:
     """DZV_PRECISION when set, else 192 bits; a bad value is a usage error."""
     env = os.environ.get(_ENV_PRECISION)
-    if not env:
-        return _DEFAULT_PRECISION
-    try:
-        return PrecisionCtx(_int(env)).working_precision
-    except DomainError as exc:
-        raise DomainError(f"{_ENV_PRECISION}: {exc}") from None
+    return _named(_ENV_PRECISION, _precision, env) if env else _DEFAULT_PRECISION
 
 
 def _config_from_args(args) -> RunConfig:
@@ -490,10 +498,7 @@ def _config_from_args(args) -> RunConfig:
     fields = {"suites": SUITE_NAMES, "precision_bits": _default_precision()}
     for key, value in given.items():
         if value is not None:  # JSON null: not given
-            try:
-                fields.update(_OPTIONS[key][0](value))
-            except DomainError as exc:
-                raise DomainError(f"{key}: {exc}") from None
+            fields.update(_named(key, _OPTIONS[key][0], value))
     return RunConfig(**fields)
 
 
@@ -548,7 +553,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write(sys.stdout, [_fraction_str(bernoulli(args.m)) + "\n"], "the value")
         elif args.command == "dzeta":
             default_prec = _default_precision()  # checked even when -p overrides it
-            prec = default_prec if args.precision is None else args.precision
+            prec = (default_prec if args.precision is None
+                    else _named("precision", _precision, args.precision))
             value = double_zeta(IndexPair(args.l1, args.l2), PrecisionCtx(prec))
             _, _, rm, re = value.dyadic()
             radius = _radius_decimal(*_dy_ratio(rm, re))

@@ -174,12 +174,15 @@ def test_class_sums_against_term_by_term_oracle(l, data):
     assert _class_sums(v, l) == _direct_class_sums(v, l)
 
 
-@pytest.mark.parametrize("l", [126, 128, 130, 254, 256, 258, 510, 512, 514, 800, 1030, 1032])
+# below 16 a residue class can hold no term of the folded pass (its common
+# denominator is lcm() = 1); l = 0 and 2 (mod 4), with and without a middle term
+@pytest.mark.parametrize("l", [4, 6, 8, 10, 12, 14,
+                               126, 128, 130, 254, 256, 258, 510, 512, 514, 800, 1030, 1032])
 def test_even_classes_against_term_by_term_oracle(l):
     assert _even_classes(l) == _direct_class_sums([bernoulli(j) for j in range(l + 1)], l)
 
 
-@pytest.mark.parametrize("l", [506, 512, 518, 800, 1028])
+@pytest.mark.parametrize("l", [8, 14, 50, 200, 506, 512, 518, 800, 1028])
 def test_chain_coefficients_against_bernoulli(l):
     # by zeta(j) = (-1)^(j/2+1) 2^(j-1) B_j / j! pi^j, j! c_j = (-1)^(j/2+1) 2^(j-1) B_j
     oracle = [(-1) ** (j // 2 + 1) * 2 ** (j - 1) * bernoulli(j) if j % 6 == 4 else 0

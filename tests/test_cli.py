@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: output formats, exit
 codes, determinism, and configuration precedence."""
 
+import hashlib
 import io
 import json
 import os
@@ -545,6 +546,26 @@ def test_exact_bernoulli_report_matches_the_golden_file():
     assert json.dumps(reports, indent=2) + "\n" == _BERNOULLI_GOLDEN.read_text(encoding="utf-8")
 
 
+# SHA-256 over (label, lhs, rhs, residual_midpoint, passed, skipped_reason) of
+# every record of the exact suites over weights 4..800, the benchmark's
+# exact-bernoulli line.  A change that moves any of these sides on purpose
+# updates the digest.
+_EXACT_4_800_DIGEST = "27e931c181be518e086f5f4a208cdb9a811535bc8e029ad1dca447f0b984b180"
+
+
+def test_exact_bernoulli_records_to_800_are_pinned():
+    """The golden file pins 13 weights byte for byte; this pins every exact
+    side of the 2657 records from weight 4 to 800."""
+    reports, code = cmd_verify(RunConfig(weight_min=4, weight_max=800, suites=(
+        "euler-bernoulli", "ramanujan", "corollary2-chain")))
+    assert code == 0
+    digest = hashlib.sha256()
+    for c in (c for r in reports for c in r.checks):
+        digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.passed,
+                            c.skipped_reason)).encode())
+    assert digest.hexdigest() == _EXACT_4_800_DIGEST
+
+
 def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple) -> None:
     """`dzv verify --suites SUITES --weights 3..30 --format json` at 192 bits,
     with wall_time and output_path dropped, against tests/data/NAME: no
@@ -758,15 +779,17 @@ def test_env_var_precision_invalid_is_usage_error(monkeypatch, capsys, argv, val
 _ABSURD = "100000000000000000000"
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["verify", "--weights", "3..3", "--suites", "theorem1", "--precision", _ABSURD], None),
-    (["dzeta", "2", "1", "-p", _ABSURD], None),
-    (["dzeta", "2", "1"], _ABSURD),
+@pytest.mark.parametrize("argv, env, prefix", [
+    (["verify", "--weights", "3..3", "--suites", "theorem1", "--precision", _ABSURD], None,
+     "error: precision: "),
+    (["dzeta", "2", "1", "-p", _ABSURD], None, "error: precision: "),
+    (["dzeta", "2", "1"], _ABSURD, "error: DZV_PRECISION: "),
 ], ids=["verify-precision", "dzeta-p", "env"])
-def test_absurd_precision_is_a_usage_error_before_any_table_work(monkeypatch, capsys, argv, env):
+def test_absurd_precision_is_a_usage_error_before_any_table_work(monkeypatch, capsys, argv, env,
+                                                                 prefix):
     """A precision above 2^20 bits is refused by PrecisionCtx with one error
-    line and exit 2, before any table is built (an OverflowError and a
-    traceback from the table rows otherwise)."""
+    line, which names the option or variable, and exit 2, before any table is
+    built (an OverflowError and a traceback from the table rows otherwise)."""
     def no_table_work(*args):
         raise AssertionError("a table build started")
     monkeypatch.setattr(dzeta_mod, "_double_zetas", no_table_work)
@@ -776,7 +799,25 @@ def test_absurd_precision_is_a_usage_error_before_any_table_work(monkeypatch, ca
         monkeypatch.setenv("DZV_PRECISION", env)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "2^20" in err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "2^20" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "--weights", "3..3", "--precision", "32"], None),
+    (["verify", "--weights", "3..3"], {"precision": int(_ABSURD)}),
+    (["dzeta", "2", "1", "-p", "32"], None),
+], ids=["verify-flag-low", "config-key-absurd", "dzeta-p-low"])
+def test_out_of_range_precision_names_the_option(tmp_path, monkeypatch, capsys, argv, config):
+    """An out-of-range precision reads as a malformed one does: one line that
+    starts with the option's name, and exit 2."""
+    monkeypatch.delenv("DZV_PRECISION", raising=False)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: precision: ") and err.count("\n") == 1 and out == ""
 
 
 def test_config_file_with_flag_precedence(tmp_path):
