@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .bernoulli import bernoulli, euler_identity_check, ramanujan_check
@@ -50,6 +51,7 @@ from .numerics import (
     PrecisionUnreachableError,
     RealBall,
     require_exact,
+    require_precision,
     _decimal_str,
     _dy_ratio,
     _pow10,
@@ -155,17 +157,11 @@ class SuiteReport:
 # decimal formatting of balls
 # ---------------------------------------------------------------------------
 
-def _truncated(m: int, e: int, digits: int) -> int:
-    """floor(|m 2^e| 10^digits): |m 2^e| truncated at `digits` decimal places,
-    as an integer."""
-    scaled = abs(m) * _pow10(digits)
-    return scaled << e if e >= 0 else scaled >> -e
-
-
 def _decimal_truncate(m: int, e: int, digits: int) -> str:
     """Decimal expansion of m 2^e truncated toward zero at `digits` places;
     signed only when a printed digit is nonzero, never as -0.000..."""
-    scaled = _truncated(m, e, digits)
+    scaled = abs(m) * _pow10(digits)
+    scaled = scaled << e if e >= 0 else scaled >> -e  # floor(|m 2^e| 10^digits)
     sign = "-" if m < 0 and scaled else ""
     s = _decimal_str(scaled).rjust(digits + 1, "0")
     if digits == 0:
@@ -202,8 +198,12 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     n, r = abs(mm) << (me - e), rm << (re - e)  # |mid| and rad at the unit 2^e
     if n <= r:
         return "0"
-    # the ends' absolute values are n - r <= n + r
-    head, j = _shared_digits(_truncated(n - r, e, max_digits), _truncated(n + r, e, max_digits))
+    # the ends' absolute values n - r <= n + r, truncated at max_digits places
+    p = _pow10(max_digits)
+    if e >= 0:
+        p, e = p << e, 0
+    lo, hi = (n - r) * p >> -e, (n + r) * p >> -e
+    head, j = (hi, 0) if lo == hi else _shared_digits(lo, hi)
     if j > max_digits:  # the integer parts differ
         den = 1 << max(-me, 0)
         n, r = divmod(abs(mm) << max(me, 0), den)
@@ -310,28 +310,40 @@ def cmd_verify(config: RunConfig) -> tuple:
 # report writers
 # ---------------------------------------------------------------------------
 
-# a record's indent=2 layout; a record holds no container, so no cycle to check
-_RECORDS = json.JSONEncoder(separators=(",\n        ", ": "), check_circular=False)
 _CHECKS = '\n    "checks": '
-_BETWEEN = "\n      },\n      {\n        "  # between two records at indent=2
-_CHUNK = 128  # records per encoder call: few calls, and no report-sized string
+_CHUNK = 128  # records per piece: few writes, and no report-sized string
+_KEYS = [f'\n        "{k}": ' for k in CheckRecord._fields]
+# a record as json.dumps(indent=2) lays out its to_dict() in a checks list: the
+# eight fields every record holds, then each optional one that is set
+_RECORD = "{" + ",".join(k + "%s" for k in _KEYS[:8]) + "%s%s%s\n      }"
+_OPTIONAL = [lambda v, k="," + k: "" if v is None else k + encode_basestring_ascii(v)
+             for k in _KEYS[8:]]
+
+
+def _records_json(checks: Sequence[CheckRecord]) -> str:
+    """The records as the items of a checks list, a field at a time, each value
+    as its field's type (a weight read back from an edited report: also a float)."""
+    q, b = encode_basestring_ascii, {True: "true", False: "false"}.__getitem__
+    label, weight, lhs, rhs, mid, rad, exact, passed, *optional = zip(*checks)
+    return ",\n      ".join(map(_RECORD.__mod__, zip(
+        map(q, label), weight, map(q, lhs), map(q, rhs), map(q, mid), map(q, rad),
+        map(b, exact), map(b, passed), *map(map, _OPTIONAL, optional))))
 
 
 def _json_pieces(reports: Sequence[SuiteReport]):
-    """json.dumps(indent=2) of the reports, in pieces.  indent turns off json's
-    C encoder, so records go through it _CHUNK at a time, laid out by its
-    separators, into the frame dumped with empty checks lists.  No value holds a
-    raw newline, so "},\n        {" and the checks key's line occur nowhere else."""
+    """json.dumps(indent=2) of the reports, in pieces: the frame dumped with
+    empty checks lists, and into it each suite's records, _CHUNK at a time.
+    A raw newline occurs in no JSON string, so the checks key's line occurs
+    nowhere else in the frame."""
     frames = [dict(vars(r), config=dict(vars(r.config)), checks=[]) for r in reports]
     head, *rests = (json.dumps(frames, indent=2) + "\n").split(_CHECKS + "[]")
     yield head
     for r, rest in zip(reports, rests):
-        sep = _CHECKS + "[\n      {\n        "
+        sep = _CHECKS + "[\n      "
         for i in range(0, len(r.checks), _CHUNK):
-            body = _RECORDS.encode([c.to_dict() for c in r.checks[i:i + _CHUNK]])[2:-2]
-            yield sep + body.replace("},\n        {", _BETWEEN)
-            sep = _BETWEEN
-        yield ("\n      }\n    ]" if r.checks else _CHECKS + "[]") + rest
+            yield sep + _records_json(r.checks[i:i + _CHUNK])
+            sep = ",\n      "
+        yield ("\n    ]" if r.checks else _CHECKS + "[]") + rest
 
 
 def render_json(reports: Sequence[SuiteReport]) -> str:
@@ -395,8 +407,8 @@ def _int(value) -> int:
 
 
 def _precision(value) -> int:
-    """A precision in bits: an _int that PrecisionCtx accepts, 64 to 2^20."""
-    return PrecisionCtx(_int(value)).working_precision
+    """A precision in bits: an _int from 64 to 2^20, as PrecisionCtx takes."""
+    return require_precision(_int(value))
 
 
 def _named(name: str, parse, value):

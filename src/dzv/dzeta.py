@@ -273,9 +273,10 @@ def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
 
 
 class _Form(NamedTuple):
-    """scale * (sum_i weights[i] c_i + z zeta(l)) over a table's vector c; missing weights are 0."""
+    """scale * (sum_i weights[i] c_i + z zeta(l)) over a table's vector c; the
+    weights a list (missing ones are 0) or a {slot: weight} dict."""
 
-    weights: Sequence[int] = ()
+    weights: Sequence[int] | dict[int, int] = ()
     z: int | Fraction = 0
     scale: int | Fraction = 1
 
@@ -289,9 +290,14 @@ def _form_ball(t: DzvTable, form: _Form) -> RealBall:
     3 S rounds like S.  An integer times zeta(l) is exact, as ``mul_int``."""
     weights, z, scale = form
     wp = t.precision + GUARD_BITS
-    if not any(w := weights[1:]) and (n := z * scale).denominator == 1:
-        return _hurwitz(t.weight, 1, t.precision).mul_int(int(n)) if n else RealBall.zero()
     mids, rads, e = t.vector
+    if isinstance(weights, dict):  # read only the slots it names
+        mids, rads = [mids[i] for i in weights], [rads[i] for i in weights]
+        w, weights = [v for i, v in weights.items() if i], list(weights.values())
+    else:
+        w = weights[1:]
+    if not any(w) and (n := z * scale).denominator == 1:
+        return _hurwitz(t.weight, 1, t.precision).mul_int(int(n)) if n else RealBall.zero()
     mm, rm, g = sum(map(mul, mids, weights)), sum(map(mul, rads, map(abs, weights))), 1
     if z:
         zm, ze, zr, zre = _hurwitz(t.weight, 1, t.precision).dyadic()
@@ -377,7 +383,7 @@ def _eq26_forms(l: int, x, y) -> tuple[_Form, _Form]:
     d = l - 2
     pa, pb, pab = _powers(a, d), _powers(b, d), _powers(a + b, d)
     xy, scale = _monomials(pa, pb), 1 << s * d if s >= 0 else Fraction(1, 1 << -s * d)
-    return (_Form(list(map(add, _monomials(pab, pb), _monomials(pab, pa))), 0, scale),
+    return (_Form(list(map(mul, pab, map(add, reversed(pa), reversed(pb)))), 0, scale),
             _Form(list(map(add, xy, reversed(xy))), sum(xy), scale))
 
 

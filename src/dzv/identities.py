@@ -175,7 +175,7 @@ def harmonic_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     wp = ctx.working_precision + GUARD_BITS
     return _judge(l, [(f"harmonic[{a},{l - a}]",
                        zeta_numeric(a, ctx).mul(zeta_numeric(l - a, ctx), wp),
-                       _Form([(i + 1 == a) + (i + 1 == l - a) for i in range(l - 1)], 1))
+                       _Form({a - 1: 2} if 2 * a == l else {a - 1: 1, l - a - 1: 1}, 1))
                       for a in range(2, l // 2 + 1)], ctx)
 
 
@@ -245,11 +245,11 @@ def _lemma1_relations(l: int) -> list[tuple]:
     its right side 3 times the signed l1 class mod 3, minus T_l(-1, 1) and
     plus (l+1)/2 zeta(l) with the tail; then equation 5, the divided
     difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3)."""
-    relations = []
+    relations, powers = [], {v: _powers(v, l - 2) for v in (1, 2)}
     for tag, (a, b), residue, sign, tail in _LEMMA1:
         classes, r = _lemma1_classes(a, b, l), residue(l) % 3
         # the x^i y^(l-2-i) entry of the vector is zeta(i+1, l-1-i), of class (i+1) % 6
-        xy = _monomials(_powers(_AT_ONE[a], l - 2), _powers(_AT_ONE[b], l - 2))
+        xy = _monomials(powers[_AT_ONE[a]], powers[_AT_ONE[b]])
         left = list(map(add, xy, islice(cycle(classes), 1, l)))
         right = [3 * sign[c] * (c % 3 == r) - tail * _T_M11[c] for c in range(6)]
         relations.append((f"lemma1.{tag}[l={l}]", _Form(left),

@@ -76,6 +76,14 @@ def require_exact(x, what: str, kinds: tuple = (int, Fraction)):
     return x
 
 
+def require_precision(bits: int) -> int:
+    """bits if it is 64 to 2^20 (a table row at 2^20 bits is about 2^19 integers
+    of 2^20 bits each), else DomainError stating the range and the value."""
+    if not 64 <= bits <= 1 << 20:
+        raise DomainError(f"expected 64 to 2^20 = 1048576 bits, got {bits}")
+    return bits
+
+
 # ---------------------------------------------------------------------------
 # dyadic helpers: a dyadic number is (man, exp) meaning man * 2**exp
 # ---------------------------------------------------------------------------
@@ -157,13 +165,12 @@ class PrecisionCtx:
 
     def __post_init__(self):
         require_exact(self.working_precision, "working_precision", (int,))
+        try:
+            require_precision(self.working_precision)
+        except DomainError as exc:
+            raise DomainError(f"working_precision: {exc}") from None
         tol = require_exact(self.target_tolerance, "target_tolerance")
         object.__setattr__(self, "target_tolerance", Fraction(tol))
-        if self.working_precision < 64:
-            raise DomainError("working_precision must be at least 64 bits")
-        # one table row at 2^20 bits is about 2^19 integers of 2^20 bits each
-        if self.working_precision > 1 << 20:
-            raise DomainError("working_precision must be at most 2^20 = 1048576 bits")
         if self.target_tolerance <= 0:
             raise DomainError("target_tolerance must be positive")
 

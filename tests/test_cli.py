@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from dzv import dzeta as dzeta_mod, numerics
 from dzv.cli import (
     _SUITES,
+    CheckRecord,
     RunConfig,
     SUITE_NAMES,
     SuiteReport,
@@ -566,6 +567,24 @@ def test_exact_bernoulli_records_to_800_are_pinned():
     assert digest.hexdigest() == _EXACT_4_800_DIGEST
 
 
+# SHA-256 over (label, lhs, rhs, residual_midpoint, residual_radius, passed) of
+# every record of the harmonic suite over weights 3..120 at 192 bits; its
+# golden file stops at weight 30.
+_HARMONIC_3_120_DIGEST = "da494dbd773d7c20518451c85419800107e718f1bccfaf16a9231c926d736e90"
+
+
+def test_harmonic_records_to_120_are_pinned():
+    """Every side, residual and verdict of harmonic's 3482 records from weight
+    3 to 120, where each right side is a form that reads two table slots."""
+    reports, code = cmd_verify(RunConfig(weight_min=3, weight_max=120, suites=("harmonic",)))
+    assert code == 0
+    digest = hashlib.sha256()
+    for c in reports[0].checks:
+        digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.residual_radius,
+                            c.passed)).encode())
+    assert digest.hexdigest() == _HARMONIC_3_120_DIGEST
+
+
 def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple) -> None:
     """`dzv verify --suites SUITES --weights 3..30 --format json` at 192 bits,
     with wall_time and output_path dropped, against tests/data/NAME: no
@@ -787,9 +806,9 @@ _ABSURD = "100000000000000000000"
 ], ids=["verify-precision", "dzeta-p", "env"])
 def test_absurd_precision_is_a_usage_error_before_any_table_work(monkeypatch, capsys, argv, env,
                                                                  prefix):
-    """A precision above 2^20 bits is refused by PrecisionCtx with one error
-    line, which names the option or variable, and exit 2, before any table is
-    built (an OverflowError and a traceback from the table rows otherwise)."""
+    """A precision above 2^20 bits is refused with one error line, which
+    names the option or variable, and exit 2, before any table is built (an
+    OverflowError and a traceback from the table rows otherwise)."""
     def no_table_work(*args):
         raise AssertionError("a table build started")
     monkeypatch.setattr(dzeta_mod, "_double_zetas", no_table_work)
@@ -802,22 +821,31 @@ def test_absurd_precision_is_a_usage_error_before_any_table_work(monkeypatch, ca
     assert err.startswith(prefix) and err.count("\n") == 1 and "2^20" in err
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["verify", "--weights", "3..3", "--precision", "32"], None),
-    (["verify", "--weights", "3..3"], {"precision": int(_ABSURD)}),
-    (["dzeta", "2", "1", "-p", "32"], None),
-], ids=["verify-flag-low", "config-key-absurd", "dzeta-p-low"])
-def test_out_of_range_precision_names_the_option(tmp_path, monkeypatch, capsys, argv, config):
+@pytest.mark.parametrize("argv, config, env, line", [
+    (["verify", "--weights", "3..3", "--precision", "32"], None, None,
+     "error: precision: expected 64 to 2^20 = 1048576 bits, got 32\n"),
+    (["verify", "--weights", "3..3"], {"precision": int(_ABSURD)}, None,
+     f"error: precision: expected 64 to 2^20 = 1048576 bits, got {_ABSURD}\n"),
+    (["dzeta", "2", "1", "-p", "32"], None, None,
+     "error: precision: expected 64 to 2^20 = 1048576 bits, got 32\n"),
+    (["verify", "--weights", "3..3"], None, "32",
+     "error: DZV_PRECISION: expected 64 to 2^20 = 1048576 bits, got 32\n"),
+], ids=["verify-flag-low", "config-key-absurd", "dzeta-p-low", "env-low"])
+def test_out_of_range_precision_names_the_option(tmp_path, monkeypatch, capsys, argv, config,
+                                                 env, line):
     """An out-of-range precision reads as a malformed one does: one line that
-    starts with the option's name, and exit 2."""
-    monkeypatch.delenv("DZV_PRECISION", raising=False)
+    names the option or variable once and states the range and the value,
+    and exit 2."""
+    if env is None:
+        monkeypatch.delenv("DZV_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("DZV_PRECISION", env)
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(path)]
     assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: precision: ") and err.count("\n") == 1 and out == ""
+    assert capsys.readouterr() == ("", line)
 
 
 def test_config_file_with_flag_precedence(tmp_path):
@@ -1006,6 +1034,32 @@ def test_json_report_is_written_a_chunk_of_records_at_a_time(monkeypatch, suites
     assert len(writer.writes) > 1
     assert max(w.count('"label": ') for w in writer.writes) == chunk
     assert writer.closed
+
+
+_AWKWARD = 'a "quote", a \\ backslash,\na newline, a \ttab, \x01, \u00e9 and \u00b1'
+
+
+def test_json_writer_escapes_strings_as_json_dumps_does():
+    """Records written a field at a time, with strings that need escaping in
+    a label, a skip reason and an error, and a suite with no record, lay out
+    as json.dumps(indent=2) of the to_dict()s.
+    The output path holds the checks key's line as its text, which the frame
+    must not split on; a float weight, as a hand-edited report read back by
+    from_dict may hold, is written as json.dumps writes it."""
+    config = RunConfig(weight_min=4, weight_max=6, suites=("harmonic",),
+                       output_path='r\n    "checks": [] ' + _AWKWARD)
+    checks = [
+        CheckRecord("euler-bernoulli[l=4]", 4, "-1/30", "-1/30", "0", "0", True, True),
+        CheckRecord("harmonic[2,2]", 4, "1.0823", "1.0823", "-0.0000", "1.1e-57", False, True,
+                    "1e-40"),
+        CheckRecord("harmonic[l=5]", 5, "", "", "", "", False, True, skipped_reason=_AWKWARD),
+        CheckRecord("harmonic[l=6]", 6, "", "", "", "", False, False, error=_AWKWARD),
+        CheckRecord("harmonic[3,3] " + _AWKWARD, 6.0, "1.0", "1.0", "0.0", "1.0e-50", False, True,
+                    "1e-40"),
+    ]
+    reports = [SuiteReport("harmonic", config, checks, 4, 1, 0.25),
+               SuiteReport(_AWKWARD, config, [], 0, 0, 1e-05)]
+    assert render_json(reports) == json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fails", ["write", "flush"])

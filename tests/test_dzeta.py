@@ -2,6 +2,8 @@
 its structural relations."""
 
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -632,6 +634,26 @@ def test_form_ball_encloses_the_form(ctx128, l, weights, sparse, z, scale):
     assert ball.radius_fraction() <= (rad + 4 * (abs(mid) + rad) / 2 ** wp) * (1 + Fraction(1, 2 ** 22))
     if not any(weights[1:]) and z == 0:
         assert ball.is_zero()
+
+
+@pytest.mark.parametrize("precision, weights", [(192, range(4, 61)), (512, range(4, 31))])
+def test_sparse_harmonic_forms_equal_their_dense_twins(precision, weights):
+    """harmonic's right side zeta(a, l-a) + zeta(l-a, a) + zeta(l), as the
+    {slot: weight} form that reads two slots (one, weight 2, at 2a = l),
+    gives the dyadic() of the same form with a dense weight list, for every
+    split a, over tables whose vectors are seeded random integers; so does
+    the form without its zeta(l) term, whose weights' content is taken out."""
+    rng = random.Random(precision)
+    for l in weights:
+        mids = [0] + [rng.randrange(-1 << precision, 1 << precision) for _ in range(l - 2)]
+        rads = [0] + [rng.randrange(1 << 16) for _ in range(l - 2)]
+        t = DzvTable(l, precision, (mids, rads, -precision - l))
+        for a in range(2, l // 2 + 1):
+            sparse = dict(Counter((a - 1, l - a - 1)))
+            dense = [sparse.get(i, 0) for i in range(l - 1)]
+            for z in (1, 0):
+                assert (_form_ball(t, _Form(sparse, z)).dyadic()
+                        == _form_ball(t, _Form(dense, z)).dyadic()), (l, a, z)
 
 
 def test_eq26_sides_equal_five_separate_dot_products(ctx192):
