@@ -209,10 +209,10 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
         n, r = divmod(abs(mm) << max(me, 0), den)
         s = _decimal_str(n + (2 * r + (n & 1) > den))
     else:
-        k = max_digits - j
-        t = _decimal_str(head).rjust(k + 1, "0")
-        ia, fa = t[:len(t) - k], t[len(t) - k:]
-        s = f"{ia}.{fa}"
+        k, t = max_digits - j, _decimal_str(head)
+        if len(t) <= k:
+            t = t.rjust(k + 1, "0")
+        s = f"{t[:len(t) - k]}.{t[len(t) - k:]}"
     return "-" + s if mm < 0 and s.strip("0.") else s
 
 

@@ -43,19 +43,20 @@ a^i b^(d-i) with the table's vector, rounded once.  Every table check is a
 relation between two forms, scale * (sum_l1 w[l1] zeta(l1, l - l1)
 + z zeta(l)) with integer weights w over that vector and rational z and
 scale (``_Form``), each evaluated by ``_form_ball``: one exact integer sum,
-zeta(l)'s dyadic folded in, rounded once.  eq26's sides, every restricted
-sum and Lemma 1's sums over the cube roots of unity (``dzv.identities``) are
-such forms, so no complex number is evaluated; Horner's rule at complex
-points is the tests' oracle for lemma1, and ``functional_eq26_check`` takes
-complex balls only for the benchmark worker that calls it.
+zeta(l)'s dyadic folded in, rounded once; a form with one weight per class
+of l1 mod 6 (``_Classes``) is six products with the table's class totals.
+eq26's sides, every restricted sum and Lemma 1's sums over the cube roots of
+unity (``dzv.identities``) are such forms, so no complex number is evaluated;
+Horner's rule at complex points is the tests' oracle for lemma1, and
+``functional_eq26_check`` takes complex balls only for the benchmark worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd
 from operator import add, floordiv, mul, rshift
 from typing import NamedTuple, Sequence
@@ -232,11 +233,20 @@ class DzvTable:
     """All double zeta values of one weight at one working precision, held only
     as T_l's coefficient vector (mids, rads, e) from ``_double_zetas``, read
     from the one ``zeta._hurwitz`` memo: zeta(l1, weight - l1), l1 = 2..weight-1,
-    is mids[l1-1] 2^e +- rads[l1-1] 2^e."""
+    is mids[l1-1] 2^e +- rads[l1-1] 2^e.  ``classes`` is three six-tuples over
+    the classes r of l1 mod 6: sums of mids, sums of rads, and r present in 2..weight-1."""
 
     weight: int
     precision: int
     vector: tuple
+    classes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mids, rads, _ = self.vector
+        firsts = [(r - 2) % 6 + 1 for r in range(6)]  # the slot of class r's least l1 >= 2
+        object.__setattr__(self, "classes", (tuple(sum(mids[i::6]) for i in firsts),
+                                             tuple(sum(rads[i::6]) for i in firsts),
+                                             tuple(i < self.weight - 1 for i in firsts)))
 
     def entry(self, l1: int, l2: int) -> RealBall:
         """KeyError for a pair of another weight, DomainError for a bad pair."""
@@ -272,9 +282,14 @@ def get_table(l: int, ctx: PrecisionCtx) -> DzvTable:
     return _table(_table_weight(l), ctx.working_precision)
 
 
+class _Classes(tuple):
+    """Six form weights, one per class of l1 mod 6, read from the class totals."""
+    __slots__ = ()
+
+
 class _Form(NamedTuple):
     """scale * (sum_i weights[i] c_i + z zeta(l)) over a table's vector c; the
-    weights a list (missing ones are 0) or a {slot: weight} dict."""
+    weights a list (missing ones are 0), a {slot: weight} dict or ``_Classes``."""
 
     weights: Sequence[int] | dict[int, int] = ()
     z: int | Fraction = 0
@@ -287,11 +302,15 @@ def _form_ball(t: DzvTable, form: _Form) -> RealBall:
     zeta(l)'s dyadic to q times them, while with z = 0 the weights' integer
     content g is taken out.  That sum over q and the scale's denominator is
     rounded once, then multiplied exactly by g and the scale's numerator, so
-    3 S rounds like S.  An integer times zeta(l) is exact, as ``mul_int``."""
+    3 S rounds like S.  An integer times zeta(l) is exact, as ``mul_int``.
+    Class weights give the same integers from the class totals."""
     weights, z, scale = form
     wp = t.precision + GUARD_BITS
     mids, rads, e = t.vector
-    if isinstance(weights, dict):  # read only the slots it names
+    if isinstance(weights, _Classes):
+        mids, rads, present = t.classes
+        w = list(compress(weights, present))
+    elif isinstance(weights, dict):  # read only the slots it names
         mids, rads = [mids[i] for i in weights], [rads[i] for i in weights]
         w, weights = [v for i, v in weights.items() if i], list(weights.values())
     else:
@@ -370,27 +389,33 @@ def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
 gen_poly_real = gen_poly_eval
 
 
-def _eq26_forms(l: int, x, y) -> tuple[_Form, _Form]:
+def _eq26_point(l: int, x, y) -> tuple:
+    """(a, b, 2^(sd)) for x = a 2^s, y = b 2^s (dyadic, else DomainError) and
+    d = l - 2: eq26's integers at the point and its sides' scale."""
+    a, b, s = _common_scale(x, y)
+    return a, b, 1 << s * (l - 2) if s >= 0 else Fraction(1, 1 << -s * (l - 2))
+
+
+def _eq26_sides(d: int, a: int, b: int, scale) -> tuple[_Form, _Form]:
     """The sides of the two-variable functional equation
 
         T_l(x+y, y) + T_l(x+y, x) = T_l(x, y) + T_l(y, x)
                                     + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l)
 
-    at x = a 2^s, y = b 2^s (dyadic, else DomainError) as forms at scale
-    2^(sd), d = l - 2: the weights add each side's two T_l's integers
-    u^i v^(d-i), and the divided difference sum_{i+j=d} x^i y^j is z."""
-    a, b, s = _common_scale(x, y)
-    d = l - 2
-    pa, pb, pab = _powers(a, d), _powers(b, d), _powers(a + b, d)
-    xy, scale = _monomials(pa, pb), 1 << s * d if s >= 0 else Fraction(1, 1 << -s * d)
-    return (_Form(list(map(mul, pab, map(add, reversed(pa), reversed(pb)))), 0, scale),
+    at x = a 2^s, y = b 2^s as forms at scale 2^(sd), d = l - 2: the weights
+    add each side's two T_l's integers u^i v^(d-i), and the divided
+    difference sum_{i+j=d} x^i y^j is z."""
+    pa, pb = _powers(a, d), _powers(b, d)
+    xy = _monomials(pa, pb)
+    left = map(mul, _powers(a + b, d), map(add, reversed(pa), reversed(pb)))
+    return (_Form(list(left), 0, scale),
             _Form(list(map(add, xy, reversed(xy))), sum(xy), scale))
 
 
 def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, RealBall]:
-    """The two ``_eq26_forms`` at x and y over the weight-l table."""
+    """The two ``_eq26_sides`` at x and y over the weight-l table."""
     t = get_table(l, ctx)
-    return tuple(_form_ball(t, form) for form in _eq26_forms(l, x, y))
+    return tuple(_form_ball(t, form) for form in _eq26_sides(l - 2, *_eq26_point(l, x, y)))
 
 
 def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,

@@ -13,8 +13,9 @@ left - right is an exact vector over l1 and zeta(l); only harmonic's left
 side, the product zeta(a) zeta(b), is a ball.  In weight l every congruence
 mod 2, 3 or 6 on l1 or on l2 = l - l1 is a set of l1 classes mod 6, so a
 restricted sum has one coefficient per class: the odd-l1 sum is
-(0, 1, 0, 1, 0, 1) and T_l(-1, 1) is (-1, 1, -1, 1, -1, 1).  The sum, parity,
-theorem1, corollary1 and prop1 formulas are the rows of ``_STATEMENTS``.
+(0, 1, 0, 1, 0, 1) and T_l(-1, 1) is (-1, 1, -1, 1, -1, 1), six products with
+the table's class totals.  The sum, parity, theorem1, corollary1 and prop1
+formulas are the rows of ``_STATEMENTS``.
 
 Lemma 1's cube-root-of-unity sums are integer class vectors too: with
 z = exp(i pi/3), the x = omega and x = omega^2 terms of T_l add up to
@@ -22,7 +23,8 @@ sum 2 cos(pi n/3) zeta(l1, l2) with n mod 6 fixed by l1 mod 6, and the x = 1
 term is T_l(2, 1) or T_l(1, 1).  So equations 3 and 4 are the roots-of-unity
 filter, an identity of class vectors; equations 1 and 2 add the weighted sum
 formula T_l(2, 1) = (l+1)/2 zeta(l); equation 5 is an integer count times
-zeta(l).  No complex number is evaluated.
+zeta(l).  No complex number is evaluated.  Rows 1-4 are built once per
+l mod 6, and eq26's points, labels and scales once per weight.
 
 Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
 weight its statement does not cover, else fetches its own table and judges with
@@ -40,8 +42,8 @@ from operator import add
 from typing import Optional, Sequence, Tuple
 
 from .bernoulli import _class_sums, _require_gap6_weight, bernoulli, ramanujan_sum
-from .dzeta import (DzvTable, _eq26_forms, _Form, _form_ball, _monomials, _powers,
-                    _table_weight, get_table)
+from .dzeta import (DzvTable, _Classes, _eq26_point, _eq26_sides, _Form, _form_ball,
+                    _powers, _table_weight, get_table)
 from .numerics import (
     GUARD_BITS,
     CheckReport,
@@ -79,9 +81,9 @@ _ODD_L1 = (0, 1, 0, 1, 0, 1)
 _T_M11 = (-1, 1, -1, 1, -1, 1)
 
 
-def _class_form(l: int, coeffs: Sequence[int], z=0, scale=1) -> _Form:
-    """scale * (sum coeffs[l1 % 6] zeta(l1, l - l1) + z zeta(l)) at weight l."""
-    return _Form([0, *islice(cycle(coeffs), 2, l)], z, scale)
+def _class_form(coeffs: Sequence[int], z=0, scale=1) -> _Form:
+    """scale * (sum coeffs[l1 % 6] zeta(l1, l - l1) + z zeta(l)), over the class totals."""
+    return _Form(_Classes(coeffs), z, scale)
 
 
 def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
@@ -93,7 +95,7 @@ def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
     coeffs = tuple(require_exact(c, "a restricted_sum coefficient", (int,)) for c in coeffs)
     if len(coeffs) != 6:
         raise DomainError(f"restricted_sum needs 6 coefficients, one per l1 mod 6, got {len(coeffs)}")
-    return _form_ball(t, _class_form(t.weight, coeffs))
+    return _form_ball(t, _class_form(coeffs))
 
 
 def _judge(l: int, relations: list, ctx: PrecisionCtx) -> list[CheckReport]:
@@ -146,8 +148,8 @@ def _statement_relations(suite: str, l: int) -> list[tuple]:
     rows = by_residue.get(require_exact(l, "a weight", (int,)) % modulus)
     if rows is None or l < 3:
         raise OutsideHypothesis(hypothesis)
-    return [(f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]", _class_form(l, lhs),
-             _class_form(l, rhs, Fraction(z) / c, c) if c else _Form((), z))
+    return [(f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]", _class_form(lhs),
+             _class_form(rhs, Fraction(z) / c, c) if c else _Form((), z))
             for tag, lhs, z, c, rhs in rows]
 
 
@@ -239,21 +241,35 @@ def _lemma1_eq5_count(l: int) -> int:
     return sum(1 + _TWO_COS[2 * i % 6] for i in range(l - 1))
 
 
-def _lemma1_relations(l: int) -> list[tuple]:
-    """Lemma 1's five identities at weight l: each row's left side is the
-    x = 1 term's weights, T_l(2, 1)'s or T_l(1, 1)'s, plus its class vector,
-    its right side 3 times the signed l1 class mod 3, minus T_l(-1, 1) and
-    plus (l+1)/2 zeta(l) with the tail; then equation 5, the divided
-    difference (x^(l-1) - 1) / (x - 1), whose sum is 3 floor((l+1)/3)."""
-    relations, powers = [], {v: _powers(v, l - 2) for v in (1, 2)}
+def _lemma1_rows(m: int) -> list[tuple]:
+    """Lemma 1's rows 1-4 at the weights l = m (mod 6), (tag, left, right, tail):
+    right is 3 times the signed l1 class mod 3, minus T_l(-1, 1) with the tail;
+    left is the class vector, plus 1 where the x = 1 term is T_l(1, 1), else a
+    tuple that T_l(2, 1)'s weights 2^(l1-1) are added to at each weight."""
+    rows = []
     for tag, (a, b), residue, sign, tail in _LEMMA1:
-        classes, r = _lemma1_classes(a, b, l), residue(l) % 3
-        # the x^i y^(l-2-i) entry of the vector is zeta(i+1, l-1-i), of class (i+1) % 6
-        xy = _monomials(powers[_AT_ONE[a]], powers[_AT_ONE[b]])
-        left = list(map(add, xy, islice(cycle(classes), 1, l)))
-        right = [3 * sign[c] * (c % 3 == r) - tail * _T_M11[c] for c in range(6)]
-        relations.append((f"lemma1.{tag}[l={l}]", _Form(left),
-                          _class_form(l, right, Fraction(l + 1, 2) if tail else 0)))
+        left, r = _lemma1_classes(a, b, m), residue(m) % 3
+        if _AT_ONE[a] == _AT_ONE[b] == 1:
+            left = _Classes(1 + c for c in left)
+        rows.append((tag, left, _Classes(3 * sign[c] * (c % 3 == r) - tail * _T_M11[c]
+                                         for c in range(6)), tail))
+    return rows
+
+
+_LEMMA1_ROWS = [_lemma1_rows(m) for m in range(6)]
+
+
+def _lemma1_relations(l: int) -> list[tuple]:
+    """Lemma 1's five identities at weight l: rows 1-4 by l mod 6, with one
+    list of T_l(2, 1)'s weights (slot l1 - 1 is of class l1 % 6); then
+    equation 5, the divided difference (x^(l-1) - 1) / (x - 1), whose sum
+    is 3 floor((l+1)/3)."""
+    t21, half = _powers(2, l - 2), Fraction(l + 1, 2)
+    relations = [(f"lemma1.{tag}[l={l}]",
+                  _Form(left if isinstance(left, _Classes)
+                        else list(map(add, t21, islice(cycle(left), 1, l)))),
+                  _Form(right, half if tail else 0))
+                 for tag, left, right, tail in _LEMMA1_ROWS[l % 6]]
     return relations + [(f"lemma1.eq5[l={l}]", _Form((), _lemma1_eq5_count(l)),
                          _Form((), 3 * ((l + 1) // 3)))]
 
@@ -283,12 +299,20 @@ def _eq26_plan(l: int) -> tuple[tuple, int]:
     return tuple(pts), max(0, extra)
 
 
+@cache
+def _eq26_points(l: int) -> tuple[tuple, int]:
+    """``_eq26_plan`` with each point as its label and ``_eq26_point``."""
+    pts, extra = _eq26_plan(l)
+    return tuple((f"eq26[l={l},x={x},y={y}]", *_eq26_point(l, x, y)) for x, y in pts), extra
+
+
 def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The functional equation of T_l at (1, 1) and four seeded rational
     points (x, y), at a precision that follows the size of the sides."""
-    pts, extra = _eq26_plan(_table_weight(l))
-    ctx = PrecisionCtx(ctx.working_precision + extra, ctx.target_tolerance)
-    return _judge(l, [(f"eq26[l={l},x={x},y={y}]", *_eq26_forms(l, x, y)) for x, y in pts], ctx)
+    points, extra = _eq26_points(_table_weight(l))
+    if extra:
+        ctx = PrecisionCtx(ctx.working_precision + extra, ctx.target_tolerance)
+    return _judge(l, [(label, *_eq26_sides(l - 2, *point)) for label, *point in points], ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -352,8 +352,9 @@ def _pow10(n: int) -> int:
 def _radius_digits(num: int, den: int) -> Tuple[int, int]:
     """(m, e) with 10 <= m <= 99 and m * 10^(e-1) the least two-significant-digit
     upper bound of the positive rational r = num/den."""
-    # the digit counts give 10^(e-1) < r < 10^(e+1), so a/b = r 10^-e is in (0.1, 10)
-    e = len(_decimal_str(num)) - len(_decimal_str(den))
+    # r is in (2^(k-1), 2^(k+1)) for the bit lengths' difference k, so e = round(k log10 2),
+    # 2^32 log10 2 = 1292913986.49, has 10^(e-1) < r < 10^(e+1): a/b = r 10^-e is in (0.1, 10)
+    e = ((num.bit_length() - den.bit_length()) * 1292913986 + (1 << 31)) >> 32
     a, b = (num, den * _pow10(e)) if e >= 0 else (num * _pow10(-e), den)
     if a < b:  # r < 10^e: drop e
         e, a = e - 1, a * 100

@@ -98,6 +98,16 @@ def test_cli_dzeta_zeta3_digits():
     assert "±" in out
 
 
+def test_readme_dzeta_example_prints_what_it_quotes():
+    """The README's `dzv dzeta` example is the command's whole output line."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    [line] = [ln for ln in readme.splitlines() if ln.startswith("dzv dzeta ")]
+    command, quoted = (part.strip() for part in line.split("#", 1))
+    proc = _run(*command.split()[1:])
+    assert proc.returncode == 0
+    assert proc.stdout == quoted + "\n"
+
+
 def test_cli_dzeta_44_matches_exact_value():
     proc = _run("dzeta", "4", "4", "-p", "128")
     assert proc.returncode == 0
@@ -583,6 +593,27 @@ def test_harmonic_records_to_120_are_pinned():
         digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.residual_radius,
                             c.passed)).encode())
     assert digest.hexdigest() == _HARMONIC_3_120_DIGEST
+
+
+# every eq26 and lemma1 record over weights 3..23 at 192 bits, the weights
+# where eq26 asks for no bits above the run's precision; the eq26-lemma1
+# golden file, which reaches 80, is read only by the console-script smoke test.
+_EQ26_LEMMA1_3_23_DIGEST = "c1f15889869e80eff92210d1fe7a1b61d8239c3402b27c2d5944478306bc0683"
+
+
+def test_eq26_and_lemma1_records_to_23_are_pinned():
+    """Every side, residual and verdict of the 105 eq26 and 105 lemma1
+    records from weight 3 to 23: eq26's sides at its prepared points and
+    lemma1's rows by l mod 6."""
+    reports, code = cmd_verify(RunConfig(weight_min=3, weight_max=23, suites=("eq26", "lemma1")))
+    assert code == 0
+    checks = [c for r in reports for c in r.checks]
+    assert len(checks) == 210
+    digest = hashlib.sha256()
+    for c in checks:
+        digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.residual_radius,
+                            c.passed)).encode())
+    assert digest.hexdigest() == _EQ26_LEMMA1_3_23_DIGEST
 
 
 def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple) -> None:

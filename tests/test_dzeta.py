@@ -14,6 +14,7 @@ from dzv import dzeta as dzeta_mod
 from dzv.dzeta import (
     DzvTable,
     IndexPair,
+    _Classes,
     _direct_sums,
     _double_zetas,
     _dot,
@@ -654,6 +655,57 @@ def test_sparse_harmonic_forms_equal_their_dense_twins(precision, weights):
             for z in (1, 0):
                 assert (_form_ball(t, _Form(sparse, z)).dyadic()
                         == _form_ball(t, _Form(dense, z)).dyadic()), (l, a, z)
+
+
+def _seeded_table(rng: random.Random, l: int, precision: int) -> DzvTable:
+    """A weight-l table whose vector is seeded random integers, slot 0 (no
+    l1 = 1 exists) included."""
+    mids = [rng.randrange(-1 << precision, 1 << precision) for _ in range(l - 1)]
+    rads = [rng.randrange(1 << 16) for _ in range(l - 1)]
+    return DzvTable(l, precision, (mids, rads, -precision - l))
+
+
+@pytest.mark.parametrize("precision, weights", [(192, range(3, 61)), (512, range(3, 31))])
+def test_class_forms_equal_their_dense_twins(precision, weights):
+    """A form over the classes of l1 mod 6, read from the table's six class
+    totals, gives the dyadic() of the same form with the dense weights
+    c[l1 % 6] at slots l1 - 1 = 1..l-2, over the real table and over a
+    seeded one: at weights 3..7, where some classes hold no l1 (so (1, 1, 3,
+    3, 3, 3) has content 3 there and 1 above), with all-zero coefficients and
+    coefficients with a common factor, with and without a zeta(l) term, and
+    at integer and Fraction scales."""
+    rng = random.Random(precision + 6)
+    ctx = PrecisionCtx(precision)
+    for l in weights:
+        coefficient_sets = [(0,) * 6, (1,) * 6, (0, 0, 0, 0, 1, 0), (-1, 1, -1, 1, -1, 1),
+                            (5, 0, 0, 0, 0, 0), (1, 1, 3, 3, 3, 3),
+                            tuple(rng.randint(-6, 6) for _ in range(6)),
+                            tuple(3 * rng.randint(-4, 4) for _ in range(6))]
+        for t in (get_table(l, ctx), _seeded_table(rng, l, precision)):
+            for coeffs in coefficient_sets:
+                dense = [0] + [coeffs[l1 % 6] for l1 in range(2, l)]
+                for z, scale in ((0, 1), (1, 1), (Fraction(-2, 3), 1), (0, Fraction(1, 3)),
+                                 (Fraction(5, 4), Fraction(-2, 3)), (0, 3), (2, Fraction(1, 8))):
+                    assert (_form_ball(t, _Form(_Classes(coeffs), z, scale)).dyadic()
+                            == _form_ball(t, _Form(dense, z, scale)).dyadic()), \
+                        (l, coeffs, z, scale)
+
+
+def test_class_totals_are_the_sums_of_each_class(ctx192):
+    """A table's class totals are, per class r of l1 mod 6, the sums of the
+    mids and rads at slots l1 - 1 with l1 = r (mod 6), 2 <= l1 <= l - 1, and
+    whether such an l1 exists, for tables from get_table and tables made
+    with DzvTable(l, p, vector), which compare equal to their twins."""
+    rng = random.Random(6)
+    for l in range(3, 41):
+        t = get_table(l, ctx192)
+        for table in (t, DzvTable(l, t.precision, t.vector), _seeded_table(rng, l, 192)):
+            mids, rads, _ = table.vector
+            members = [[l1 for l1 in range(2, l) if l1 % 6 == r] for r in range(6)]
+            assert table.classes == (tuple(sum(mids[l1 - 1] for l1 in c) for c in members),
+                                     tuple(sum(rads[l1 - 1] for l1 in c) for c in members),
+                                     tuple(bool(c) for c in members)), l
+        assert DzvTable(l, t.precision, t.vector) == t
 
 
 def test_eq26_sides_equal_five_separate_dot_products(ctx192):

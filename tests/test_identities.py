@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from dzv.dzeta import _table, gen_poly_eval, get_table
+from dzv.dzeta import _Classes, _table, gen_poly_eval, get_table
 from dzv.identities import (
     _LEMMA1,
     _STATEMENTS,
@@ -652,7 +652,10 @@ def _exact_difference(l, left, right):
 
     def part(form):
         k = d * Fraction(form.scale)
-        return [k * c for c in (list(form.weights[1:]) + [0] * l)[:l - 2]], k * form.z
+        weights = form.weights
+        if isinstance(weights, _Classes):  # weight c[l1 % 6] at slot l1 - 1
+            weights = [0] + [weights[l1 % 6] for l1 in range(2, l)]
+        return [k * c for c in (list(weights[1:]) + [0] * l)[:l - 2]], k * form.z
 
     (lw, lz), (rw, rz) = part(left), part(right)
     vector = [a - b for a, b in zip(lw, rw)]
