@@ -5,12 +5,12 @@ Each `verify` option is one entry of `_OPTIONS`: the flag and the config-file
 key share its name and its parser, and a config file must be a JSON object
 whose keys are all in that table.
 
-Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed
-or errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the
-output path) or a report or value that cannot be written, reported as one
-`error:` line.  A printed ball shows the digits that both of its ends share when
-truncated, or, when their integer parts already differ, an integer inside
-the ball; "0" only when it holds 0.
+Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed or
+errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the output
+path), a report or value that cannot be written, or a run out of memory at its
+precision, reported as one `error:` line.  A printed ball shows the digits
+that both of its ends share when truncated, or, when their integer parts
+already differ, an integer inside the ball; "0" only when it holds 0.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def certified_decimal(ball: RealBall, max_digits: int) -> str:
     if e >= 0:
         p, e = p << e, 0
     lo, hi = (n - r) * p >> -e, (n + r) * p >> -e
-    head, j = (hi, 0) if lo == hi else _shared_digits(lo, hi)
+    head, j = _shared_digits(lo, hi)
     if j > max_digits:  # the integer parts differ
         den = 1 << max(-me, 0)
         n, r = divmod(abs(mm) << max(me, 0), den)
@@ -560,6 +560,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
 
+    prec = None  # named by an out-of-memory error
     try:
         if args.command == "bernoulli":
             _write(sys.stdout, [_fraction_str(bernoulli(args.m)) + "\n"], "the value")
@@ -568,17 +569,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             prec = (default_prec if args.precision is None
                     else _named("precision", _precision, args.precision))
             value = double_zeta(IndexPair(args.l1, args.l2), PrecisionCtx(prec))
-            _, _, rm, re = value.dyadic()
-            radius = _radius_decimal(*_dy_ratio(rm, re))
+            radius = _radius_decimal(*_dy_ratio(*value.dyadic()[2:]))
             _write(sys.stdout, [f"{_ball_str(value, prec)} ± {radius}\n"], "the value")
         else:
             config = _config_from_args(args)
+            prec = config.precision_bits
             with _report_file(config.output_path) as fh:
                 reports, code = cmd_verify(config)
                 _write(fh, _RENDERERS[config.output_format](reports), "the report")
             return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        at = f" at a precision of {prec} bits" if prec else ""
+        print(f"error: out of memory{at}", file=sys.stderr)
         return 2
     return 0
 

@@ -44,8 +44,9 @@ relation between two forms, scale * (sum_l1 w[l1] zeta(l1, l - l1)
 + z zeta(l)) with integer weights w over that vector and rational z and
 scale (``_Form``), each evaluated by ``_form_ball``: one exact integer sum,
 zeta(l)'s dyadic folded in, rounded once; a form with one weight per class
-of l1 mod 6 (``_Classes``) is six products with the table's class totals.
-eq26's sides, every restricted sum and Lemma 1's sums over the cube roots of
+of l1 mod 6 (``_Classes``) is six products with the table's class totals,
+summed at first read.  eq26's sides (points and scales in one memo per
+weight), every restricted sum and Lemma 1's sums over the cube roots of
 unity (``dzv.identities``) are such forms, so no complex number is evaluated;
 Horner's rule at complex points is the tests' oracle for lemma1, and
 ``functional_eq26_check`` takes complex balls only for the benchmark worker.
@@ -53,9 +54,9 @@ Horner's rule at complex points is the tests' oracle for lemma1, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, compress, repeat
 from math import gcd
 from operator import add, floordiv, mul, rshift
@@ -233,20 +234,19 @@ class DzvTable:
     """All double zeta values of one weight at one working precision, held only
     as T_l's coefficient vector (mids, rads, e) from ``_double_zetas``, read
     from the one ``zeta._hurwitz`` memo: zeta(l1, weight - l1), l1 = 2..weight-1,
-    is mids[l1-1] 2^e +- rads[l1-1] 2^e.  ``classes`` is three six-tuples over
-    the classes r of l1 mod 6: sums of mids, sums of rads, and r present in 2..weight-1."""
+    is mids[l1-1] 2^e +- rads[l1-1] 2^e."""
 
     weight: int
     precision: int
     vector: tuple
-    classes: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def classes(self) -> tuple:
+        """Per class r of l1 mod 6: sums of mids, of rads, and r in 2..weight-1."""
         mids, rads, _ = self.vector
         firsts = [(r - 2) % 6 + 1 for r in range(6)]  # the slot of class r's least l1 >= 2
-        object.__setattr__(self, "classes", (tuple(sum(mids[i::6]) for i in firsts),
-                                             tuple(sum(rads[i::6]) for i in firsts),
-                                             tuple(i < self.weight - 1 for i in firsts)))
+        return (tuple(sum(mids[i::6]) for i in firsts), tuple(sum(rads[i::6]) for i in firsts),
+                tuple(i < self.weight - 1 for i in firsts))
 
     def entry(self, l1: int, l2: int) -> RealBall:
         """KeyError for a pair of another weight, DomainError for a bad pair."""

@@ -24,7 +24,7 @@ term is T_l(2, 1) or T_l(1, 1).  So equations 3 and 4 are the roots-of-unity
 filter, an identity of class vectors; equations 1 and 2 add the weighted sum
 formula T_l(2, 1) = (l+1)/2 zeta(l); equation 5 is an integer count times
 zeta(l).  No complex number is evaluated.  Rows 1-4 are built once per
-l mod 6, and eq26's points, labels and scales once per weight.
+l mod 3 (a row's b is 0 or 2), and eq26's points once per weight, in one memo.
 
 Every suite is a function ``check(l, ctx)`` that raises OutsideHypothesis at a
 weight its statement does not cover, else fetches its own table and judges with
@@ -71,19 +71,12 @@ __all__ = [
     "corollary2_exact_chain",
 ]
 
-_EQ26_SAMPLES = 5
-
 # class vectors: every l1, even l1 and odd l1 (in even weight l2 has the
 # parity of l1), and T_l(-1, 1) = sum (-1)^(l1-1) zeta(l1, l2)
 _ALL = (1, 1, 1, 1, 1, 1)
 _EVEN_L1 = (1, 0, 1, 0, 1, 0)
 _ODD_L1 = (0, 1, 0, 1, 0, 1)
 _T_M11 = (-1, 1, -1, 1, -1, 1)
-
-
-def _class_form(coeffs: Sequence[int], z=0, scale=1) -> _Form:
-    """scale * (sum coeffs[l1 % 6] zeta(l1, l - l1) + z zeta(l)), over the class totals."""
-    return _Form(_Classes(coeffs), z, scale)
 
 
 def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
@@ -95,7 +88,7 @@ def restricted_sum(t: DzvTable, coeffs: Sequence[int]) -> RealBall:
     coeffs = tuple(require_exact(c, "a restricted_sum coefficient", (int,)) for c in coeffs)
     if len(coeffs) != 6:
         raise DomainError(f"restricted_sum needs 6 coefficients, one per l1 mod 6, got {len(coeffs)}")
-    return _form_ball(t, _class_form(coeffs))
+    return _form_ball(t, _Form(_Classes(coeffs)))
 
 
 def _judge(l: int, relations: list, ctx: PrecisionCtx) -> list[CheckReport]:
@@ -148,8 +141,8 @@ def _statement_relations(suite: str, l: int) -> list[tuple]:
     rows = by_residue.get(require_exact(l, "a weight", (int,)) % modulus)
     if rows is None or l < 3:
         raise OutsideHypothesis(hypothesis)
-    return [(f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]", _class_form(lhs),
-             _class_form(rhs, Fraction(z) / c, c) if c else _Form((), z))
+    return [(f"{suite}.{tag}[l={l}]" if tag else f"{suite}[l={l}]", _Form(_Classes(lhs)),
+             _Form(_Classes(rhs), Fraction(z) / c, c) if c else _Form((), z))
             for tag, lhs, z, c, rhs in rows]
 
 
@@ -165,7 +158,7 @@ def sum_formula_check(l: int, ctx: PrecisionCtx) -> CheckReport:
 def weighted_sum_check(l: int, ctx: PrecisionCtx) -> CheckReport:
     """T_l(2, 1) = sum 2^(l1-1) zeta(l1, l2) = (l+1) zeta(l) / 2 over the
     weight-l table; the left side is the dot product lemma1 reads too."""
-    t_2_1 = _Form([1 << i for i in range(_table_weight(l) - 1)])
+    t_2_1 = _Form(_powers(2, _table_weight(l) - 2))
     return _judge(l, [(f"weighted-sum[l={l}]", t_2_1, _Form((), Fraction(l + 1, 2)))], ctx)[0]
 
 
@@ -242,7 +235,7 @@ def _lemma1_eq5_count(l: int) -> int:
 
 
 def _lemma1_rows(m: int) -> list[tuple]:
-    """Lemma 1's rows 1-4 at the weights l = m (mod 6), (tag, left, right, tail):
+    """Lemma 1's rows 1-4 at the weights l = m (mod 3), (tag, left, right, tail):
     right is 3 times the signed l1 class mod 3, minus T_l(-1, 1) with the tail;
     left is the class vector, plus 1 where the x = 1 term is T_l(1, 1), else a
     tuple that T_l(2, 1)'s weights 2^(l1-1) are added to at each weight."""
@@ -256,11 +249,11 @@ def _lemma1_rows(m: int) -> list[tuple]:
     return rows
 
 
-_LEMMA1_ROWS = [_lemma1_rows(m) for m in range(6)]
+_LEMMA1_ROWS = [_lemma1_rows(m) for m in range(3)]
 
 
 def _lemma1_relations(l: int) -> list[tuple]:
-    """Lemma 1's five identities at weight l: rows 1-4 by l mod 6, with one
+    """Lemma 1's five identities at weight l: rows 1-4 by l mod 3, with one
     list of T_l(2, 1)'s weights (slot l1 - 1 is of class l1 % 6); then
     equation 5, the divided difference (x^(l-1) - 1) / (x - 1), whose sum
     is 3 floor((l+1)/3)."""
@@ -269,7 +262,7 @@ def _lemma1_relations(l: int) -> list[tuple]:
                   _Form(left if isinstance(left, _Classes)
                         else list(map(add, t21, islice(cycle(left), 1, l)))),
                   _Form(right, half if tail else 0))
-                 for tag, left, right, tail in _LEMMA1_ROWS[l % 6]]
+                 for tag, left, right, tail in _LEMMA1_ROWS[l % 3]]
     return relations + [(f"lemma1.eq5[l={l}]", _Form((), _lemma1_eq5_count(l)),
                          _Form((), 3 * ((l + 1) // 3)))]
 
@@ -287,32 +280,25 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 @cache
 def _eq26_plan(l: int) -> tuple[tuple, int]:
     """eq26's points at weight l, (1, 1) and seeded rationals with |x|, |y| <= 2,
+    each as (x, y, label, a, b, scale) with ``_eq26_point``'s a, b and scale,
     and the bits its precision rule adds, drawn once per weight: a side is at
     most (l+1) zeta(l) M^(l-2) <= S = 2 l M^(l-2), M = max(1, |x|, |y|, |x+y|),
     with radius about S 2^-p, so S above 2^GUARD_BITS raises p by the excess."""
     rng = random.Random(0x26000 + l)
-    pts = [(Fraction(1), Fraction(1))]
-    while len(pts) < _EQ26_SAMPLES:
-        pts.append((Fraction(rng.randint(-16, 16), 8), Fraction(rng.randint(-16, 16), 8)))
+    pts = [(Fraction(1), Fraction(1))] + [
+        (Fraction(rng.randint(-16, 16), 8), Fraction(rng.randint(-16, 16), 8)) for _ in range(4)]
     m = max(max(1, abs(x), abs(y), abs(x + y)) for x, y in pts)
-    extra = (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS
-    return tuple(pts), max(0, extra)
-
-
-@cache
-def _eq26_points(l: int) -> tuple[tuple, int]:
-    """``_eq26_plan`` with each point as its label and ``_eq26_point``."""
-    pts, extra = _eq26_plan(l)
-    return tuple((f"eq26[l={l},x={x},y={y}]", *_eq26_point(l, x, y)) for x, y in pts), extra
+    extra = max(0, (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS)
+    return tuple((x, y, f"eq26[l={l},x={x},y={y}]", *_eq26_point(l, x, y)) for x, y in pts), extra
 
 
 def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
     """The functional equation of T_l at (1, 1) and four seeded rational
     points (x, y), at a precision that follows the size of the sides."""
-    points, extra = _eq26_points(_table_weight(l))
+    points, extra = _eq26_plan(_table_weight(l))
     if extra:
         ctx = PrecisionCtx(ctx.working_precision + extra, ctx.target_tolerance)
-    return _judge(l, [(label, *_eq26_sides(l - 2, *point)) for label, *point in points], ctx)
+    return _judge(l, [(label, *_eq26_sides(l - 2, *point)) for _, _, label, *point in points], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +329,7 @@ def corollary2_exact_chain(l: int, ctx: Optional[PrecisionCtx] = None) -> CheckR
     """
     _require_gap6_weight(l)
 
-    count = sum(1 for l1 in range(2, l) if l1 % 6 == 4 and (l - l1) % 6 == 4)
-    count_ok = count == (l - 2) // 6
+    count_ok = sum(l1 % 6 == 4 == (l - l1) % 6 for l1 in range(2, l)) == (l - 2) // 6
 
     # u vanishes off j = 4 (mod 6), a class that l - j keeps when l = 2 (mod 6)
     s4 = _class_sums([_zeta_coefficient(j) if j % 6 == 4 else 0 for j in range(l + 1)], l)[2]

@@ -2,7 +2,9 @@
 
 Every expected value asserted by the tests is computed here by a method
 independent of the code path under test: Pascal's triangle for binomials,
-Akiyama-Tanigawa for Bernoulli numbers, the BBP series for pi, direct
+Akiyama-Tanigawa for Bernoulli numbers, and at higher indices the one
+integer D_n |B_n| inside an integer fixed-point enclosure of
+2 n! zeta(n) / (2 pi)^n, the BBP series for pi, direct
 summation with integral tail bounds for zeta values, the literal truncated
 double sum for double zeta values, the direct sums of one pair in their own
 loop with their own powers, a table entry composed of separately rounded
@@ -28,6 +30,7 @@ limit, which their rewrites must equal.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from functools import cache
@@ -306,6 +309,99 @@ def hurwitz_direct_interval(s: int, a: Fraction, n_terms: int) -> Tuple[Fraction
     lo = partial + 1 / ((n_terms + a) ** (s - 1) * (s - 1))
     hi = partial + 1 / ((n_terms - 1 + a) ** (s - 1) * (s - 1))
     return lo, hi
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+@cache
+def _bbp_pi_scaled(w: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= pi 2^w <= hi, by the BBP series in integers: each
+    term 16^-k (4/(8k+1) - 2/(8k+4) - 1/(8k+5) - 1/(8k+6)) = 16^-k p_k/q_k
+    is floored into lo and ceiled into hi while 16^k <= 2^w, and the tail,
+    each bracket in (0, 4), adds below 4 16^-K 16/15 <= 5 units to hi."""
+    lo = hi = 0
+    for k in range(w // 4 + 1):
+        a, b, c, d = 8 * k + 1, 8 * k + 4, 8 * k + 5, 8 * k + 6
+        q = a * b * c * d
+        p_k = (4 * b * c * d - 2 * a * c * d - a * b * d - a * b * c) << (w - 4 * k)
+        lo, hi = lo + p_k // q, hi + _ceil_div(p_k, q)
+    return lo, hi + 5
+
+
+def _pi_scaled(w: int) -> Tuple[int, int]:
+    """``_bbp_pi_scaled`` at w bits, cut from one series per 2048 bits: a
+    shifted floor and ceiling stay a floor and a ceiling."""
+    top = _ceil_div(w, 2048) * 2048
+    lo, hi = _bbp_pi_scaled(top)
+    return lo >> (top - w), _ceil_div(hi, 1 << (top - w))
+
+
+def _zeta_scaled(n: int, w: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= zeta(n) 2^w <= hi: the floors and ceilings of
+    2^w / k^n while k^n <= 2^w, and the tail sum_{k>K} k^-n between the
+    integrals 1/((n-1)(K+1)^(n-1)) and 1/((n-1)K^(n-1))."""
+    one, lo, hi, k = 1 << w, 0, 0, 1
+    while k ** n <= one:  # on exit k = K + 1
+        lo, hi, k = lo + one // k ** n, hi + _ceil_div(one, k ** n), k + 1
+    return (lo + one // ((n - 1) * k ** (n - 1)),
+            hi + _ceil_div(one, (n - 1) * (k - 1) ** (n - 1)))
+
+
+def _outward_power(lo: int, hi: int, n: int, w: int) -> Tuple[int, int]:
+    """(lo', hi') with lo' <= x^n 2^w <= hi' for lo <= x 2^w <= hi, lo >= 0,
+    by binary powering with each product's floor and ceiling at unit 2^-w."""
+    one = 1 << w
+    plo, phi = one, one
+    while n:
+        if n & 1:
+            plo, phi = (plo * lo) >> w, _ceil_div(phi * hi, one)
+        n >>= 1
+        if n:
+            lo, hi = (lo * lo) >> w, _ceil_div(hi * hi, one)
+    return plo, phi
+
+
+def staudt_clausen_denominator(n: int) -> int:
+    """D_n, the product of the primes p with (p - 1) | n, n even, by trial
+    division."""
+    def is_prime(p: int) -> bool:
+        return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+    return prod(d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1))
+
+
+def single_integer(lo: Fraction, hi: Fraction) -> int:
+    """The one integer in [lo, hi], an interval narrower than 1; an interval
+    that holds none, or is too wide to rule out a second, raises
+    ArithmeticError rather than being rounded."""
+    first, last = math.ceil(lo), math.floor(hi)
+    if hi - lo >= 1 or first != last:
+        raise ArithmeticError(f"[{lo}, {hi}] holds {max(last - first + 1, 0)} integers, "
+                              "where one integer in an interval narrower than 1 is needed")
+    return first
+
+
+def bernoulli_from_zeta(n: int, guard_bits: int = 64) -> Fraction:
+    """B_n for even n >= 20 from |B_n| = 2 n! zeta(n) / (2 pi)^n and von
+    Staudt-Clausen, in integer fixed point at unit 2^-w: pi from BBP
+    (``_pi_scaled``), zeta(n) as a direct sum with an integral tail
+    (``_zeta_scaled``), (2 pi)^n rounded outward.  N_n = D_n |B_n| is an
+    integer, proved to be the one inside the enclosure
+    [D_n 2 n! zeta_lo / P_hi, D_n 2 n! zeta_hi / P_lo] by ``single_integer``;
+    w is log2 N_n plus guard_bits, which keeps the width below 1.  The sign
+    is (-1)^(n/2+1).  It shares no code with dzv, whose Bernoulli store the
+    tests compare it with."""
+    if n % 2 or n < 20:
+        raise ValueError(f"bernoulli_from_zeta takes an even n >= 20, got {n}")
+    d_n, scale = staudt_clausen_denominator(n), 2 * factorial(n)
+    # log2 N_n <= bitlen(D_n 2 n!) + 1 - n log2(2 pi); the float only sizes w
+    w = (d_n * scale).bit_length() - int(n * math.log2(2 * math.pi)) + guard_bits
+    z_lo, z_hi = _zeta_scaled(n, w)
+    pi_lo, pi_hi = _pi_scaled(w)
+    p_lo, p_hi = _outward_power(2 * pi_lo, 2 * pi_hi, n, w)
+    num = single_integer(Fraction(d_n * scale * z_lo, p_hi), Fraction(d_n * scale * z_hi, p_lo))
+    return Fraction(num if n % 4 == 2 else -num, d_n)
 
 
 def alternating_zeta_interval(s: int, bits: int) -> Tuple[Fraction, Fraction]:
@@ -778,7 +874,7 @@ def composed_checks(suite: str, l: int, ctx: PrecisionCtx) -> List[CheckReport]:
         pts, extra = _eq26_plan(l)
         ectx = PrecisionCtx(ctx.working_precision + extra, ctx.target_tolerance)
         return [check_from_sides(f"eq26[l={l},x={x},y={y}]", l,
-                                 *eq26_sides_by_dots(l, x, y, ectx), ectx) for x, y in pts]
+                                 *eq26_sides_by_dots(l, x, y, ectx), ectx) for x, y, *_ in pts]
     t = get_table(l, ctx)
     zl = zeta_numeric(l, ctx)
     half_lp1 = RealBall.from_fraction(Fraction(l + 1, 2), wp)

@@ -18,7 +18,8 @@ from dzv.bernoulli import (
 from dzv.identities import _zeta_coefficient, corollary2_exact_chain
 from dzv.numerics import DomainError
 
-from oracles import akiyama_tanigawa_bernoulli, pascal_binomial
+from oracles import (akiyama_tanigawa_bernoulli, bernoulli_from_zeta, pascal_binomial,
+                     single_integer)
 
 # the module, which the package's function dzv.bernoulli shadows as an attribute
 bernoulli_module = importlib.import_module("dzv.bernoulli")
@@ -69,6 +70,40 @@ def test_bernoulli_von_staudt_clausen_and_sign_to_800():
     primes = _primes_upto(801)
     for m in range(2, 801, 2):
         assert _von_staudt_clausen_holds(m, bernoulli(m), primes), m
+
+
+def _differ_from_zeta(values: dict) -> list:
+    """The indices n whose value is not B_n from ``oracles.bernoulli_from_zeta``."""
+    return [n for n, b in values.items() if b != bernoulli_from_zeta(n)]
+
+
+def test_bernoulli_from_202_to_800_equals_the_zeta_oracle():
+    """Every even B_n above the Akiyama-Tanigawa check, n = 202..800, by value:
+    D_n |B_n| is the one integer in an enclosure of 2 n! zeta(n) / (2 pi)^n
+    that shares no code with the store."""
+    assert _differ_from_zeta({n: bernoulli(n) for n in range(202, 801, 2)}) == []
+
+
+@pytest.mark.parametrize("n", [202, 498, 800])
+def test_zeta_oracle_catches_a_wrong_numerator_or_denominator(n):
+    b = bernoulli(n)
+    wrong = [Fraction(b.numerator + 1, b.denominator), Fraction(b.numerator - 1, b.denominator),
+             Fraction(b.numerator, b.denominator // 3), Fraction(b.numerator, 7 * b.denominator)]
+    assert _differ_from_zeta({n: b}) == []
+    for v in wrong:
+        assert _differ_from_zeta({n: v}) == [n], v
+
+
+def test_zeta_oracle_fails_loudly_on_no_integer_or_two():
+    """An enclosure is never rounded to an integer: one that holds none, or
+    is 1 or more wide, raises, and so does a width too coarse to decide."""
+    assert single_integer(Fraction(3, 4), Fraction(5, 4)) == 1
+    for lo, hi in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(3, 4), Fraction(9, 4)),
+                   (Fraction(1, 2), Fraction(3, 2)), (Fraction(0), Fraction(1))):
+        with pytest.raises(ArithmeticError):
+            single_integer(lo, hi)
+    with pytest.raises(ArithmeticError):
+        bernoulli_from_zeta(400, guard_bits=-8)
 
 
 def test_bernoulli_rejects_negative_index():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dzv import dzeta as dzeta_mod, numerics
+from dzv import cli as cli_mod, dzeta as dzeta_mod, numerics
 from dzv.cli import (
     _SUITES,
     CheckRecord,
@@ -537,90 +537,14 @@ def test_verify_report_matches_the_golden_file(capsys):
     assert json.dumps(reports, indent=2) + "\n" == _GOLDEN.read_text(encoding="utf-8")
 
 
-_BERNOULLI_GOLDEN = Path(__file__).parent / "data" / "verify-bernoulli-1020-1032.json"
-
-
-def test_exact_bernoulli_report_matches_the_golden_file():
-    """`dzv verify --suites euler-bernoulli,ramanujan,corollary2-chain --weights
-    1020..1032 --format json`, with wall_time and output_path dropped.  Every
-    side is an exact rational, so the report repeats byte for byte; a kernel
-    change that moves a digit shows as a diff line."""
-    config = RunConfig(weight_min=1020, weight_max=1032, output_format="json",
-                       suites=("euler-bernoulli", "ramanujan", "corollary2-chain"))
-    reports, code = cmd_verify(config)
-    assert code == 0
-    reports = json.loads(render_json(reports))
-    for r in reports:
-        del r["wall_time"], r["config"]["output_path"]
-    golden = json.loads(_BERNOULLI_GOLDEN.read_text(encoding="utf-8"))
-    assert diff(golden, reports) == []
-    assert json.dumps(reports, indent=2) + "\n" == _BERNOULLI_GOLDEN.read_text(encoding="utf-8")
-
-
-# SHA-256 over (label, lhs, rhs, residual_midpoint, passed, skipped_reason) of
-# every record of the exact suites over weights 4..800, the benchmark's
-# exact-bernoulli line.  A change that moves any of these sides on purpose
-# updates the digest.
-_EXACT_4_800_DIGEST = "27e931c181be518e086f5f4a208cdb9a811535bc8e029ad1dca447f0b984b180"
-
-
-def test_exact_bernoulli_records_to_800_are_pinned():
-    """The golden file pins 13 weights byte for byte; this pins every exact
-    side of the 2657 records from weight 4 to 800."""
-    reports, code = cmd_verify(RunConfig(weight_min=4, weight_max=800, suites=(
-        "euler-bernoulli", "ramanujan", "corollary2-chain")))
-    assert code == 0
-    digest = hashlib.sha256()
-    for c in (c for r in reports for c in r.checks):
-        digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.passed,
-                            c.skipped_reason)).encode())
-    assert digest.hexdigest() == _EXACT_4_800_DIGEST
-
-
-# SHA-256 over (label, lhs, rhs, residual_midpoint, residual_radius, passed) of
-# every record of the harmonic suite over weights 3..120 at 192 bits; its
-# golden file stops at weight 30.
-_HARMONIC_3_120_DIGEST = "da494dbd773d7c20518451c85419800107e718f1bccfaf16a9231c926d736e90"
-
-
-def test_harmonic_records_to_120_are_pinned():
-    """Every side, residual and verdict of harmonic's 3482 records from weight
-    3 to 120, where each right side is a form that reads two table slots."""
-    reports, code = cmd_verify(RunConfig(weight_min=3, weight_max=120, suites=("harmonic",)))
-    assert code == 0
-    digest = hashlib.sha256()
-    for c in reports[0].checks:
-        digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.residual_radius,
-                            c.passed)).encode())
-    assert digest.hexdigest() == _HARMONIC_3_120_DIGEST
-
-
-# every eq26 and lemma1 record over weights 3..23 at 192 bits, the weights
-# where eq26 asks for no bits above the run's precision; the eq26-lemma1
-# golden file, which reaches 80, is read only by the console-script smoke test.
-_EQ26_LEMMA1_3_23_DIGEST = "c1f15889869e80eff92210d1fe7a1b61d8239c3402b27c2d5944478306bc0683"
-
-
-def test_eq26_and_lemma1_records_to_23_are_pinned():
-    """Every side, residual and verdict of the 105 eq26 and 105 lemma1
-    records from weight 3 to 23: eq26's sides at its prepared points and
-    lemma1's rows by l mod 6."""
-    reports, code = cmd_verify(RunConfig(weight_min=3, weight_max=23, suites=("eq26", "lemma1")))
-    assert code == 0
-    checks = [c for r in reports for c in r.checks]
-    assert len(checks) == 210
-    digest = hashlib.sha256()
-    for c in checks:
-        digest.update(repr((c.label, c.lhs, c.rhs, c.residual_midpoint, c.residual_radius,
-                            c.passed)).encode())
-    assert digest.hexdigest() == _EQ26_LEMMA1_3_23_DIGEST
-
-
-def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple) -> None:
-    """`dzv verify --suites SUITES --weights 3..30 --format json` at 192 bits,
-    with wall_time and output_path dropped, against tests/data/NAME: no
-    record differs, then the text is equal byte for byte."""
-    config = RunConfig(weight_min=3, weight_max=30, output_format="json", suites=suites)
+def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple,
+                                          weights: tuple = (3, 30)) -> None:
+    """`dzv verify --suites SUITES --weights A..B --format json` at 192 bits,
+    weights 3..30 unless given, with wall_time and output_path dropped,
+    against tests/data/NAME: no record differs, then the text is equal byte
+    for byte."""
+    lo, hi = weights
+    config = RunConfig(weight_min=lo, weight_max=hi, output_format="json", suites=suites)
     reports, code = cmd_verify(config)
     assert code == 0
     reports = json.loads(render_json(reports))
@@ -629,6 +553,16 @@ def _assert_sweep_repeats_the_golden_file(name: str, suites: tuple) -> None:
     text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
     assert diff(json.loads(text), reports) == []
     assert json.dumps(reports, indent=2) + "\n" == text
+
+
+def test_exact_bernoulli_report_matches_the_golden_file():
+    """`dzv verify --suites euler-bernoulli,ramanujan,corollary2-chain --weights
+    1020..1032 --format json`, with wall_time and output_path dropped.  Every
+    side is an exact rational, so the report repeats byte for byte; a kernel
+    change that moves a digit shows as a diff line."""
+    _assert_sweep_repeats_the_golden_file(
+        "verify-bernoulli-1020-1032.json", ("euler-bernoulli", "ramanujan", "corollary2-chain"),
+        (1020, 1032))
 
 
 def test_six_suite_sweep_report_matches_the_golden_file():
@@ -648,6 +582,47 @@ def test_sum_weighted_harmonic_sweep_report_matches_the_golden_file():
     12 at 192 bits, and the sum formula beside them."""
     _assert_sweep_repeats_the_golden_file(
         "verify-sum-weighted-harmonic-3-30.json", ("sum-formula", "weighted-sum", "harmonic"))
+
+
+# Each sweep's records at 192 bits, SHA-256 over the repr of each record's
+# tuple of the named fields; a change that moves any of them on purpose
+# updates the digest.
+_PINNED_SWEEPS = {
+    # the exact suites over 4..800, the benchmark's exact-bernoulli line; the
+    # golden file pins 13 weights byte for byte
+    "exact-bernoulli-4-800": (
+        ("euler-bernoulli", "ramanujan", "corollary2-chain"), (4, 800),
+        ("label", "lhs", "rhs", "residual_midpoint", "passed", "skipped_reason"), 2657,
+        "27e931c181be518e086f5f4a208cdb9a811535bc8e029ad1dca447f0b984b180"),
+    # harmonic over 3..120, where each right side is a form that reads two
+    # table slots; its golden file stops at weight 30
+    "harmonic-3-120": (
+        ("harmonic",), (3, 120),
+        ("label", "lhs", "rhs", "residual_midpoint", "residual_radius", "passed"), 3482,
+        "da494dbd773d7c20518451c85419800107e718f1bccfaf16a9231c926d736e90"),
+    # eq26 and lemma1 over 3..23, the weights where eq26 asks for no bits above
+    # the run's precision: eq26's sides at its prepared points and lemma1's rows
+    # by l mod 3; the eq26-lemma1 golden file, which reaches 80, is read only by
+    # the console-script smoke test
+    "eq26-lemma1-3-23": (
+        ("eq26", "lemma1"), (3, 23),
+        ("label", "lhs", "rhs", "residual_midpoint", "residual_radius", "passed"), 210,
+        "c1f15889869e80eff92210d1fe7a1b61d8239c3402b27c2d5944478306bc0683"),
+}
+
+
+@pytest.mark.parametrize("sweep", _PINNED_SWEEPS)
+def test_sweep_records_are_pinned(sweep):
+    """Every pinned field of every record of the sweep, in order, passing."""
+    suites, (lo, hi), fields, count, pinned = _PINNED_SWEEPS[sweep]
+    reports, code = cmd_verify(RunConfig(weight_min=lo, weight_max=hi, suites=suites))
+    assert code == 0
+    checks = [c for r in reports for c in r.checks]
+    assert len(checks) == count
+    digest = hashlib.sha256()
+    for c in checks:
+        digest.update(repr(tuple(getattr(c, f) for f in fields)).encode())
+    assert digest.hexdigest() == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -1143,6 +1118,28 @@ def test_closed_pipe_stdout_exits_two_at_interpreter_exit(argv, what):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot write {what}: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, patched", [
+    (["verify", "--suites", "eq26", "--weights", "30..30", "--precision", "1048576"],
+     "cmd_verify"),
+    (["dzeta", "16", "14", "-p", "1048576"], "double_zeta"),
+], ids=["verify", "dzeta"])
+def test_out_of_memory_is_one_error_line_and_exit_two(monkeypatch, capsys, tmp_path, argv,
+                                                      patched):
+    """A run that fills the memory, as 2^20 bits does on a small machine,
+    exits 2 with one line that names the precision, not 1 (a failed check)
+    with a traceback; the error is raised here, so nothing is allocated."""
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli_mod, patched, out_of_memory)
+    monkeypatch.delenv("DZV_PRECISION", raising=False)
+    if argv[0] == "verify":
+        argv = argv + ["--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "error: out of memory at a precision of 1048576 bits\n"
 
 
 def test_main_return_paths():

@@ -590,7 +590,7 @@ def test_dot_meets_the_horner_kernel_at_eq26_points(ctx192):
         t = get_table(l, ctx192)
         coeffs = [None] + [t.entry(l1, l - l1) for l1 in range(2, l)]
         ones = [RealBall.from_int(1)] * (l - 1)
-        for x, y in _eq26_plan(l)[0]:
+        for x, y, *_ in _eq26_plan(l)[0]:
             ball = {q: ComplexBall.from_fractions(q, 0, wp) for q in (x, y, x + y)}
             pairs = [(gen_poly_eval(t, a, b), _homogeneous(coeffs, ball[a], ball[b], wp))
                      for a, b in ((x + y, y), (x + y, x), (x, y), (y, x))]
@@ -717,7 +717,7 @@ def test_eq26_sides_equal_five_separate_dot_products(ctx192):
     extra = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(-3, 4), Fraction(7, 4)),
              (Fraction(5, 8), Fraction(-5, 8)), (0, 0), (0, 5), (3, 3), (-7, Fraction(1, 16))]
     for l in range(3, 31):
-        for x, y in list(_eq26_plan(l)[0]) + extra:
+        for x, y in [p[:2] for p in _eq26_plan(l)[0]] + extra:
             sides = functional_eq26_sides(l, x, y, ctx192)
             for side, dots in zip(sides, eq26_sides_by_dots(l, x, y, ctx192), strict=True):
                 assert intersects(side, dots), (l, x, y)
@@ -889,7 +889,7 @@ def test_eq26_check_adapts_complex_points_to_the_real_sides(ctx128):
     imaginary part raises DomainError."""
     wp = ctx128.working_precision + GUARD_BITS
     for l in (3, 4, 9, 17, 30):
-        for x, y in _eq26_plan(l)[0]:
+        for x, y, *_ in _eq26_plan(l)[0]:
             res = functional_eq26_check(l, ComplexBall.from_fractions(x, 0, wp),
                                         ComplexBall.from_fractions(y, 0, wp), ctx128)
             assert res.real.dyadic() == _eq26_residual(l, x, y, ctx128).dyadic(), (l, x, y)

@@ -8,12 +8,14 @@ import pytest
 from dzv.dzeta import _Classes, _table, gen_poly_eval, get_table
 from dzv.identities import (
     _LEMMA1,
+    _LEMMA1_ROWS,
     _STATEMENTS,
     _T_M11,
     _eq26_plan,
     _lemma1_classes,
     _lemma1_eq5_count,
     _lemma1_relations,
+    _lemma1_rows,
     _statement_checks,
     _statement_relations,
     corollary1_check,
@@ -564,6 +566,14 @@ def test_lemma1_class_vectors_are_twice_the_real_parts():
                 lemma1_pair_coefficients(tag, l), (tag, l)
 
 
+def test_lemma1_rows_repeat_with_the_weight_mod_3():
+    """A row's b is 0 or 2 and its residue is read mod 3, so the rows built
+    for l and for l + 3 are equal: three tables hold every weight's rows."""
+    for m in range(3):
+        assert _lemma1_rows(m + 3) == _lemma1_rows(m) == _LEMMA1_ROWS[m], m
+    assert {b for _, (_, b), *_ in _LEMMA1} == {0, 2}
+
+
 def test_lemma1_eq5_count_is_the_roots_of_unity_sum():
     """Equation 5's integer is the sum over {1, omega, omega^2} of
     sum_{i<=l-2} x^i in Q(sqrt -3), and that is 3 floor((l+1)/3)."""
@@ -620,7 +630,8 @@ def test_eq26_points_of_weights_3_and_20_are_pinned(ctx192):
     }
     for l, pts in points.items():
         # both weights' sides stay below 2^GUARD_BITS: no extra bits
-        assert _eq26_plan(l) == (pts, 0)
+        plan, extra = _eq26_plan(l)
+        assert (tuple(p[:2] for p in plan), extra) == (pts, 0)
         assert [r.label for r in eq26_check(l, ctx192)] == \
             [f"eq26[l={l},x={x},y={y}]" for x, y in pts]
     assert _eq26_plan(104)[1] > 0
