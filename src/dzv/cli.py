@@ -6,11 +6,15 @@ key share its name and its parser, and a config file must be a JSON object
 whose keys are all in that table.
 
 Exit codes: 0 all checks passed (skips allowed), 1 only when a check failed or
-errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, the output
-path), a report or value that cannot be written, or a run out of memory at its
-precision, reported as one `error:` line.  A printed ball shows the digits
-that both of its ends share when truncated, or, when their integer parts
-already differ, an integer inside the ball; "0" only when it holds 0.
+errored, 2 bad input (a flag, a config file or key, DZV_PRECISION, an empty
+suite list, a precision outside 64..2^20 bits, a tolerance finer than
+1e-315653, the output path), a report or value that cannot be written, or a
+run out of memory at its precision, reported as one `error:` line.  The
+`--out` file is opened only once the run is over, so a run that ends in an
+error leaves it as it was, and a new path uncreated.  A printed ball shows
+the digits that both of its ends share when truncated, or, when their
+integer parts already differ, an integer inside the ball; "0" only when it
+holds 0.
 """
 
 from __future__ import annotations
@@ -65,6 +69,31 @@ __all__ = ["RunConfig", "SuiteReport", "CheckRecord", "cmd_verify", "main", "SUI
 _ENV_PRECISION = "DZV_PRECISION"
 _DEFAULT_PRECISION = 192
 _DEFAULT_TOL_EXP = 40
+# ceil(2^20 log10 2), the 2^20-bit precision cap in decimal digits: a finer
+# tolerance is bad input, refused before 10^N is built
+_MAX_TOL_EXP = 315653
+
+
+# ---------------------------------------------------------------------------
+# suite registry: name -> check (l, ctx); its OutsideHypothesis is a skip
+# ---------------------------------------------------------------------------
+
+_SUITES: dict = {
+    "sum-formula": sum_formula_check,
+    "weighted-sum": weighted_sum_check,
+    "harmonic": harmonic_check,
+    "gkz-parity": gkz_parity_check,
+    "theorem1": theorem1_check,
+    "corollary1": corollary1_check,
+    "prop1": prop1_check,
+    "lemma1": lemma1_check,
+    "eq26": eq26_check,
+    "euler-bernoulli": euler_identity_check,
+    "ramanujan": ramanujan_check,
+    "corollary2-chain": corollary2_exact_chain,
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +106,7 @@ class RunConfig:
     tolerance_exponent: int = _DEFAULT_TOL_EXP
     weight_min: int = 3
     weight_max: int = 12
-    suites: tuple = ()
+    suites: tuple = SUITE_NAMES
     output_format: str = "text"
     output_path: Optional[str] = None
     parallelism: int = 1
@@ -88,12 +117,15 @@ class RunConfig:
         if not isinstance(self.suites, (list, tuple)):
             raise DomainError(f"suites must be a list of suite names, got {self.suites!r}")
         object.__setattr__(self, "suites", tuple(self.suites))
+        if not self.suites:
+            raise DomainError("suites names no suite; a run must check something")
         for name in ("weight_min", "weight_max", "tolerance_exponent", "parallelism"):
             require_exact(getattr(self, name), name, (int,))
         if self.weight_min > self.weight_max:
             raise DomainError("weight_min must not exceed weight_max")
-        if self.tolerance_exponent < 0:
-            raise DomainError(f"tolerance must be 1e-N with N >= 0, got N = {self.tolerance_exponent}")
+        if not 0 <= self.tolerance_exponent <= _MAX_TOL_EXP:
+            raise DomainError(f"tolerance must be 1e-N with 0 <= N <= {_MAX_TOL_EXP}, "
+                              f"got N = {self.tolerance_exponent}")
         self.ctx()  # PrecisionCtx checks the precision
         if not isinstance(self.output_format, str) or self.output_format not in _RENDERERS:
             raise DomainError(f"unknown output format {self.output_format!r}")
@@ -253,28 +285,6 @@ def _blank_record(suite: str, weight: int, **outcome) -> CheckRecord:
                        residual_midpoint="", residual_radius="", exact=False, **outcome)
 
 
-# ---------------------------------------------------------------------------
-# suite registry: name -> check (l, ctx); its OutsideHypothesis is a skip
-# ---------------------------------------------------------------------------
-
-_SUITES: dict = {
-    "sum-formula": sum_formula_check,
-    "weighted-sum": weighted_sum_check,
-    "harmonic": harmonic_check,
-    "gkz-parity": gkz_parity_check,
-    "theorem1": theorem1_check,
-    "corollary1": corollary1_check,
-    "prop1": prop1_check,
-    "lemma1": lemma1_check,
-    "eq26": eq26_check,
-    "euler-bernoulli": euler_identity_check,
-    "ramanujan": ramanujan_check,
-    "corollary2-chain": corollary2_exact_chain,
-}
-
-SUITE_NAMES = tuple(_SUITES)
-
-
 def _run_suite_weight(suite: str, l: int, config: RunConfig, ctx: PrecisionCtx) -> list:
     try:
         reports = _SUITES[suite](l, ctx)
@@ -403,7 +413,10 @@ def _int(value) -> int:
     digits = s[1:] if s[:1] in ("+", "-") else s
     if not (digits.isascii() and digits.isdigit()):
         raise DomainError(f"expected an integer, got {value!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # more digits than int() reads (4300 by default)
+        raise DomainError(f"expected an integer, got one of {len(digits)} digits") from None
 
 
 def _precision(value) -> int:
@@ -507,7 +520,7 @@ def _config_from_args(args) -> RunConfig:
         if unknown:
             raise DomainError(f"unknown config keys {unknown}; known: {', '.join(_OPTIONS)}")
     given.update((key, getattr(args, key)) for key in _OPTIONS if getattr(args, key) is not None)
-    fields = {"suites": SUITE_NAMES, "precision_bits": _default_precision()}
+    fields = {"precision_bits": _default_precision()}
     for key, value in given.items():
         if value is not None:  # JSON null: not given
             fields.update(_named(key, _OPTIONS[key][0], value))
@@ -515,13 +528,23 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _report_file(path: Optional[str]):
-    """The report's destination, opened before the run so a bad path fails first."""
+    """A function that opens the report's destination.  The path is checked
+    here, before the run, so a bad one fails first; the file is created or
+    emptied only when the report is written, so a failed run leaves it as it was."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot write the report: {exc}") from None
+        return lambda: sys.stdout
+    folder = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path) or not (
+            os.access(path, os.W_OK) if os.path.exists(path)
+            else os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise DomainError(f"cannot write the report: {path!r} is not a writable file path")
+
+    def opened():
+        try:
+            return open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write the report: {exc}") from None
+    return opened
 
 
 def _write(fh, pieces, what: str) -> None:
@@ -574,9 +597,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             config = _config_from_args(args)
             prec = config.precision_bits
-            with _report_file(config.output_path) as fh:
-                reports, code = cmd_verify(config)
-                _write(fh, _RENDERERS[config.output_format](reports), "the report")
+            report_file = _report_file(config.output_path)
+            reports, code = cmd_verify(config)
+            _write(report_file(), _RENDERERS[config.output_format](reports), "the report")
             return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,11 +31,11 @@ its midpoint and one integer ceiling of its radius at unit 2^-W, and the tail
 is one ball centred on the counted interval of those floors.  The remainder
 is bounded by 4 |c_K| zeta(w-1+2K, A), the 4x-first-omitted rule of the
 Hurwitz evaluator (one ``zeta._em_sum`` for both) applied to each m2 and
-summed, and added to the radius.  S_M + H_M zeta(l1, A) + tail is summed
-exactly and rounded once, the entry's only rounding.  ``_double_zetas``
-writes each entry straight into T_l's coefficient vector, and one weight-w
-table reads the same vector zeta(w-1+j, A) from the one ``zeta._hurwitz``
-memo.  A lone value is the entry of its own one-pair vector.
+summed, and added to the radius.  An entry is one ``ball_sum`` of S_M, the
+exact product H_M zeta(l1, A) (``_product``) and the tail, its only rounding.
+``_double_zetas`` writes each entry straight into T_l's coefficient vector,
+and one weight-w table reads the same vector zeta(w-1+j, A) from the one
+``zeta._hurwitz`` memo.  A lone value is the entry of its own one-pair vector.
 
 T_l is evaluated at dyadic rationals x = a 2^s, y = b 2^s only (ints or
 Fractions, else DomainError), as one exact dot product of the integers
@@ -71,8 +71,10 @@ from .numerics import (
     PrecisionUnreachableError,
     RealBall,
     _dy_add,
+    _product,
     _rounded,
     _strip_zeros,
+    ball_sum,
     require_exact,
 )
 from .zeta import _em_coefficients, _em_sum, _hurwitz
@@ -179,18 +181,6 @@ def _tail(l1: int, w: int, wp: int, hz) -> RealBall:
     return _em_sum(f1 + f2, 2, r1 + r2, corrections, 1 << (width - wp - l1), width)
 
 
-def _entry(s_m: RealBall, h_m: RealBall, z: RealBall, tail: RealBall, wp: int) -> RealBall:
-    """S_M + H_M z + tail as one exact dyadic midpoint and radius, the radius
-    of H_M z being |H_M| rad z + |z| rad H_M + rad H_M rad z, rounded once
-    to wp bits."""
-    (hm, he, hr, hre), (zm, ze, zr, zre) = h_m.dyadic(), z.dyadic()
-    mid, rad = (hm * zm, he + ze), (hr * zr, hre + zre)
-    for mm, me, rm, re in ((0, 0, abs(hm) * zr, he + zre), (0, 0, abs(zm) * hr, ze + hre),
-                           s_m.dyadic(), tail.dyadic()):
-        mid, rad = _dy_add(*mid, mm, me), _dy_add(*rad, rm, re)
-    return _rounded(*mid, *rad, wp)
-
-
 def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> tuple:
     """T_l's coefficient vector (mids, rads, e) with slot l1 - 1 holding
     zeta(l1, l - l1) for l1 in l1s and every other slot 0: each value is
@@ -210,7 +200,8 @@ def _double_zetas(l: int, l1s: Sequence[int], ctx: PrecisionCtx) -> tuple:
     sums = _direct_sums(l, l1s, wp, m_cut)
     parts = [(0, 0, 0, 0)] * (l - 1)
     for l1 in l1s:
-        value = _entry(*sums[l1], hz(l1), _tail(l1, l, wp, hz), wp)
+        s_m, h_m = sums[l1]
+        value = ball_sum((s_m, _product(h_m, hz(l1)), _tail(l1, l, wp, hz)), wp)
         if not value.meets_relative_radius(target - 1):
             raise PrecisionUnreachableError(
                 f"double_zeta({l1},{l - l1}) did not reach 2^-{target} relative radius")
@@ -332,7 +323,7 @@ def _form_ball(t: DzvTable, form: _Form) -> RealBall:
     else:  # a floor quotient GUARD_BITS below the last bit, low by less than a unit
         width = wp + GUARD_BITS - me - abs(mm).bit_length() + den.bit_length()
         f, r = RealBall(mm, me, rm, re).scaled_floors(1, den, width)
-        ball = _rounded(2 * f + 1, -width - 1, 2 * r + 1, -width - 1, wp)
+        ball = _rounded(*RealBall.from_floors(f, 1, r, width).dyadic(), wp)
     return ball if n == 1 else ball.mul_int(n)
 
 

@@ -3,15 +3,18 @@ and formal polynomials in pi.  Every check side is a real ball.  No dzv
 computation calls the following; ``perfbench/`` imports or wraps them by
 name (tests use some), so they go with its rework: the complex balls
 (``ComplexBall``, ``complex_sum``, ``cube_root_of_unity``), the pi section
-(``pi_const``), ``PiPolynomial``, ``pipoly_eval``, ``ball_sum``, and of
-``RealBall`` ``from_fraction``, ``pow_int`` (with ``from_int``) and
-``add_error``; in ``dzv.dzeta``, ``gen_poly_real``, ``functional_eq26_check``
-and the ``hurwitz_zeta`` import.
+(``pi_const``), ``PiPolynomial``, ``pipoly_eval``, and of ``RealBall``
+``from_fraction``, ``pow_int`` (with ``from_int``) and ``add_error``; in
+``dzv.dzeta``, ``gen_poly_real``, ``functional_eq26_check`` and the
+``hurwitz_zeta`` import.
 
 Balls store the midpoint and radius as dyadic numbers (mantissa * 2**exp with
 Python integers), so every operation can account for its rounding error
 exactly: results are enclosures, never estimates.  Midpoints are rounded to a
-caller-supplied precision; radii are rounded upward to a short mantissa.
+caller-supplied precision; radii are rounded upward to a short mantissa.  Each
+rule is stated once, ``_product`` (the exact product ball), ``ball_sum`` (an
+exact sum rounded once), ``from_floors`` and ``_rounded``, and ``mul``,
+``add`` and every double zeta table entry are built on them.
 Verdicts (zero within a tolerance, intersection, a relative-radius target)
 are decided on those integers, a rational tolerance by cross-multiplying;
 midpoint_fraction() and radius_fraction() are for readers outside that path.
@@ -269,20 +272,14 @@ class RealBall:
     __neg__ = neg
 
     def add(self, other: "RealBall", prec: int) -> "RealBall":
-        mm, me = _dy_add(self._mm, self._me, other._mm, other._me)
-        rm, re = _dy_add(self._rm, self._re, other._rm, other._re)
-        return _rounded(mm, me, rm, re, prec)
+        return ball_sum((self, other), prec)
 
     def sub(self, other: "RealBall", prec: int) -> "RealBall":
         return self.add(other.neg(), prec)
 
     def mul(self, other: "RealBall", prec: int) -> "RealBall":
-        mm = self._mm * other._mm
-        me = self._me + other._me
-        rm, re = _dy_add(abs(self._mm) * other._rm, self._me + other._re,
-                         abs(other._mm) * self._rm, other._me + self._re)
-        rm, re = _dy_add(rm, re, self._rm * other._rm, self._re + other._re)
-        return _rounded(mm, me, rm, re, prec)
+        p = _product(self, other)
+        return _rounded(p._mm, p._me, p._rm, p._re, prec)
 
     def mul_int(self, n: int) -> "RealBall":
         """Exact scalar multiple by an integer."""
@@ -377,12 +374,17 @@ def _radius_decimal(num: int, den: int) -> str:
     return _sci(*_radius_digits(num, den)) if num else "0"
 
 
-def ball_sum(items: Iterable[RealBall], prec: int) -> RealBall:
-    """Sum with exact accumulation and a single final rounding.
+def _product(a: RealBall, b: RealBall) -> RealBall:
+    """The exact product ball, unrounded: midpoint mid a mid b and radius
+    |mid a| rad b + |mid b| rad a + rad a rad b, the kernel's one product rule."""
+    rm, re = _dy_add(abs(a._mm) * b._rm, a._me + b._re, abs(b._mm) * a._rm, b._me + a._re)
+    return RealBall(a._mm * b._mm, a._me + b._me,
+                    *_dy_add(rm, re, a._rm * b._rm, a._re + b._re))
 
-    Permutation invariant: the same multiset of balls always yields the same
-    enclosure.
-    """
+
+def ball_sum(items: Iterable[RealBall], prec: int) -> RealBall:
+    """The kernel's one sum rule, exact accumulation and a single final rounding:
+    the same multiset of balls always yields the same enclosure."""
     mm, me, rm, re = 0, 0, 0, 0
     for b in items:
         mm, me = _dy_add(mm, me, b._mm, b._me)

@@ -23,9 +23,10 @@ relative-radius target) and the decimal printing of a ball are read from its
 exact midpoint_fraction() and radius_fraction(), so they check the integer
 decisions of dzv against plain Fraction arithmetic.  Beside them sits a frozen
 copy of the report printer in integers, the reference its tuned version must
-equal string for string, and the former copies of two ball-layer rules, the
-radius bound of add_error and the printer of integers above str()'s digit
-limit, which their rewrites must equal.
+equal string for string, and the former copies of ball-layer rules, the
+radius bound of add_error, the printer of integers above str()'s digit
+limit, RealBall.mul, RealBall.add and the table entry's own exact sum,
+which their rewrites must equal.
 """
 
 from __future__ import annotations
@@ -640,7 +641,7 @@ def reference_residual_strings(res: RealBall) -> Tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# reference copies of two ball-layer rules as they stood before their rewrite:
+# reference copies of ball-layer rules as they stood before their rewrite:
 # the rewritten rules must match them
 # ---------------------------------------------------------------------------
 
@@ -680,6 +681,35 @@ def reference_decimal_str(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half the decimal digits of n
     hi, lo = divmod(n, 10 ** k)
     return reference_decimal_str(hi) + reference_decimal_str(lo).rjust(k, "0")
+
+
+def reference_mul(a: RealBall, b: RealBall, prec: int) -> RealBall:
+    """RealBall.mul with its own three-term radius |a| rad b + |b| rad a
+    + rad a rad b, rounded once."""
+    (am, ae, ar, are), (bm, be, br, bre) = a.dyadic(), b.dyadic()
+    rm, re = _reference_dy_add(abs(am) * br, ae + bre, abs(bm) * ar, be + are)
+    rm, re = _reference_dy_add(rm, re, ar * br, are + bre)
+    return _rounded(am * bm, ae + be, rm, re, prec)
+
+
+def reference_add(a: RealBall, b: RealBall, prec: int) -> RealBall:
+    """RealBall.add as its own exact pair of sums, rounded once."""
+    (am, ae, ar, are), (bm, be, br, bre) = a.dyadic(), b.dyadic()
+    return _rounded(*_reference_dy_add(am, ae, bm, be), *_reference_dy_add(ar, are, br, bre),
+                    prec)
+
+
+def reference_entry(s_m: RealBall, h_m: RealBall, z: RealBall, tail: RealBall,
+                    wp: int) -> RealBall:
+    """The former dzeta._entry: S_M + H_M z + tail as one exact dyadic
+    midpoint and radius, the radius of H_M z being |H_M| rad z + |z| rad H_M
+    + rad H_M rad z, rounded once to wp bits."""
+    (hm, he, hr, hre), (zm, ze, zr, zre) = h_m.dyadic(), z.dyadic()
+    mid, rad = (hm * zm, he + ze), (hr * zr, hre + zre)
+    for mm, me, rm, re in ((0, 0, abs(hm) * zr, he + zre), (0, 0, abs(zm) * hr, ze + hre),
+                           s_m.dyadic(), tail.dyadic()):
+        mid, rad = _reference_dy_add(*mid, mm, me), _reference_dy_add(*rad, rm, re)
+    return _rounded(*mid, *rad, wp)
 
 
 # ---------------------------------------------------------------------------

@@ -740,6 +740,29 @@ def test_run_config_validation():
         RunConfig(tolerance_exponent=-3)
     with pytest.raises(DomainError):
         RunConfig(precision_bits=63)
+    for suites in ((), []):
+        with pytest.raises(DomainError, match="a run must check something$"):
+            RunConfig(suites=suites)
+
+
+def test_default_run_config_runs_every_suite():
+    # a library run checks what ``dzv verify`` checks, never nothing
+    reports, code = cmd_verify(RunConfig(weight_min=3, weight_max=3))
+    assert [r.suite for r in reports] == list(SUITE_NAMES) and len(reports) == 12
+    assert code == 0 and all(r.checks for r in reports)
+
+
+def test_tolerance_stops_at_the_precision_cap_in_decimal_digits():
+    """1e-315653, the 2^20-bit precision cap in decimal digits, still runs
+    (and fails at 192 bits); one digit more is bad input, refused before
+    10^N is built."""
+    for n in (315654, 10**7, 10**100):
+        with pytest.raises(DomainError, match=f"^tolerance must be 1e-N with 0 <= N <= 315653, "
+                                              f"got N = {n}$"):
+            RunConfig(tolerance_exponent=n)
+    reports, code = cmd_verify(RunConfig(tolerance_exponent=315653, weight_min=4, weight_max=4,
+                                         suites=("theorem1",)))
+    assert code == 1 and [c.tolerance for c in reports[0].checks] == ["1e-315653"]
 
 
 @pytest.mark.parametrize("field", ["weight_min", "weight_max", "tolerance_exponent",
@@ -892,13 +915,17 @@ def test_config_file_with_flag_precedence(tmp_path):
     ({"precision": "1_92"}, [], 2),
     (None, ["--weights", "\u0663..\u0663"], 2),
     (None, ["--tol", "1e-1_0"], 2),
+    # past 2^20 bits in decimal digits, and past the digits int() reads
+    (None, ["--suites", "theorem1", "--tol", "1e-315654"], 2),
+    (None, ["--suites", "theorem1", "--tol", "1e-" + "9" * 5000], 2),
     # 10^5000 has more digits than int-to-str conversion allows by default
     (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
 ], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
         "tol-negative-exponent", "suites-flag-empty", "suites-list-empty", "suites-string-empty",
         "out-flag-empty", "out-key-empty", "suites-flag-twice", "suites-file-twice",
         "precision-flag-underscore", "precision-key-underscore", "weights-flag-arabic-indic",
-        "tol-underscore", "tol-5000-digits"])
+        "tol-underscore", "tol-past-the-precision-cap", "tol-5000-digit-exponent",
+        "tol-5000-digits"])
 def test_verify_input_contract(tmp_path, capsys, config, flags, code):
     # bad input is exit 2 with one error line, never a default or a traceback
     argv = ["verify", "--weights", "3..3", *flags]
@@ -1140,6 +1167,24 @@ def test_out_of_memory_is_one_error_line_and_exit_two(monkeypatch, capsys, tmp_p
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err == "error: out of memory at a precision of 1048576 bits\n"
+
+
+@pytest.mark.parametrize("error", [MemoryError, DomainError("bad input")],
+                         ids=["out-of-memory", "domain-error"])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-path"])
+def test_a_failed_run_leaves_the_report_file_as_it_was(monkeypatch, capsys, tmp_path, error,
+                                                        existing):
+    """The --out file is opened only once the run is over: a run that ends in
+    exit 2 leaves an existing file's bytes as they were and creates no new one."""
+    def fail(config):
+        raise error
+    monkeypatch.setattr(cli_mod, "cmd_verify", fail)
+    out = tmp_path / "report.json"
+    if existing:
+        out.write_bytes(b"old")
+    assert main(["verify", "--suites", "theorem1", "--weights", "3..3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (out.read_bytes() == b"old") if existing else not out.exists()
 
 
 def test_main_return_paths():

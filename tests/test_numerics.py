@@ -15,6 +15,7 @@ from dzv.numerics import (
     PrecisionCtx,
     RealBall,
     _RAD_BITS,
+    _product,
     _rad_up,
     ball_is_zero_within,
     ball_sum,
@@ -34,7 +35,10 @@ from oracles import (
     is_exact,
     lower_fraction,
     meets_relative_radius,
+    reference_add,
     reference_add_error,
+    reference_entry,
+    reference_mul,
     same_enclosure,
     upper_fraction,
     zero_within,
@@ -235,6 +239,31 @@ def test_add_error_rounds_its_bound_as_the_old_rule():
                 new, old = b.add_error(q), reference_add_error(b, q)
                 assert new.dyadic()[:2] == old.dyadic()[:2]
                 assert new.radius_fraction() == old.radius_fraction()
+
+
+def test_product_and_sum_rules_repeat_the_old_mul_add_and_entry():
+    """mul, add and a table entry, one ball_sum of S_M, the exact _product
+    H_M z and the tail, give the same dyadic() as the former RealBall.mul,
+    RealBall.add and dzeta._entry (tests/oracles.py) on seeded balls: zero
+    and negative midpoints, zero radii and radii past _RAD_BITS bits, mixed
+    exponents, and sums that cancel to an exact zero on the way."""
+    rng = random.Random(0x5EED)
+
+    def ball():
+        mm = rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(1, 300))
+        rm = rng.choice((0, rng.getrandbits(_RAD_BITS), rng.getrandbits(rng.randint(25, 200))))
+        return RealBall(mm, rng.randint(-400, 400), rm, rng.randint(-400, 400))
+
+    for _ in range(3000):
+        a, b, c, d = ball(), ball(), ball(), ball()
+        if rng.random() < 0.1:
+            d = c.neg()
+        prec = rng.choice((2, 53, 64, 192, 1024))
+        assert a.mul(b, prec).dyadic() == reference_mul(a, b, prec).dyadic()
+        assert a.add(b, prec).dyadic() == reference_add(a, b, prec).dyadic()
+        assert a.add(a.neg(), prec).dyadic() == reference_add(a, a.neg(), prec).dyadic()
+        entry = ball_sum((c, _product(a, b), d), prec)
+        assert entry.dyadic() == reference_entry(c, a, b, d, prec).dyadic()
 
 
 def test_exact_scalar_operations():
