@@ -45,8 +45,8 @@ relation between two forms, scale * (sum_l1 w[l1] zeta(l1, l - l1)
 scale (``_Form``), each evaluated by ``_form_ball``: one exact integer sum,
 zeta(l)'s dyadic folded in, rounded once; a form with one weight per class
 of l1 mod 6 (``_Classes``) is six products with the table's class totals,
-summed at first read.  eq26's sides (points and scales in one memo per
-weight), every restricted sum and Lemma 1's sums over the cube roots of
+summed at first read.  eq26's sides (each point one ``_point`` in one memo
+per weight), every restricted sum and Lemma 1's sums over the cube roots of
 unity (``dzv.identities``) are such forms, so no complex number is evaluated;
 Horner's rule at complex points is the tests' oracle for lemma1, and
 ``functional_eq26_check`` takes complex balls only for the benchmark worker.
@@ -342,12 +342,13 @@ def _powers(v: int, d: int) -> list[int]:
     return list(accumulate(repeat(v, d), mul, initial=1))
 
 
-def _common_scale(x, y) -> tuple[int, int, int]:
-    """(a, b, s) with x = a 2^s and y = b 2^s for dyadic rationals x and y
-    (ints or Fractions); any other point raises DomainError."""
+def _point(x, y, d: int) -> tuple[int, int, int]:
+    """(a, b, k) with x = a 2^s, y = b 2^s and k = sd for dyadic rationals x
+    and y (ints or Fractions), else DomainError: each degree-d term
+    x^i y^(d-i) is the integer a^i b^(d-i) times 2^k."""
     (xm, xe), (ym, ye) = _dyadic_point(x), _dyadic_point(y)
     s = min(xe, ye)
-    return xm << (xe - s), ym << (ye - s), s
+    return xm << (xe - s), ym << (ye - s), s * d
 
 
 def _monomials(pu: list[int], pv: list[int]) -> list[int]:
@@ -355,24 +356,19 @@ def _monomials(pu: list[int], pv: list[int]) -> list[int]:
     return list(map(mul, pu, reversed(pv)))
 
 
-def _dot(vector: tuple, x, y, wp: int) -> RealBall:
-    """P(x, y) = sum_i c_i x^i y^(d-i) for the coefficient vector (mids, rads, e)
-    at dyadic rationals x = a 2^s and y = b 2^s, else DomainError: with
-    w_i = a^i b^(d-i), the sums of mids[i] w_i and rads[i] |w_i| are exact
-    integers at the unit 2^(e + sd), rounded once to wp bits."""
-    a, b, s = _common_scale(x, y)
-    mids, rads, e = vector
-    d = len(mids) - 1
-    w, e = _monomials(_powers(a, d), _powers(b, d)), e + s * d
-    return _rounded(sum(map(mul, mids, w)), e, sum(map(mul, rads, map(abs, w))), e, wp)
-
-
 def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
     """Enclosure of T_l(x, y) = sum x^(l1-1) y^(l2-1) zeta(l1, l2): the
-    homogeneous polynomial of degree l - 2 whose x^(l1-1) coefficient is
-    zeta(l1, l - l1) (there is none at l1 = 1), as one ``_dot`` over the
-    table's vector.  x and y are ints or dyadic Fractions, else DomainError."""
-    return _dot(t.vector, x, y, t.precision + GUARD_BITS)
+    homogeneous polynomial of degree d = l - 2 whose x^(l1-1) coefficient is
+    zeta(l1, l - l1) (there is none at l1 = 1).  x and y are ints or dyadic
+    Fractions, else DomainError; at ``_point``'s (a, b, k), with
+    w_i = a^i b^(d-i), the sums of mids[i] w_i and rads[i] |w_i| over the
+    table's vector are exact integers at the unit 2^(e+k), rounded once."""
+    d = t.weight - 2
+    a, b, k = _point(x, y, d)
+    mids, rads, e = t.vector
+    w, e = _monomials(_powers(a, d), _powers(b, d)), e + k
+    return _rounded(sum(map(mul, mids, w)), e, sum(map(mul, rads, map(abs, w))), e,
+                    t.precision + GUARD_BITS)
 
 
 # an alias kept only because perfbench/tracer.py wraps dzv.dzeta.gen_poly_real
@@ -380,22 +376,16 @@ def gen_poly_eval(t: DzvTable, x, y) -> RealBall:
 gen_poly_real = gen_poly_eval
 
 
-def _eq26_point(l: int, x, y) -> tuple:
-    """(a, b, 2^(sd)) for x = a 2^s, y = b 2^s (dyadic, else DomainError) and
-    d = l - 2: eq26's integers at the point and its sides' scale."""
-    a, b, s = _common_scale(x, y)
-    return a, b, 1 << s * (l - 2) if s >= 0 else Fraction(1, 1 << -s * (l - 2))
-
-
-def _eq26_sides(d: int, a: int, b: int, scale) -> tuple[_Form, _Form]:
+def _eq26_sides(d: int, a: int, b: int, k: int) -> tuple[_Form, _Form]:
     """The sides of the two-variable functional equation
 
         T_l(x+y, y) + T_l(x+y, x) = T_l(x, y) + T_l(y, x)
                                     + [(x^(l-1) - y^(l-1)) / (x - y)] zeta(l)
 
-    at x = a 2^s, y = b 2^s as forms at scale 2^(sd), d = l - 2: the weights
+    at ``_point``'s (a, b, k), d = l - 2, as forms at scale 2^k: the weights
     add each side's two T_l's integers u^i v^(d-i), and the divided
-    difference sum_{i+j=d} x^i y^j is z."""
+    difference sum_{i+j=d} a^i b^j is z."""
+    scale = 1 << k if k >= 0 else Fraction(1, 1 << -k)
     pa, pb = _powers(a, d), _powers(b, d)
     xy = _monomials(pa, pb)
     left = map(mul, _powers(a + b, d), map(add, reversed(pa), reversed(pb)))
@@ -406,7 +396,7 @@ def _eq26_sides(d: int, a: int, b: int, scale) -> tuple[_Form, _Form]:
 def functional_eq26_sides(l: int, x, y, ctx: PrecisionCtx) -> tuple[RealBall, RealBall]:
     """The two ``_eq26_sides`` at x and y over the weight-l table."""
     t = get_table(l, ctx)
-    return tuple(_form_ball(t, form) for form in _eq26_sides(l - 2, *_eq26_point(l, x, y)))
+    return tuple(_form_ball(t, form) for form in _eq26_sides(l - 2, *_point(x, y, l - 2)))
 
 
 def functional_eq26_check(l: int, x: ComplexBall, y: ComplexBall,

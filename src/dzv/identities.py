@@ -42,8 +42,8 @@ from operator import add
 from typing import Optional, Sequence, Tuple
 
 from .bernoulli import _class_sums, _require_gap6_weight, bernoulli, ramanujan_sum
-from .dzeta import (DzvTable, _Classes, _eq26_point, _eq26_sides, _Form, _form_ball,
-                    _powers, _table_weight, get_table)
+from .dzeta import (DzvTable, _Classes, _eq26_sides, _Form, _form_ball,
+                    _point, _powers, _table_weight, get_table)
 from .numerics import (
     GUARD_BITS,
     CheckReport,
@@ -280,7 +280,7 @@ def lemma1_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:
 @cache
 def _eq26_plan(l: int) -> tuple[tuple, int]:
     """eq26's points at weight l, (1, 1) and seeded rationals with |x|, |y| <= 2,
-    each as (x, y, label, a, b, scale) with ``_eq26_point``'s a, b and scale,
+    each as (x, y, label, a, b, k) with ``_point``'s a, b and k at d = l - 2,
     and the bits its precision rule adds, drawn once per weight: a side is at
     most (l+1) zeta(l) M^(l-2) <= S = 2 l M^(l-2), M = max(1, |x|, |y|, |x+y|),
     with radius about S 2^-p, so S above 2^GUARD_BITS raises p by the excess."""
@@ -289,7 +289,7 @@ def _eq26_plan(l: int) -> tuple[tuple, int]:
         (Fraction(rng.randint(-16, 16), 8), Fraction(rng.randint(-16, 16), 8)) for _ in range(4)]
     m = max(max(1, abs(x), abs(y), abs(x + y)) for x, y in pts)
     extra = max(0, (ceil(2 * l * m ** (l - 2)) - 1).bit_length() - GUARD_BITS)
-    return tuple((x, y, f"eq26[l={l},x={x},y={y}]", *_eq26_point(l, x, y)) for x, y in pts), extra
+    return tuple((x, y, f"eq26[l={l},x={x},y={y}]", *_point(x, y, l - 2)) for x, y in pts), extra
 
 
 def eq26_check(l: int, ctx: PrecisionCtx) -> list[CheckReport]:

@@ -124,10 +124,8 @@ def _strip_zeros(man: int, exp: int) -> Tuple[int, int]:
 
 
 def _rad_up(man: int, exp: int) -> Tuple[int, int]:
-    """Round a nonnegative dyadic upward to a short mantissa; the result
+    """Round a positive dyadic upward to a short mantissa; the result
     depends only on the value, not on how it is written."""
-    if man == 0:
-        return 0, 0
     bits = man.bit_length()
     if bits <= _RAD_BITS:
         return man, exp

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 _NUMERICS = "src/dzv/numerics.py"
+_DZETA = "src/dzv/dzeta.py"
 _BYTE_IDENTITY = "tests/test_numerics.py::test_product_and_sum_rules_repeat_the_old_mul_add_and_entry"
 
 MUTANTS = (
@@ -65,10 +66,11 @@ MUTANTS = (
            "floors + 2 * rad, -width - 1)",
            "2 * rad, -width - 1)",
            ("tests/test_numerics.py",)),
-    Mutant("form-ball-quotient-without-its-unit", "src/dzv/dzeta.py",
+    Mutant("form-ball-quotient-without-its-unit", _DZETA,
            "RealBall.from_floors(f, 1, r, width)",
            "RealBall.from_floors(f, 0, r, width)",
-           ("tests/test_dzeta.py::test_form_ball_encloses_the_form",)),
+           ("tests/test_dzeta.py::test_form_ball_encloses_the_form",
+            "tests/test_dzeta.py::test_form_ball_quotient_next_to_a_power_of_two_holds_the_form")),
     Mutant("rounded-without-its-half-ulp", _NUMERICS,
            "            rm, re = _dy_add(rm, re, 1, me - 1)\n",
            "",
@@ -81,6 +83,30 @@ MUTANTS = (
            "g // k << (2 * j == l)",
            "g // k",
            ("tests/test_bernoulli.py",)),
+    Mutant("direct-sums-kept-partner-is-the-current-row", _DZETA,
+           "l - k: kept.pop(l - k, row)}",
+           "l - k: row}",
+           ("tests/test_dzeta.py",)),
+    Mutant("class-sums-cofactor-dropped", "src/dzv/bernoulli.py",
+           "ck * (d // h) * na * nb",
+           "ck * na * nb",
+           ("tests/test_bernoulli.py",)),
+    Mutant("table-classes-first-slot-off-by-one", _DZETA,
+           "(r - 2) % 6 + 1",
+           "(r - 1) % 6 + 1",
+           ("tests/test_identities.py",)),
+    Mutant("form-ball-content-not-multiplied-back", _DZETA,
+           "g * scale.numerator",
+           "scale.numerator",
+           ("tests/test_identities.py",)),
+    Mutant("tail-head-radius-dropped", _DZETA,
+           "_em_sum(f1 + f2, 2, r1 + r2,",
+           "_em_sum(f1 + f2, 2, r1,",
+           ("tests/test_dzeta.py",)),
+    Mutant("gen-poly-eval-unit-without-k", _DZETA,
+           "_powers(b, d)), e + k",
+           "_powers(b, d)), e",
+           ("tests/test_dzeta.py",)),
 )
 
 

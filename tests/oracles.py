@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
-from dzv.dzeta import _dot, _tail, gen_poly_eval, get_table
+from dzv.dzeta import _tail, gen_poly_eval, get_table
 from dzv.identities import (
     _AT_ONE,
     _LEMMA1,
@@ -843,20 +843,20 @@ def _homogeneous(coeffs: Sequence[Optional[RealBall]], x: ComplexBall, y: Comple
 
 
 # ---------------------------------------------------------------------------
-# eq26, one dot product per term
+# eq26, one ball per term
 # ---------------------------------------------------------------------------
 
 def divided_difference(x, y, l: int, wp: int) -> RealBall:
-    """(x^(l-1) - y^(l-1)) / (x - y) = sum_{i+j=l-2} x^i y^j as its own dot
-    product over the all-ones coefficient vector."""
-    return _dot(((1,) * (l - 1), (0,) * (l - 1), 0), x, y, wp)
+    """(x^(l-1) - y^(l-1)) / (x - y) = sum_{i+j=l-2} x^i y^j, summed exactly
+    in Fractions and rounded once to wp bits."""
+    return RealBall.from_fraction(sum(x ** i * y ** (l - 2 - i) for i in range(l - 1)), wp)
 
 
 def eq26_sides_by_dots(l: int, x, y, ctx: PrecisionCtx) -> Tuple[RealBall, RealBall]:
     """eq26's sides T_l(x+y, y) + T_l(x+y, x) and T_l(x, y) + T_l(y, x) plus
-    the divided difference times zeta(l), each T_l and the divided
-    difference one ``gen_poly_eval``-style dot product that builds its own
-    powers of its own two points."""
+    the divided difference times zeta(l), each T_l one ``gen_poly_eval``
+    that builds its own powers of its own two points, and the divided
+    difference ``divided_difference``."""
     t = get_table(l, ctx)
     wp = ctx.working_precision + GUARD_BITS
     rhs = gen_poly_eval(t, x, y).add(gen_poly_eval(t, y, x), wp)

@@ -901,7 +901,9 @@ def test_config_file_with_flag_precedence(tmp_path):
     ([1, 2], [], 2),
     ({"suites": 5}, [], 2),
     ({"precision": 64.7}, [], 2),
+    ({"format": 5}, [], 2),
     (None, ["--tol", "1e--3"], 2),
+    (None, ["--tol", "0.001"], 2),
     (None, ["--suites", ","], 2),
     ({"suites": []}, [], 2),
     ({"suites": " , "}, [], 2),
@@ -921,7 +923,8 @@ def test_config_file_with_flag_precedence(tmp_path):
     # 10^5000 has more digits than int-to-str conversion allows by default
     (None, ["--suites", "theorem1", "--tol", "1e-5000", "--format", "json"], 0),
 ], ids=["misspelled-key", "string-file", "list-file", "suites-int", "precision-float",
-        "tol-negative-exponent", "suites-flag-empty", "suites-list-empty", "suites-string-empty",
+        "format-int", "tol-negative-exponent", "tol-not-1e-form", "suites-flag-empty",
+        "suites-list-empty", "suites-string-empty",
         "out-flag-empty", "out-key-empty", "suites-flag-twice", "suites-file-twice",
         "precision-flag-underscore", "precision-key-underscore", "weights-flag-arabic-indic",
         "tol-underscore", "tol-past-the-precision-cap", "tol-5000-digit-exponent",
@@ -939,6 +942,16 @@ def test_verify_input_contract(tmp_path, capsys, config, flags, code):
         assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
     else:
         assert json.loads(out)[0]["checks"][0]["tolerance"] == "1e-5000"
+
+
+@pytest.mark.parametrize("text", [None, "{"], ids=["missing-file", "not-json"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["verify", "--weights", "3..3", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: config file: ") and err.count("\n") == 1 and out == ""
 
 
 def test_config_values_read_as_the_flags_do(tmp_path, capsys):
@@ -1220,6 +1233,19 @@ def test_precision_unreachable_recorded_as_error(monkeypatch):
     rec = reports[0].checks[0]
     assert rec.error == "synthetic escalation cap"
     assert rec.passed is False
+
+
+def test_precision_unreachable_prints_an_err_line(monkeypatch, capsys):
+    from dzv.numerics import PrecisionUnreachableError
+
+    def exploding(l, ctx):
+        raise PrecisionUnreachableError("synthetic escalation cap")
+
+    monkeypatch.setitem(cli_mod._SUITES, "theorem1", exploding)
+    assert main(["verify", "--suites", "theorem1", "--weights", "3..3", "--format", "text"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["  [ERR ] theorem1[l=3]: synthetic escalation cap"]
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------

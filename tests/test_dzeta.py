@@ -17,7 +17,6 @@ from dzv.dzeta import (
     _Classes,
     _direct_sums,
     _double_zetas,
-    _dot,
     _Form,
     _form_ball,
     _table,
@@ -554,19 +553,19 @@ _dyadic_points = st.tuples(st.integers(-2 ** 30, 2 ** 30), st.integers(-40, 4))
 @example(_X20, (-5, -2), (0, 0), False, 64, [1] * 45, [-1] * 45)
 def test_dot_encloses_the_polynomial_at_exact_real_points(coeff_parts, xp, yp, exact, wp,
                                                           sides1, sides2):
-    """At an exact real dyadic point the dot product over the coefficient
-    vector holds the exact polynomial at the coefficients' midpoints and at
-    corners of their balls.  Before the final rounding its midpoint is the
+    """At an exact real dyadic point ``gen_poly_eval`` over a table holding
+    the coefficient vector holds the exact polynomial at the coefficients'
+    midpoints and at corners of their balls.  Before the final rounding its midpoint is the
     polynomial at the midpoints and its radius the spread
     sum r_i |x^i y^(d-i)|, both exactly; after it the radius is at most that
     spread plus one rounding to wp bits (rounded up to a short mantissa)."""
     coeffs = [None if c is None else _ball(*c, exact) for c in coeff_parts]
     x, y = (m * Fraction(2) ** e for m, e in (xp, yp))
-    vector = coefficient_vector(coeffs)
-    z = _dot(vector, x, y, wp)
+    t = DzvTable(len(coeffs) + 1, wp - GUARD_BITS, coefficient_vector(coeffs))
+    z = gen_poly_eval(t, x, y)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dzeta_mod, "_rounded", lambda mm, me, rm, re, prec: RealBall(mm, me, rm, re))
-        fixed = _dot(vector, x, y, wp)
+        fixed = gen_poly_eval(t, x, y)
     xe, ye = (x, 0), (y, 0)
     d = len(coeffs) - 1
     spread = sum(c.radius_fraction() * abs(xe[0] ** i * ye[0] ** (d - i))
@@ -582,9 +581,9 @@ def test_dot_encloses_the_polynomial_at_exact_real_points(coeff_parts, xp, yp, e
 
 def test_dot_meets_the_horner_kernel_at_eq26_points(ctx192):
     """Tables 3..30 at 192 bits and every eq26 sample point: eq26's four T_l
-    argument pairs and the divided difference, by the dispatching calls (the
-    dot product at these points) and by ``_homogeneous`` on the same inputs.
-    The balls intersect and the dot product's is no wider."""
+    argument pairs by ``gen_poly_eval`` and the divided difference by
+    ``oracles.divided_difference``, and each by ``_homogeneous`` on the same
+    inputs.  The balls intersect and the first is no wider."""
     wp = ctx192.working_precision + GUARD_BITS
     for l in range(3, 31):
         t = get_table(l, ctx192)
@@ -635,6 +634,19 @@ def test_form_ball_encloses_the_form(ctx128, l, weights, sparse, z, scale):
     assert ball.radius_fraction() <= (rad + 4 * (abs(mid) + rad) / 2 ** wp) * (1 + Fraction(1, 2 ** 22))
     if not any(weights[1:]) and z == 0:
         assert ball.is_zero()
+
+
+@pytest.mark.parametrize("den", [3, 5, 7, 24])
+def test_form_ball_quotient_next_to_a_power_of_two_holds_the_form(den):
+    """An exact entry m 2^-k, m = +/-(den 2^k +/- 1), at scale 1/den is the
+    form +/-(1 +/- 2^-k / den), whose quotient's floor at its width can be
+    a power of two with no bit left to round: only the floor's unit keeps
+    the form in the ball."""
+    k = 400
+    for m in ((den << k) + 1, (den << k) - 1, -(den << k) - 1, -(den << k) + 1):
+        t = DzvTable(3, 128, ((0, m), (0, 0), -k))
+        ball = _form_ball(t, _Form([0, 1], 0, Fraction(1, den)))
+        assert contains_fraction(ball, Fraction(m, den << k)), (den, m)
 
 
 @pytest.mark.parametrize("precision, weights", [(192, range(4, 61)), (512, range(4, 31))])
